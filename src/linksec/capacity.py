@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import special as sp
 
 from . import channels, specfun
@@ -84,58 +85,72 @@ def secrecy_capacity(cl: CapacityEstimate, ce: CapacityEstimate) -> CapacityEsti
 # Surface-assisted link
 # ---------------------------------------------------------------------------
 
-def _mgf_moment_series_complement(x: float, a: float, b: float) -> float:
+def _mgf_moment_series_complement(x: np.ndarray, a: float, b: float) -> np.ndarray:
     """1 - MGF summed from the moment series; accurate when x is large.
 
     The alternating partial sums of the transform's moment series bracket
     the value, so the truncation error is below the first omitted term.
     Summing the complement directly avoids the cancellation that computing
-    1 - (1 - tiny) would suffer.
+    1 - (1 - tiny) would suffer.  Each argument stops after its first term
+    below 1e-18.
     """
-    delta = 0.0
-    term = 1.0
+    delta = np.zeros_like(x)
+    term = np.ones_like(x)
+    active = np.ones(x.shape, dtype=bool)
     for k in range(1, 16):
-        term *= -(a + k - 1.0) * (b + k - 1.0) / (k * x)
-        delta -= term
-        if abs(term) < 1e-18:
+        term = term * (-(a + k - 1.0) * (b + k - 1.0) / (k * x))
+        delta = np.where(active, delta - term, delta)
+        active &= np.abs(term) >= 1e-18
+        if not active.any():
             break
     return delta
 
 
-def _series_eligible(x: float, a: float, b: float) -> bool:
+def _series_eligible(x: np.ndarray, a: float, b: float) -> np.ndarray:
     return (a + 12.0) * (b + 12.0) <= 0.05 * x
 
 
-def mgf_irs_element(z: float, gg: GammaGammaParams) -> float:
+def mgf_irs_element(z: float | np.ndarray, gg: GammaGammaParams) -> float | np.ndarray:
     """Laplace transform E[exp(-z * SNR)] of one element's SNR.
 
-    Deep in the small-z regime the transform is summed from the moment
-    series; elsewhere it goes through the Mellin-Barnes form of the
-    product-distribution transform.  The value always lies in (0, 1].
+    ``z`` is a positive scalar or array; the result has its shape, and is a
+    float for a scalar.  Deep in the small-z regime the transform is summed
+    from the moment series; elsewhere it goes through the Mellin-Barnes form
+    of the product-distribution transform, one contour call for all such z.
+    The value always lies in (0, 1].
     """
-    if z <= 0:
+    z_arr = np.asarray(z, dtype=float)
+    if not np.all(z_arr > 0):
         raise ValueError("z must be positive")
     a, b = gg.shape_first, gg.shape_second
-    x = gg.beta_gg / z
-    if _series_eligible(x, a, b):
-        return min(max(1.0 - _mgf_moment_series_complement(x, a, b), 0.0), 1.0)
-    value, _ = specfun.meijer_g_2_1_1_2(x, 1.0 - gg.alpha_gg, 0.5 * gg.order, -0.5 * gg.order)
-    norm = math.exp(specfun.log_gamma(a).real + specfun.log_gamma(b).real)
-    factor = x ** gg.alpha_gg * value / norm
-    return min(max(factor, 0.0), 1.0)
+    x = gg.beta_gg / np.atleast_1d(z_arr)
+    series = _series_eligible(x, a, b)
+    out = np.empty_like(x)
+    out[series] = 1.0 - _mgf_moment_series_complement(x[series], a, b)
+    x_contour = x[~series]
+    if x_contour.size:
+        value, _ = specfun.meijer_g_2_1_1_2(
+            x_contour, 1.0 - gg.alpha_gg, 0.5 * gg.order, -0.5 * gg.order
+        )
+        norm = math.exp(specfun.log_gamma(a).real + specfun.log_gamma(b).real)
+        out[~series] = x_contour ** gg.alpha_gg * value / norm
+    out = np.clip(out, 0.0, 1.0)
+    return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
 
-def _one_minus_mgf_pow(z: float, gg: GammaGammaParams, n: int) -> float:
-    """1 - MGF(z)^n without cancellation for MGF close to one."""
+def _one_minus_mgf_pow(z: np.ndarray, gg: GammaGammaParams, n: int) -> np.ndarray:
+    """1 - MGF(z)^n on an array of z, without cancellation for MGF close to one."""
     a, b = gg.shape_first, gg.shape_second
     x = gg.beta_gg / z
-    if _series_eligible(x, a, b):
-        delta = _mgf_moment_series_complement(x, a, b)
-    else:
-        delta = 1.0 - mgf_irs_element(z, gg)
-    if delta >= 1.0:
-        return 1.0
-    return -math.expm1(n * math.log1p(-delta))
+    series = _series_eligible(x, a, b)
+    delta = np.empty_like(x)
+    delta[series] = _mgf_moment_series_complement(x[series], a, b)
+    if not series.all():
+        delta[~series] = 1.0 - mgf_irs_element(z[~series], gg)
+    out = np.ones_like(x)
+    below = ~(delta >= 1.0)
+    out[below] = -np.expm1(n * np.log1p(-delta[below]))
+    return out
 
 
 def ergodic_capacity_irs(scenario: ScenarioIrs, receiver: str) -> CapacityEstimate:
@@ -143,8 +158,8 @@ def ergodic_capacity_irs(scenario: ScenarioIrs, receiver: str) -> CapacityEstima
     gg = channels.irs_element_params(scenario, receiver)
     n = scenario.n_elements
 
-    def integrand(z: float) -> float:
-        return _one_minus_mgf_pow(z, gg, n) * math.exp(-z) / z
+    def integrand(z: np.ndarray) -> np.ndarray:
+        return _one_minus_mgf_pow(z, gg, n) * np.exp(-z) / z
 
     result = integrate_semi_infinite(integrand, tol_rel=1e-9)
     return CapacityEstimate(bits_per_sec_hz=max(result.value, 0.0) / _LN2, method="analytic")
@@ -173,21 +188,27 @@ def _require_integer_shapes(*params: FadingParams) -> tuple[int, ...]:
     return tuple(shapes)
 
 
-def df_ccdf(g: float, f1: FadingParams, fb: FadingParams) -> float:
-    """Survival function of the weakest-hop SNR min(snr_1, snr_b)."""
+def df_ccdf(g: float | np.ndarray, f1: FadingParams, fb: FadingParams) -> float | np.ndarray:
+    """Survival function of the weakest-hop SNR min(snr_1, snr_b).
+
+    ``g`` is a nonnegative scalar or array; the result has its shape, and
+    is a float for a scalar.
+    """
     a1, ab = _require_integer_shapes(f1, fb)
-    if g < 0:
+    g_arr = np.asarray(g, dtype=float)
+    if np.any(g_arr < 0):
         raise ValueError("g must be nonnegative")
-    total = 0.0
+    total = np.zeros_like(g_arr)
     for j in range(a1):
         for p in range(ab):
             total += (
                 f1.beta ** j
                 * fb.beta ** p
-                * g ** (j + p)
+                * g_arr ** (j + p)
                 / (math.factorial(j) * math.factorial(p))
             )
-    return total * math.exp(-g * (f1.beta + fb.beta))
+    out = total * np.exp(-g_arr * (f1.beta + fb.beta))
+    return float(out) if g_arr.ndim == 0 else out
 
 
 DF_PATHS = ("closed-form", "contour", "ccdf-quadrature")
@@ -264,52 +285,52 @@ def affg_snr_constant(f1: FadingParams) -> float:
     return f1.mean + 1.0
 
 
-def affg_ccdf(g: float, f1: FadingParams, fb: FadingParams, l: float) -> float:
+def affg_ccdf(
+    g: float | np.ndarray, f1: FadingParams, fb: FadingParams, l: float
+) -> float | np.ndarray:
     """Survival function of the fixed-gain end-to-end SNR.
 
     The end-to-end SNR is snr_1 * snr_b / (snr_b + l).  Requires the
     first-hop shape to be an integer; the receiving-hop shape may be any
-    positive real.  Terms are assembled in log space so the Bessel factor
-    cannot overflow for tiny arguments.
+    positive real.  ``g`` is a nonnegative scalar or array; the result has
+    its shape, and is a float for a scalar.  Terms are assembled in log
+    space so the Bessel factor cannot overflow for tiny arguments.
     """
     (a1,) = _require_integer_shapes(f1)
     if l <= 0:
         raise ValueError("gain constant must be positive")
-    if g < 0:
+    g_arr = np.asarray(g, dtype=float)
+    if np.any(g_arr < 0):
         raise ValueError("g must be nonnegative")
-    if g == 0:
-        return 1.0
+    out = np.ones(g_arr.shape)
+    positive = g_arr > 0
+    gp = g_arr[positive]
     ab = fb.alpha
-    log_norm = specfun.log_gamma(ab).real
-    bess_arg = 2.0 * math.sqrt(g * f1.beta * fb.beta * l)
-    total = 0.0
+    log_const = ab * math.log(fb.beta) - specfun.log_gamma(ab).real + math.log(2.0)
+    bess_arg = 2.0 * np.sqrt(gp * f1.beta * fb.beta * l)
+    # Uniform large-argument behavior; the scaled Bessel routine itself
+    # gives up well before the term stops underflowing.
+    asymptotic = bess_arg > 1e8
+    log_asymptote = 0.5 * np.log(np.pi / (2.0 * bess_arg)) - bess_arg
+    bess_finite = np.where(asymptotic, 1.0, bess_arg)
+    half_log_ratio = 0.5 * (np.log(f1.beta * l * gp) - math.log(fb.beta))
+    # Log of (f1.beta*l*g/fb.beta)^(u/2) * K_u(bess_arg) for u = ab - k;
+    # -inf drops a term whose scaled Bessel value is not positive.
+    log_bessel = []
+    for k in range(a1):
+        kve = sp.kve(ab - k, bess_finite)
+        log_kv = np.where(kve > 0.0, np.log(np.where(kve > 0.0, kve, 1.0)), -np.inf) - bess_arg
+        log_bessel.append((ab - k) * half_log_ratio + np.where(asymptotic, log_asymptote, log_kv))
+    log_b1g = np.log(f1.beta * gp)
+    total = np.zeros_like(gp)
     for j in range(a1):
+        log_j = j * log_b1g - f1.beta * gp
         for k in range(j + 1):
-            u = ab - k
-            log_term = (
-                math.log(math.comb(j, k))
-                + k * math.log(l)
-                + j * math.log(f1.beta * g)
-                + ab * math.log(fb.beta)
-                - math.lgamma(j + 1)
-                - log_norm
-                - f1.beta * g
-                + math.log(2.0)
-                + 0.5 * u * (math.log(f1.beta * l * g) - math.log(fb.beta))
-            )
-            if bess_arg > 1e8:
-                # Uniform large-argument behavior; the scaled Bessel routine
-                # itself gives up well before the term stops underflowing.
-                log_term += 0.5 * math.log(math.pi / (2.0 * bess_arg)) - bess_arg
-            else:
-                kve = float(sp.kve(u, bess_arg))
-                if not kve > 0.0:
-                    continue
-                log_term += math.log(kve) - bess_arg
-            if log_term < -700.0:
-                continue
-            total += math.exp(log_term)
-    return min(total, 1.0)
+            coef = math.log(math.comb(j, k)) + k * math.log(l) - math.lgamma(j + 1) + log_const
+            log_term = coef + log_j + log_bessel[k]
+            total += np.exp(np.where(log_term < -700.0, -np.inf, log_term))
+    out[positive] = np.minimum(total, 1.0)
+    return float(out) if g_arr.ndim == 0 else out
 
 
 def affg_ergodic_capacity(

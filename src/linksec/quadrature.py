@@ -1,11 +1,16 @@
 """Adaptive numerical integration for the capacity integrals.
 
-Two rules live here: an adaptive Gauss rule for real integrals over
-semi-infinite (and finite) intervals, and a trapezoidal rule for complex
-kernels on a truncated vertical line in the s-plane.  Both are open rules:
-no integrand is ever evaluated at an interval endpoint, so integrands with
-a removable endpoint singularity (the 1/z factor of the capacity integral)
-need no special casing by the caller.
+Two rules live here: an adaptive Gauss-Kronrod rule (the 21-point Kronrod
+extension of the 10-point Gauss rule, QUADPACK QK21) for real integrals
+over semi-infinite (and finite) intervals, and a trapezoidal rule for
+complex kernels on a truncated vertical line in the s-plane.  Both are open
+rules: no integrand is ever evaluated at an interval endpoint, so
+integrands with a removable endpoint singularity (the 1/z factor of the
+capacity integral) need no special casing by the caller.
+
+Integrands are array-valued: each panel calls ``f`` once with the 1-D
+array of its 21 nodes, and ``f`` returns an array of that shape or a
+scalar, which is broadcast to the panel.
 """
 
 from __future__ import annotations
@@ -75,32 +80,58 @@ class ContourSpec:
             raise ValueError("nodes must be at least 64")
 
 
-# Embedded pair: 10- and 21-point Gauss-Legendre on the same panel.  The
-# difference of the two estimates serves as the panel error.  All nodes are
-# interior, which keeps every rule here an open rule.
-_N10, _W10 = np.polynomial.legendre.leggauss(10)
-_N21, _W21 = np.polynomial.legendre.leggauss(21)
+# QUADPACK QK21: the 21 Kronrod nodes on (-1, 1) and their weights, and the
+# weights of the 10-point Gauss rule on the ten nodes it shares with them
+# (the odd positions).  |K21 - G10| serves as the panel error.  All nodes
+# are interior, which keeps every rule here an open rule.
+_XK21 = np.array([
+    -0.995657163025808080735527280689003, -0.973906528517171720077964012084452,
+    -0.930157491355708226001207180059508, -0.865063366688984510732096688423493,
+    -0.780817726586416897063717578345042, -0.679409568299024406234327365114874,
+    -0.562757134668604683339000099272694, -0.433395394129247190799265943165784,
+    -0.294392862701460198131126603103866, -0.148874338981631210884826001129720,
+    0.0,
+    0.148874338981631210884826001129720, 0.294392862701460198131126603103866,
+    0.433395394129247190799265943165784, 0.562757134668604683339000099272694,
+    0.679409568299024406234327365114874, 0.780817726586416897063717578345042,
+    0.865063366688984510732096688423493, 0.930157491355708226001207180059508,
+    0.973906528517171720077964012084452, 0.995657163025808080735527280689003,
+])
+_WK21 = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+    0.147739104901338491374841515972068, 0.142775938577060080797094273138717,
+    0.134709217311473325928054001771707, 0.123491976262065851077958109831074,
+    0.109387158802297641899210590325805, 0.093125454583697605535065465083366,
+    0.075039674810919952767043140916190, 0.054755896574351996031381300244580,
+    0.032558162307964727478818972459390, 0.011694638867371874278064396062192,
+])
+_WG10 = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338, 0.295524224714752870173892994651338,
+    0.269266719309996355091226921569469, 0.219086362515982043995534934228163,
+    0.149451349150580593145776339657697, 0.066671344308688137593568809893332,
+])
+_PANEL_COST = len(_XK21)
 
 
-def _panel_estimate(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+def _panel_estimate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    v10 = 0.0
-    for x, w in zip(_N10, _W10):
-        v10 += w * f(mid + half * x)
-    v21 = 0.0
-    for x, w in zip(_N21, _W21):
-        v21 += w * f(mid + half * x)
-    v10 *= half
-    v21 *= half
-    return v21, abs(v21 - v10)
-
-
-_PANEL_COST = len(_N10) + len(_N21)
+    fx = np.empty_like(_XK21)
+    fx[:] = f(mid + half * _XK21)
+    k21 = half * float(_WK21 @ fx)
+    g10 = half * float(_WG10 @ fx[1::2])
+    return k21, abs(k21 - g10)
 
 
 def _adaptive(f, a, b, tol_rel, budget):
-    """Adaptive bisection with an embedded Gauss pair on (a, b)."""
+    """Adaptive bisection with the embedded Gauss-Kronrod pair on (a, b)."""
     # Seed with a handful of panels so the first refinement has somewhere
     # to look other than the middle of the interval.
     seeds = np.linspace(a, b, 5)
@@ -135,14 +166,16 @@ def _adaptive(f, a, b, tol_rel, budget):
 
 
 def integrate_semi_infinite(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray | float],
     tol_rel: float = 1e-8,
     budget: int = 200_000,
 ) -> QuadratureResult:
     """Integrate ``f`` over (0, inf).
 
-    The interval is mapped onto (0, 1) through x = t/(1-t) and then
-    subdivided adaptively.  ``f`` may have a removable singularity or a
+    ``f`` receives a 1-D array of nodes and returns an array of the same
+    shape, or a scalar.  The interval is mapped onto (0, 1) through
+    x = t/(1-t) and then subdivided adaptively; ``evaluations`` counts
+    nodes, 21 per panel.  ``f`` may have a removable singularity or a
     finite nonzero limit at 0; it is never called at x = 0.
 
     Raises AccuracyError (carrying the best estimate) if the evaluation
@@ -153,7 +186,7 @@ def integrate_semi_infinite(
     if budget <= 0:
         raise ValueError("budget must be positive")
 
-    def g(t: float) -> float:
+    def g(t: np.ndarray) -> np.ndarray:
         u = 1.0 - t
         return f(t / u) / (u * u)
 
@@ -162,13 +195,17 @@ def integrate_semi_infinite(
 
 
 def integrate_finite(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray | float],
     a: float,
     b: float,
     tol_rel: float = 1e-8,
     budget: int = 200_000,
 ) -> QuadratureResult:
-    """Integrate ``f`` over the finite interval (a, b) with the same core."""
+    """Integrate ``f`` over the finite interval (a, b) with the same core.
+
+    ``f`` receives a 1-D array of nodes and returns an array of the same
+    shape, or a scalar.
+    """
     if not b > a:
         raise ValueError("require b > a")
     if tol_rel <= 0:

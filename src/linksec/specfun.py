@@ -1,4 +1,4 @@
-"""Scalar special functions backing the capacity formulas.
+"""Special functions backing the capacity formulas.
 
 The Gamma family and the modified Bessel function are delegated to scipy's
 battle-tested implementations behind thin validating wrappers.  What is
@@ -13,7 +13,8 @@ hinge on:
 * a reusable Mellin-Barnes engine for the handful of Meijer G instances the
   moment-generating-function pipeline needs.  Gamma products along the
   contour are computed once per parameter set and reused for every
-  argument, so sweeping the transform variable is cheap.
+  argument, and one call evaluates a whole array of arguments, so sweeping
+  the transform variable is cheap.
 """
 
 from __future__ import annotations
@@ -188,12 +189,17 @@ class MellinBarnesEvaluator:
     midpoint (or one unit right of the poles when unbounded above).
 
     Gamma values along the contour depend only on the parameters, so they
-    are computed once and reused for every argument x.  The truncation
-    height doubles until the contour tail is negligible against the
-    accumulated value.
+    are computed once and reused for every argument x.  On the line
+    |x^{-s}| = x^{-c}, so the kernel's decay does not depend on x either:
+    the starting truncation height is where the log-kernel has fallen
+    ``_START_DECAY`` below its peak.  The height then doubles, per argument,
+    until the contour tail is negligible against the accumulated value.
     """
 
-    _MAX_NODES = 4_000_000
+    _MAX_NODES = 131_072
+    # Most kernel values (arguments x nodes) evaluated in one block.
+    _BLOCK_ELEMENTS = 262_144
+    _START_DECAY = 40.0
 
     def __init__(self, lower: tuple[float, ...], upper: tuple[float, ...] = ()):
         if not lower:
@@ -215,70 +221,118 @@ class MellinBarnesEvaluator:
         # Node spacing tied to the distance from the contour to the nearest
         # pole; the trapezoid rule is then spectrally accurate.
         self._h = min(0.05, margin / 3.0)
-        self._half_height = 16.0
-        self._grid_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._levels: dict[int, tuple[np.ndarray, ...]] = {}
+        intervals = 64
+        while True:
+            log_mag = self._log_kernel(intervals)[1].real
+            fallen = np.flatnonzero(
+                log_mag <= np.maximum.accumulate(log_mag) - self._START_DECAY
+            )
+            if fallen.size or 2 * intervals >= self._MAX_NODES:
+                break
+            intervals *= 2
+        first = int(fallen[0]) if fallen.size else intervals
+        # An even interval count puts the half-height prefix on a node.
+        self._start = max(2, first + first % 2)
+        self._peak = float(log_mag.max())
+        self._half_height = self._start * self._h
 
-    def _grid(self, half_height: float) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._grid_cache.get(half_height)
-        if cached is not None:
-            return cached
-        half = int(math.ceil(half_height / self._h))
-        t = np.arange(0, half + 1) * self._h
+    def _log_kernel(self, intervals: int) -> tuple[np.ndarray, np.ndarray]:
+        t = np.arange(intervals + 1) * self._h
         s = self.abscissa + 1j * t
         log_g = np.zeros_like(s)
         for b in self.lower:
             log_g += sp.loggamma(b + s)
         for a in self.upper:
             log_g += sp.loggamma(1.0 - a - s)
+        return t, log_g
+
+    def _level(self, intervals: int) -> tuple[np.ndarray, ...]:
+        """Nodes, kernel phase, weighted magnitudes and tail at one height.
+
+        Magnitudes are relative to the kernel peak and omit the factor
+        x^{-c}, so large Gamma factors cannot overflow the cache.
+        """
+        cached = self._levels.get(intervals)
+        if cached is not None:
+            return cached
+        t, log_g = self._log_kernel(intervals)
+        mag = np.exp(log_g.real - self._peak)
+        # Trapezoid weights on the full line: the truncation node keeps
+        # half weight.
+        trap = np.full(t.shape, self._h)
+        trap[-1] *= 0.5
+        weighted = mag * trap
+        n_tail = max(4, t.size // 25)
+        if weighted[-n_tail:].mean() > weighted.mean():
+            raise ContourDivergenceError(
+                "contour kernel grows toward the truncation edge"
+            )
         # Half-line fold of the full trapezoid: the real-axis node counts
-        # once with full weight, every t > 0 node stands for a conjugate
-        # pair, and the truncation node keeps the usual half weight.
-        weights = np.full(t.shape, self._h)
-        weights[-1] *= 0.5
-        # Keep everything in log space; exp() happens per argument so large
-        # Gamma factors cannot overflow the cache.
-        self._grid_cache[half_height] = (s, log_g + np.log(weights))
-        return self._grid_cache[half_height]
+        # once, every t > 0 node stands for a conjugate pair.  The prefix
+        # up to half the height is the same fold of the grid at that height.
+        full = 2.0 * weighted
+        full[0] = weighted[0]
+        half = full[: intervals // 2 + 1].copy()
+        half[-1] = 0.5 * full[intervals // 2]
+        level = (t, log_g.imag, full, half, 2.0 * weighted[-n_tail:].sum())
+        self._levels[intervals] = level
+        return level
 
     def contour_spec(self, half_height: float | None = None) -> ContourSpec:
         hh = self._half_height if half_height is None else half_height
         half = int(math.ceil(hh / self._h))
         return ContourSpec(abscissa=self.abscissa, half_height=hh, nodes=2 * half + 1)
 
-    def evaluate(self, x: float, rel_target: float = 1e-8) -> tuple[float, float]:
+    def evaluate(
+        self, x: float | np.ndarray, rel_target: float = 1e-8
+    ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
         """Return (value, abs_error_estimate) of the contour integral at x.
 
-        The integral is reduced to twice the real part of the upper
-        half-line, so the result is real by construction; the conjugate
-        pairing that cancels the imaginary part is exact.
+        ``x`` is a positive scalar or array; both results have its shape,
+        and are floats for a scalar.  The integral is reduced to twice the
+        real part of the upper half-line, so the result is real by
+        construction; the conjugate pairing that cancels the imaginary part
+        is exact.  Each argument's estimate T(H) is checked against T(H/2),
+        the prefix of the same grid: |T(H) - T(H/2)| + tail must be within
+        ``rel_target`` of |T(H)|, and only the arguments that miss it go on
+        to height 2H.
         """
-        if x <= 0:
+        x_arr = np.asarray(x, dtype=float)
+        if not np.all(x_arr > 0):
             raise ValueError("x must be positive")
-        log_x = math.log(x)
-        prev = None
-        half_height = self._half_height
+        log_x = np.log(x_arr).ravel()
+        scale = np.exp(self._peak - self.abscissa * log_x) / (2.0 * np.pi)
+        value = np.empty_like(log_x)
+        error = np.empty_like(log_x)
+        pending = np.arange(log_x.size)
+        intervals = self._start
         while True:
-            s, log_weighted = self._grid(half_height)
-            terms = np.exp(log_weighted - s * log_x)
-            total = (terms[0].real + 2.0 * terms[1:].real.sum()) / (2.0 * np.pi)
-            n_tail = max(4, len(terms) // 25)
-            tail = np.abs(terms[-n_tail:]).sum() / np.pi
-            if np.abs(terms[-n_tail:]).mean() > np.abs(terms).mean():
-                raise ContourDivergenceError(
-                    "contour kernel grows toward the truncation edge"
-                )
-            if prev is not None:
-                err = abs(total - prev) + tail
-                if err <= rel_target * max(abs(total), 1e-300):
-                    return total, err
-            prev = total
-            half_height *= 2.0
-            if 2 * half_height / self._h > self._MAX_NODES:
+            t, phase, full, half, tail = self._level(intervals)
+            rows = max(1, self._BLOCK_ELEMENTS // t.size)
+            for lo in range(0, pending.size, rows):
+                idx = pending[lo:lo + rows]
+                kernel = np.cos(phase - np.outer(log_x[idx], t))
+                total = kernel @ full
+                prev = kernel[:, :half.size] @ half
+                value[idx] = scale[idx] * total
+                error[idx] = scale[idx] * (np.abs(total - prev) + tail)
+            missed = error[pending] > rel_target * np.maximum(np.abs(value[pending]), 1e-300)
+            pending = pending[missed]
+            if not pending.size:
+                break
+            intervals *= 2
+            if 2 * intervals > self._MAX_NODES:
+                first = pending[0]
                 raise AccuracyError(
-                    "contour refinement exceeded the node limit",
-                    estimate=total,
-                    error_estimate=tail,
+                    f"contour refinement exceeded the node limit at "
+                    f"{pending.size} of {log_x.size} arguments",
+                    estimate=float(value[first]),
+                    error_estimate=float(error[first]),
                 )
+        if x_arr.ndim == 0:
+            return float(value[0]), float(error[0])
+        return value.reshape(x_arr.shape), error.reshape(x_arr.shape)
 
 
 @lru_cache(maxsize=256)
@@ -286,9 +340,12 @@ def _evaluator(lower: tuple[float, ...], upper: tuple[float, ...]) -> MellinBarn
     return MellinBarnesEvaluator(lower, upper)
 
 
-def meijer_g_2_1_1_2(x: float, a1: float, b1: float, b2: float) -> tuple[float, float]:
+def meijer_g_2_1_1_2(
+    x: float | np.ndarray, a1: float, b1: float, b2: float
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """G^{2,1}_{1,2}(x | a1; b1, b2) with its absolute error estimate.
 
+    ``x`` is a positive scalar or array (see MellinBarnesEvaluator.evaluate).
     The kernel is Gamma(b1+s) Gamma(b2+s) Gamma(1-a1-s) x^{-s}; a separating
     contour requires -min(b1, b2) < 1 - a1.
     """

@@ -81,6 +81,16 @@ class TestMgfElement:
         )
         assert mgf_irs_element(z, self.GG) == pytest.approx(oracle, rel=1e-6)
 
+    def test_array_equals_scalar_calls_across_switch(self):
+        gg = self.GG
+        z_switch = gg.beta_gg / (20.0 * (gg.shape_first + 12.0) * (gg.shape_second + 12.0))
+        z = z_switch * np.logspace(-1.0, 3.0, 41)
+        scalar = [mgf_irs_element(float(t), gg) for t in z]
+        assert all(isinstance(v, float) for v in scalar)
+        # The series side is elementwise; contour rows of one block and
+        # single rows may round differently.
+        np.testing.assert_allclose(mgf_irs_element(z, gg), scalar, rtol=1e-12, atol=0.0)
+
     def test_series_and_contour_paths_agree(self):
         # Straddle the internal switch-over by evaluating where the moment
         # series is eligible and comparing with quadrature.
@@ -161,6 +171,19 @@ class TestDfRelay:
         for g in np.linspace(0.0, 8.0, 17):
             product = gamma_ccdf_series(g, f1) * gamma_ccdf_series(g, fb)
             assert df_ccdf(g, f1, fb) == pytest.approx(product, abs=1e-12)
+
+    def test_array_equals_scalar_calls(self):
+        f1, fb = FadingParams(3, 0.9), FadingParams(2, 1.7)
+        g = np.linspace(0.0, 8.0, 17)
+        scalar = [df_ccdf(float(t), f1, fb) for t in g]
+        assert all(isinstance(v, float) for v in scalar)
+        np.testing.assert_allclose(df_ccdf(g, f1, fb), scalar, rtol=1e-15, atol=0.0)
+
+    def test_negative_g_rejected(self):
+        with pytest.raises(ValueError):
+            df_ccdf(-1.0, FadingParams(2, 1.0), FadingParams(2, 1.0))
+        with pytest.raises(ValueError):
+            df_ccdf(np.array([1.0, -1.0]), FadingParams(2, 1.0), FadingParams(2, 1.0))
 
     def test_non_integer_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -246,9 +269,32 @@ class TestAffgRelay:
         for g in (0.2, 1.0, 3.0):
             assert affg_ccdf(g, f1, fb, l) == pytest.approx(1.0 - cdf_oracle(g), abs=1e-6)
 
+    def test_array_equals_scalar_calls(self):
+        f1, fb, l = FadingParams(2, 1.0), FadingParams(2.5, 3.0), 5.0
+        # 0 (exact 1), the body of the distribution, 1e4 (every term below
+        # the e^-700 underflow cut) and 1e16 (large-argument Bessel branch).
+        g = np.array([0.0, 0.1, 1.0, 5.0, 1e4, 1e16])
+        assert 2.0 * math.sqrt(1e16 * f1.beta * fb.beta * l) > 1e8
+        scalar = [affg_ccdf(float(t), f1, fb, l) for t in g]
+        assert all(isinstance(v, float) for v in scalar)
+        values = affg_ccdf(g, f1, fb, l)
+        np.testing.assert_allclose(values, scalar, rtol=1e-15, atol=0.0)
+        assert values[0] == 1.0
+        assert values[-2] == 0.0 and values[-1] == 0.0
+        assert np.all(np.diff(values) <= 0.0)
+
+    def test_negative_g_rejected(self):
+        f1, fb = FadingParams(2, 1.0), FadingParams(2, 1.0)
+        with pytest.raises(ValueError):
+            affg_ccdf(-1.0, f1, fb, 2.0)
+        with pytest.raises(ValueError):
+            affg_ccdf(np.array([1.0, -1.0]), f1, fb, 2.0)
+
     def test_non_integer_first_hop_rejected(self):
         with pytest.raises(ValueError):
             affg_ccdf(1.0, FadingParams(1.5, 1.0), FadingParams(2, 1.0), 2.0)
+        with pytest.raises(ValueError):
+            affg_ccdf(np.array([1.0, 2.0]), FadingParams(1.5, 1.0), FadingParams(2, 1.0), 2.0)
 
     def test_df_dominates_ergodic(self):
         for p in (0.0, 10.0, 20.0, 35.0, 50.0):

@@ -3,12 +3,16 @@ import pytest
 from scipy import special
 
 from linksec.quadrature import (
+    _PANEL_COST,
+    _WG10,
+    _XK21,
     AccuracyError,
     ContourDivergenceError,
     ContourSpec,
     integrate_finite,
     integrate_semi_infinite,
     integrate_vertical_contour,
+    _panel_estimate,
 )
 
 # Independent oracle value: integral of e^-x/(1+x) over (0, inf) equals
@@ -64,6 +68,30 @@ class TestSemiInfinite:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             integrate_semi_infinite(lambda x: np.exp(-x), tol_rel=0.0)
+
+
+class TestGaussKronrod:
+    def test_embedded_gauss_rule_is_leggauss_10(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        np.testing.assert_allclose(_XK21[1::2], nodes, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(_WG10, weights, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("degree", range(32))
+    def test_k21_panel_exact_to_degree_31(self, degree):
+        value, _ = _panel_estimate(lambda x: x ** degree, 0.0, 1.0)
+        assert value == pytest.approx(1.0 / (degree + 1), rel=1e-14)
+
+    def test_one_integrand_call_per_panel(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.shape)
+            return np.exp(-x)
+
+        res = integrate_semi_infinite(f)
+        assert res.evaluations % 21 == 0
+        assert res.evaluations == _PANEL_COST * len(calls)
+        assert set(calls) == {(21,)}
 
 
 class TestFinite:

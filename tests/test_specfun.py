@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
 
+from linksec.quadrature import AccuracyError
 from linksec.specfun import (
+    MellinBarnesEvaluator,
     bessel_k,
     log_gamma,
     meijer_g_1_2_2_1,
@@ -226,3 +229,46 @@ class TestMeijerG:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             meijer_g_2_1_1_2(0.0, -1.0, 0.0, 0.0)
+
+
+class TestBatchedContour:
+    @pytest.mark.parametrize("a_t,a_i", [(0.7, 0.7), (2.0, 2.0), (2.5, 1.5), (4.0, 1.0)])
+    def test_batch_against_mpmath(self, a_t, a_i):
+        alpha = 0.5 * (a_t + a_i)
+        v = a_t - a_i
+        x = np.logspace(-3, 2, 6)
+        val, err = meijer_g_2_1_1_2(x, 1.0 - alpha, 0.5 * v, -0.5 * v)
+        assert val.shape == err.shape == x.shape
+        ref = [float(mpmath.meijerg([[1.0 - alpha], []], [[0.5 * v, -0.5 * v], []], t)) for t in x]
+        np.testing.assert_allclose(val, ref, rtol=1e-9, atol=0.0)
+
+    def test_array_equals_scalar_calls(self):
+        ev = MellinBarnesEvaluator((0.0, 0.0), (-1.0,))
+        x = np.logspace(-3, 3, 50)
+        val, err = ev.evaluate(x)
+        scalar = [ev.evaluate(float(t)) for t in x]
+        assert all(isinstance(v, float) and isinstance(e, float) for v, e in scalar)
+        # Rows of one block and single rows may round differently.
+        np.testing.assert_allclose(val, [v for v, _ in scalar], rtol=1e-12, atol=0.0)
+
+    def test_rejects_nonpositive_argument_in_batch(self):
+        with pytest.raises(ValueError):
+            meijer_g_2_1_1_2(np.array([1.0, 0.0]), -1.0, 0.0, 0.0)
+
+    def test_unreachable_target_fails_with_bounded_memory(self):
+        # A narrow pole strip (0, 0.01) makes the node spacing fine, so the
+        # node limit is reached at a modest height; no argument can meet a
+        # target of 1e-300 before the kernel underflows there.
+        ev = MellinBarnesEvaluator((0.0, 0.0), (0.99,))
+        x = np.logspace(-2, 2, 21)
+        tracemalloc.start()
+        try:
+            with pytest.raises(AccuracyError) as exc_info:
+                ev.evaluate(x, rel_target=1e-300)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(exc_info.value.estimate)
+        # About 9 MB with the block cap; without it the 21 x 49793 block of
+        # the last height alone takes over 20 MB.
+        assert peak < 16 * 2**20
