@@ -39,19 +39,13 @@ from .config import ConfigError, ParsedConfig, parse_config, parse_config_text, 
 from .montecarlo import (
     McConfig,
     mc_branch_estimates,
-    mc_ergodic_affg,
-    mc_ergodic_df,
-    mc_ergodic_irs,
     mc_secrecy,
 )
 from .quadrature import (
     AccuracyError,
     ContourDivergenceError,
-    ContourSpec,
     QuadratureResult,
-    integrate_finite,
     integrate_semi_infinite,
-    integrate_vertical_contour,
 )
 from .specfun import (
     bessel_k,

@@ -34,14 +34,17 @@ from .specfun import _expn_scaled_range
 __all__ = [
     "CapacityEstimate",
     "DF_PATHS",
+    "affg_branches",
     "affg_ccdf",
     "affg_ergodic_capacity",
     "affg_secrecy",
     "affg_snr_constant",
+    "df_branches",
     "df_ccdf",
     "df_ergodic_capacity",
     "df_secrecy",
     "ergodic_capacity_irs",
+    "irs_branches",
     "irs_secrecy",
     "mgf_irs_element",
     "secrecy_capacity",
@@ -165,11 +168,16 @@ def ergodic_capacity_irs(scenario: ScenarioIrs, receiver: str) -> CapacityEstima
     return CapacityEstimate(bits_per_sec_hz=max(result.value, 0.0) / _LN2, method="analytic")
 
 
-def irs_secrecy(scenario: ScenarioIrs) -> CapacityEstimate:
-    return secrecy_capacity(
+def irs_branches(scenario: ScenarioIrs) -> tuple[CapacityEstimate, CapacityEstimate]:
+    """Closed-form (legitimate, eavesdropper) ergodic capacities of the surface link."""
+    return (
         ergodic_capacity_irs(scenario, "legit"),
         ergodic_capacity_irs(scenario, "eve"),
     )
+
+
+def irs_secrecy(scenario: ScenarioIrs) -> CapacityEstimate:
+    return secrecy_capacity(*irs_branches(scenario))
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +276,19 @@ def df_ergodic_capacity(
     raise ValueError(f"unknown path {path!r}; expected one of {DF_PATHS}")
 
 
-def df_secrecy(scenario: ScenarioRelay, path: str = "closed-form") -> CapacityEstimate:
+def df_branches(
+    scenario: ScenarioRelay, path: str = "closed-form"
+) -> tuple[CapacityEstimate, CapacityEstimate]:
+    """(Legitimate, eavesdropper) ergodic capacities of the decode-and-forward link."""
     hops = channels.relay_hop_params(scenario)
-    return secrecy_capacity(
+    return (
         df_ergodic_capacity(hops["first"], hops["legit"], path=path),
         df_ergodic_capacity(hops["first"], hops["eve"], path=path),
     )
+
+
+def df_secrecy(scenario: ScenarioRelay, path: str = "closed-form") -> CapacityEstimate:
+    return secrecy_capacity(*df_branches(scenario, path=path))
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +358,15 @@ def affg_ergodic_capacity(
     return CapacityEstimate(bits_per_sec_hz=result.value / _LN2, method="analytic")
 
 
-def affg_secrecy(scenario: ScenarioRelay) -> CapacityEstimate:
+def affg_branches(scenario: ScenarioRelay) -> tuple[CapacityEstimate, CapacityEstimate]:
+    """(Legitimate, eavesdropper) ergodic capacities of the fixed-gain link."""
     hops = channels.relay_hop_params(scenario)
     l = affg_snr_constant(hops["first"])
-    return secrecy_capacity(
+    return (
         affg_ergodic_capacity(hops["first"], hops["legit"], l),
         affg_ergodic_capacity(hops["first"], hops["eve"], l),
     )
+
+
+def affg_secrecy(scenario: ScenarioRelay) -> CapacityEstimate:
+    return secrecy_capacity(*affg_branches(scenario))

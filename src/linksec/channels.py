@@ -129,16 +129,10 @@ class ScenarioRelay:
     noise_power_relay: float
     noise_power_legit: float
     noise_power_eve: float
-    relay_gain_mode: str = "fixed"
 
     def __post_init__(self):
         if min(self.noise_power_relay, self.noise_power_legit, self.noise_power_eve) <= 0:
             raise ValueError("noise powers must be positive")
-        if self.relay_gain_mode != "fixed":
-            raise ValueError("only fixed-gain relaying is modeled")
-
-    def integer_shapes(self) -> bool:
-        return all(f.integer_shape for f in (self.fading_1, self.fading_2, self.fading_3))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import argparse
 import dataclasses
 import sys
 
-from .config import ConfigError, parse_config, reference_config
+from .config import parse_config, reference_config
 from .montecarlo import McConfig
 from .sweep import figure_preset, rows_to_csv, run_sweep, validate
 
@@ -100,19 +100,17 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "figure":
             parsed = parse_config(args.config) if args.config else reference_config()
             rows = figure_preset(
-                args.id, parsed, method=args.method or "analytic", workers=args.workers
+                args.id,
+                parsed,
+                methods=_method_tuple(args.method or "analytic"),
+                workers=args.workers,
             )
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(rows_to_csv(rows))
             print(f"wrote {len(rows)} rows to {args.out}")
             return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError includes ConfigError.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 1

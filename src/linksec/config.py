@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .channels import FadingParams, Geometry, ScenarioIrs, ScenarioRelay
-from .montecarlo import McConfig
-from .sweep import ARCHITECTURES, METHODS, VARIABLES, SweepSpec
+from .montecarlo import ARCHITECTURES, McConfig
+from .sweep import METHODS, VARIABLES, SweepSpec
 
 __all__ = ["ConfigError", "ParsedConfig", "REFERENCE_CONFIG", "parse_config", "parse_config_text"]
 
@@ -185,7 +185,7 @@ def parse_config_text(text: str) -> ParsedConfig:
     if "irs.n_elements" in values and values["irs.n_elements"] < 1:
         violations.append("irs.n_elements: must be a positive integer")
 
-    architectures = values.get("sweep.architectures", ("irs", "df", "affg"))
+    architectures = values.get("sweep.architectures", tuple(ARCHITECTURES))
     for arch in architectures:
         if arch not in ARCHITECTURES:
             violations.append(
@@ -200,7 +200,10 @@ def parse_config_text(text: str) -> ParsedConfig:
                 f"expected a subset of {','.join(METHODS)}"
             )
 
-    want_relay = any(a in ("df", "affg") for a in architectures)
+    want_relay = any(
+        a in ARCHITECTURES and ARCHITECTURES[a].scenario_type is ScenarioRelay
+        for a in architectures
+    )
     for key in ("fading.source_node.alpha", "fading.node_legit.alpha", "fading.node_eve.alpha"):
         alpha = values.get(key)
         if (
@@ -240,6 +243,15 @@ def parse_config_text(text: str) -> ParsedConfig:
                 except ValueError as exc:
                     violations.append(f"sweep: {exc}")
 
+    try:
+        mc = McConfig(
+            samples=values.get("mc.samples", _MC_DEFAULTS["mc.samples"]),
+            master_seed=values.get("mc.master_seed", _MC_DEFAULTS["mc.master_seed"]),
+            chunk_size=values.get("mc.chunk_size", _MC_DEFAULTS["mc.chunk_size"]),
+        )
+    except ValueError as exc:
+        violations.append(f"mc: {exc}")
+
     if violations:
         raise ConfigError(violations)
 
@@ -276,11 +288,6 @@ def parse_config_text(text: str) -> ParsedConfig:
             noise_power_eve=values["noise.eve"],
         )
 
-    mc = McConfig(
-        samples=values.get("mc.samples", _MC_DEFAULTS["mc.samples"]),
-        master_seed=values.get("mc.master_seed", _MC_DEFAULTS["mc.master_seed"]),
-        chunk_size=values.get("mc.chunk_size", _MC_DEFAULTS["mc.chunk_size"]),
-    )
     return ParsedConfig(
         scenario_irs=scenario_irs,
         scenario_relay=scenario_relay,

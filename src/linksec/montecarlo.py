@@ -1,11 +1,15 @@
 """Monte Carlo estimates of the same capacities the closed forms produce.
 
-This module is deliberately independent of the analytic machinery: it
-samples raw channel gains, forms the instantaneous end-to-end SNR of each
-architecture, and averages log2(1 + SNR).  Work is split into fixed-size
-chunks, each driven by its own counter-based Philox stream derived from
-(master seed, chunk index), so results are bit-identical no matter how the
-chunks are scheduled.  Partial sums are reduced in chunk order.
+``ARCHITECTURES`` describes each architecture once: the scenario type it
+takes, its closed-form (legitimate, eavesdropper) capacity pair, and its
+simulator draw.  The table records the closed form so that sweeps and
+validation find both routes in one place, but the simulator never calls
+it: it samples raw channel gains, forms the instantaneous end-to-end SNR
+of each receiver, and averages log2(1 + SNR).  Work is split into
+fixed-size chunks, each driven by its own counter-based Philox stream
+derived from (master seed, chunk index), so results are bit-identical no
+matter how the chunks are scheduled.  Partial sums are reduced in chunk
+order.
 """
 
 from __future__ import annotations
@@ -16,22 +20,19 @@ from typing import Callable
 
 import numpy as np
 
-from . import channels
+from . import capacity, channels
 from .capacity import CapacityEstimate, affg_snr_constant, secrecy_capacity
 from .channels import ScenarioIrs, ScenarioRelay
 
 __all__ = [
+    "ARCHITECTURES",
+    "Architecture",
     "McConfig",
     "mc_branch_estimates",
-    "mc_ergodic_affg",
-    "mc_ergodic_df",
-    "mc_ergodic_irs",
     "mc_secrecy",
 ]
 
 _LN2 = math.log(2.0)
-
-ARCHITECTURES = ("irs", "df", "affg")
 
 
 @dataclass(frozen=True)
@@ -57,96 +58,58 @@ def _chunk_rng(cfg: McConfig, index: int) -> np.random.Generator:
     )
 
 
-def _reduce(cfg: McConfig, draw: Callable[[np.random.Generator, int], tuple]):
-    """Accumulate (sum, sum-of-squares) pairs over chunks in fixed order.
-
-    ``draw`` returns a tuple of 1-D value arrays (one per tracked stream);
-    the reduction returns one (mean, std_error) pair per stream.
-    """
-    n_chunks = -(-cfg.samples // cfg.chunk_size)
-    partials: list[tuple[tuple[float, float], ...]] = []
-    n_streams = None
-    for index in range(n_chunks):
-        count = min(cfg.chunk_size, cfg.samples - index * cfg.chunk_size)
-        arrays = draw(_chunk_rng(cfg, index), count)
-        n_streams = len(arrays)
-        partials.append(
-            tuple((float(a.sum()), float((a * a).sum())) for a in arrays)
-        )
-    stats = []
-    for k in range(n_streams):
-        s1 = 0.0
-        s2 = 0.0
-        for part in partials:
-            s1 += part[k][0]
-            s2 += part[k][1]
-        n = cfg.samples
-        mean = s1 / n
-        var = max(s2 - n * mean * mean, 0.0) / (n - 1)
-        stats.append((mean, math.sqrt(var / n)))
-    return stats
-
-
-def _capacity_bits(snr: np.ndarray) -> np.ndarray:
-    return np.log1p(snr) / _LN2
-
-
 # ---------------------------------------------------------------------------
 # Per-architecture SNR draws
 # ---------------------------------------------------------------------------
 
-def _draw_irs(scenario: ScenarioIrs, receiver: str, rng: np.random.Generator, n: int) -> np.ndarray:
-    gg_hop2 = scenario.fading_sl if receiver == "legit" else scenario.fading_se
-    scale = channels._irs_scale(scenario, receiver)
+def _irs_snr(scenario: ScenarioIrs, rng: np.random.Generator, n: int):
+    # The source-surface gains are shared by both receivers.
     shape = (n, scenario.n_elements)
     x = channels.sample_gamma(scenario.fading_ts, rng, shape)
-    y = channels.sample_gamma(gg_hop2, rng, shape)
-    return (scale * x * y).sum(axis=1)
+    yl = channels.sample_gamma(scenario.fading_sl, rng, shape)
+    ye = channels.sample_gamma(scenario.fading_se, rng, shape)
+    return (
+        (channels._irs_scale(scenario, "legit") * x * yl).sum(axis=1),
+        (channels._irs_scale(scenario, "eve") * x * ye).sum(axis=1),
+    )
 
 
-def _relay_draws(scenario: ScenarioRelay, rng: np.random.Generator, n: int):
+def _df_snr(scenario: ScenarioRelay, rng: np.random.Generator, n: int):
     hops = channels.relay_hop_params(scenario)
     g1 = channels.sample_gamma(hops["first"], rng, n)
     g2 = channels.sample_gamma(hops["legit"], rng, n)
     g3 = channels.sample_gamma(hops["eve"], rng, n)
-    return hops, g1, g2, g3
+    return np.minimum(g1, g2), np.minimum(g1, g3)
 
 
-def mc_ergodic_irs(scenario: ScenarioIrs, receiver: str, cfg: McConfig) -> CapacityEstimate:
-    """Sample mean of log2(1 + summed element SNR) at one receiver."""
-
-    def draw(rng, n):
-        return (_capacity_bits(_draw_irs(scenario, receiver, rng, n)),)
-
-    ((mean, se),) = _reduce(cfg, draw)
-    return CapacityEstimate(mean, "monte-carlo", std_error=se, samples=cfg.samples)
-
-
-def mc_ergodic_df(scenario: ScenarioRelay, receiver: str, cfg: McConfig) -> CapacityEstimate:
-    """Sample mean capacity of the weakest-hop SNR at one receiver."""
-
-    def draw(rng, n):
-        hops = channels.relay_hop_params(scenario)
-        g1 = channels.sample_gamma(hops["first"], rng, n)
-        gb = channels.sample_gamma(hops[receiver], rng, n)
-        return (_capacity_bits(np.minimum(g1, gb)),)
-
-    ((mean, se),) = _reduce(cfg, draw)
-    return CapacityEstimate(mean, "monte-carlo", std_error=se, samples=cfg.samples)
+def _affg_snr(scenario: ScenarioRelay, rng: np.random.Generator, n: int):
+    hops = channels.relay_hop_params(scenario)
+    l = affg_snr_constant(hops["first"])
+    g1 = channels.sample_gamma(hops["first"], rng, n)
+    g2 = channels.sample_gamma(hops["legit"], rng, n)
+    g3 = channels.sample_gamma(hops["eve"], rng, n)
+    return g1 * g2 / (g2 + l), g1 * g3 / (g3 + l)
 
 
-def mc_ergodic_affg(scenario: ScenarioRelay, receiver: str, cfg: McConfig) -> CapacityEstimate:
-    """Sample mean capacity of the fixed-gain end-to-end SNR at one receiver."""
+@dataclass(frozen=True)
+class Architecture:
+    """One architecture: its scenario type and its two evaluation routes.
 
-    def draw(rng, n):
-        hops = channels.relay_hop_params(scenario)
-        l = affg_snr_constant(hops["first"])
-        g1 = channels.sample_gamma(hops["first"], rng, n)
-        gb = channels.sample_gamma(hops[receiver], rng, n)
-        return (_capacity_bits(g1 * gb / (gb + l)),)
+    ``analytic(scenario)`` returns the closed-form (legitimate,
+    eavesdropper) capacity estimates; ``snr(scenario, rng, n)`` draws ``n``
+    paired (legitimate, eavesdropper) instantaneous SNRs from ``rng``.
+    """
 
-    ((mean, se),) = _reduce(cfg, draw)
-    return CapacityEstimate(mean, "monte-carlo", std_error=se, samples=cfg.samples)
+    scenario_type: type
+    analytic: Callable[[object], tuple[CapacityEstimate, CapacityEstimate]]
+    snr: Callable[[object, np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
+
+
+ARCHITECTURES = {
+    "irs": Architecture(ScenarioIrs, capacity.irs_branches, _irs_snr),
+    "df": Architecture(ScenarioRelay, capacity.df_branches, _df_snr),
+    "affg": Architecture(ScenarioRelay, capacity.affg_branches, _affg_snr),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -158,51 +121,35 @@ def mc_branch_estimates(scenario, architecture: str, cfg: McConfig):
 
     The source-side draws are reused by both receiver branches, matching
     the physical channel and reducing the variance of their difference.
+    Sums and sums of squares of log2(1 + SNR) accumulate in chunk order.
     """
-    if architecture == "irs":
-        if not isinstance(scenario, ScenarioIrs):
-            raise TypeError("irs architecture requires a ScenarioIrs")
+    arch = ARCHITECTURES.get(architecture)
+    if arch is None:
+        raise ValueError(f"architecture must be one of {tuple(ARCHITECTURES)}")
+    if not isinstance(scenario, arch.scenario_type):
+        raise TypeError(
+            f"{architecture} architecture requires a {arch.scenario_type.__name__}"
+        )
 
-        def draw(rng, n):
-            shape = (n, scenario.n_elements)
-            x = channels.sample_gamma(scenario.fading_ts, rng, shape)
-            yl = channels.sample_gamma(scenario.fading_sl, rng, shape)
-            ye = channels.sample_gamma(scenario.fading_se, rng, shape)
-            snr_l = (channels._irs_scale(scenario, "legit") * x * yl).sum(axis=1)
-            snr_e = (channels._irs_scale(scenario, "eve") * x * ye).sum(axis=1)
-            return _capacity_bits(snr_l), _capacity_bits(snr_e)
-
-    elif architecture == "df":
-        if not isinstance(scenario, ScenarioRelay):
-            raise TypeError("df architecture requires a ScenarioRelay")
-
-        def draw(rng, n):
-            _, g1, g2, g3 = _relay_draws(scenario, rng, n)
-            return (
-                _capacity_bits(np.minimum(g1, g2)),
-                _capacity_bits(np.minimum(g1, g3)),
-            )
-
-    elif architecture == "affg":
-        if not isinstance(scenario, ScenarioRelay):
-            raise TypeError("affg architecture requires a ScenarioRelay")
-
-        def draw(rng, n):
-            hops, g1, g2, g3 = _relay_draws(scenario, rng, n)
-            l = affg_snr_constant(hops["first"])
-            return (
-                _capacity_bits(g1 * g2 / (g2 + l)),
-                _capacity_bits(g1 * g3 / (g3 + l)),
-            )
-
-    else:
-        raise ValueError(f"architecture must be one of {ARCHITECTURES}")
-
-    (mean_l, se_l), (mean_e, se_e) = _reduce(cfg, draw)
-    return (
-        CapacityEstimate(mean_l, "monte-carlo", std_error=se_l, samples=cfg.samples),
-        CapacityEstimate(mean_e, "monte-carlo", std_error=se_e, samples=cfg.samples),
-    )
+    sums = [[0.0, 0.0], [0.0, 0.0]]
+    for index in range(-(-cfg.samples // cfg.chunk_size)):
+        count = min(cfg.chunk_size, cfg.samples - index * cfg.chunk_size)
+        rng = _chunk_rng(cfg, index)
+        # Both streams become bits before any sum, so the SNR arrays are
+        # freed before the sums allocate their temporaries.
+        bits = [np.log1p(snr) / _LN2 for snr in arch.snr(scenario, rng, count)]
+        for acc, b in zip(sums, bits):
+            acc[0] += float(b.sum())
+            acc[1] += float((b * b).sum())
+    n = cfg.samples
+    estimates = []
+    for s1, s2 in sums:
+        mean = s1 / n
+        var = max(s2 - n * mean * mean, 0.0) / (n - 1)
+        estimates.append(
+            CapacityEstimate(mean, "monte-carlo", std_error=math.sqrt(var / n), samples=n)
+        )
+    return tuple(estimates)
 
 
 def mc_secrecy(scenario, architecture: str, cfg: McConfig) -> CapacityEstimate:

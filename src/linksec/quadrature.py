@@ -1,12 +1,12 @@
 """Adaptive numerical integration for the capacity integrals.
 
-Two rules live here: an adaptive Gauss-Kronrod rule (the 21-point Kronrod
+One rule lives here: an adaptive Gauss-Kronrod rule (the 21-point Kronrod
 extension of the 10-point Gauss rule, QUADPACK QK21) for real integrals
-over semi-infinite (and finite) intervals, and a trapezoidal rule for
-complex kernels on a truncated vertical line in the s-plane.  Both are open
-rules: no integrand is ever evaluated at an interval endpoint, so
-integrands with a removable endpoint singularity (the 1/z factor of the
-capacity integral) need no special casing by the caller.
+over (0, inf).  It is an open rule: no integrand is ever evaluated at an
+interval endpoint, so integrands with a removable endpoint singularity
+(the 1/z factor of the capacity integral) need no special casing by the
+caller.  The error types shared with the contour engine in ``specfun``
+are defined here as well.
 
 Integrands are array-valued: each panel calls ``f`` once with the 1-D
 array of its 21 nodes, and ``f`` returns an array of that shape or a
@@ -24,11 +24,8 @@ import numpy as np
 __all__ = [
     "AccuracyError",
     "ContourDivergenceError",
-    "ContourSpec",
     "QuadratureResult",
-    "integrate_finite",
     "integrate_semi_infinite",
-    "integrate_vertical_contour",
 ]
 
 
@@ -60,30 +57,10 @@ class QuadratureResult:
             raise ValueError("abs_error_estimate must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """A truncated vertical integration line Re(s) = abscissa.
-
-    ``half_height`` is the truncation of Im(s) and ``nodes`` the number of
-    trapezoidal nodes along the line.  The abscissa must be chosen by the
-    caller to separate the left and right pole sets of the kernel.
-    """
-
-    abscissa: float
-    half_height: float
-    nodes: int
-
-    def __post_init__(self):
-        if self.half_height <= 0:
-            raise ValueError("half_height must be positive")
-        if self.nodes < 64:
-            raise ValueError("nodes must be at least 64")
-
-
 # QUADPACK QK21: the 21 Kronrod nodes on (-1, 1) and their weights, and the
 # weights of the 10-point Gauss rule on the ten nodes it shares with them
 # (the odd positions).  |K21 - G10| serves as the panel error.  All nodes
-# are interior, which keeps every rule here an open rule.
+# are interior, which keeps the rule open.
 _XK21 = np.array([
     -0.995657163025808080735527280689003, -0.973906528517171720077964012084452,
     -0.930157491355708226001207180059508, -0.865063366688984510732096688423493,
@@ -192,63 +169,3 @@ def integrate_semi_infinite(
 
     value, err, evals = _adaptive(g, 0.0, 1.0, tol_rel, budget)
     return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
-
-
-def integrate_finite(
-    f: Callable[[np.ndarray], np.ndarray | float],
-    a: float,
-    b: float,
-    tol_rel: float = 1e-8,
-    budget: int = 200_000,
-) -> QuadratureResult:
-    """Integrate ``f`` over the finite interval (a, b) with the same core.
-
-    ``f`` receives a 1-D array of nodes and returns an array of the same
-    shape, or a scalar.
-    """
-    if not b > a:
-        raise ValueError("require b > a")
-    if tol_rel <= 0:
-        raise ValueError("tol_rel must be positive")
-    value, err, evals = _adaptive(f, a, b, tol_rel, budget)
-    return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
-
-
-def integrate_vertical_contour(
-    kernel: Callable[[complex], complex],
-    spec: ContourSpec,
-) -> complex:
-    """Trapezoidal sum of ``kernel`` over the truncated vertical line.
-
-    Returns (1/2*pi*i) * integral of kernel(s) ds along
-    Re(s) = spec.abscissa, |Im(s)| <= spec.half_height.  Nodes at +-t are
-    paired before accumulation so that a conjugate-symmetric kernel yields
-    a result with vanishing imaginary part.
-
-    Raises ContourDivergenceError if the kernel magnitude grows toward the
-    truncation edge instead of decaying.
-    """
-    c = spec.abscissa
-    # An odd node count places one node on the real axis and pairs the rest.
-    half = spec.nodes // 2
-    h = spec.half_height / half
-    t = np.arange(1, half + 1) * h
-
-    upper = np.asarray(kernel(c + 1j * t), dtype=complex)
-    lower = np.asarray(kernel(c - 1j * t), dtype=complex)
-    center = complex(kernel(complex(c, 0.0)))
-    paired = upper + lower
-
-    magnitude = np.abs(paired)
-    n_tail = max(4, half // 20)
-    tail = magnitude[-n_tail:]
-    if magnitude[-1] > magnitude[0] and tail[-1] >= tail[0]:
-        raise ContourDivergenceError(
-            "kernel does not decay along the contour; "
-            "increase the abscissa margin or check the parameters"
-        )
-
-    # Trapezoid weights: interior nodes weight 1, the two truncation ends
-    # weight 1/2 (they are negligible once the kernel has decayed).
-    total = center + paired.sum() - 0.5 * paired[-1]
-    return total * h / (2.0 * np.pi)

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as sp
 
-from .quadrature import AccuracyError, ContourDivergenceError, ContourSpec
+from .quadrature import AccuracyError, ContourDivergenceError
 
 __all__ = [
     "bessel_k",
@@ -235,7 +235,6 @@ class MellinBarnesEvaluator:
         # An even interval count puts the half-height prefix on a node.
         self._start = max(2, first + first % 2)
         self._peak = float(log_mag.max())
-        self._half_height = self._start * self._h
 
     def _log_kernel(self, intervals: int) -> tuple[np.ndarray, np.ndarray]:
         t = np.arange(intervals + 1) * self._h
@@ -278,11 +277,6 @@ class MellinBarnesEvaluator:
         level = (t, log_g.imag, full, half, 2.0 * weighted[-n_tail:].sum())
         self._levels[intervals] = level
         return level
-
-    def contour_spec(self, half_height: float | None = None) -> ContourSpec:
-        hh = self._half_height if half_height is None else half_height
-        half = int(math.ceil(hh / self._h))
-        return ContourSpec(abscissa=self.abscissa, half_height=hh, nodes=2 * half + 1)
 
     def evaluate(
         self, x: float | np.ndarray, rel_target: float = 1e-8

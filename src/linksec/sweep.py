@@ -17,7 +17,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from . import capacity, channels, montecarlo
+from . import capacity, montecarlo
 from .capacity import CapacityEstimate
 from .channels import ScenarioIrs
 from .montecarlo import McConfig
@@ -38,7 +38,7 @@ __all__ = [
     "validate",
 ]
 
-ARCHITECTURES = ("irs", "df", "affg")
+ARCHITECTURES = tuple(montecarlo.ARCHITECTURES)
 METHODS = ("analytic", "monte-carlo")
 VARIABLES = (
     "tx_power_dbm",
@@ -46,6 +46,9 @@ VARIABLES = (
     "n_elements",
     "source_surface_distance_m",
 )
+
+# Numerical failures of one point; they fail that point, not the whole run.
+_NUMERICAL_ERRORS = (AccuracyError, ContourDivergenceError, OverflowError)
 
 CSV_COLUMNS = (
     "variable",
@@ -126,37 +129,27 @@ def _apply_variable(scenario, variable: str, value: float):
     raise ValueError(f"unknown sweep variable {variable!r}")
 
 
+def _scenario_for(parsed, architecture: str):
+    """The parsed scenario of the type the architecture takes, or None."""
+    kind = montecarlo.ARCHITECTURES[architecture].scenario_type
+    for scenario in (parsed.scenario_irs, parsed.scenario_relay):
+        if isinstance(scenario, kind):
+            return scenario
+    return None
+
+
 def _branch_estimates(
     scenario, architecture: str, method: str, mc_cfg: McConfig
 ) -> tuple[CapacityEstimate, CapacityEstimate]:
     if method == "analytic":
-        if architecture == "irs":
-            return (
-                capacity.ergodic_capacity_irs(scenario, "legit"),
-                capacity.ergodic_capacity_irs(scenario, "eve"),
-            )
-        hops = channels.relay_hop_params(scenario)
-        if architecture == "df":
-            return (
-                capacity.df_ergodic_capacity(hops["first"], hops["legit"]),
-                capacity.df_ergodic_capacity(hops["first"], hops["eve"]),
-            )
-        l = capacity.affg_snr_constant(hops["first"])
-        return (
-            capacity.affg_ergodic_capacity(hops["first"], hops["legit"], l),
-            capacity.affg_ergodic_capacity(hops["first"], hops["eve"], l),
-        )
+        return montecarlo.ARCHITECTURES[architecture].analytic(scenario)
     return montecarlo.mc_branch_estimates(scenario, architecture, mc_cfg)
 
 
 def _evaluate_point(
     parsed, variable: str, value: float, architecture: str, method: str, mc_cfg: McConfig
 ) -> SweepRow:
-    scenario = (
-        _apply_variable(parsed.scenario_irs, variable, value)
-        if architecture == "irs"
-        else _apply_variable(parsed.scenario_relay, variable, value)
-    )
+    scenario = _apply_variable(_scenario_for(parsed, architecture), variable, value)
     if scenario is None:
         return SweepRow(
             variable, value, architecture, method,
@@ -165,7 +158,7 @@ def _evaluate_point(
         )
     try:
         est_l, est_e = _branch_estimates(scenario, architecture, method, mc_cfg)
-    except (AccuracyError, ContourDivergenceError, OverflowError) as exc:
+    except _NUMERICAL_ERRORS as exc:
         return SweepRow(
             variable, value, architecture, method,
             math.nan, math.nan, math.nan, math.nan,
@@ -277,7 +270,7 @@ _FIGURE_IDS = (3, 4, 5, 6)
 def figure_preset(
     fig_id: int,
     parsed,
-    method: str = "analytic",
+    methods: tuple[str, ...] = ("analytic",),
     workers: int | None = None,
 ) -> list[SweepRow]:
     """Qualitative reproductions of the published parameter studies.
@@ -289,7 +282,6 @@ def figure_preset(
     6: surface secrecy against the source-surface distance, one series per
        element count (architecture labeled irs-n{N}).
     """
-    methods = ("analytic", "monte-carlo") if method == "both" else (method,)
     if fig_id == 3:
         spec = SweepSpec("tx_power_dbm", 0.0, 50.0, 2.0, ARCHITECTURES, methods)
         return run_sweep(spec, parsed, workers=workers)
@@ -335,6 +327,7 @@ class ValidationRow:
     std_error: float
     z_score: float
     passed: bool
+    error: str = ""
 
 
 @dataclass(frozen=True)
@@ -352,6 +345,7 @@ class ValidationReport:
                 f"{r.architecture:6} {r.tx_power_dbm:6.1f} {r.receiver:6} "
                 f"{r.analytic:12.6f} {r.monte_carlo:12.6f} {r.std_error:10.2e} "
                 f"{r.z_score:8.2f}  {'ok' if r.passed else 'FAIL'}"
+                + (f": {r.error}" if r.error else "")
             )
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
@@ -370,17 +364,29 @@ def validate(
     value, 1e-9 bits); the absolute floor makes points where both methods
     are numerically zero trivially consistent.  ``analytic_offset`` shifts
     every analytic value and exists so the harness itself can be exercised
-    (a corrupted value must be flagged).
+    (a corrupted value must be flagged).  A point whose analytic value
+    cannot be computed is reported as one failing row for both receivers.
+    Raises ValueError when no point could be compared.
     """
     mc_cfg = mc_cfg or parsed.mc
     rows: list[ValidationRow] = []
     for power in powers_dbm:
         for arch in architectures:
-            scenario = parsed.scenario_irs if arch == "irs" else parsed.scenario_relay
+            scenario = _scenario_for(parsed, arch)
             if scenario is None:
                 continue
             scenario = dataclasses.replace(scenario, tx_power_dbm=power)
-            ana_l, ana_e = _branch_estimates(scenario, arch, "analytic", mc_cfg)
+            try:
+                ana_l, ana_e = _branch_estimates(scenario, arch, "analytic", mc_cfg)
+            except _NUMERICAL_ERRORS as exc:
+                rows.append(
+                    ValidationRow(
+                        arch, power, "both",
+                        math.nan, math.nan, math.nan, math.nan,
+                        passed=False, error=str(exc),
+                    )
+                )
+                continue
             mc_l, mc_e = montecarlo.mc_branch_estimates(scenario, arch, mc_cfg)
             for receiver, ana, mc in (("legit", ana_l, mc_l), ("eve", ana_e, mc_e)):
                 a = ana.bits_per_sec_hz + analytic_offset
@@ -392,4 +398,6 @@ def validate(
                 rows.append(
                     ValidationRow(arch, power, receiver, a, m, se, z, passed)
                 )
+    if not rows:
+        raise ValueError("validate compared no point: no power or no available architecture")
     return ValidationReport(rows=tuple(rows), passed=all(r.passed for r in rows))

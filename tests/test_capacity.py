@@ -29,7 +29,7 @@ from linksec.channels import (
     gamma_gamma_pdf,
     snr_scaled_params,
 )
-from linksec.montecarlo import McConfig, mc_ergodic_irs
+from linksec.montecarlo import McConfig, mc_branch_estimates
 
 # Exponential-hop closed form: capacity of min of two unit-shape hops with
 # total rate 1 equals e * E1(1) / ln 2.
@@ -120,7 +120,7 @@ class TestIrsCapacity:
         # actual n-term sum.
         scn = irs_scenario(n=n, power_dbm=10.0)
         ana = ergodic_capacity_irs(scn, "legit")
-        mc = mc_ergodic_irs(scn, "legit", McConfig(samples=400_000, master_seed=31))
+        mc = mc_branch_estimates(scn, "irs", McConfig(samples=400_000, master_seed=31))[0]
         assert abs(ana.bits_per_sec_hz - mc.bits_per_sec_hz) <= 3.0 * mc.std_error
 
 

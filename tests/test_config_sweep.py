@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from linksec import capacity
 from linksec.cli import main
 from linksec.config import (
     REFERENCE_CONFIG,
@@ -11,6 +13,7 @@ from linksec.config import (
     reference_config,
 )
 from linksec.montecarlo import McConfig
+from linksec.quadrature import AccuracyError
 from linksec.sweep import (
     SweepSpec,
     figure_preset,
@@ -82,6 +85,7 @@ class TestParsing:
                 "geometry.d_node_legit": "0.0",
                 "geometry.d_node_eve": "-3.0",
                 "noise.relay": "0.0",
+                "mc.samples": "10",
             }
         )
         with pytest.raises(ConfigError) as exc_info:
@@ -91,7 +95,12 @@ class TestParsing:
         assert "geometry.d_node_legit" in joined
         assert "geometry.d_node_eve" in joined
         assert "noise.relay" in joined
-        assert len(violations) >= 3
+        assert "mc: samples" in joined
+        assert len(violations) >= 4
+
+    def test_reference_file_matches_builtin(self):
+        path = Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"
+        assert path.read_text(encoding="utf-8") == REFERENCE_CONFIG
 
     def test_unknown_key_with_line_number(self):
         with pytest.raises(ConfigError) as exc_info:
@@ -226,6 +235,10 @@ class TestValidate:
         report = validate(parsed, (-100.0,), cfg)
         assert report.passed
 
+    def test_no_point_compared_rejected(self):
+        with pytest.raises(ValueError):
+            validate(reference_config(), (), McConfig(samples=10_000, master_seed=3))
+
 
 class TestCli:
     def test_sweep_command(self, tmp_path):
@@ -289,6 +302,35 @@ class TestCli:
             ]
         )
         assert code == 0
+
+    def test_validate_numerical_failure_is_fail_row(self, tmp_path, monkeypatch, capsys):
+        def broken(scenario, receiver):
+            raise AccuracyError("budget exhausted", estimate=0.0, error_estimate=1.0)
+
+        monkeypatch.setattr(capacity, "ergodic_capacity_irs", broken)
+        cfg_path = tmp_path / "scenario.cfg"
+        cfg_path.write_text(REFERENCE_CONFIG)
+        args = ["validate", "--config", str(cfg_path), "--samples", "20000", "--seed", "11"]
+        assert main(args + ["--powers", "10"]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL: budget exhausted" in out
+        assert "overall: FAIL" in out
+
+    def test_validate_without_powers_is_input_error(self, tmp_path):
+        cfg_path = tmp_path / "scenario.cfg"
+        cfg_path.write_text(REFERENCE_CONFIG)
+        args = ["validate", "--config", str(cfg_path), "--samples", "20000", "--seed", "11"]
+        assert main(args + ["--powers", ","]) == 1
+
+    def test_figure_command_monte_carlo_only(self, tmp_path):
+        cfg_path = tmp_path / "scenario.cfg"
+        cfg_path.write_text(config_with(**{"mc.samples": "2000"}))
+        out_path = tmp_path / "fig4.csv"
+        args = ["figure", "--id", "4", "--config", str(cfg_path), "--out", str(out_path)]
+        assert main(args + ["--method", "mc"]) == 0
+        rows = read_rows_csv(out_path.read_text())
+        assert rows
+        assert {r.method for r in rows} == {"monte-carlo"}
 
     def test_figure_command_with_builtin_reference(self, tmp_path):
         out_path = tmp_path / "fig4.csv"

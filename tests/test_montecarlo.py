@@ -14,9 +14,6 @@ from linksec.channels import FadingParams, Geometry, ScenarioIrs, ScenarioRelay,
 from linksec.montecarlo import (
     McConfig,
     mc_branch_estimates,
-    mc_ergodic_affg,
-    mc_ergodic_df,
-    mc_ergodic_irs,
     mc_secrecy,
 )
 
@@ -78,15 +75,15 @@ class TestDeterminism:
     def test_bit_identical_repeat(self):
         cfg = McConfig(samples=50_000, master_seed=42, chunk_size=8192)
         scn = irs_scenario()
-        a = mc_ergodic_irs(scn, "legit", cfg)
-        b = mc_ergodic_irs(scn, "legit", cfg)
+        a = mc_branch_estimates(scn, "irs", cfg)[0]
+        b = mc_branch_estimates(scn, "irs", cfg)[0]
         assert a.bits_per_sec_hz == b.bits_per_sec_hz
         assert a.std_error == b.std_error
 
     def test_different_seeds_differ(self):
         scn = irs_scenario()
-        a = mc_ergodic_irs(scn, "legit", McConfig(samples=20_000, master_seed=1))
-        b = mc_ergodic_irs(scn, "legit", McConfig(samples=20_000, master_seed=2))
+        a = mc_branch_estimates(scn, "irs", McConfig(samples=20_000, master_seed=1))[0]
+        b = mc_branch_estimates(scn, "irs", McConfig(samples=20_000, master_seed=2))[0]
         assert a.bits_per_sec_hz != b.bits_per_sec_hz
 
 
@@ -94,13 +91,13 @@ class TestAgainstClosedForms:
     def test_irs_single_element(self):
         scn = irs_scenario(n=1)
         cfg = McConfig(samples=400_000, master_seed=7)
-        mc = mc_ergodic_irs(scn, "legit", cfg)
+        mc = mc_branch_estimates(scn, "irs", cfg)[0]
         ana = ergodic_capacity_irs(scn, "legit")
         assert abs(mc.bits_per_sec_hz - ana.bits_per_sec_hz) <= 3.0 * mc.std_error
 
     def test_df_exponential_case(self):
         cfg = McConfig(samples=1_000_000, master_seed=13)
-        mc = mc_ergodic_df(unit_rate_relay(), "legit", cfg)
+        mc = mc_branch_estimates(unit_rate_relay(), "df", cfg)[0]
         assert abs(mc.bits_per_sec_hz - EXP_CASE_BITS) <= 3.0 * mc.std_error
 
     @pytest.mark.parametrize("shape", [1, 2, 3])
@@ -117,7 +114,7 @@ class TestAgainstClosedForms:
         )
         hops = relay_hop_params(scn)
         cfg = McConfig(samples=400_000, master_seed=17)
-        mc = mc_ergodic_df(scn, "eve", cfg)
+        mc = mc_branch_estimates(scn, "df", cfg)[1]
         ana = df_ergodic_capacity(hops["first"], hops["eve"])
         assert abs(mc.bits_per_sec_hz - ana.bits_per_sec_hz) <= 3.0 * mc.std_error
 
@@ -126,7 +123,7 @@ class TestAgainstClosedForms:
         hops = relay_hop_params(scn)
         l = affg_snr_constant(hops["first"])
         cfg = McConfig(samples=400_000, master_seed=19)
-        mc = mc_ergodic_affg(scn, "legit", cfg)
+        mc = mc_branch_estimates(scn, "affg", cfg)[0]
         ana = affg_ergodic_capacity(hops["first"], hops["legit"], l)
         assert abs(mc.bits_per_sec_hz - ana.bits_per_sec_hz) <= 3.0 * mc.std_error
 
@@ -135,10 +132,10 @@ class TestStructuralProperties:
     def test_min_bound(self):
         scn = relay_scenario()
         cfg = McConfig(samples=100_000, master_seed=3)
-        df = mc_ergodic_df(scn, "legit", cfg)
+        df = mc_branch_estimates(scn, "df", cfg)[0]
         hops = relay_hop_params(scn)
         # Single-hop capacities estimated with the same budget.
-        one = mc_ergodic_df(
+        one = mc_branch_estimates(
             ScenarioRelay(
                 geometry=scn.geometry,
                 fading_1=scn.fading_1,
@@ -149,34 +146,34 @@ class TestStructuralProperties:
                 noise_power_legit=scn.noise_power_legit,
                 noise_power_eve=scn.noise_power_eve,
             ),
-            "legit",
+            "df",
             cfg,
-        )
+        )[0]
         combined_se = math.hypot(df.std_error, one.std_error)
         assert df.bits_per_sec_hz <= one.bits_per_sec_hz + 3.0 * combined_se
 
     def test_affg_below_df(self):
         scn = relay_scenario()
         cfg = McConfig(samples=200_000, master_seed=4)
-        df = mc_ergodic_df(scn, "legit", cfg)
-        af = mc_ergodic_affg(scn, "legit", cfg)
+        df = mc_branch_estimates(scn, "df", cfg)[0]
+        af = mc_branch_estimates(scn, "affg", cfg)[0]
         assert af.bits_per_sec_hz <= df.bits_per_sec_hz
 
     def test_doubling_elements_increases_capacity(self):
         cfg = McConfig(samples=200_000, master_seed=5)
-        c2 = mc_ergodic_irs(irs_scenario(n=2), "legit", cfg)
-        c4 = mc_ergodic_irs(irs_scenario(n=4), "legit", cfg)
+        c2 = mc_branch_estimates(irs_scenario(n=2), "irs", cfg)[0]
+        c4 = mc_branch_estimates(irs_scenario(n=4), "irs", cfg)[0]
         gap_se = math.hypot(c2.std_error, c4.std_error)
         assert c4.bits_per_sec_hz - c2.bits_per_sec_hz > 3.0 * gap_se
 
     def test_se_scales_with_sample_count(self):
         scn = irs_scenario()
-        se_small = mc_ergodic_irs(
-            scn, "legit", McConfig(samples=10_000, master_seed=6)
-        ).std_error
-        se_large = mc_ergodic_irs(
-            scn, "legit", McConfig(samples=1_000_000, master_seed=6)
-        ).std_error
+        se_small = mc_branch_estimates(
+            scn, "irs", McConfig(samples=10_000, master_seed=6)
+        )[0].std_error
+        se_large = mc_branch_estimates(
+            scn, "irs", McConfig(samples=1_000_000, master_seed=6)
+        )[0].std_error
         ratio = se_small / se_large
         assert 10.0 * 0.8 <= ratio <= 10.0 * 1.2
 
@@ -218,8 +215,8 @@ class TestSecrecy:
         scn = relay_scenario(power_dbm=20.0)
         cfg = McConfig(samples=400_000, master_seed=10)
         paired = mc_secrecy(scn, "df", cfg)
-        le = mc_ergodic_df(scn, "legit", McConfig(samples=400_000, master_seed=11))
-        ev = mc_ergodic_df(scn, "eve", McConfig(samples=400_000, master_seed=12))
+        le = mc_branch_estimates(scn, "df", McConfig(samples=400_000, master_seed=11))[0]
+        ev = mc_branch_estimates(scn, "df", McConfig(samples=400_000, master_seed=12))[1]
         independent = max(le.bits_per_sec_hz - ev.bits_per_sec_hz, 0.0)
         combined_se = math.hypot(paired.std_error, math.hypot(le.std_error, ev.std_error))
         assert abs(paired.bits_per_sec_hz - independent) <= 3.0 * combined_se
@@ -242,5 +239,11 @@ class TestSecrecy:
         cfg = McConfig(samples=1000, master_seed=1)
         with pytest.raises(ValueError):
             mc_branch_estimates(relay_scenario(), "laser", cfg)
-        with pytest.raises(TypeError):
-            mc_branch_estimates(relay_scenario(), "irs", cfg)
+        # Every architecture rejects the scenario type of the others.
+        for arch, wrong in (
+            ("irs", relay_scenario()),
+            ("df", irs_scenario()),
+            ("affg", irs_scenario()),
+        ):
+            with pytest.raises(TypeError):
+                mc_branch_estimates(wrong, arch, cfg)
