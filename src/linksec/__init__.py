@@ -32,7 +32,6 @@ from .channels import (
     gamma_pdf,
     pathloss,
     sample_gamma,
-    sample_gamma_gamma,
     snr_scaled_params,
 )
 from .config import ConfigError, ParsedConfig, parse_config, parse_config_text, reference_config
@@ -47,15 +46,7 @@ from .quadrature import (
     QuadratureResult,
     integrate_semi_infinite,
 )
-from .specfun import (
-    bessel_k,
-    log_gamma,
-    meijer_g_1_2_2_1,
-    meijer_g_2_0_0_2,
-    meijer_g_2_1_1_2,
-    tricomi_u_integer,
-    upper_incomplete_gamma,
-)
+from .specfun import log_gamma, meijer_g_2_1_1_2
 from .sweep import (
     SweepRow,
     SweepSpec,

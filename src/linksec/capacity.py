@@ -4,15 +4,15 @@ All capacities are in bits/s/Hz.  The surface-assisted link goes through
 the moment generating function of the per-element SNR: independence across
 elements turns the MGF of the summed SNR into the single-element factor
 raised to the N-th power, and the ergodic capacity is a one-dimensional
-exponentially damped integral of (1 - MGF)/z.
+exponentially damped integral of (1 - MGF^N)/z.  The complement 1 - MGF
+comes straight from one Mellin-Barnes contour, placed one pole to the
+right of the MGF's own, so it is never formed by subtraction.
 
 Relay capacities integrate the end-to-end survival function against
 1/(1+snr).  For decode-and-forward the survival function of the weakest
 hop gives a finite double sum whose integral closes in the confluent
-U function; the same quantity is exposed through a Mellin-Barnes contour
-path and through direct quadrature as independent cross-checks.  For the
-fixed-gain relay the survival function carries a Bessel K factor and the
-capacity integral is evaluated by quadrature.
+U function.  For the fixed-gain relay the survival function carries a
+Bessel K factor and the capacity integral is evaluated by quadrature.
 
 Average secrecy is the clamped difference of the two receivers' ergodic
 capacities.
@@ -33,7 +33,6 @@ from .specfun import _expn_scaled_range
 
 __all__ = [
     "CapacityEstimate",
-    "DF_PATHS",
     "affg_branches",
     "affg_ccdf",
     "affg_ergodic_capacity",
@@ -88,72 +87,64 @@ def secrecy_capacity(cl: CapacityEstimate, ce: CapacityEstimate) -> CapacityEsti
 # Surface-assisted link
 # ---------------------------------------------------------------------------
 
-def _mgf_moment_series_complement(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    """1 - MGF summed from the moment series; accurate when x is large.
+def _mgf_complement(z: np.ndarray, gg: GammaGammaParams) -> np.ndarray:
+    """1 - MGF(z) of one element's SNR on an array of positive z.
 
-    The alternating partial sums of the transform's moment series bracket
-    the value, so the truncation error is below the first omitted term.
-    Summing the complement directly avoids the cancellation that computing
-    1 - (1 - tiny) would suffer.  Each argument stops after its first term
-    below 1e-18.
+    With x = beta_gg / z and the hop shapes a, b, the MGF is
+    G^{2,1}_{1,2}(x | 1; a, b) / (Gamma(a) Gamma(b)): the line integral of
+    Gamma(a+u) Gamma(b+u) Gamma(-u) x^{-u} left of u = 0.  Moving the line
+    to Re u = 1/2 drops only the residue at u = 0, which is
+    Gamma(a) Gamma(b), the leading 1 of the MGF, so the shifted integral is
+    -(1 - MGF) Gamma(a) Gamma(b) with no subtraction.
+
+    The line's terms have size x^{-1/2} while 1 - MGF falls like ab/x, so
+    its rounding grows like sqrt(x).  For large x the residues at
+    u = 1, 2, ... give 1 - MGF ~ ab/x - a(a+1) b(b+1)/(2x^2) + ...; where
+    the second term is below 5e-11 of the first, (a+1)(b+1)/(2x) <= 5e-11,
+    ab/x alone is the value.
     """
-    delta = np.zeros_like(x)
-    term = np.ones_like(x)
-    active = np.ones(x.shape, dtype=bool)
-    for k in range(1, 16):
-        term = term * (-(a + k - 1.0) * (b + k - 1.0) / (k * x))
-        delta = np.where(active, delta - term, delta)
-        active &= np.abs(term) >= 1e-18
-        if not active.any():
-            break
-    return delta
-
-
-def _series_eligible(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    return (a + 12.0) * (b + 12.0) <= 0.05 * x
+    a, b = gg.shape_first, gg.shape_second
+    x = gg.beta_gg / z
+    far = x > 1e10 * (a + 1.0) * (b + 1.0)
+    out = a * b / x
+    if not far.all():
+        # Re u = 1/2 lies between the poles u = 0 and u = 1 of Gamma(-u).
+        value, _ = specfun._evaluator((a, b), (1.0,), 0.5).evaluate(x[~far])
+        log_norm = specfun.log_gamma(a).real + specfun.log_gamma(b).real
+        out[~far] = -value / math.exp(log_norm)
+    return out
 
 
 def mgf_irs_element(z: float | np.ndarray, gg: GammaGammaParams) -> float | np.ndarray:
     """Laplace transform E[exp(-z * SNR)] of one element's SNR.
 
     ``z`` is a positive scalar or array; the result has its shape, and is a
-    float for a scalar.  Deep in the small-z regime the transform is summed
-    from the moment series; elsewhere it goes through the Mellin-Barnes form
-    of the product-distribution transform, one contour call for all such z.
-    The value always lies in (0, 1].
+    float for a scalar.  It is one minus the complement 1 - MGF that the
+    capacity integral uses (at most one contour call for all z), clipped
+    to [0, 1].
     """
     z_arr = np.asarray(z, dtype=float)
     if not np.all(z_arr > 0):
         raise ValueError("z must be positive")
-    a, b = gg.shape_first, gg.shape_second
-    x = gg.beta_gg / np.atleast_1d(z_arr)
-    series = _series_eligible(x, a, b)
-    out = np.empty_like(x)
-    out[series] = 1.0 - _mgf_moment_series_complement(x[series], a, b)
-    x_contour = x[~series]
-    if x_contour.size:
-        value, _ = specfun.meijer_g_2_1_1_2(
-            x_contour, 1.0 - gg.alpha_gg, 0.5 * gg.order, -0.5 * gg.order
-        )
-        norm = math.exp(specfun.log_gamma(a).real + specfun.log_gamma(b).real)
-        out[~series] = x_contour ** gg.alpha_gg * value / norm
-    out = np.clip(out, 0.0, 1.0)
+    out = np.clip(1.0 - _mgf_complement(np.atleast_1d(z_arr), gg), 0.0, 1.0)
     return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
 
 def _one_minus_mgf_pow(z: np.ndarray, gg: GammaGammaParams, n: int) -> np.ndarray:
     """1 - MGF(z)^n on an array of z, without cancellation for MGF close to one."""
-    a, b = gg.shape_first, gg.shape_second
-    x = gg.beta_gg / z
-    series = _series_eligible(x, a, b)
-    delta = np.empty_like(x)
-    delta[series] = _mgf_moment_series_complement(x[series], a, b)
-    if not series.all():
-        delta[~series] = 1.0 - mgf_irs_element(z[~series], gg)
-    out = np.ones_like(x)
+    delta = _mgf_complement(z, gg)
+    out = np.ones_like(delta)
     below = ~(delta >= 1.0)
     out[below] = -np.expm1(n * np.log1p(-delta[below]))
     return out
+
+
+# 1 - MGF^n is concave in z and vanishes at 0, so (1 - MGF^n)/z does not
+# increase and the integral beyond z = _Z_TAIL is at most
+# e^{-_Z_TAIL} / (1 - e^{-_Z_TAIL}) of the whole: below double precision.
+# The cut also keeps x = beta_gg/z away from the tiny values at which the
+# contour's rounding floor grows like x^{-1/2}.
+_Z_TAIL = 40.0
 
 
 def ergodic_capacity_irs(scenario: ScenarioIrs, receiver: str) -> CapacityEstimate:
@@ -162,7 +153,11 @@ def ergodic_capacity_irs(scenario: ScenarioIrs, receiver: str) -> CapacityEstima
     n = scenario.n_elements
 
     def integrand(z: np.ndarray) -> np.ndarray:
-        return _one_minus_mgf_pow(z, gg, n) * np.exp(-z) / z
+        out = np.zeros_like(z)
+        near = z < _Z_TAIL
+        zn = z[near]
+        out[near] = _one_minus_mgf_pow(zn, gg, n) * np.exp(-zn) / zn
+        return out
 
     result = integrate_semi_infinite(integrand, tol_rel=1e-9)
     return CapacityEstimate(bits_per_sec_hz=max(result.value, 0.0) / _LN2, method="analytic")
@@ -219,76 +214,40 @@ def df_ccdf(g: float | np.ndarray, f1: FadingParams, fb: FadingParams) -> float 
     return float(out) if g_arr.ndim == 0 else out
 
 
-DF_PATHS = ("closed-form", "contour", "ccdf-quadrature")
+def df_ergodic_capacity(f1: FadingParams, fb: FadingParams) -> CapacityEstimate:
+    """Ergodic capacity of the weakest-hop SNR, in closed form.
 
-
-def df_ergodic_capacity(
-    f1: FadingParams,
-    fb: FadingParams,
-    path: str = "closed-form",
-) -> CapacityEstimate:
-    """Ergodic capacity of the weakest-hop SNR.
-
-    Three independent evaluation paths are exposed: the confluent-U closed
-    form (default), a Mellin-Barnes contour evaluation of the same kernel,
-    and direct quadrature of the survival function against 1/(1+g).
+    The survival function is a finite double sum, and each of its terms
+    integrates against 1/(1+g) to a confluent U function, here the scaled
+    exponential integral e^s E_{m+1}(s).
     """
     a1, ab = _require_integer_shapes(f1, fb)
     s = f1.beta + fb.beta
-
-    if path == "closed-form":
-        scaled = _expn_scaled_range(a1 + ab - 1, s)
-        total = 0.0
-        for j in range(a1):
-            for p in range(ab):
-                m = j + p
-                total += (
-                    math.comb(m, j)
-                    * (f1.beta / s) ** j
-                    * (fb.beta / s) ** p
-                    * scaled[m]
-                )
-        return CapacityEstimate(bits_per_sec_hz=total / _LN2, method="analytic")
-
-    if path == "contour":
-        g_by_order: dict[int, float] = {}
-        total = 0.0
-        for j in range(a1):
-            for p in range(ab):
-                m = j + p
-                if m not in g_by_order:
-                    g_by_order[m], _ = specfun.meijer_g_1_2_2_1(1.0 / s, 0.0, -float(m), 0.0)
-                total += (
-                    f1.beta ** j
-                    * fb.beta ** p
-                    / (math.factorial(j) * math.factorial(p))
-                    * s ** (-(m + 1))
-                    * g_by_order[m]
-                )
-        return CapacityEstimate(bits_per_sec_hz=total / _LN2, method="analytic")
-
-    if path == "ccdf-quadrature":
-        result = integrate_semi_infinite(
-            lambda g: df_ccdf(g, f1, fb) / (1.0 + g), tol_rel=1e-10
-        )
-        return CapacityEstimate(bits_per_sec_hz=result.value / _LN2, method="analytic")
-
-    raise ValueError(f"unknown path {path!r}; expected one of {DF_PATHS}")
+    scaled = _expn_scaled_range(a1 + ab - 1, s)
+    total = 0.0
+    for j in range(a1):
+        for p in range(ab):
+            m = j + p
+            total += (
+                math.comb(m, j)
+                * (f1.beta / s) ** j
+                * (fb.beta / s) ** p
+                * scaled[m]
+            )
+    return CapacityEstimate(bits_per_sec_hz=total / _LN2, method="analytic")
 
 
-def df_branches(
-    scenario: ScenarioRelay, path: str = "closed-form"
-) -> tuple[CapacityEstimate, CapacityEstimate]:
+def df_branches(scenario: ScenarioRelay) -> tuple[CapacityEstimate, CapacityEstimate]:
     """(Legitimate, eavesdropper) ergodic capacities of the decode-and-forward link."""
     hops = channels.relay_hop_params(scenario)
     return (
-        df_ergodic_capacity(hops["first"], hops["legit"], path=path),
-        df_ergodic_capacity(hops["first"], hops["eve"], path=path),
+        df_ergodic_capacity(hops["first"], hops["legit"]),
+        df_ergodic_capacity(hops["first"], hops["eve"]),
     )
 
 
-def df_secrecy(scenario: ScenarioRelay, path: str = "closed-form") -> CapacityEstimate:
-    return secrecy_capacity(*df_branches(scenario, path=path))
+def df_secrecy(scenario: ScenarioRelay) -> CapacityEstimate:
+    return secrecy_capacity(*df_branches(scenario))
 
 
 # ---------------------------------------------------------------------------

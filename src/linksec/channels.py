@@ -33,7 +33,6 @@ __all__ = [
     "pathloss",
     "relay_hop_params",
     "sample_gamma",
-    "sample_gamma_gamma",
     "snr_scaled_params",
 ]
 
@@ -165,16 +164,6 @@ class GammaGammaParams:
     def mean(self) -> float:
         return self.shape_first * self.shape_second / self.beta_gg
 
-    def moment(self, k: int) -> float:
-        """E[SNR^k] from the product-of-independent-Gammas factorization."""
-        num = (
-            specfun.log_gamma(self.shape_first + k).real
-            - specfun.log_gamma(self.shape_first).real
-            + specfun.log_gamma(self.shape_second + k).real
-            - specfun.log_gamma(self.shape_second).real
-        )
-        return math.exp(num - k * math.log(self.beta_gg))
-
 
 # ---------------------------------------------------------------------------
 # Densities and distribution functions
@@ -244,11 +233,6 @@ def gamma_gamma_pdf(g, gg: GammaGammaParams):
 def sample_gamma(p: FadingParams, rng: np.random.Generator, size=None):
     """Exact Gamma draws (shape-aware rejection sampling via numpy)."""
     return rng.gamma(shape=p.alpha, scale=1.0 / p.beta, size=size)
-
-
-def sample_gamma_gamma(p1: FadingParams, p2: FadingParams, rng: np.random.Generator, size=None):
-    """Draws of the product of two independent Gamma gains."""
-    return sample_gamma(p1, rng, size) * sample_gamma(p2, rng, size)
 
 
 # ---------------------------------------------------------------------------

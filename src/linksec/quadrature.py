@@ -115,31 +115,46 @@ def _adaptive(f, a, b, tol_rel, budget):
     heap = []
     evals = 0
     counter = 0
+    # Running totals drive the stopping test; the reported sums are formed
+    # once by _sums, so they do not carry the running totals' drift.
+    total = total_err = 0.0
     for lo, hi in zip(seeds[:-1], seeds[1:]):
         val, err = _panel_estimate(f, lo, hi)
         evals += _PANEL_COST
         heapq.heappush(heap, (-err, counter, lo, hi, val, err))
         counter += 1
+        total += val
+        total_err += err
 
-    while True:
-        total = sum(item[4] for item in sorted(heap, key=lambda it: it[2]))
-        total_err = sum(item[5] for item in heap)
-        if total_err <= tol_rel * abs(total) or total_err < 1e-300:
-            return total, total_err, evals
+    while not (total_err <= tol_rel * abs(total) or total_err < 1e-300):
         if evals + 2 * _PANEL_COST > budget:
+            total, total_err = _sums(heap)
             raise AccuracyError(
                 f"evaluation budget {budget} exhausted before reaching "
                 f"relative tolerance {tol_rel:g}",
                 estimate=total,
                 error_estimate=total_err,
             )
-        _, _, lo, hi, _, _ = heapq.heappop(heap)
+        _, _, lo, hi, val, err = heapq.heappop(heap)
+        total -= val
+        total_err -= err
         mid = 0.5 * (lo + hi)
         for sub_lo, sub_hi in ((lo, mid), (mid, hi)):
             val, err = _panel_estimate(f, sub_lo, sub_hi)
             evals += _PANEL_COST
             heapq.heappush(heap, (-err, counter, sub_lo, sub_hi, val, err))
             counter += 1
+            total += val
+            total_err += err
+    return (*_sums(heap), evals)
+
+
+def _sums(heap) -> tuple[float, float]:
+    """Value summed in interval order, and error, of the panels in the heap."""
+    return (
+        sum(item[4] for item in sorted(heap, key=lambda it: it[2])),
+        sum(item[5] for item in heap),
+    )
 
 
 def integrate_semi_infinite(

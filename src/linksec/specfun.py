@@ -1,20 +1,22 @@
 """Special functions backing the capacity formulas.
 
-The Gamma family and the modified Bessel function are delegated to scipy's
-battle-tested implementations behind thin validating wrappers.  What is
+log Gamma is delegated to scipy behind a validating wrapper.  What is
 built here by hand is the machinery the closed-form capacities actually
 hinge on:
 
 * a scaled generalized exponential integral e^s * E_n(s), evaluated by a
   small-argument series and a Lentz continued fraction, with stable
-  recurrences filling in whole order ranges;
-* the confluent U(m+1, m+1, s) on top of it, which closes the
-  survival-function capacity integral of the decode-and-forward relay;
-* a reusable Mellin-Barnes engine for the handful of Meijer G instances the
-  moment-generating-function pipeline needs.  Gamma products along the
-  contour are computed once per parameter set and reused for every
-  argument, and one call evaluates a whole array of arguments, so sweeping
-  the transform variable is cheap.
+  recurrences filling in whole order ranges.  It is the confluent
+  U(m+1, m+1, s) up to a power of s, which closes the survival-function
+  capacity integral of the decode-and-forward relay;
+* a reusable Mellin-Barnes engine: the integral of a product of Gamma
+  factors against x^{-s} along a vertical line, by default the Meijer G
+  line of the separating strip, or any line off the poles.  The surface
+  capacity places it one pole right of the MGF's line, which yields
+  1 - MGF directly.  Gamma products along the contour are computed once
+  per parameter set and reused for every argument, and one call
+  evaluates a whole array of arguments, so sweeping the transform
+  variable is cheap.
 """
 
 from __future__ import annotations
@@ -28,17 +30,13 @@ from scipy import special as sp
 from .quadrature import AccuracyError, ContourDivergenceError
 
 __all__ = [
-    "bessel_k",
     "log_gamma",
-    "meijer_g_1_2_2_1",
-    "meijer_g_2_0_0_2",
     "meijer_g_2_1_1_2",
     "MellinBarnesEvaluator",
-    "tricomi_u_integer",
-    "upper_incomplete_gamma",
 ]
 
 _EULER_GAMMA = 0.5772156649015328606
+_EPS = float(np.finfo(float).eps)
 
 
 def log_gamma(z: complex) -> complex:
@@ -50,33 +48,6 @@ def log_gamma(z: complex) -> complex:
     if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
         raise ValueError(f"log_gamma pole at z = {z.real:g}")
     return complex(sp.loggamma(z))
-
-
-def upper_incomplete_gamma(a: float, x: float) -> float:
-    """Unregularized upper incomplete gamma integral from x to infinity."""
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    return float(sp.gammaincc(a, x) * sp.gamma(a))
-
-
-def bessel_k(v: float, x: float) -> float:
-    """Modified Bessel function of the second kind, real order.
-
-    Symmetric in the order: K_v = K_{-v}.  Overflow (tiny argument with a
-    large order) is reported rather than returned as inf.
-    """
-    if x <= 0:
-        raise ValueError("bessel_k requires x > 0")
-    val = float(sp.kv(v, x))
-    if math.isinf(val):
-        raise OverflowError(
-            f"bessel_k overflows for order {v:g} at x = {x:g}"
-        )
-    if math.isnan(val):
-        raise ValueError(f"bessel_k undefined for order {v:g} at x = {x:g}")
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -161,35 +132,33 @@ def _expn_scaled_range(n_max: int, s: float) -> np.ndarray:
     return out
 
 
-def tricomi_u_integer(m: int, s: float) -> float:
-    """Confluent hypergeometric U(m+1, m+1, s) for integer m >= 0.
-
-    Equals the capacity kernel integral of gamma^m e^{-s gamma}/(1+gamma)
-    over (0, inf), divided by m!.  Computed as s^{-m} e^s E_{m+1}(s).
-    """
-    if m != int(m) or m < 0:
-        raise ValueError("m must be a nonnegative integer")
-    if s <= 0:
-        raise ValueError("s must be positive")
-    m = int(m)
-    scaled = _expn_scaled_range(m + 1, s)[m]
-    return s ** (-m) * scaled
-
-
 # ---------------------------------------------------------------------------
 # Mellin-Barnes contour engine
 # ---------------------------------------------------------------------------
+
+def _pole_distance(w: float) -> float:
+    """Distance from real w to the nearest pole 0, -1, -2, ... of Gamma."""
+    if w > 0.0:
+        return w
+    return min(w - math.floor(w), math.ceil(w) - w)
+
 
 class MellinBarnesEvaluator:
     """Vertical-line integral of a product of Gamma factors against x^{-s}.
 
     ``lower`` lists parameters b with a factor Gamma(b + s); ``upper``
-    lists parameters a with a factor Gamma(1 - a - s).  The admissible
-    abscissa strip is max(-b) < c < min(1 - a); the contour sits at its
-    midpoint (or one unit right of the poles when unbounded above).
+    lists parameters a with a factor Gamma(1 - a - s).  The separating
+    strip is max(-b) < c < min(1 - a), and by default the contour Re s = c
+    sits at its midpoint (or one unit right of the poles when unbounded
+    above), which gives the Meijer G function.  An explicit ``abscissa``
+    places the line anywhere off the poles.  The value changes by the
+    residues of the poles the line is moved across: moved right past
+    poles of the upper factors, it leaves their terms out of G's residue
+    sum over those poles.
 
     Gamma values along the contour depend only on the parameters, so they
-    are computed once and reused for every argument x.  On the line
+    are computed once and reused for every argument x.  Node spacing
+    follows the distance from the line to the nearest pole.  On the line
     |x^{-s}| = x^{-c}, so the kernel's decay does not depend on x either:
     the starting truncation height is where the log-kernel has fallen
     ``_START_DECAY`` below its peak.  The height then doubles, per argument,
@@ -201,23 +170,34 @@ class MellinBarnesEvaluator:
     _BLOCK_ELEMENTS = 262_144
     _START_DECAY = 40.0
 
-    def __init__(self, lower: tuple[float, ...], upper: tuple[float, ...] = ()):
+    def __init__(
+        self,
+        lower: tuple[float, ...],
+        upper: tuple[float, ...] = (),
+        abscissa: float | None = None,
+    ):
         if not lower:
             raise ValueError("at least one Gamma(b + s) factor is required")
         self.lower = tuple(float(b) for b in lower)
         self.upper = tuple(float(a) for a in upper)
-        c_lo = max(-b for b in self.lower)
-        if self.upper:
-            c_hi = min(1.0 - a for a in self.upper)
-            if not c_hi > c_lo:
-                raise ValueError(
-                    f"no separating contour: pole strip ({c_lo:g}, {c_hi:g}) is empty"
-                )
-            self.abscissa = 0.5 * (c_lo + c_hi)
-            margin = min(self.abscissa - c_lo, c_hi - self.abscissa)
-        else:
-            self.abscissa = c_lo + 1.0
-            margin = 1.0
+        if abscissa is None:
+            c_lo = max(-b for b in self.lower)
+            if self.upper:
+                c_hi = min(1.0 - a for a in self.upper)
+                if not c_hi > c_lo:
+                    raise ValueError(
+                        f"no separating contour: pole strip ({c_lo:g}, {c_hi:g}) is empty"
+                    )
+                abscissa = 0.5 * (c_lo + c_hi)
+            else:
+                abscissa = c_lo + 1.0
+        self.abscissa = float(abscissa)
+        margin = min(
+            [_pole_distance(b + self.abscissa) for b in self.lower]
+            + [_pole_distance(1.0 - a - self.abscissa) for a in self.upper]
+        )
+        if not margin > 0.0:
+            raise ValueError(f"the contour Re s = {self.abscissa:g} passes through a pole")
         # Node spacing tied to the distance from the contour to the nearest
         # pole; the trapezoid rule is then spectrally accurate.
         self._h = min(0.05, margin / 3.0)
@@ -287,10 +267,12 @@ class MellinBarnesEvaluator:
         and are floats for a scalar.  The integral is reduced to twice the
         real part of the upper half-line, so the result is real by
         construction; the conjugate pairing that cancels the imaginary part
-        is exact.  Each argument's estimate T(H) is checked against T(H/2),
-        the prefix of the same grid: |T(H) - T(H/2)| + tail must be within
-        ``rel_target`` of |T(H)|, and only the arguments that miss it go on
-        to height 2H.
+        is exact.  The error estimate is |T(H) - T(H/2)| + tail, where
+        T(H/2) is the prefix of the same grid, plus the rounding floor
+        eps * sum|terms|.  Arguments whose estimate misses ``rel_target``
+        of |T(H)| go on to height 2H.  Raising the height cannot lower the
+        floor, so AccuracyError is raised at once when the floor alone
+        misses the target.
         """
         x_arr = np.asarray(x, dtype=float)
         if not np.all(x_arr > 0):
@@ -303,6 +285,7 @@ class MellinBarnesEvaluator:
         intervals = self._start
         while True:
             t, phase, full, half, tail = self._level(intervals)
+            floor = _EPS * full.sum() * scale
             rows = max(1, self._BLOCK_ELEMENTS // t.size)
             for lo in range(0, pending.size, rows):
                 idx = pending[lo:lo + rows]
@@ -310,9 +293,18 @@ class MellinBarnesEvaluator:
                 total = kernel @ full
                 prev = kernel[:, :half.size] @ half
                 value[idx] = scale[idx] * total
-                error[idx] = scale[idx] * (np.abs(total - prev) + tail)
-            missed = error[pending] > rel_target * np.maximum(np.abs(value[pending]), 1e-300)
-            pending = pending[missed]
+                error[idx] = scale[idx] * (np.abs(total - prev) + tail) + floor[idx]
+            target = rel_target * np.maximum(np.abs(value[pending]), 1e-300)
+            hopeless = floor[pending] > target
+            if hopeless.any():
+                first = pending[np.argmax(hopeless)]
+                raise AccuracyError(
+                    f"contour rounding floor exceeds the relative target "
+                    f"{rel_target:g} at {np.count_nonzero(hopeless)} of {log_x.size} arguments",
+                    estimate=float(value[first]),
+                    error_estimate=float(error[first]),
+                )
+            pending = pending[error[pending] > target]
             if not pending.size:
                 break
             intervals *= 2
@@ -330,8 +322,10 @@ class MellinBarnesEvaluator:
 
 
 @lru_cache(maxsize=256)
-def _evaluator(lower: tuple[float, ...], upper: tuple[float, ...]) -> MellinBarnesEvaluator:
-    return MellinBarnesEvaluator(lower, upper)
+def _evaluator(
+    lower: tuple[float, ...], upper: tuple[float, ...], abscissa: float | None = None
+) -> MellinBarnesEvaluator:
+    return MellinBarnesEvaluator(lower, upper, abscissa)
 
 
 def meijer_g_2_1_1_2(
@@ -344,16 +338,4 @@ def meijer_g_2_1_1_2(
     contour requires -min(b1, b2) < 1 - a1.
     """
     ev = _evaluator((b1, b2), (a1,))
-    return ev.evaluate(x)
-
-
-def meijer_g_2_0_0_2(x: float, b1: float, b2: float) -> tuple[float, float]:
-    """G^{2,0}_{0,2}(x | -; b1, b2); twice this at b = +-v/2 is K_v(2 sqrt x)."""
-    ev = _evaluator((b1, b2), ())
-    return ev.evaluate(x)
-
-
-def meijer_g_1_2_2_1(x: float, a1: float, a2: float, b1: float) -> tuple[float, float]:
-    """G^{1,2}_{2,1}(x | a1, a2; b1), the contour form of the relay capacity kernel."""
-    ev = _evaluator((b1,), (a1, a2))
     return ev.evaluate(x)

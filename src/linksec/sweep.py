@@ -146,34 +146,26 @@ def _branch_estimates(
     return montecarlo.mc_branch_estimates(scenario, architecture, mc_cfg)
 
 
-def _evaluate_point(
-    parsed, variable: str, value: float, architecture: str, method: str, mc_cfg: McConfig
-) -> SweepRow:
-    scenario = _apply_variable(_scenario_for(parsed, architecture), variable, value)
+def _evaluate(
+    scenario, architecture: str, method: str, mc_cfg: McConfig
+) -> tuple[float, float, float, float, str]:
+    """(secrecy, ergodic_l, ergodic_e, std_error, status) of one point."""
     if scenario is None:
-        return SweepRow(
-            variable, value, architecture, method,
+        return (
             math.nan, math.nan, math.nan, math.nan,
-            status="error: relay scenario unavailable (non-integer fading shapes)",
+            "error: relay scenario unavailable (non-integer fading shapes)",
         )
     try:
         est_l, est_e = _branch_estimates(scenario, architecture, method, mc_cfg)
     except _NUMERICAL_ERRORS as exc:
-        return SweepRow(
-            variable, value, architecture, method,
-            math.nan, math.nan, math.nan, math.nan,
-            status=f"error: {exc}",
-        )
+        return math.nan, math.nan, math.nan, math.nan, f"error: {exc}"
     sec = capacity.secrecy_capacity(est_l, est_e)
-    return SweepRow(
-        variable,
-        value,
-        architecture,
-        method,
+    return (
         sec.bits_per_sec_hz,
         est_l.bits_per_sec_hz,
         est_e.bits_per_sec_hz,
         sec.std_error,
+        "ok",
     )
 
 
@@ -185,28 +177,34 @@ def run_sweep(
 ) -> list[SweepRow]:
     """Evaluate every grid point of the sweep; returns deterministic rows.
 
-    Points run concurrently when ``workers`` > 1; ordering and numeric
-    content are independent of the degree of parallelism.  Per-point
-    numerical failures land in the row's status column instead of aborting
-    the sweep.
+    Each distinct (scenario, architecture, method) is evaluated once and
+    its result written to every grid value that maps to it: a relay
+    scenario does not change with ``n_elements``.  Points run concurrently
+    when ``workers`` > 1; ordering and numeric content are independent of
+    the degree of parallelism.  Per-point numerical failures land in the
+    row's status column instead of aborting the sweep.
     """
     mc_cfg = mc_cfg or parsed.mc
-    tasks = [
-        (value, arch, method)
-        for value in spec.grid()
-        for arch in spec.architectures
-        for method in spec.methods
-    ]
+    points = {}
+    for value in spec.grid():
+        for arch in spec.architectures:
+            scenario = _apply_variable(_scenario_for(parsed, arch), spec.variable, value)
+            for method in spec.methods:
+                points[value, arch, method] = (scenario, arch, method)
+    distinct = list(dict.fromkeys(points.values()))
 
-    def job(task):
-        value, arch, method = task
-        return _evaluate_point(parsed, spec.variable, value, arch, method, mc_cfg)
+    def job(key):
+        return _evaluate(*key, mc_cfg)
 
     if workers is not None and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(job, tasks))
+            results = dict(zip(distinct, pool.map(job, distinct)))
     else:
-        rows = [job(task) for task in tasks]
+        results = {key: job(key) for key in distinct}
+    rows = [
+        SweepRow(spec.variable, value, arch, method, *results[key])
+        for (value, arch, method), key in points.items()
+    ]
     rows.sort(key=lambda r: (r.value, r.architecture, r.method))
     return rows
 
@@ -356,17 +354,14 @@ def validate(
     powers_dbm: tuple[float, ...],
     mc_cfg: McConfig | None = None,
     architectures: tuple[str, ...] = ARCHITECTURES,
-    analytic_offset: float = 0.0,
 ) -> ValidationReport:
     """Compare the closed forms against the simulator on a power grid.
 
     A point passes when |analytic - MC| <= max(3 s.e., 1% of the analytic
     value, 1e-9 bits); the absolute floor makes points where both methods
-    are numerically zero trivially consistent.  ``analytic_offset`` shifts
-    every analytic value and exists so the harness itself can be exercised
-    (a corrupted value must be flagged).  A point whose analytic value
-    cannot be computed is reported as one failing row for both receivers.
-    Raises ValueError when no point could be compared.
+    are numerically zero trivially consistent.  A point whose analytic
+    value cannot be computed is reported as one failing row for both
+    receivers.  Raises ValueError when no point could be compared.
     """
     mc_cfg = mc_cfg or parsed.mc
     rows: list[ValidationRow] = []
@@ -389,7 +384,7 @@ def validate(
                 continue
             mc_l, mc_e = montecarlo.mc_branch_estimates(scenario, arch, mc_cfg)
             for receiver, ana, mc in (("legit", ana_l, mc_l), ("eve", ana_e, mc_e)):
-                a = ana.bits_per_sec_hz + analytic_offset
+                a = ana.bits_per_sec_hz
                 m = mc.bits_per_sec_hz
                 se = mc.std_error
                 gap = abs(a - m)

@@ -1,13 +1,13 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
 from linksec.capacity import (
     CapacityEstimate,
-    DF_PATHS,
     affg_ccdf,
     affg_ergodic_capacity,
     affg_secrecy,
@@ -15,7 +15,9 @@ from linksec.capacity import (
     df_ccdf,
     df_ergodic_capacity,
     df_secrecy,
+    _mgf_complement,
     ergodic_capacity_irs,
+    irs_branches,
     irs_secrecy,
     mgf_irs_element,
     secrecy_capacity,
@@ -30,6 +32,7 @@ from linksec.channels import (
     snr_scaled_params,
 )
 from linksec.montecarlo import McConfig, mc_branch_estimates
+from oracles import DF_PATHS
 
 # Exponential-hop closed form: capacity of min of two unit-shape hops with
 # total rate 1 equals e * E1(1) / ln 2.
@@ -87,13 +90,14 @@ class TestMgfElement:
         z = z_switch * np.logspace(-1.0, 3.0, 41)
         scalar = [mgf_irs_element(float(t), gg) for t in z]
         assert all(isinstance(v, float) for v in scalar)
-        # The series side is elementwise; contour rows of one block and
-        # single rows may round differently.
+        # The grid spans the switch to the moment series that the transform
+        # once had; contour rows of one block and single rows may round
+        # differently.
         np.testing.assert_allclose(mgf_irs_element(z, gg), scalar, rtol=1e-12, atol=0.0)
 
     def test_series_and_contour_paths_agree(self):
-        # Straddle the internal switch-over by evaluating where the moment
-        # series is eligible and comparing with quadrature.
+        # Where the transform once switched to its moment series, the
+        # shifted contour must still match quadrature.
         gg = self.GG
         z = gg.beta_gg / ((gg.shape_first + 12.0) * (gg.shape_second + 12.0) / 0.04)
         oracle, _ = integrate.quad(
@@ -200,7 +204,7 @@ class TestDfRelay:
     def test_three_paths_agree(self, a1, ab):
         f1, fb = FadingParams(a1, 0.8), FadingParams(ab, 1.7)
         values = [
-            df_ergodic_capacity(f1, fb, path=path).bits_per_sec_hz for path in DF_PATHS
+            path(f1, fb).bits_per_sec_hz for path in DF_PATHS
         ]
         for a in values:
             for b in values:
@@ -400,3 +404,38 @@ class TestScenarioInvariances:
         for series in (irs_caps, df_caps, af_caps):
             assert all(b >= a for a, b in zip(series, series[1:]))
             assert all(v >= 0.0 for v in series)
+
+
+def _complement_reference(a, b, x):
+    # 1 - MGF = 1 - E[(1 + G/x)^-b] with G ~ Gamma(a, 1), by quadrature.
+    a, b, x = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
+
+    def f(g):
+        return g ** (a - 1) * mpmath.exp(-g) * -mpmath.expm1(-b * mpmath.log1p(g / x))
+
+    breaks = sorted({mpmath.mpf(0), min(x, a), a, a + 10 * mpmath.sqrt(a) + 10, mpmath.inf})
+    return float(mpmath.quad(f, breaks) / mpmath.gamma(a))
+
+
+class TestMgfComplement:
+    @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.5, 40.0), (2.0, 2.0), (10.0, 10.0), (40.0, 40.0)])
+    def test_against_mpmath(self, a, b):
+        mpmath.mp.dps = 30
+        gg = GammaGammaParams.from_hops(FadingParams(a, 1.0), FadingParams(b, 1.0))
+        x = np.logspace(-3, 12, 11)
+        got = _mgf_complement(gg.beta_gg / x, gg)
+        ref = [_complement_reference(a, b, t) for t in x]
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0.0)
+
+
+class TestLargeShapes:
+    @pytest.mark.parametrize("shape", [10.0, 40.0])
+    @pytest.mark.parametrize("power_dbm", [-30.0, 20.0, 120.0])
+    def test_surface_branches_against_monte_carlo(self, shape, power_dbm):
+        # Shapes this large used to exhaust the quadrature budget on the
+        # rounding noise of 1 - MGF.
+        cfg = McConfig(samples=100_000, master_seed=7, chunk_size=16_384)
+        for n in (1, 64):
+            scn = irs_scenario(n=n, power_dbm=power_dbm, shape=shape)
+            for ana, mc in zip(irs_branches(scn), mc_branch_estimates(scn, "irs", cfg)):
+                assert abs(ana.bits_per_sec_hz - mc.bits_per_sec_hz) <= 4.0 * mc.std_error

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from linksec import capacity
+from linksec import capacity, montecarlo, sweep
 from linksec.cli import main
 from linksec.config import (
     REFERENCE_CONFIG,
@@ -159,6 +160,24 @@ class TestRunSweep:
         values = [r.secrecy_bps_hz for r in sorted(rows, key=lambda r: r.value)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    def test_each_distinct_point_evaluated_once(self, monkeypatch):
+        # A relay scenario does not change with n_elements: two relay
+        # points and four surface points, written to twelve rows.
+        calls = []
+        branch_estimates = sweep._branch_estimates
+
+        def counting(scenario, architecture, method, mc_cfg):
+            calls.append(architecture)
+            return branch_estimates(scenario, architecture, method, mc_cfg)
+
+        monkeypatch.setattr(sweep, "_branch_estimates", counting)
+        spec = SweepSpec("n_elements", 2, 8, 2, ("irs", "df", "affg"))
+        rows = run_sweep(spec, reference_config())
+        assert sorted(calls) == ["affg", "df"] + ["irs"] * 4
+        assert len(rows) == 12
+        for arch in ("df", "affg"):
+            assert len({r.secrecy_bps_hz for r in rows if r.architecture == arch}) == 1
+
     def test_deterministic_across_workers(self):
         parsed = reference_config()
         spec = SweepSpec(
@@ -223,10 +242,20 @@ class TestValidate:
         assert report.passed
         assert len(report.rows) == 2 * 3 * 2
 
-    def test_corrupted_analytic_flagged(self):
+    def test_corrupted_analytic_flagged(self, monkeypatch):
         parsed = reference_config()
         cfg = McConfig(samples=50_000, master_seed=2024)
-        report = validate(parsed, (10.0,), cfg, analytic_offset=0.25)
+        # Shift every analytic value by 0.25 bits.
+        for name, arch in list(montecarlo.ARCHITECTURES.items()):
+            def shifted(scenario, analytic=arch.analytic):
+                return tuple(
+                    dataclasses.replace(e, bits_per_sec_hz=e.bits_per_sec_hz + 0.25)
+                    for e in analytic(scenario)
+                )
+            monkeypatch.setitem(
+                montecarlo.ARCHITECTURES, name, dataclasses.replace(arch, analytic=shifted)
+            )
+        report = validate(parsed, (10.0,), cfg)
         assert not report.passed
 
     def test_zero_power_trivially_consistent(self):

@@ -92,6 +92,20 @@ class TestGaussKronrod:
 
 
 class TestVerticalContour:
+    def test_line_past_a_pole_drops_its_residue(self):
+        # Between the poles s = -1 and s = 0 of Gamma(s) the line integral
+        # is e^-x less the residue 1 at s = 0.
+        shifted = MellinBarnesEvaluator((0.0,), abscissa=-0.5)
+        for x in (0.5, 1.0, 2.0):
+            val, _ = shifted.evaluate(x)
+            assert val == pytest.approx(np.expm1(-x), rel=1e-10)
+
+    def test_line_through_a_pole_rejected(self):
+        with pytest.raises(ValueError):
+            MellinBarnesEvaluator((0.0,), abscissa=-1.0)
+        with pytest.raises(ValueError):
+            MellinBarnesEvaluator((2.0, 2.0), (1.0,), abscissa=1.0)
+
     def test_cahen_mellin_identity(self):
         # (1/2 pi i) * integral of Gamma(s) x^-s over a vertical line in
         # 0 < Re(s) recovers e^-x.

@@ -7,13 +7,11 @@ import pytest
 from scipy import integrate, special
 
 from linksec.quadrature import AccuracyError
-from linksec.specfun import (
-    MellinBarnesEvaluator,
+from linksec.specfun import MellinBarnesEvaluator, log_gamma, meijer_g_2_1_1_2
+from oracles import (
     bessel_k,
-    log_gamma,
     meijer_g_1_2_2_1,
     meijer_g_2_0_0_2,
-    meijer_g_2_1_1_2,
     tricomi_u_integer,
     upper_incomplete_gamma,
 )
@@ -256,9 +254,9 @@ class TestBatchedContour:
             meijer_g_2_1_1_2(np.array([1.0, 0.0]), -1.0, 0.0, 0.0)
 
     def test_unreachable_target_fails_with_bounded_memory(self):
-        # A narrow pole strip (0, 0.01) makes the node spacing fine, so the
-        # node limit is reached at a modest height; no argument can meet a
-        # target of 1e-300 before the kernel underflows there.
+        # A narrow pole strip (0, 0.01) makes the node spacing fine; no
+        # argument can meet a target of 1e-300, which is below the rounding
+        # floor, so the evaluator gives up at the starting height.
         ev = MellinBarnesEvaluator((0.0, 0.0), (0.99,))
         x = np.logspace(-2, 2, 21)
         tracemalloc.start()
@@ -272,3 +270,21 @@ class TestBatchedContour:
         # About 9 MB with the block cap; without it the 21 x 49793 block of
         # the last height alone takes over 20 MB.
         assert peak < 16 * 2**20
+
+
+class TestRoundingFloor:
+    @pytest.mark.parametrize("v", [0.5, 1.5])
+    def test_reported_error_bounds_true_error_or_raises(self, v):
+        # 2 K_v(2 sqrt x) falls like e^{-2 sqrt x}, far below the kernel's
+        # terms of size x^{-c}: the result is rounding noise, which the
+        # error estimate must admit, at the starting height.
+        mpmath.mp.dps = 30
+        for x in np.logspace(3, 4, 5):
+            ev = MellinBarnesEvaluator((0.5 * v, -0.5 * v))
+            ref = float(2 * mpmath.besselk(v, 2 * mpmath.sqrt(x)))
+            try:
+                val, err = ev.evaluate(x)
+            except AccuracyError:
+                assert list(ev._levels) == [ev._start]
+                continue
+            assert abs(val - ref) <= err
