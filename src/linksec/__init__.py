@@ -26,10 +26,6 @@ from .channels import (
     Geometry,
     ScenarioIrs,
     ScenarioRelay,
-    gamma_ccdf_series,
-    gamma_cdf,
-    gamma_gamma_pdf,
-    gamma_pdf,
     pathloss,
     sample_gamma,
     snr_scaled_params,
@@ -42,7 +38,6 @@ from .montecarlo import (
 )
 from .quadrature import (
     AccuracyError,
-    ContourDivergenceError,
     QuadratureResult,
     integrate_semi_infinite,
 )

@@ -194,23 +194,15 @@ def _require_integer_shapes(*params: FadingParams) -> tuple[int, ...]:
 def df_ccdf(g: float | np.ndarray, f1: FadingParams, fb: FadingParams) -> float | np.ndarray:
     """Survival function of the weakest-hop SNR min(snr_1, snr_b).
 
-    ``g`` is a nonnegative scalar or array; the result has its shape, and
-    is a float for a scalar.
+    The hops are independent, so it is the product of their regularized
+    upper incomplete gammas.  ``g`` is a nonnegative scalar or array; the
+    result has its shape, and is a float for a scalar.
     """
     a1, ab = _require_integer_shapes(f1, fb)
     g_arr = np.asarray(g, dtype=float)
     if np.any(g_arr < 0):
         raise ValueError("g must be nonnegative")
-    total = np.zeros_like(g_arr)
-    for j in range(a1):
-        for p in range(ab):
-            total += (
-                f1.beta ** j
-                * fb.beta ** p
-                * g_arr ** (j + p)
-                / (math.factorial(j) * math.factorial(p))
-            )
-    out = total * np.exp(-g_arr * (f1.beta + fb.beta))
+    out = sp.gammaincc(a1, f1.beta * g_arr) * sp.gammaincc(ab, fb.beta * g_arr)
     return float(out) if g_arr.ndim == 0 else out
 
 

@@ -10,13 +10,9 @@ c*X ~ Gamma(alpha, beta/c).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
-
-from . import specfun
 
 __all__ = [
     "FadingParams",
@@ -25,10 +21,6 @@ __all__ = [
     "ScenarioIrs",
     "ScenarioRelay",
     "db_to_linear",
-    "gamma_cdf",
-    "gamma_ccdf_series",
-    "gamma_gamma_pdf",
-    "gamma_pdf",
     "irs_element_params",
     "pathloss",
     "relay_hop_params",
@@ -138,24 +130,18 @@ class ScenarioRelay:
 class GammaGammaParams:
     """Product-of-two-Gammas distribution of one element's SNR.
 
-    ``alpha_gg`` is the mean of the two shapes, ``beta_gg`` the product of
-    the two rates (after any SNR scaling), and ``order`` their shape
-    difference, which sets the Bessel order of the density.  The underlying
-    shape pair is kept for the normalization constant.
+    ``beta_gg`` is the product of the two rates (after any SNR scaling);
+    the two hop shapes are kept as they are.
     """
 
-    alpha_gg: float
     beta_gg: float
-    order: float
     shape_first: float
     shape_second: float
 
     @classmethod
     def from_hops(cls, first: FadingParams, second: FadingParams) -> "GammaGammaParams":
         return cls(
-            alpha_gg=0.5 * (first.alpha + second.alpha),
             beta_gg=first.beta * second.beta,
-            order=first.alpha - second.alpha,
             shape_first=first.alpha,
             shape_second=second.alpha,
         )
@@ -163,67 +149,6 @@ class GammaGammaParams:
     @property
     def mean(self) -> float:
         return self.shape_first * self.shape_second / self.beta_gg
-
-
-# ---------------------------------------------------------------------------
-# Densities and distribution functions
-# ---------------------------------------------------------------------------
-
-def gamma_pdf(g, p: FadingParams):
-    """Gamma density with shape p.alpha and rate p.beta."""
-    g = np.asarray(g, dtype=float)
-    out = np.where(
-        g < 0,
-        0.0,
-        np.exp(
-            p.alpha * math.log(p.beta)
-            + (p.alpha - 1.0) * np.log(np.where(g > 0, g, 1.0))
-            - p.beta * g
-            - specfun.log_gamma(p.alpha).real
-        ),
-    )
-    out = np.where(g == 0, 0.0 if p.alpha > 1 else (p.beta if p.alpha == 1 else np.inf), out)
-    return out if out.ndim else float(out)
-
-
-def gamma_cdf(g, p: FadingParams):
-    """P[X <= g] through the upper incomplete gamma integral."""
-    g = np.asarray(g, dtype=float)
-    if np.any(g < 0):
-        raise ValueError("gamma_cdf requires g >= 0")
-    out = 1.0 - sp.gammaincc(p.alpha, p.beta * g)
-    return out if out.ndim else float(out)
-
-
-def gamma_ccdf_series(g, p: FadingParams):
-    """Survival function as the finite Poisson-tail sum; integer shape only."""
-    if not p.integer_shape:
-        raise ValueError("series survival form requires an integer shape")
-    g = np.asarray(g, dtype=float)
-    if np.any(g < 0):
-        raise ValueError("gamma_ccdf_series requires g >= 0")
-    n = int(p.alpha)
-    bg = p.beta * g
-    term = np.ones_like(bg)
-    acc = np.ones_like(bg)
-    for j in range(1, n):
-        term = term * bg / j
-        acc = acc + term
-    out = acc * np.exp(-bg)
-    return out if out.ndim else float(out)
-
-
-def gamma_gamma_pdf(g, gg: GammaGammaParams):
-    """Density of the product of two independent Gamma gains."""
-    g_arr = np.atleast_1d(np.asarray(g, dtype=float))
-    if np.any(g_arr <= 0):
-        raise ValueError("gamma_gamma_pdf requires g > 0")
-    norm = math.exp(
-        specfun.log_gamma(gg.shape_first).real + specfun.log_gamma(gg.shape_second).real
-    )
-    bess = sp.kv(gg.order, 2.0 * np.sqrt(g_arr * gg.beta_gg))
-    out = 2.0 * gg.beta_gg ** gg.alpha_gg * g_arr ** (gg.alpha_gg - 1.0) * bess / norm
-    return out if np.ndim(g) else float(out[0])
 
 
 # ---------------------------------------------------------------------------

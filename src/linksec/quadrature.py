@@ -5,8 +5,8 @@ extension of the 10-point Gauss rule, QUADPACK QK21) for real integrals
 over (0, inf).  It is an open rule: no integrand is ever evaluated at an
 interval endpoint, so integrands with a removable endpoint singularity
 (the 1/z factor of the capacity integral) need no special casing by the
-caller.  The error types shared with the contour engine in ``specfun``
-are defined here as well.
+caller.  The error type shared with the contour engine in ``specfun``
+is defined here as well.
 
 Integrands are array-valued: each panel calls ``f`` once with the 1-D
 array of its 21 nodes, and ``f`` returns an array of that shape or a
@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "AccuracyError",
-    "ContourDivergenceError",
     "QuadratureResult",
     "integrate_semi_infinite",
 ]
@@ -40,10 +39,6 @@ class AccuracyError(ArithmeticError):
         super().__init__(message)
         self.estimate = estimate
         self.error_estimate = error_estimate
-
-
-class ContourDivergenceError(ArithmeticError):
-    """Raised when a contour kernel fails to decay along the line."""
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,9 @@ hinge on:
   factors against x^{-s} along a vertical line, by default the Meijer G
   line of the separating strip, or any line off the poles.  The surface
   capacity places it one pole right of the MGF's line, which yields
-  1 - MGF directly.  Gamma products along the contour are computed once
-  per parameter set and reused for every argument, and one call
-  evaluates a whole array of arguments, so sweeping the transform
-  variable is cheap.
+  1 - MGF directly.  One grid per parameter set, cut at a height set by
+  the kernel's monotone decay, serves every argument; one call evaluates
+  a whole array of arguments, with error = tail + rounding floor.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as sp
 
-from .quadrature import AccuracyError, ContourDivergenceError
+from .quadrature import AccuracyError
 
 __all__ = [
     "log_gamma",
@@ -156,19 +155,21 @@ class MellinBarnesEvaluator:
     poles of the upper factors, it leaves their terms out of G's residue
     sum over those poles.
 
-    Gamma values along the contour depend only on the parameters, so they
-    are computed once and reused for every argument x.  Node spacing
-    follows the distance from the line to the nearest pole.  On the line
-    |x^{-s}| = x^{-c}, so the kernel's decay does not depend on x either:
-    the starting truncation height is where the log-kernel has fallen
-    ``_START_DECAY`` below its peak.  The height then doubles, per argument,
-    until the contour tail is negligible against the accumulated value.
+    The grid is built once, from the parameters alone.  Node spacing
+    follows the distance from the line to the nearest pole, which makes
+    the trapezoid rule converge exponentially.  On the line
+    |x^{-s}| = x^{-c}, and the modulus of every Gamma factor falls
+    monotonically in |Im s|, so the truncation error does not depend on
+    x: the grid ends at the first node where the log-kernel has fallen
+    ``_DECAY`` below its peak, and construction raises AccuracyError when
+    that takes more than ``_MAX_NODES`` nodes.  What is left for
+    ``evaluate`` to control is rounding.
     """
 
     _MAX_NODES = 131_072
     # Most kernel values (arguments x nodes) evaluated in one block.
     _BLOCK_ELEMENTS = 262_144
-    _START_DECAY = 40.0
+    _DECAY = 40.0
 
     def __init__(
         self,
@@ -201,62 +202,41 @@ class MellinBarnesEvaluator:
         # Node spacing tied to the distance from the contour to the nearest
         # pole; the trapezoid rule is then spectrally accurate.
         self._h = min(0.05, margin / 3.0)
-        self._levels: dict[int, tuple[np.ndarray, ...]] = {}
         intervals = 64
         while True:
-            log_mag = self._log_kernel(intervals)[1].real
+            t = np.arange(intervals + 1) * self._h
+            s = self.abscissa + 1j * t
+            args = [b + s for b in self.lower] + [1.0 - a - s for a in self.upper]
+            log_g = sum(sp.loggamma(w) for w in args)
             fallen = np.flatnonzero(
-                log_mag <= np.maximum.accumulate(log_mag) - self._START_DECAY
+                log_g.real <= np.maximum.accumulate(log_g.real) - self._DECAY
             )
-            if fallen.size or 2 * intervals >= self._MAX_NODES:
+            if fallen.size:
                 break
+            if 2 * intervals >= self._MAX_NODES:
+                raise AccuracyError(
+                    f"contour kernel has not fallen e^-{self._DECAY:g} within "
+                    f"{intervals + 1} nodes of spacing {self._h:.3g}",
+                    estimate=math.nan,
+                    error_estimate=math.inf,
+                )
             intervals *= 2
-        first = int(fallen[0]) if fallen.size else intervals
-        # An even interval count puts the half-height prefix on a node.
-        self._start = max(2, first + first % 2)
-        self._peak = float(log_mag.max())
-
-    def _log_kernel(self, intervals: int) -> tuple[np.ndarray, np.ndarray]:
-        t = np.arange(intervals + 1) * self._h
-        s = self.abscissa + 1j * t
-        log_g = np.zeros_like(s)
-        for b in self.lower:
-            log_g += sp.loggamma(b + s)
-        for a in self.upper:
-            log_g += sp.loggamma(1.0 - a - s)
-        return t, log_g
-
-    def _level(self, intervals: int) -> tuple[np.ndarray, ...]:
-        """Nodes, kernel phase, weighted magnitudes and tail at one height.
-
-        Magnitudes are relative to the kernel peak and omit the factor
-        x^{-c}, so large Gamma factors cannot overflow the cache.
-        """
-        cached = self._levels.get(intervals)
-        if cached is not None:
-            return cached
-        t, log_g = self._log_kernel(intervals)
-        mag = np.exp(log_g.real - self._peak)
-        # Trapezoid weights on the full line: the truncation node keeps
-        # half weight.
-        trap = np.full(t.shape, self._h)
-        trap[-1] *= 0.5
-        weighted = mag * trap
-        n_tail = max(4, t.size // 25)
-        if weighted[-n_tail:].mean() > weighted.mean():
-            raise ContourDivergenceError(
-                "contour kernel grows toward the truncation edge"
-            )
-        # Half-line fold of the full trapezoid: the real-axis node counts
-        # once, every t > 0 node stands for a conjugate pair.  The prefix
-        # up to half the height is the same fold of the grid at that height.
-        full = 2.0 * weighted
-        full[0] = weighted[0]
-        half = full[: intervals // 2 + 1].copy()
-        half[-1] = 0.5 * full[intervals // 2]
-        level = (t, log_g.imag, full, half, 2.0 * weighted[-n_tail:].sum())
-        self._levels[intervals] = level
-        return level
+        n = fallen[0] + 1
+        self._t, log_g = t[:n], log_g[:n]
+        self._phase = log_g.imag
+        self._peak = float(log_g.real.max())
+        # Trapezoid weights folded onto the half-line: the real-axis node
+        # counts once, every t > 0 node stands for a conjugate pair, and the
+        # truncation node keeps half weight.  Magnitudes are relative to the
+        # peak and omit x^{-c}, so large Gamma factors cannot overflow.
+        weighted = np.exp(log_g.real - self._peak) * self._h
+        weighted[-1] *= 0.5
+        self._weights = 2.0 * weighted
+        self._weights[0] = weighted[0]
+        # Relative error: the last nodes' share stands in for the truncated
+        # tail, eps * sum|terms| for the rounding of the sum.
+        tail = 2.0 * weighted[-max(4, n // 25):].sum()
+        self._bound = tail + _EPS * self._weights.sum()
 
     def evaluate(
         self, x: float | np.ndarray, rel_target: float = 1e-8
@@ -267,12 +247,11 @@ class MellinBarnesEvaluator:
         and are floats for a scalar.  The integral is reduced to twice the
         real part of the upper half-line, so the result is real by
         construction; the conjugate pairing that cancels the imaginary part
-        is exact.  The error estimate is |T(H) - T(H/2)| + tail, where
-        T(H/2) is the prefix of the same grid, plus the rounding floor
-        eps * sum|terms|.  Arguments whose estimate misses ``rel_target``
-        of |T(H)| go on to height 2H.  Raising the height cannot lower the
-        floor, so AccuracyError is raised at once when the floor alone
-        misses the target.
+        is exact.  The value is the trapezoid sum on the evaluator's one
+        grid; the error estimate is its truncated tail plus the rounding
+        floor eps * sum|terms|, both scaled by x^{-c}.  AccuracyError is
+        raised when the estimate misses ``rel_target`` of |value| at any
+        argument.
         """
         x_arr = np.asarray(x, dtype=float)
         if not np.all(x_arr > 0):
@@ -280,42 +259,21 @@ class MellinBarnesEvaluator:
         log_x = np.log(x_arr).ravel()
         scale = np.exp(self._peak - self.abscissa * log_x) / (2.0 * np.pi)
         value = np.empty_like(log_x)
-        error = np.empty_like(log_x)
-        pending = np.arange(log_x.size)
-        intervals = self._start
-        while True:
-            t, phase, full, half, tail = self._level(intervals)
-            floor = _EPS * full.sum() * scale
-            rows = max(1, self._BLOCK_ELEMENTS // t.size)
-            for lo in range(0, pending.size, rows):
-                idx = pending[lo:lo + rows]
-                kernel = np.cos(phase - np.outer(log_x[idx], t))
-                total = kernel @ full
-                prev = kernel[:, :half.size] @ half
-                value[idx] = scale[idx] * total
-                error[idx] = scale[idx] * (np.abs(total - prev) + tail) + floor[idx]
-            target = rel_target * np.maximum(np.abs(value[pending]), 1e-300)
-            hopeless = floor[pending] > target
-            if hopeless.any():
-                first = pending[np.argmax(hopeless)]
-                raise AccuracyError(
-                    f"contour rounding floor exceeds the relative target "
-                    f"{rel_target:g} at {np.count_nonzero(hopeless)} of {log_x.size} arguments",
-                    estimate=float(value[first]),
-                    error_estimate=float(error[first]),
-                )
-            pending = pending[error[pending] > target]
-            if not pending.size:
-                break
-            intervals *= 2
-            if 2 * intervals > self._MAX_NODES:
-                first = pending[0]
-                raise AccuracyError(
-                    f"contour refinement exceeded the node limit at "
-                    f"{pending.size} of {log_x.size} arguments",
-                    estimate=float(value[first]),
-                    error_estimate=float(error[first]),
-                )
+        rows = max(1, self._BLOCK_ELEMENTS // self._t.size)
+        for lo in range(0, log_x.size, rows):
+            block = slice(lo, lo + rows)
+            kernel = np.cos(self._phase - np.outer(log_x[block], self._t))
+            value[block] = scale[block] * (kernel @ self._weights)
+        error = self._bound * scale
+        missed = error > rel_target * np.maximum(np.abs(value), 1e-300)
+        if missed.any():
+            first = np.argmax(missed)
+            raise AccuracyError(
+                f"contour error estimate exceeds the relative target "
+                f"{rel_target:g} at {np.count_nonzero(missed)} of {log_x.size} arguments",
+                estimate=float(value[first]),
+                error_estimate=float(error[first]),
+            )
         if x_arr.ndim == 0:
             return float(value[0]), float(error[0])
         return value.reshape(x_arr.shape), error.reshape(x_arr.shape)
@@ -335,7 +293,7 @@ def meijer_g_2_1_1_2(
 
     ``x`` is a positive scalar or array (see MellinBarnesEvaluator.evaluate).
     The kernel is Gamma(b1+s) Gamma(b2+s) Gamma(1-a1-s) x^{-s}; a separating
-    contour requires -min(b1, b2) < 1 - a1.
+    contour requires -min(b1, b2) < 1 - a1.  The capacities no longer call
+    it; the benchmark's tracer (``bench/tracer.py``) still wraps it by name.
     """
-    ev = _evaluator((b1, b2), (a1,))
-    return ev.evaluate(x)
+    return _evaluator((b1, b2), (a1,)).evaluate(x)

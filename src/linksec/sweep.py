@@ -13,15 +13,18 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import capacity, montecarlo
 from .capacity import CapacityEstimate
 from .channels import ScenarioIrs
 from .montecarlo import McConfig
-from .quadrature import AccuracyError, ContourDivergenceError
+from .quadrature import AccuracyError
 
 __all__ = [
     "ARCHITECTURES",
@@ -48,7 +51,7 @@ VARIABLES = (
 )
 
 # Numerical failures of one point; they fail that point, not the whole run.
-_NUMERICAL_ERRORS = (AccuracyError, ContourDivergenceError, OverflowError)
+_NUMERICAL_ERRORS = (AccuracyError, OverflowError)
 
 CSV_COLUMNS = (
     "variable",
@@ -315,6 +318,10 @@ def figure_preset(
 # Analytic vs Monte Carlo validation
 # ---------------------------------------------------------------------------
 
+# Monte Carlo standard errors by which a validated row may miss: a false
+# fail about once in 1.7 million rows.
+_MAX_Z = 5.0
+
 @dataclass(frozen=True)
 class ValidationRow:
     architecture: str
@@ -357,42 +364,47 @@ def validate(
 ) -> ValidationReport:
     """Compare the closed forms against the simulator on a power grid.
 
-    A point passes when |analytic - MC| <= max(3 s.e., 1% of the analytic
-    value, 1e-9 bits); the absolute floor makes points where both methods
-    are numerically zero trivially consistent.  A point whose analytic
-    value cannot be computed is reported as one failing row for both
-    receivers.  Raises ValueError when no point could be compared.
+    A receiver passes when |analytic - MC| <= 5 s.e., or when the gap is
+    at most 1e-9 bits, which makes points where both methods are
+    numerically zero trivially consistent.  Each (power, architecture)
+    point draws from its own master seed, derived from the configured
+    seed and the point's index, so the points are independent evidence.
+    A point whose analytic value cannot be computed is reported as one
+    failing row for both receivers.  Raises ValueError when no point could
+    be compared.
     """
     mc_cfg = mc_cfg or parsed.mc
     rows: list[ValidationRow] = []
-    for power in powers_dbm:
-        for arch in architectures:
-            scenario = _scenario_for(parsed, arch)
-            if scenario is None:
-                continue
-            scenario = dataclasses.replace(scenario, tx_power_dbm=power)
-            try:
-                ana_l, ana_e = _branch_estimates(scenario, arch, "analytic", mc_cfg)
-            except _NUMERICAL_ERRORS as exc:
-                rows.append(
-                    ValidationRow(
-                        arch, power, "both",
-                        math.nan, math.nan, math.nan, math.nan,
-                        passed=False, error=str(exc),
-                    )
+    points = itertools.product(powers_dbm, architectures)
+    for index, (power, arch) in enumerate(points):
+        scenario = _scenario_for(parsed, arch)
+        if scenario is None:
+            continue
+        scenario = dataclasses.replace(scenario, tx_power_dbm=power)
+        try:
+            ana_l, ana_e = _branch_estimates(scenario, arch, "analytic", mc_cfg)
+        except _NUMERICAL_ERRORS as exc:
+            rows.append(
+                ValidationRow(
+                    arch, power, "both",
+                    math.nan, math.nan, math.nan, math.nan,
+                    passed=False, error=str(exc),
                 )
-                continue
-            mc_l, mc_e = montecarlo.mc_branch_estimates(scenario, arch, mc_cfg)
-            for receiver, ana, mc in (("legit", ana_l, mc_l), ("eve", ana_e, mc_e)):
-                a = ana.bits_per_sec_hz
-                m = mc.bits_per_sec_hz
-                se = mc.std_error
-                gap = abs(a - m)
-                z = gap / se if se > 0 else (0.0 if gap == 0 else math.inf)
-                passed = gap <= max(3.0 * se, 0.01 * abs(a), 1e-9)
-                rows.append(
-                    ValidationRow(arch, power, receiver, a, m, se, z, passed)
-                )
+            )
+            continue
+        seed = np.random.SeedSequence([mc_cfg.master_seed, index]).generate_state(1, np.uint64)
+        point_cfg = dataclasses.replace(mc_cfg, master_seed=int(seed[0]))
+        mc_l, mc_e = montecarlo.mc_branch_estimates(scenario, arch, point_cfg)
+        for receiver, ana, mc in (("legit", ana_l, mc_l), ("eve", ana_e, mc_e)):
+            a = ana.bits_per_sec_hz
+            m = mc.bits_per_sec_hz
+            se = mc.std_error
+            gap = abs(a - m)
+            z = gap / se if se > 0 else (0.0 if gap == 0 else math.inf)
+            passed = gap <= max(_MAX_Z * se, 1e-9)
+            rows.append(
+                ValidationRow(arch, power, receiver, a, m, se, z, passed)
+            )
     if not rows:
         raise ValueError("validate compared no point: no power or no available architecture")
     return ValidationReport(rows=tuple(rows), passed=all(r.passed for r in rows))

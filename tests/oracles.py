@@ -2,8 +2,9 @@
 
 None of these is reached by the CLI or by the capacity and simulator API:
 thin validating wrappers over scipy, the two independent evaluation paths
-of the decode-and-forward capacity, and the product-of-Gammas sampler and
-moments.
+of the decode-and-forward capacity, the Gamma and product-of-Gammas
+densities and distribution functions, and the product-of-Gammas sampler
+and moments.
 """
 
 from __future__ import annotations
@@ -68,6 +69,67 @@ def meijer_g_2_0_0_2(x: float, b1: float, b2: float) -> tuple[float, float]:
 def meijer_g_1_2_2_1(x: float, a1: float, a2: float, b1: float) -> tuple[float, float]:
     """G^{1,2}_{2,1}(x | a1, a2; b1), the contour form of the relay capacity kernel."""
     return MellinBarnesEvaluator((b1,), (a1, a2)).evaluate(x)
+
+
+def gamma_pdf(g, p: FadingParams):
+    """Gamma density with shape p.alpha and rate p.beta."""
+    g = np.asarray(g, dtype=float)
+    out = np.where(
+        g < 0,
+        0.0,
+        np.exp(
+            p.alpha * math.log(p.beta)
+            + (p.alpha - 1.0) * np.log(np.where(g > 0, g, 1.0))
+            - p.beta * g
+            - log_gamma(p.alpha).real
+        ),
+    )
+    out = np.where(g == 0, 0.0 if p.alpha > 1 else (p.beta if p.alpha == 1 else np.inf), out)
+    return out if out.ndim else float(out)
+
+
+def gamma_cdf(g, p: FadingParams):
+    """P[X <= g] through the upper incomplete gamma integral."""
+    g = np.asarray(g, dtype=float)
+    if np.any(g < 0):
+        raise ValueError("gamma_cdf requires g >= 0")
+    out = 1.0 - sp.gammaincc(p.alpha, p.beta * g)
+    return out if out.ndim else float(out)
+
+
+def gamma_ccdf_series(g, p: FadingParams):
+    """Survival function as the finite Poisson-tail sum; integer shape only."""
+    if not p.integer_shape:
+        raise ValueError("series survival form requires an integer shape")
+    g = np.asarray(g, dtype=float)
+    if np.any(g < 0):
+        raise ValueError("gamma_ccdf_series requires g >= 0")
+    n = int(p.alpha)
+    bg = p.beta * g
+    term = np.ones_like(bg)
+    acc = np.ones_like(bg)
+    for j in range(1, n):
+        term = term * bg / j
+        acc = acc + term
+    out = acc * np.exp(-bg)
+    return out if out.ndim else float(out)
+
+
+def gamma_gamma_pdf(g, gg: GammaGammaParams):
+    """Density of the product of two independent Gamma gains.
+
+    Its power is the mean of the two shapes and its Bessel order their
+    difference.
+    """
+    g_arr = np.atleast_1d(np.asarray(g, dtype=float))
+    if np.any(g_arr <= 0):
+        raise ValueError("gamma_gamma_pdf requires g > 0")
+    alpha = 0.5 * (gg.shape_first + gg.shape_second)
+    order = gg.shape_first - gg.shape_second
+    norm = math.exp(log_gamma(gg.shape_first).real + log_gamma(gg.shape_second).real)
+    bess = sp.kv(order, 2.0 * np.sqrt(g_arr * gg.beta_gg))
+    out = 2.0 * gg.beta_gg ** alpha * g_arr ** (alpha - 1.0) * bess / norm
+    return out if np.ndim(g) else float(out[0])
 
 
 def sample_gamma_gamma(p1: FadingParams, p2: FadingParams, rng: np.random.Generator, size=None):

@@ -28,14 +28,19 @@ from linksec.channels import (
     GammaGammaParams,
     Geometry,
     ScenarioRelay,
-    gamma_gamma_pdf,
     relay_hop_params,
 )
 from linksec.config import reference_config
 from linksec.montecarlo import McConfig, mc_branch_estimates
 from linksec.specfun import MellinBarnesEvaluator
 from linksec.sweep import SweepSpec, figure_preset, rows_to_csv, run_sweep, validate
-from oracles import DF_PATHS, bessel_k, sample_gamma_gamma, upper_incomplete_gamma
+from oracles import (
+    DF_PATHS,
+    bessel_k,
+    gamma_gamma_pdf,
+    sample_gamma_gamma,
+    upper_incomplete_gamma,
+)
 
 
 def _report(criterion: int, message: str) -> None:

@@ -28,11 +28,10 @@ from linksec.channels import (
     Geometry,
     ScenarioIrs,
     ScenarioRelay,
-    gamma_gamma_pdf,
     snr_scaled_params,
 )
 from linksec.montecarlo import McConfig, mc_branch_estimates
-from oracles import DF_PATHS
+from oracles import DF_PATHS, gamma_ccdf_series, gamma_gamma_pdf
 
 # Exponential-hop closed form: capacity of min of two unit-shape hops with
 # total rate 1 equals e * E1(1) / ln 2.
@@ -169,12 +168,24 @@ class TestDfRelay:
             assert df_ccdf(g, f1, fb) == pytest.approx(math.exp(-2.2 * g), rel=1e-13)
 
     def test_product_of_survivals(self):
-        from linksec.channels import gamma_ccdf_series
-
         f1, fb = FadingParams(3, 0.9), FadingParams(2, 1.7)
         for g in np.linspace(0.0, 8.0, 17):
             product = gamma_ccdf_series(g, f1) * gamma_ccdf_series(g, fb)
             assert df_ccdf(g, f1, fb) == pytest.approx(product, abs=1e-12)
+
+    @pytest.mark.parametrize("g", [1e2, 1e4, 1e8])
+    def test_large_shapes_stay_finite(self, g):
+        # Shape-40 hops with mean SNRs of 40 and 80 dB: a power series in g
+        # overflows long before the exponential can damp it.
+        f1, fb = FadingParams(40, 4e-3), FadingParams(40, 4e-7)
+        value = df_ccdf(g, f1, fb)
+        assert math.isfinite(value) and 0.0 <= value <= 1.0
+        with mpmath.workdps(30):
+            ref = float(
+                mpmath.gammainc(40, f1.beta * g, regularized=True)
+                * mpmath.gammainc(40, fb.beta * g, regularized=True)
+            )
+        assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_array_equals_scalar_calls(self):
         f1, fb = FadingParams(3, 0.9), FadingParams(2, 1.7)

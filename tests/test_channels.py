@@ -9,16 +9,19 @@ from linksec.channels import (
     GammaGammaParams,
     Geometry,
     ScenarioIrs,
-    gamma_ccdf_series,
-    gamma_cdf,
-    gamma_gamma_pdf,
-    gamma_pdf,
     irs_element_params,
     pathloss,
     sample_gamma,
     snr_scaled_params,
 )
-from oracles import gamma_gamma_moment, sample_gamma_gamma
+from oracles import (
+    gamma_ccdf_series,
+    gamma_cdf,
+    gamma_gamma_moment,
+    gamma_gamma_pdf,
+    gamma_pdf,
+    sample_gamma_gamma,
+)
 
 
 class TestPathloss:

@@ -258,6 +258,31 @@ class TestValidate:
         report = validate(parsed, (10.0,), cfg)
         assert not report.passed
 
+    def test_small_relative_bias_flagged(self, monkeypatch):
+        # A 0.9% bias at 50 dB is tens of standard errors at 10^5 samples,
+        # though inside a 1% relative allowance.
+        parsed = reference_config()
+        cfg = McConfig(samples=100_000, master_seed=2024)
+        for name, arch in list(montecarlo.ARCHITECTURES.items()):
+            def scaled(scenario, analytic=arch.analytic):
+                return tuple(
+                    dataclasses.replace(e, bits_per_sec_hz=e.bits_per_sec_hz * 1.009)
+                    for e in analytic(scenario)
+                )
+            monkeypatch.setitem(
+                montecarlo.ARCHITECTURES, name, dataclasses.replace(arch, analytic=scaled)
+            )
+        report = validate(parsed, (50.0,), cfg)
+        assert not any(r.passed for r in report.rows)
+
+    def test_points_draw_from_their_own_seeds(self):
+        parsed = reference_config()
+        cfg = McConfig(samples=10_000, master_seed=7)
+        first_l, first_e, second_l, second_e = validate(parsed, (20.0, 20.0), cfg, ("irs",)).rows
+        assert first_l.analytic == second_l.analytic
+        assert first_l.monte_carlo != second_l.monte_carlo
+        assert first_e.monte_carlo != second_e.monte_carlo
+
     def test_zero_power_trivially_consistent(self):
         parsed = reference_config()
         cfg = McConfig(samples=10_000, master_seed=3)

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import mpmath
@@ -256,7 +257,7 @@ class TestBatchedContour:
     def test_unreachable_target_fails_with_bounded_memory(self):
         # A narrow pole strip (0, 0.01) makes the node spacing fine; no
         # argument can meet a target of 1e-300, which is below the rounding
-        # floor, so the evaluator gives up at the starting height.
+        # floor.
         ev = MellinBarnesEvaluator((0.0, 0.0), (0.99,))
         x = np.logspace(-2, 2, 21)
         tracemalloc.start()
@@ -267,8 +268,7 @@ class TestBatchedContour:
         finally:
             tracemalloc.stop()
         assert math.isfinite(exc_info.value.estimate)
-        # About 9 MB with the block cap; without it the 21 x 49793 block of
-        # the last height alone takes over 20 MB.
+        # About 1 MB: one 21 x 3112 block on the evaluator's single grid.
         assert peak < 16 * 2**20
 
 
@@ -277,7 +277,7 @@ class TestRoundingFloor:
     def test_reported_error_bounds_true_error_or_raises(self, v):
         # 2 K_v(2 sqrt x) falls like e^{-2 sqrt x}, far below the kernel's
         # terms of size x^{-c}: the result is rounding noise, which the
-        # error estimate must admit, at the starting height.
+        # error estimate must admit.
         mpmath.mp.dps = 30
         for x in np.logspace(3, 4, 5):
             ev = MellinBarnesEvaluator((0.5 * v, -0.5 * v))
@@ -285,6 +285,43 @@ class TestRoundingFloor:
             try:
                 val, err = ev.evaluate(x)
             except AccuracyError:
-                assert list(ev._levels) == [ev._start]
                 continue
             assert abs(val - ref) <= err
+
+
+# The kernel families the library and the suite build: the surface's 1 - MGF
+# line at Re u = 1/2, G^{2,0}_{0,2}, Gamma(s) on both sides of s = 0,
+# G^{1,2}_{2,1} and G^{2,1}_{1,2} on its default line.
+KERNELS = [
+    *(((a, b), (1.0,), 0.5)
+      for a, b in [(0.5, 0.5), (0.5, 40.0), (2.0, 2.0), (10.0, 10.0), (40.0, 40.0)]),
+    ((0.25, -0.25), (), None),
+    ((0.75, -0.75), (), None),
+    ((0.0,), (), 0.5),
+    ((0.0,), (), -0.5),
+    *(((0.0,), (0.0, -float(m)), None) for m in (0, 2, 4)),
+    ((0.0, 0.0), (-1.0,), None),
+    ((0.5, -0.5), (-1.0,), None),
+    ((0.0, 0.0), (0.99,), None),
+]
+
+
+class TestTruncation:
+    @pytest.mark.parametrize("lower,upper,abscissa", KERNELS)
+    def test_kernel_never_grows_along_the_grid(self, lower, upper, abscissa):
+        # Every Gamma factor's modulus falls monotonically in |Im s|, which
+        # makes one truncation height valid for every argument.
+        ev = MellinBarnesEvaluator(lower, upper, abscissa)
+        s = ev.abscissa + 1j * ev._t
+        log_mag = sum(special.loggamma(b + s).real for b in ev.lower)
+        log_mag = log_mag + sum(special.loggamma(1.0 - a - s).real for a in ev.upper)
+        assert np.all(np.diff(log_mag) < 0.0)
+        assert log_mag[-1] <= log_mag[0] - 40.0
+
+    def test_line_next_to_a_pole_fails_fast(self):
+        # Spacing a third of 1e-9 cannot reach the kernel's decay within
+        # the node cap.
+        start = time.perf_counter()
+        with pytest.raises(AccuracyError):
+            MellinBarnesEvaluator((0.0,), abscissa=1e-9).evaluate(1.0)
+        assert time.perf_counter() - start < 1.0
