@@ -11,7 +11,6 @@ import dataclasses
 import sys
 
 from .config import parse_config, reference_config
-from .montecarlo import McConfig
 from .sweep import figure_preset, rows_to_csv, run_sweep, validate
 
 
@@ -92,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             parsed = parse_config(args.config)
             powers = tuple(float(p) for p in args.powers.split(",") if p.strip())
-            cfg = McConfig(samples=args.samples, master_seed=args.seed)
+            cfg = dataclasses.replace(parsed.mc, samples=args.samples, master_seed=args.seed)
             report = validate(parsed, powers, cfg)
             print(report.to_text())
             return 0 if report.passed else 2

@@ -6,10 +6,12 @@ simulator draw.  The table records the closed form so that sweeps and
 validation find both routes in one place, but the simulator never calls
 it: it samples raw channel gains, forms the instantaneous end-to-end SNR
 of each receiver, and averages log2(1 + SNR).  Work is split into
-fixed-size chunks, each driven by its own counter-based Philox stream
-derived from (master seed, chunk index), so results are bit-identical no
-matter how the chunks are scheduled.  Partial sums are reduced in chunk
-order.
+chunks of at most ``chunk_size`` rows and at most 2^18 Gamma values per
+hop, so a surface of N elements gets chunks of at most 2^18 // N rows and
+memory stays bounded as N grows.  Each chunk is driven by its own
+counter-based Philox stream derived from (master seed, chunk index), so
+results are bit-identical no matter how the chunks are scheduled.  Partial
+sums are reduced in chunk order.
 """
 
 from __future__ import annotations
@@ -34,9 +36,22 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
+# Most Gamma values a chunk draws per hop.  2^18 is what a 65,536-row chunk
+# of the reference N = 4 surface draws, so that chunk and every relay chunk
+# of at most 2^18 rows keep their draws; wider surfaces get shorter chunks
+# and a memory bound that does not grow with N.
+_BLOCK_VALUES = 1 << 18
+
 
 @dataclass(frozen=True)
 class McConfig:
+    """Sample count, master seed and the largest chunk, in rows.
+
+    A chunk holds at most ``chunk_size`` rows and at most 2^18 Gamma values
+    per hop, whichever bound is smaller.  The chunk length decides which
+    draws of the seeded stream an estimate uses.
+    """
+
     samples: int
     master_seed: int
     chunk_size: int = 65536
@@ -131,9 +146,11 @@ def mc_branch_estimates(scenario, architecture: str, cfg: McConfig):
             f"{architecture} architecture requires a {arch.scenario_type.__name__}"
         )
 
+    width = getattr(scenario, "n_elements", 1)
+    rows = min(cfg.chunk_size, max(1, _BLOCK_VALUES // width))
     sums = [[0.0, 0.0], [0.0, 0.0]]
-    for index in range(-(-cfg.samples // cfg.chunk_size)):
-        count = min(cfg.chunk_size, cfg.samples - index * cfg.chunk_size)
+    for index in range(-(-cfg.samples // rows)):
+        count = min(rows, cfg.samples - index * rows)
         rng = _chunk_rng(cfg, index)
         # Both streams become bits before any sum, so the SNR arrays are
         # freed before the sums allocate their temporaries.

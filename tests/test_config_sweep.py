@@ -357,6 +357,38 @@ class TestCli:
         )
         assert code == 0
 
+    def test_validate_keeps_configured_mc_values(self, tmp_path, capsys):
+        text = config_with(**{"mc.chunk_size": "8192"})
+        cfg_path = tmp_path / "scenario.cfg"
+        cfg_path.write_text(text)
+        parsed = parse_config_text(text)
+        mc_cfg = dataclasses.replace(parsed.mc, samples=20_000, master_seed=11)
+        expected = validate(parsed, (0.0, 10.0), mc_cfg).to_text()
+        args = ["validate", "--config", str(cfg_path), "--samples", "20000", "--seed", "11"]
+        assert main(args + ["--powers", "0,10"]) == 0
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_validate_text_format(self, tmp_path, capsys):
+        # bench/workloads.py parses this text: each ok row is 8 fields
+        # (arch, power, rx, analytic, monte-carlo, s.e., z, result) and the
+        # last line is the verdict.  A new column, such as an analytic error
+        # bar, needs the benchmark's parser changed first, in a change of
+        # its own.
+        cfg_path = tmp_path / "scenario.cfg"
+        cfg_path.write_text(REFERENCE_CONFIG)
+        args = ["validate", "--config", str(cfg_path), "--samples", "20000", "--seed", "11"]
+        assert main(args + ["--powers", "0,10"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split() for line in lines[1:-1]]
+        assert len(rows) == 2 * 3 * 2
+        for fields in rows:
+            assert len(fields) == 8
+            arch, power, rx, *numbers, result = fields
+            assert arch in montecarlo.ARCHITECTURES and rx in ("legit", "eve")
+            assert result == "ok"
+            assert all(math.isfinite(float(v)) for v in (power, *numbers))
+        assert lines[-1] == "overall: PASS"
+
     def test_validate_numerical_failure_is_fail_row(self, tmp_path, monkeypatch, capsys):
         def broken(scenario, receiver):
             raise AccuracyError("budget exhausted", estimate=0.0, error_estimate=1.0)
@@ -368,7 +400,7 @@ class TestCli:
         assert main(args + ["--powers", "10"]) == 2
         out = capsys.readouterr().out
         assert "FAIL: budget exhausted" in out
-        assert "overall: FAIL" in out
+        assert out.splitlines()[-1] == "overall: FAIL"
 
     def test_validate_without_powers_is_input_error(self, tmp_path):
         cfg_path = tmp_path / "scenario.cfg"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from linksec.capacity import (
 )
 from linksec.channels import FadingParams, Geometry, ScenarioIrs, ScenarioRelay, relay_hop_params
 from linksec.montecarlo import (
+    ARCHITECTURES,
     McConfig,
+    _chunk_rng,
     mc_branch_estimates,
     mc_secrecy,
 )
@@ -85,6 +88,47 @@ class TestDeterminism:
         a = mc_branch_estimates(scn, "irs", McConfig(samples=20_000, master_seed=1))[0]
         b = mc_branch_estimates(scn, "irs", McConfig(samples=20_000, master_seed=2))[0]
         assert a.bits_per_sec_hz != b.bits_per_sec_hz
+
+
+class TestChunkBound:
+    def test_wide_surface_memory_bounded(self):
+        # Unbounded, one 4,096-row chunk at N = 1024 draws three 32 MiB
+        # arrays; capped, no array exceeds 2^18 values (2 MiB).
+        scn = irs_scenario(n=1024)
+        cfg = McConfig(samples=4096, master_seed=21, chunk_size=65536)
+        tracemalloc.start()
+        try:
+            mc_branch_estimates(scn, "irs", cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_capped_chunk_sizes_agree(self):
+        # At N = 256 every chunk_size of 1,024 rows or more is capped to
+        # 2^18 // 256 = 1,024 rows, so the draws are the same.
+        scn = irs_scenario(n=256)
+        results = {
+            mc_branch_estimates(
+                scn, "irs", McConfig(samples=8192, master_seed=22, chunk_size=chunk_size)
+            )
+            for chunk_size in (2048, 65536, 2**20)
+        }
+        assert len(results) == 1
+
+    def test_chunk_within_cap_is_one_draw(self):
+        # N = 4 at 65,536 rows is exactly 2^18 values per hop: one chunk,
+        # drawn in one call from chunk 0's stream.
+        scn = irs_scenario(n=4)
+        n = 65536
+        cfg = McConfig(samples=n, master_seed=23, chunk_size=n)
+        snrs = ARCHITECTURES["irs"].snr(scn, _chunk_rng(cfg, 0), n)
+        for est, snr in zip(mc_branch_estimates(scn, "irs", cfg), snrs):
+            bits = np.log1p(snr) / math.log(2.0)
+            mean = float(bits.sum()) / n
+            var = max(float((bits * bits).sum()) - n * mean * mean, 0.0) / (n - 1)
+            assert est.bits_per_sec_hz == mean
+            assert est.std_error == math.sqrt(var / n)
 
 
 class TestAgainstClosedForms:

@@ -250,6 +250,17 @@ class TestBatchedContour:
         # Rows of one block and single rows may round differently.
         np.testing.assert_allclose(val, [v for v, _ in scalar], rtol=1e-12, atol=0.0)
 
+    def test_multi_block_equals_scalar_calls(self):
+        # The narrow pole strip (0, 0.01) gives 3,112 nodes, so 84 arguments
+        # fill one block of kernel values and 200 arguments span three.
+        ev = MellinBarnesEvaluator((0.0, 0.0), (0.99,))
+        x = np.logspace(-3, 3, 200)
+        assert x.size > 2 * (ev._BLOCK_ELEMENTS // ev._t.size)
+        val, err = ev.evaluate(x)
+        scalar = np.array([ev.evaluate(float(t)) for t in x])
+        np.testing.assert_allclose(val, scalar[:, 0], rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(err, scalar[:, 1], rtol=1e-14, atol=0.0)
+
     def test_rejects_nonpositive_argument_in_batch(self):
         with pytest.raises(ValueError):
             meijer_g_2_1_1_2(np.array([1.0, 0.0]), -1.0, 0.0, 0.0)
