@@ -1,9 +1,9 @@
 """Secrecy capacity of surface- and relay-assisted links under eavesdropping.
 
-Closed-form ergodic/secrecy capacity evaluators for three architectures
+Analytic ergodic/secrecy capacity evaluators for three architectures
 (intelligent reflecting surface, decode-and-forward relay, fixed-gain
-amplify-and-forward relay), an independent Monte Carlo channel simulator,
-and a sweep/validation CLI.
+amplify-and-forward relay) at any positive fading shapes, an independent
+Monte Carlo channel simulator, and a sweep/validation CLI.
 """
 
 from .capacity import (

@@ -59,10 +59,6 @@ class FadingParams:
     def mean(self) -> float:
         return self.alpha / self.beta
 
-    @property
-    def integer_shape(self) -> bool:
-        return float(self.alpha).is_integer()
-
 
 def snr_scaled_params(fading: FadingParams, scale: float) -> FadingParams:
     """Fold a deterministic SNR scale factor into the Gamma rate."""

@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_method(p_sweep)
     p_sweep.add_argument("--workers", type=int, default=None, help="concurrent grid points")
 
-    p_val = sub.add_parser("validate", help="check closed forms against the simulator")
+    p_val = sub.add_parser("validate", help="check the analytic capacities against the simulator")
     p_val.add_argument("--config", required=True)
     p_val.add_argument("--samples", type=int, required=True)
     p_val.add_argument("--seed", type=int, required=True)

@@ -1,8 +1,8 @@
-"""Monte Carlo estimates of the same capacities the closed forms produce.
+"""Monte Carlo estimates of the same capacities the analytic route produces.
 
 ``ARCHITECTURES`` describes each architecture once: the scenario type it
-takes, its closed-form (legitimate, eavesdropper) capacity pair, and its
-simulator draw.  The table records the closed form so that sweeps and
+takes, its analytic (legitimate, eavesdropper) capacity pair, and its
+simulator draw.  The table records the analytic pair so that sweeps and
 validation find both routes in one place, but the simulator never calls
 it: it samples raw channel gains, forms the instantaneous end-to-end SNR
 of each receiver, and averages log2(1 + SNR).  Work is split into
@@ -110,7 +110,7 @@ def _affg_snr(scenario: ScenarioRelay, rng: np.random.Generator, n: int):
 class Architecture:
     """One architecture: its scenario type and its two evaluation routes.
 
-    ``analytic(scenario)`` returns the closed-form (legitimate,
+    ``analytic(scenario)`` returns the analytic (legitimate,
     eavesdropper) capacity estimates; ``snr(scenario, rng, n)`` draws ``n``
     paired (legitimate, eavesdropper) instantaneous SNRs from ``rng``.
     """

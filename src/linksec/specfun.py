@@ -1,21 +1,14 @@
-"""Special functions backing the capacity formulas.
+"""Special functions: log Gamma and a Mellin-Barnes contour engine.
 
-log Gamma is delegated to scipy behind a validating wrapper.  What is
-built here by hand is the machinery the closed-form capacities actually
-hinge on:
+log Gamma is delegated to scipy behind a validating wrapper.  The engine
+integrates a product of Gamma factors against x^{-s} along a vertical
+line, by default the Meijer G line of the separating strip, or any line
+off the poles.  One grid per parameter set, cut at a height set by the
+kernel's monotone decay, serves every argument; one call evaluates a
+whole array of arguments, with error = tail + rounding floor.
 
-* a scaled generalized exponential integral e^s * E_n(s), evaluated by a
-  small-argument series and a Lentz continued fraction, with stable
-  recurrences filling in whole order ranges.  It is the confluent
-  U(m+1, m+1, s) up to a power of s, which closes the survival-function
-  capacity integral of the decode-and-forward relay;
-* a reusable Mellin-Barnes engine: the integral of a product of Gamma
-  factors against x^{-s} along a vertical line, by default the Meijer G
-  line of the separating strip, or any line off the poles.  The surface
-  capacity places it one pole right of the MGF's line, which yields
-  1 - MGF directly.  One grid per parameter set, cut at a height set by
-  the kernel's monotone decay, serves every argument; one call evaluates
-  a whole array of arguments, with error = tail + rounding floor.
+The capacities do not use the engine.  It serves ``meijer_g_2_1_1_2``
+and the tests' independent cross-checks.
 """
 
 from __future__ import annotations
@@ -34,7 +27,6 @@ __all__ = [
     "MellinBarnesEvaluator",
 ]
 
-_EULER_GAMMA = 0.5772156649015328606
 _EPS = float(np.finfo(float).eps)
 
 
@@ -47,88 +39,6 @@ def log_gamma(z: complex) -> complex:
     if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
         raise ValueError(f"log_gamma pole at z = {z.real:g}")
     return complex(sp.loggamma(z))
-
-
-# ---------------------------------------------------------------------------
-# Scaled generalized exponential integral e^s * E_n(s)
-# ---------------------------------------------------------------------------
-
-def _expn_scaled_series(n: int, s: float) -> float:
-    """e^s * E_n(s) for 0 < s <= 1 via the ascending series."""
-    if n == 1:
-        # E_1(s) = -gamma - ln s + sum_{k>=1} (-1)^{k+1} s^k / (k * k!)
-        acc = -_EULER_GAMMA - math.log(s)
-        term = 1.0
-        for k in range(1, 200):
-            term *= -s / k
-            contrib = -term / k
-            acc += contrib
-            if abs(contrib) < 1e-18 * abs(acc):
-                break
-        return math.exp(s) * acc
-    psi = -_EULER_GAMMA + sum(1.0 / i for i in range(1, n))
-    lead = (-s) ** (n - 1) / math.factorial(n - 1) * (-math.log(s) + psi)
-    acc = 0.0
-    term = 1.0  # (-s)^k / k!
-    for k in range(0, 400):
-        if k > 0:
-            term *= -s / k
-        if k == n - 1:
-            continue
-        acc -= term / (k - n + 1)
-        if k > n and abs(term / (k - n + 1)) < 1e-18 * max(abs(acc), 1e-300):
-            break
-    return math.exp(s) * (lead + acc)
-
-
-def _expn_scaled_cf(n: int, s: float) -> float:
-    """e^s * E_n(s) for s >= 1 via the modified Lentz continued fraction."""
-    tiny = 1e-300
-    b = s + n
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 200_000):
-        a = -i * (n - 1 + i)
-        b += 2.0
-        d = a * d + b
-        if d == 0.0:
-            d = tiny
-        c = b + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return h
-    raise AccuracyError(
-        f"continued fraction for order {n} did not converge at s = {s:g}",
-        estimate=h,
-        error_estimate=abs(h),
-    )
-
-
-def _expn_scaled_range(n_max: int, s: float) -> np.ndarray:
-    """e^s * E_n(s) for n = 1 .. n_max.
-
-    One seed is evaluated directly; the rest of the range is filled by the
-    three-term relation n * E_{n+1}(s) = e^{-s} - s * E_n(s), run upward
-    where n >= s and downward where n <= s, which keeps every step stable.
-    """
-    out = np.empty(n_max, dtype=float)
-    if s <= 1.0:
-        out[0] = _expn_scaled_series(1, s)
-        for n in range(1, n_max):
-            out[n] = (1.0 - s * out[n - 1]) / n
-        return out
-    n_seed = min(max(int(math.floor(s)), 1), n_max)
-    out[n_seed - 1] = _expn_scaled_cf(n_seed, s)
-    for n in range(n_seed, n_max):
-        out[n] = (1.0 - s * out[n - 1]) / n
-    for n in range(n_seed - 1, 0, -1):
-        out[n - 1] = (1.0 - n * out[n]) / s
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +203,7 @@ def meijer_g_2_1_1_2(
 
     ``x`` is a positive scalar or array (see MellinBarnesEvaluator.evaluate).
     The kernel is Gamma(b1+s) Gamma(b2+s) Gamma(1-a1-s) x^{-s}; a separating
-    contour requires -min(b1, b2) < 1 - a1.  The capacities no longer call
+    contour requires -min(b1, b2) < 1 - a1.  The capacities do not call
     it; the benchmark's tracer (``bench/tracer.py``) still wraps it by name.
     """
     return _evaluator((b1, b2), (a1,)).evaluate(x)

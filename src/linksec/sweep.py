@@ -115,8 +115,6 @@ class SweepRow:
 
 
 def _apply_variable(scenario, variable: str, value: float):
-    if scenario is None:
-        return None
     if variable == "tx_power_dbm":
         return dataclasses.replace(scenario, tx_power_dbm=value)
     if variable == "eve_distance_m":
@@ -133,12 +131,11 @@ def _apply_variable(scenario, variable: str, value: float):
 
 
 def _scenario_for(parsed, architecture: str):
-    """The parsed scenario of the type the architecture takes, or None."""
+    """The parsed scenario of the type the architecture takes."""
     kind = montecarlo.ARCHITECTURES[architecture].scenario_type
-    for scenario in (parsed.scenario_irs, parsed.scenario_relay):
-        if isinstance(scenario, kind):
-            return scenario
-    return None
+    if isinstance(parsed.scenario_irs, kind):
+        return parsed.scenario_irs
+    return parsed.scenario_relay
 
 
 def _branch_estimates(
@@ -153,11 +150,6 @@ def _evaluate(
     scenario, architecture: str, method: str, mc_cfg: McConfig
 ) -> tuple[float, float, float, float, str]:
     """(secrecy, ergodic_l, ergodic_e, std_error, status) of one point."""
-    if scenario is None:
-        return (
-            math.nan, math.nan, math.nan, math.nan,
-            "error: relay scenario unavailable (non-integer fading shapes)",
-        )
     try:
         est_l, est_e = _branch_estimates(scenario, architecture, method, mc_cfg)
     except _NUMERICAL_ERRORS as exc:
@@ -290,11 +282,11 @@ def figure_preset(
         spec = SweepSpec("tx_power_dbm", 0.0, 50.0, 2.0, ("df", "affg"), methods)
         return run_sweep(spec, parsed, workers=workers)
     if fig_id == 5:
-        base = dataclasses.replace(parsed, scenario_irs=dataclasses.replace(parsed.scenario_irs, tx_power_dbm=20.0))
-        if parsed.scenario_relay is not None:
-            base = dataclasses.replace(
-                base, scenario_relay=dataclasses.replace(parsed.scenario_relay, tx_power_dbm=20.0)
-            )
+        base = dataclasses.replace(
+            parsed,
+            scenario_irs=dataclasses.replace(parsed.scenario_irs, tx_power_dbm=20.0),
+            scenario_relay=dataclasses.replace(parsed.scenario_relay, tx_power_dbm=20.0),
+        )
         spec = SweepSpec("eve_distance_m", 2.0, 40.0, 2.0, ARCHITECTURES, methods)
         return run_sweep(spec, base, workers=workers)
     if fig_id == 6:
@@ -362,7 +354,7 @@ def validate(
     mc_cfg: McConfig | None = None,
     architectures: tuple[str, ...] = ARCHITECTURES,
 ) -> ValidationReport:
-    """Compare the closed forms against the simulator on a power grid.
+    """Compare the analytic capacities against the simulator on a power grid.
 
     A receiver passes when |analytic - MC| <= 5 s.e., or when the gap is
     at most 1e-9 bits, which makes points where both methods are
@@ -377,10 +369,7 @@ def validate(
     rows: list[ValidationRow] = []
     points = itertools.product(powers_dbm, architectures)
     for index, (power, arch) in enumerate(points):
-        scenario = _scenario_for(parsed, arch)
-        if scenario is None:
-            continue
-        scenario = dataclasses.replace(scenario, tx_power_dbm=power)
+        scenario = dataclasses.replace(_scenario_for(parsed, arch), tx_power_dbm=power)
         try:
             ana_l, ana_e = _branch_estimates(scenario, arch, "analytic", mc_cfg)
         except _NUMERICAL_ERRORS as exc:
@@ -406,5 +395,5 @@ def validate(
                 ValidationRow(arch, power, receiver, a, m, se, z, passed)
             )
     if not rows:
-        raise ValueError("validate compared no point: no power or no available architecture")
+        raise ValueError("validate compared no point: no power or no architecture")
     return ValidationReport(rows=tuple(rows), passed=all(r.passed for r in rows))

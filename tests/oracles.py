@@ -1,10 +1,12 @@
 """Reference implementations that the tests compare the library against.
 
 None of these is reached by the CLI or by the capacity and simulator API:
-thin validating wrappers over scipy, the two independent evaluation paths
-of the decode-and-forward capacity, the Gamma and product-of-Gammas
-densities and distribution functions, and the product-of-Gammas sampler
-and moments.
+thin validating wrappers over scipy, the scaled exponential integral, the
+capacities by routes independent of the library's Gamma-hop rule (the
+decode-and-forward closed form and contour path, the surface's 1 - MGF on
+a Mellin-Barnes contour, the fixed-gain relay's Bessel-K survival
+function), the Gamma and product-of-Gammas densities and distribution
+functions, and the product-of-Gammas sampler and moments.
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ import math
 import numpy as np
 from scipy import special as sp
 
-from linksec.capacity import CapacityEstimate, df_ccdf, df_ergodic_capacity
+from linksec import channels
+from linksec.capacity import CapacityEstimate, df_ergodic_capacity
 from linksec.channels import FadingParams, GammaGammaParams, sample_gamma
-from linksec.quadrature import integrate_semi_infinite
-from linksec.specfun import MellinBarnesEvaluator, _expn_scaled_range, log_gamma
+from linksec.quadrature import AccuracyError, integrate_semi_infinite
+from linksec.specfun import MellinBarnesEvaluator, _evaluator, log_gamma
 
 _LN2 = math.log(2.0)
+_EULER_GAMMA = 0.5772156649015328606
 
 
 def upper_incomplete_gamma(a: float, x: float) -> float:
@@ -45,6 +49,84 @@ def bessel_k(v: float, x: float) -> float:
     if math.isnan(val):
         raise ValueError(f"bessel_k undefined for order {v:g} at x = {x:g}")
     return val
+
+
+def _expn_scaled_series(n: int, s: float) -> float:
+    """e^s * E_n(s) for 0 < s <= 1 via the ascending series."""
+    if n == 1:
+        # E_1(s) = -gamma - ln s + sum_{k>=1} (-1)^{k+1} s^k / (k * k!)
+        acc = -_EULER_GAMMA - math.log(s)
+        term = 1.0
+        for k in range(1, 200):
+            term *= -s / k
+            contrib = -term / k
+            acc += contrib
+            if abs(contrib) < 1e-18 * abs(acc):
+                break
+        return math.exp(s) * acc
+    psi = -_EULER_GAMMA + sum(1.0 / i for i in range(1, n))
+    lead = (-s) ** (n - 1) / math.factorial(n - 1) * (-math.log(s) + psi)
+    acc = 0.0
+    term = 1.0  # (-s)^k / k!
+    for k in range(0, 400):
+        if k > 0:
+            term *= -s / k
+        if k == n - 1:
+            continue
+        acc -= term / (k - n + 1)
+        if k > n and abs(term / (k - n + 1)) < 1e-18 * max(abs(acc), 1e-300):
+            break
+    return math.exp(s) * (lead + acc)
+
+
+def _expn_scaled_cf(n: int, s: float) -> float:
+    """e^s * E_n(s) for s >= 1 via the modified Lentz continued fraction."""
+    tiny = 1e-300
+    b = s + n
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 200_000):
+        a = -i * (n - 1 + i)
+        b += 2.0
+        d = a * d + b
+        if d == 0.0:
+            d = tiny
+        c = b + a / c
+        if c == 0.0:
+            c = tiny
+        d = 1.0 / d
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return h
+    raise AccuracyError(
+        f"continued fraction for order {n} did not converge at s = {s:g}",
+        estimate=h,
+        error_estimate=abs(h),
+    )
+
+
+def _expn_scaled_range(n_max: int, s: float) -> np.ndarray:
+    """e^s * E_n(s) for n = 1 .. n_max.
+
+    One seed is evaluated directly; the rest of the range is filled by the
+    three-term relation n * E_{n+1}(s) = e^{-s} - s * E_n(s), run upward
+    where n >= s and downward where n <= s, which keeps every step stable.
+    """
+    out = np.empty(n_max, dtype=float)
+    if s <= 1.0:
+        out[0] = _expn_scaled_series(1, s)
+        for n in range(1, n_max):
+            out[n] = (1.0 - s * out[n - 1]) / n
+        return out
+    n_seed = min(max(int(math.floor(s)), 1), n_max)
+    out[n_seed - 1] = _expn_scaled_cf(n_seed, s)
+    for n in range(n_seed, n_max):
+        out[n] = (1.0 - s * out[n - 1]) / n
+    for n in range(n_seed - 1, 0, -1):
+        out[n - 1] = (1.0 - n * out[n]) / s
+    return out
 
 
 def tricomi_u_integer(m: int, s: float) -> float:
@@ -99,7 +181,7 @@ def gamma_cdf(g, p: FadingParams):
 
 def gamma_ccdf_series(g, p: FadingParams):
     """Survival function as the finite Poisson-tail sum; integer shape only."""
-    if not p.integer_shape:
+    if not float(p.alpha).is_integer():
         raise ValueError("series survival form requires an integer shape")
     g = np.asarray(g, dtype=float)
     if np.any(g < 0):
@@ -169,15 +251,135 @@ def df_ergodic_capacity_contour(f1: FadingParams, fb: FadingParams) -> CapacityE
     return CapacityEstimate(bits_per_sec_hz=total / _LN2, method="analytic")
 
 
-def df_ergodic_capacity_ccdf_quadrature(f1: FadingParams, fb: FadingParams) -> CapacityEstimate:
-    """Decode-and-forward capacity by quadrature of the survival function against 1/(1+g)."""
-    result = integrate_semi_infinite(lambda g: df_ccdf(g, f1, fb) / (1.0 + g), tol_rel=1e-10)
-    return CapacityEstimate(bits_per_sec_hz=result.value / _LN2, method="analytic")
+def df_ergodic_capacity_closed_form(f1: FadingParams, fb: FadingParams) -> CapacityEstimate:
+    """Decode-and-forward capacity in closed form; integer shapes only.
+
+    The survival function is a finite double sum, and each of its terms
+    integrates against 1/(1+g) to a confluent U function, here the scaled
+    exponential integral e^s E_{m+1}(s).
+    """
+    a1, ab = int(f1.alpha), int(fb.alpha)
+    if (a1, ab) != (f1.alpha, fb.alpha):
+        raise ValueError("the closed form requires integer shapes")
+    s = f1.beta + fb.beta
+    scaled = _expn_scaled_range(a1 + ab - 1, s)
+    total = 0.0
+    for j in range(a1):
+        for p in range(ab):
+            m = j + p
+            total += math.comb(m, j) * (f1.beta / s) ** j * (fb.beta / s) ** p * scaled[m]
+    return CapacityEstimate(bits_per_sec_hz=total / _LN2, method="analytic")
 
 
-# The closed form and its two independent cross-checks.
+# The library's survival-function quadrature and its two independent
+# cross-checks.
 DF_PATHS = (
     df_ergodic_capacity,
+    df_ergodic_capacity_closed_form,
     df_ergodic_capacity_contour,
-    df_ergodic_capacity_ccdf_quadrature,
 )
+
+
+# ---------------------------------------------------------------------------
+# Surface: 1 - MGF on a Mellin-Barnes contour
+# ---------------------------------------------------------------------------
+
+def mgf_complement_contour(z: np.ndarray, gg: GammaGammaParams) -> np.ndarray:
+    """1 - MGF(z) of one element's SNR on an array of positive z.
+
+    With x = beta_gg / z and the hop shapes a, b, the MGF is
+    G^{2,1}_{1,2}(x | 1; a, b) / (Gamma(a) Gamma(b)): the line integral of
+    Gamma(a+u) Gamma(b+u) Gamma(-u) x^{-u} left of u = 0.  Moving the line
+    to Re u = 1/2 drops only the residue at u = 0, which is
+    Gamma(a) Gamma(b), the leading 1 of the MGF, so the shifted integral is
+    -(1 - MGF) Gamma(a) Gamma(b) with no subtraction.
+
+    The line's terms have size x^{-1/2} while 1 - MGF falls like ab/x, so
+    its rounding grows like sqrt(x).  Where the residue at u = 1 is within
+    5e-11 of the whole, (a+1)(b+1)/(2x) <= 5e-11, the value is ab/x.
+    """
+    a, b = gg.shape_first, gg.shape_second
+    x = gg.beta_gg / z
+    far = x > 1e10 * (a + 1.0) * (b + 1.0)
+    out = a * b / x
+    if not far.all():
+        value, _ = _evaluator((a, b), (1.0,), 0.5).evaluate(x[~far])
+        out[~far] = -value / math.exp(log_gamma(a).real + log_gamma(b).real)
+    return out
+
+
+def ergodic_capacity_irs_contour(scenario, receiver: str) -> CapacityEstimate:
+    """Surface capacity from the contour's 1 - MGF in the damped MGF integral."""
+    gg = channels.irs_element_params(scenario, receiver)
+    n = scenario.n_elements
+
+    def integrand(z):
+        out = np.zeros_like(z)
+        near = z < 40.0
+        zn = z[near]
+        delta = mgf_complement_contour(zn, gg)
+        power = np.ones_like(delta)
+        below = delta < 1.0
+        power[below] = -np.expm1(n * np.log1p(-delta[below]))
+        out[near] = power * np.exp(-zn) / zn
+        return out
+
+    result = integrate_semi_infinite(integrand, tol_rel=1e-10)
+    return CapacityEstimate(bits_per_sec_hz=max(result.value, 0.0) / _LN2, method="analytic")
+
+
+# ---------------------------------------------------------------------------
+# Fixed-gain relay: the Bessel-K survival function (Hasna & Alouini, 2004)
+# ---------------------------------------------------------------------------
+
+def affg_ccdf_bessel(g, f1: FadingParams, fb: FadingParams, l: float):
+    """Survival function of the fixed-gain end-to-end SNR as a Bessel-K sum.
+
+    The end-to-end SNR is snr_1 * snr_b / (snr_b + l).  The first-hop
+    shape must be an integer.  Terms are assembled in log space so the
+    Bessel factor cannot overflow for tiny arguments.
+    """
+    a1 = int(f1.alpha)
+    if a1 != f1.alpha:
+        raise ValueError("the Bessel sum requires an integer first-hop shape")
+    g_arr = np.asarray(g, dtype=float)
+    out = np.ones(g_arr.shape)
+    positive = g_arr > 0
+    gp = g_arr[positive]
+    ab = fb.alpha
+    log_const = ab * math.log(fb.beta) - log_gamma(ab).real + math.log(2.0)
+    bess_arg = 2.0 * np.sqrt(gp * f1.beta * fb.beta * l)
+    # Uniform large-argument behavior; the scaled Bessel routine itself
+    # gives up well before the term stops underflowing.
+    asymptotic = bess_arg > 1e8
+    log_asymptote = 0.5 * np.log(np.pi / (2.0 * bess_arg)) - bess_arg
+    bess_finite = np.where(asymptotic, 1.0, bess_arg)
+    half_log_ratio = 0.5 * (np.log(f1.beta * l * gp) - math.log(fb.beta))
+    # Log of (f1.beta*l*g/fb.beta)^(u/2) * K_u(bess_arg) for u = ab - k;
+    # -inf drops a term whose scaled Bessel value is not positive.
+    log_bessel = []
+    for k in range(a1):
+        kve = sp.kve(ab - k, bess_finite)
+        log_kv = np.where(kve > 0.0, np.log(np.where(kve > 0.0, kve, 1.0)), -np.inf) - bess_arg
+        log_bessel.append((ab - k) * half_log_ratio + np.where(asymptotic, log_asymptote, log_kv))
+    log_b1g = np.log(f1.beta * gp)
+    total = np.zeros_like(gp)
+    for j in range(a1):
+        log_j = j * log_b1g - f1.beta * gp
+        for k in range(j + 1):
+            coef = math.log(math.comb(j, k)) + k * math.log(l) - math.lgamma(j + 1) + log_const
+            log_term = coef + log_j + log_bessel[k]
+            total += np.exp(np.where(log_term < -700.0, -np.inf, log_term))
+    out[positive] = np.minimum(total, 1.0)
+    return out
+
+
+def affg_ergodic_capacity_bessel(f1: FadingParams, fb: FadingParams, l: float) -> CapacityEstimate:
+    """Fixed-gain capacity: the Bessel-sum survival function against 1/(1+g), in log g."""
+    u_max = 700.0 - math.log(max(f1.beta, fb.beta, 1.0))
+
+    def h(u):
+        return affg_ccdf_bessel(np.exp(np.minimum(u, u_max)), f1, fb, l) * sp.expit(u)
+
+    result = integrate_semi_infinite(lambda u: h(u) + h(-u), tol_rel=1e-10)
+    return CapacityEstimate(bits_per_sec_hz=result.value / _LN2, method="analytic")

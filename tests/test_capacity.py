@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import mpmath
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from linksec import capacity
 from linksec.capacity import (
     CapacityEstimate,
+    _gamma_rule,
     affg_ccdf,
     affg_ergodic_capacity,
     affg_secrecy,
@@ -28,10 +31,18 @@ from linksec.channels import (
     Geometry,
     ScenarioIrs,
     ScenarioRelay,
+    relay_hop_params,
     snr_scaled_params,
 )
-from linksec.montecarlo import McConfig, mc_branch_estimates
-from oracles import DF_PATHS, gamma_ccdf_series, gamma_gamma_pdf
+from linksec.montecarlo import ARCHITECTURES, McConfig, mc_branch_estimates
+from oracles import (
+    DF_PATHS,
+    affg_ergodic_capacity_bessel,
+    df_ergodic_capacity_closed_form,
+    ergodic_capacity_irs_contour,
+    gamma_ccdf_series,
+    gamma_gamma_pdf,
+)
 
 # Exponential-hop closed form: capacity of min of two unit-shape hops with
 # total rate 1 equals e * E1(1) / ln 2.
@@ -90,13 +101,13 @@ class TestMgfElement:
         scalar = [mgf_irs_element(float(t), gg) for t in z]
         assert all(isinstance(v, float) for v in scalar)
         # The grid spans the switch to the moment series that the transform
-        # once had; contour rows of one block and single rows may round
+        # once had; rows of one matrix product and single rows may round
         # differently.
         np.testing.assert_allclose(mgf_irs_element(z, gg), scalar, rtol=1e-12, atol=0.0)
 
     def test_series_and_contour_paths_agree(self):
         # Where the transform once switched to its moment series, the
-        # shifted contour must still match quadrature.
+        # Gamma-hop rule must still match quadrature.
         gg = self.GG
         z = gg.beta_gg / ((gg.shape_first + 12.0) * (gg.shape_second + 12.0) / 0.04)
         oracle, _ = integrate.quad(
@@ -200,12 +211,6 @@ class TestDfRelay:
         with pytest.raises(ValueError):
             df_ccdf(np.array([1.0, -1.0]), FadingParams(2, 1.0), FadingParams(2, 1.0))
 
-    def test_non_integer_shape_rejected(self):
-        with pytest.raises(ValueError):
-            df_ccdf(1.0, FadingParams(2.5, 1.0), FadingParams(2, 1.0))
-        with pytest.raises(ValueError):
-            df_ergodic_capacity(FadingParams(2.5, 1.0), FadingParams(2, 1.0))
-
     def test_exponential_closed_form(self):
         est = df_ergodic_capacity(FadingParams(1, 0.5), FadingParams(1, 0.5))
         assert est.bits_per_sec_hz == pytest.approx(EXP_CASE_BITS, rel=1e-10)
@@ -286,10 +291,9 @@ class TestAffgRelay:
 
     def test_array_equals_scalar_calls(self):
         f1, fb, l = FadingParams(2, 1.0), FadingParams(2.5, 3.0), 5.0
-        # 0 (exact 1), the body of the distribution, 1e4 (every term below
-        # the e^-700 underflow cut) and 1e16 (large-argument Bessel branch).
+        # 0 (exact 1), the body of the distribution, and 1e4 and 1e16, where
+        # every incomplete gamma of the receiving hop's rule underflows.
         g = np.array([0.0, 0.1, 1.0, 5.0, 1e4, 1e16])
-        assert 2.0 * math.sqrt(1e16 * f1.beta * fb.beta * l) > 1e8
         scalar = [affg_ccdf(float(t), f1, fb, l) for t in g]
         assert all(isinstance(v, float) for v in scalar)
         values = affg_ccdf(g, f1, fb, l)
@@ -304,12 +308,6 @@ class TestAffgRelay:
             affg_ccdf(-1.0, f1, fb, 2.0)
         with pytest.raises(ValueError):
             affg_ccdf(np.array([1.0, -1.0]), f1, fb, 2.0)
-
-    def test_non_integer_first_hop_rejected(self):
-        with pytest.raises(ValueError):
-            affg_ccdf(1.0, FadingParams(1.5, 1.0), FadingParams(2, 1.0), 2.0)
-        with pytest.raises(ValueError):
-            affg_ccdf(np.array([1.0, 2.0]), FadingParams(1.5, 1.0), FadingParams(2, 1.0), 2.0)
 
     def test_df_dominates_ergodic(self):
         for p in (0.0, 10.0, 20.0, 35.0, 50.0):
@@ -450,3 +448,110 @@ class TestLargeShapes:
             scn = irs_scenario(n=n, power_dbm=power_dbm, shape=shape)
             for ana, mc in zip(irs_branches(scn), mc_branch_estimates(scn, "irs", cfg)):
                 assert abs(ana.bits_per_sec_hz - mc.bits_per_sec_hz) <= 4.0 * mc.std_error
+
+
+# The box every analytic branch must cover: shapes, powers and element counts.
+BOX_SHAPES = (0.5, 2.0, 2.5, 10.0, 40.0)
+BOX_POWERS_DB = (-30.0, 0.0, 50.0, 120.0)
+BOX_ELEMENTS = (1, 64, 1024)
+BOX_MAX_EVALUATIONS = 2_500
+
+
+def _relative_gap(value, ref):
+    return abs(value - ref) / abs(ref) if ref else abs(value)
+
+
+class TestAnyShape:
+    @pytest.mark.parametrize("shape", BOX_SHAPES)
+    def test_gamma_rule_moments(self, shape):
+        u, w = _gamma_rule(shape)
+        assert not u.flags.writeable and not w.flags.writeable
+        assert w @ u == pytest.approx(shape, rel=1e-13, abs=0.0)
+        assert w @ (u * u) == pytest.approx(shape * (shape + 1.0), rel=1e-13, abs=0.0)
+
+    def test_affg_ccdf_non_integer_first_hop_against_monte_carlo(self):
+        f1, fb, l = FadingParams(1.5, 1.0), FadingParams(2.5, 3.0), 5.0
+        rng = np.random.default_rng(15)
+        n = 1_000_000
+        g1 = rng.gamma(1.5, 1.0, n)
+        gb = rng.gamma(2.5, 1.0 / 3.0, n)
+        snr = g1 * gb / (gb + l)
+        for g in (0.05, 0.5, 2.0):
+            emp = float((snr > g).mean())
+            se = math.sqrt(emp * (1.0 - emp) / n)
+            assert abs(affg_ccdf(g, f1, fb, l) - emp) <= 4.0 * se
+
+    @pytest.mark.parametrize("shape", [0.5, 2.5, 7.3])
+    def test_branches_against_monte_carlo(self, shape):
+        cfg = McConfig(samples=200_000, master_seed=5)
+        for arch, scn in (
+            ("irs", irs_scenario(shape=shape)),
+            ("df", relay_scenario(shape=shape)),
+            ("affg", relay_scenario(shape=shape)),
+        ):
+            analytic = ARCHITECTURES[arch].analytic(scn)
+            for ana, mc in zip(analytic, mc_branch_estimates(scn, arch, cfg)):
+                assert abs(ana.bits_per_sec_hz - mc.bits_per_sec_hz) <= 4.0 * mc.std_error
+
+
+class TestParameterBox:
+    """Every branch of the box is within 1e-9 of an independent oracle and
+    takes at most BOX_MAX_EVALUATIONS integrand evaluations, a count that
+    does not depend on the machine."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        counts = []
+        integrate_semi_infinite = capacity.integrate_semi_infinite
+
+        def counting(*args, **kwargs):
+            result = integrate_semi_infinite(*args, **kwargs)
+            counts.append(result.evaluations)
+            return result
+
+        monkeypatch.setattr(capacity, "integrate_semi_infinite", counting)
+        return counts
+
+    def test_surface_against_contour(self, evaluations):
+        # The oracle is 1 - MGF on a Mellin-Barnes contour; the receiving
+        # hops' shape is paired with every source-hop shape.
+        for a, b, power, n in itertools.product(
+            BOX_SHAPES, BOX_SHAPES, BOX_POWERS_DB, BOX_ELEMENTS
+        ):
+            scn = dataclasses.replace(
+                irs_scenario(n=n, power_dbm=power, shape=b), fading_ts=FadingParams(a, 1.0)
+            )
+            for receiver in ("legit", "eve"):
+                evaluations.clear()
+                value = ergodic_capacity_irs(scn, receiver).bits_per_sec_hz
+                ref = ergodic_capacity_irs_contour(scn, receiver).bits_per_sec_hz
+                point = (a, b, power, n, receiver)
+                assert _relative_gap(value, ref) <= 1e-9, point
+                assert len(evaluations) == 1 and evaluations[0] <= BOX_MAX_EVALUATIONS, point
+
+    def test_relays_against_closed_forms(self, evaluations):
+        # Oracles: the Bessel-K survival function in log g for the
+        # fixed-gain relay (integer first hop up to 10) and the e^s E_n
+        # closed form for decode-and-forward (integer shapes).
+        for a1, ab, power in itertools.product(BOX_SHAPES, BOX_SHAPES, BOX_POWERS_DB):
+            scn = dataclasses.replace(
+                relay_scenario(power_dbm=power, shape=ab), fading_1=FadingParams(a1, 1.0)
+            )
+            hops = relay_hop_params(scn)
+            f1 = hops["first"]
+            l = affg_snr_constant(f1)
+            for receiver in ("legit", "eve"):
+                fb = hops[receiver]
+                point = (a1, ab, power, receiver)
+                evaluations.clear()
+                value = affg_ergodic_capacity(f1, fb, l).bits_per_sec_hz
+                assert len(evaluations) == 1 and evaluations[0] <= BOX_MAX_EVALUATIONS, point
+                if a1 in (2.0, 10.0):
+                    ref = affg_ergodic_capacity_bessel(f1, fb, l).bits_per_sec_hz
+                    assert _relative_gap(value, ref) <= 1e-9, ("affg", *point)
+                evaluations.clear()
+                value = df_ergodic_capacity(f1, fb).bits_per_sec_hz
+                assert len(evaluations) == 1 and evaluations[0] <= BOX_MAX_EVALUATIONS, point
+                if a1.is_integer() and ab.is_integer():
+                    ref = df_ergodic_capacity_closed_form(f1, fb).bits_per_sec_hz
+                    assert _relative_gap(value, ref) <= 1e-9, ("df", *point)
