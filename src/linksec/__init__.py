@@ -4,6 +4,11 @@ Analytic ergodic/secrecy capacity evaluators for three architectures
 (intelligent reflecting surface, decode-and-forward relay, fixed-gain
 amplify-and-forward relay) at any positive fading shapes, an independent
 Monte Carlo channel simulator, and a sweep/validation CLI.
+
+The package runs on NumPy and the standard library alone.  The
+special-function module ``linksec.specfun`` (log Gamma and the
+Mellin-Barnes contour engine, built on SciPy) is not imported here; import
+it by name.
 """
 
 from .capacity import (
@@ -41,7 +46,6 @@ from .quadrature import (
     QuadratureResult,
     integrate_semi_infinite,
 )
-from .specfun import log_gamma, meijer_g_2_1_1_2
 from .sweep import (
     SweepRow,
     SweepSpec,

@@ -16,7 +16,9 @@ positive, so 1 - M is never formed by subtraction.
 
 The decode-and-forward relay integrates the survival function of its
 weakest hop, a product of regularized upper incomplete gammas, against
-1/(1+g), in log g.
+1/(1+g), in log g.  The incomplete gamma is this module's own
+(``_gammaincc``: a series below the split x = a + 1, a continued fraction
+above it), so the capacities need NumPy and ``math`` only.
 
 Average secrecy is the clamped difference of the two receivers' ergodic
 capacities.
@@ -29,11 +31,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as sp
 
 from . import channels
 from .channels import FadingParams, GammaGammaParams, ScenarioIrs, ScenarioRelay
-from .quadrature import integrate_semi_infinite
+from .quadrature import AccuracyError, integrate_semi_infinite
 
 __all__ = [
     "CapacityEstimate",
@@ -207,6 +208,128 @@ def irs_secrecy(scenario: ScenarioIrs) -> CapacityEstimate:
 
 
 # ---------------------------------------------------------------------------
+# Regularized upper incomplete gamma
+# ---------------------------------------------------------------------------
+
+_EPS = float(np.finfo(float).eps)
+# Cap on the series length and on the continued-fraction depth of one shape.
+_GAMMA_MAX_ITER = 10_000
+# Columns per block, so that a block's (terms x rows x columns) series
+# array stays within a few MB.
+_GAMMA_BLOCK = 4096
+
+
+@lru_cache(maxsize=64)
+def _series_length(a: float) -> int:
+    """Terms of the series for P(a, x) that reach double precision below the split.
+
+    P(a, x) = x^a e^-x / Gamma(a + 1) * S with S = sum over n >= 0 of
+    x^n / ((a + 1) ... (a + n)).  Every term grows with x, so the split
+    x = a + 1 is the worst case, and S >= 1 makes the absolute tail bound a
+    relative one.
+    """
+    x = a + 1.0
+    term = 1.0
+    for n in range(1, _GAMMA_MAX_ITER + 1):
+        term *= x / (a + n)
+        ratio = x / (a + n + 1.0)
+        if ratio < 1.0 and term * ratio / (1.0 - ratio) < 0.5 * _EPS:
+            return n
+    raise AccuracyError(
+        f"incomplete gamma series at shape {a:g} needs more than {_GAMMA_MAX_ITER} terms",
+        math.nan,
+        math.inf,
+    )
+
+
+@lru_cache(maxsize=64)
+def _fraction_depth(a: float) -> int:
+    """Depth of the continued fraction for Q(a, x) that converges above the split.
+
+    Q(a, x) = x^a e^-x / Gamma(a) / (b_0 + a_1/(b_1 + a_2/(b_2 + ...))) with
+    a_n = -n (n - a) and b_n = x + 2n + 1 - a (Numerical Recipes, 6.2).  It
+    converges slowest at the split x = a + 1, where modified Lentz
+    iterations (Numerical Recipes, 5.2) find the depth.  At integer a the
+    numerator a_a vanishes and the fraction terminates exactly.
+    """
+    tiny = 1e-300
+    b = 2.0  # b_0 at x = a + 1
+    c, d = 1.0 / tiny, 1.0 / b
+    for n in range(1, _GAMMA_MAX_ITER + 1):
+        an = -n * (n - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) >= tiny else tiny
+        if abs(c * d - 1.0) < _EPS:
+            return n
+    raise AccuracyError(
+        f"incomplete gamma continued fraction at shape {a:g} needs more than "
+        f"{_GAMMA_MAX_ITER} terms",
+        math.nan,
+        math.inf,
+    )
+
+
+@lru_cache(maxsize=64)
+def _gamma_plan(shapes: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """Per-row constants of ``_gammaincc`` for rows of the given shapes.
+
+    Returns (a, split, power, log_coef, num, den, log_gamma); the arrays
+    that carry a term axis carry it first.  Every row takes the longest
+    series and the deepest fraction that any row needs, so a value depends
+    on the shapes alone, not on the rest of the call.
+
+    With r = x / split, term n of the series for P is
+    exp((a + n) log r - x + log_coef_n), where
+    log_coef_n = (a + n) log(split) - log Gamma(a + n + 1).
+    """
+    a = np.array(shapes, dtype=float)[:, None]
+    split = a + 1.0
+    power = a + np.arange(max(map(_series_length, shapes)) + 1.0)[:, None, None]
+    log_coef = power * np.log(split) - np.vectorize(math.lgamma)(power + 1.0)
+    k = np.arange(max(map(_fraction_depth, shapes)) + 1.0)[:, None, None]
+    num = -k[1:] * (k[1:] - a)
+    den = 2.0 * k + 1.0 - a
+    log_gamma = np.array([[math.lgamma(s)] for s in shapes])
+    return a, split, power, log_coef, num, den, log_gamma
+
+
+def _gammaincc(shapes: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    """Regularized upper incomplete gamma Q(shapes[i], x[i]) for each row i of x.
+
+    Below the split x = a + 1: Q = 1 - P, P summed term by term from the
+    power series x^a e^-x / Gamma(a + 1) * sum of x^n / ((a + 1) ... (a + n))
+    with each term formed in log space.  At and above it: the continued
+    fraction, evaluated backward from its fixed depth (two NumPy calls a
+    level), times the prefactor exp(a log x - x - log Gamma(a)), which
+    underflows to 0 for huge x.  Q(a, 0) = 1.  Both branches run on every
+    element, with x clamped into their range; on the small arrays of a
+    quadrature panel that costs fewer NumPy calls than masking.  Raises
+    ``AccuracyError`` if a shape needs more than ``_GAMMA_MAX_ITER`` terms.
+    """
+    x = np.asarray(x, dtype=float)
+    a, split, power, log_coef, num, den, log_gamma = _gamma_plan(shapes)
+    flat = x.reshape(len(shapes), -1)
+    out = np.empty(flat.shape)
+    for start in range(0, flat.shape[1], _GAMMA_BLOCK):
+        xb = flat[:, start:start + _GAMMA_BLOCK]
+        low = np.minimum(np.maximum(xb, 1e-300), split)
+        q_low = 1.0 - np.exp(power * np.log(low / split) + log_coef - low).sum(axis=0)
+        high = np.minimum(np.maximum(xb, split), 1e300)  # Q(a, 1e300) = Q(a, inf) = 0
+        b = high + den
+        t = num[-1] / b[-1]
+        for j in range(num.shape[0] - 1, 0, -1):
+            t = num[j - 1] / (b[j] + t)
+        q_high = np.exp(a * np.log(high) - high - log_gamma) / (b[0] + t)
+        out[:, start:start + _GAMMA_BLOCK] = np.where(
+            xb < split, np.where(xb > 0.0, q_low, 1.0), q_high
+        )
+    return out.reshape(x.shape)
+
+
+# ---------------------------------------------------------------------------
 # Decode-and-forward relay
 # ---------------------------------------------------------------------------
 
@@ -220,7 +343,8 @@ def df_ccdf(g: float | np.ndarray, f1: FadingParams, fb: FadingParams) -> float 
     g_arr = np.asarray(g, dtype=float)
     if np.any(g_arr < 0):
         raise ValueError("g must be nonnegative")
-    out = sp.gammaincc(f1.alpha, f1.beta * g_arr) * sp.gammaincc(fb.alpha, fb.beta * g_arr)
+    q = _gammaincc((f1.alpha, fb.alpha), np.stack([f1.beta * g_arr, fb.beta * g_arr]))
+    out = q[0] * q[1]
     return float(out) if g_arr.ndim == 0 else out
 
 
@@ -230,15 +354,21 @@ def df_ergodic_capacity(f1: FadingParams, fb: FadingParams) -> CapacityEstimate:
     C = (1/ln 2) * integral of ccdf(g)/(1+g) over g > 0.  With g = e^u the
     integrand becomes h(u) = ccdf(e^u) expit(u), which spreads every decade
     of g over the same length of u; the line is folded onto u > 0 as
-    h(u) + h(-u).  The exponent is clamped where beta * e^u would overflow;
-    the survival function is zero there.
+    h(u) + h(-u).  One ``_gammaincc`` call per panel takes both hops at
+    both u and -u.  The exponent is clamped where beta * e^u would
+    overflow; the survival function is zero there.
     """
     u_max = 700.0 - math.log(max(f1.beta, fb.beta, 1.0))
+    shapes = (f1.alpha, fb.alpha)
+    rates = np.array([[f1.beta], [fb.beta]])
 
-    def h(u: np.ndarray) -> np.ndarray:
-        return df_ccdf(np.exp(np.minimum(u, u_max)), f1, fb) * sp.expit(u)
+    def folded(u: np.ndarray) -> np.ndarray:
+        v = np.concatenate([u, -u])
+        q = _gammaincc(shapes, rates * np.exp(np.minimum(v, u_max)))
+        h = q[0] * q[1] * np.exp(-np.logaddexp(0.0, -v))  # ccdf(e^v) expit(v)
+        return h[: u.size] + h[u.size:]
 
-    result = integrate_semi_infinite(lambda u: h(u) + h(-u), tol_rel=1e-9)
+    result = integrate_semi_infinite(folded, tol_rel=1e-9)
     return CapacityEstimate(bits_per_sec_hz=result.value / _LN2, method="analytic")
 
 
@@ -294,7 +424,8 @@ def affg_ccdf(
         raise ValueError("g must be nonnegative")
     out = np.ones(g_arr.shape)
     positive = g_arr > 0
-    tail = sp.gammaincc(f1.alpha, np.multiply.outer(g_arr[positive], 1.0 / phi)) @ w
+    x = np.multiply.outer(g_arr[positive], 1.0 / phi)
+    tail = _gammaincc((f1.alpha,), x[None])[0] @ w
     out[positive] = np.minimum(tail, 1.0)
     return float(out) if g_arr.ndim == 0 else out
 

@@ -88,8 +88,10 @@ _MC_DEFAULTS = {"mc.samples": 200_000, "mc.master_seed": 20240915, "mc.chunk_siz
 _METHOD_ALIASES = {"mc": "monte-carlo", "montecarlo": "monte-carlo"}
 
 
-def _parse_lines(text: str, violations: list[str]) -> dict[str, object]:
+def _parse_lines(text: str, violations: list[str]) -> tuple[dict[str, object], set[str]]:
+    """(parsed values, keys present but rejected); each rejection is one violation."""
     values: dict[str, object] = {}
+    rejected: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -103,7 +105,7 @@ def _parse_lines(text: str, violations: list[str]) -> dict[str, object]:
         if key not in _ALL_KEYS:
             violations.append(f"line {lineno}: unknown key {key!r}")
             continue
-        if key in values:
+        if key in values or key in rejected:
             violations.append(f"line {lineno}: duplicate key {key!r}")
             continue
         try:
@@ -121,17 +123,19 @@ def _parse_lines(text: str, violations: list[str]) -> dict[str, object]:
         except ValueError:
             kind = "a finite number" if key in _FLOAT_KEYS else "an integer"
             violations.append(f"line {lineno}: {key}: expected {kind}, got {rhs!r}")
-    return values
+            rejected.add(key)
+    return values, rejected
 
 
 def parse_config_text(text: str) -> ParsedConfig:
     """Parse and validate configuration text; raises ConfigError with the
     full violation list on any problem."""
     violations: list[str] = []
-    values = _parse_lines(text, violations)
+    values, rejected = _parse_lines(text, violations)
+    present = values.keys() | rejected
 
     for key in _REQUIRED:
-        if key not in values and key not in _MC_DEFAULTS:
+        if key not in present and key not in _MC_DEFAULTS:
             violations.append(f"{key}: required key is missing")
 
     def positive(key: str) -> bool:
@@ -174,13 +178,13 @@ def parse_config_text(text: str) -> ParsedConfig:
                 f"expected a subset of {','.join(METHODS)}"
             )
 
-    sweep_given = [k for k in _SWEEP_KEYS if k in values]
+    sweep_given = [k for k in _SWEEP_KEYS if k in present]
     sweep = None
     if sweep_given:
-        missing = [k for k in _SWEEP_KEYS if k not in values]
+        missing = [k for k in _SWEEP_KEYS if k not in present]
         for key in missing:
             violations.append(f"{key}: required for a sweep section")
-        if not missing:
+        if all(k in values for k in _SWEEP_KEYS):
             variable = values["sweep.variable"]
             if variable not in VARIABLES:
                 violations.append(

@@ -8,7 +8,9 @@ kernel's monotone decay, serves every argument; one call evaluates a
 whole array of arguments, with error = tail + rounding floor.
 
 The capacities do not use the engine.  It serves ``meijer_g_2_1_1_2``
-and the tests' independent cross-checks.
+and the tests' independent cross-checks.  This is the one module of the
+package that imports SciPy, and neither ``linksec`` nor the CLI imports
+it: import ``linksec.specfun`` by name.
 """
 
 from __future__ import annotations

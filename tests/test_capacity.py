@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -35,6 +36,7 @@ from linksec.channels import (
     snr_scaled_params,
 )
 from linksec.montecarlo import ARCHITECTURES, McConfig, mc_branch_estimates
+from linksec.quadrature import AccuracyError
 from oracles import (
     DF_PATHS,
     affg_ergodic_capacity_bessel,
@@ -243,6 +245,67 @@ class TestDfRelay:
         ]
         assert abs(vals[-1] - vals[-2]) < 0.01
         assert abs(vals[-2] - vals[-1]) <= abs(vals[0] - vals[1]) + 1e-9
+
+
+class TestIncompleteGamma:
+    """capacity._gammaincc, the regularized upper incomplete gamma Q(a, x)."""
+
+    SHAPES = (0.5, 1.0, 2.0, 2.5, 7.3, 10.0, 40.0)
+
+    @pytest.mark.parametrize("a", SHAPES)
+    def test_against_mpmath(self, a):
+        x = np.concatenate([[0.0], np.logspace(-12, 3.5, 160)])
+        values = capacity._gammaincc((a,), x[None])[0]
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.gammainc(a, t, regularized=True)) for t in x])
+        live = ref > 1e-300
+        np.testing.assert_allclose(values[live], ref[live], rtol=1e-12, atol=0.0)
+        assert np.all(values[~live] <= 1e-300)
+
+    def test_exactly_one_at_zero(self):
+        values = capacity._gammaincc(self.SHAPES, np.zeros((len(self.SHAPES), 3)))
+        assert np.all(values == 1.0)
+
+    def test_huge_arguments_give_zero_without_warnings(self):
+        x = np.array([1e3, 1e10, 1e100, 1e200, 1e304, np.inf])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            values = capacity._gammaincc(self.SHAPES, np.tile(x, (len(self.SHAPES), 1)))
+        assert np.all(values == 0.0)
+
+    def test_rows_take_their_own_shapes(self):
+        x = np.array([0.3, 3.0, 12.0])
+        rows = capacity._gammaincc((2.5, 40.0), np.stack([x, x]))
+        with mpmath.workdps(30):
+            for row, a in zip(rows, (2.5, 40.0)):
+                ref = [float(mpmath.gammainc(a, t, regularized=True)) for t in x]
+                np.testing.assert_allclose(row, ref, rtol=1e-12, atol=0.0)
+
+    def test_array_equals_scalar_calls(self):
+        shapes = (0.5, 40.0)
+        x = np.concatenate([[0.0], np.logspace(-6, 3, 40)])
+        arrays = capacity._gammaincc(shapes, np.stack([x, 2.0 * x]))
+        for j, t in enumerate(x):
+            np.testing.assert_array_equal(
+                capacity._gammaincc(shapes, np.array([t, 2.0 * t])), arrays[:, j]
+            )
+
+    def test_df_ccdf_array_equals_scalar_calls(self):
+        # Non-integer and large shapes, across both branches of Q.
+        f1, fb = FadingParams(2.5, 0.3), FadingParams(40, 4.0)
+        g = np.concatenate([[0.0], np.logspace(-4, 3, 50)])
+        scalar = [df_ccdf(float(t), f1, fb) for t in g]
+        np.testing.assert_array_equal(df_ccdf(g, f1, fb), scalar)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(capacity, "_GAMMA_MAX_ITER", 1)
+        for cached in (capacity._series_length, capacity._fraction_depth, capacity._gamma_plan):
+            monkeypatch.setattr(capacity, cached.__name__, functools.lru_cache(cached.__wrapped__))
+        with pytest.raises(AccuracyError):
+            capacity._fraction_depth(2.5)
+        with pytest.raises(AccuracyError):
+            capacity._series_length(2.5)
+        with pytest.raises(AccuracyError):
+            capacity._gammaincc((2.5,), np.array([[5.0]]))
 
 
 class TestAffgRelay:

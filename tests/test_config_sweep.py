@@ -106,6 +106,17 @@ class TestParsing:
             parse_config_text(config_with(**{"geometry.d_node_eve": "twenty"}))
         assert "geometry.d_node_eve" in str(exc_info.value)
 
+    @pytest.mark.parametrize(
+        "key, value", [("power.tx_dbm", "nan"), ("irs.n_elements", "four"), ("sweep.from", "x")]
+    )
+    def test_rejected_value_is_one_violation(self, key, value):
+        # A key that is present but unparsable is not also reported as
+        # missing, from the required keys or from the sweep section.
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config_text(config_with(**{key: value}))
+        assert len(exc_info.value.violations) == 1
+        assert key in exc_info.value.violations[0]
+
 
 class TestSweepSpec:
     def test_grid_arithmetic(self):
