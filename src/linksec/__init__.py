@@ -41,11 +41,7 @@ from .montecarlo import (
     mc_branch_estimates,
     mc_secrecy,
 )
-from .quadrature import (
-    AccuracyError,
-    QuadratureResult,
-    integrate_semi_infinite,
-)
+from .quadrature import AccuracyError
 from .sweep import (
     SweepRow,
     SweepSpec,

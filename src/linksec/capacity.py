@@ -1,8 +1,8 @@
 """Ergodic and secrecy capacities of the three architectures.
 
 All capacities are in bits/s/Hz, and every fading shape may be any
-positive real.  Each capacity is one integral over a half-line, evaluated
-by the adaptive rule in ``quadrature``.
+positive real.  Every capacity is a trapezoid sum in a log variable on
+nodes that follow from the inputs alone.
 
 The surface element and the fixed-gain relay go through the moment
 generating function M of the SNR (Hamdi's lemma):
@@ -12,13 +12,15 @@ both, 1 - M(z) is an expectation over a single unit-rate Gamma hop U of
 1 - (1 + z phi(U))^{-p}, which is bounded, positive and analytic in
 log u: the other hop has been averaged in closed form.  One trapezoid
 rule in log u (``_gamma_rule``) takes that expectation, term by term
-positive, so 1 - M is never formed by subtraction.
+positive, so 1 - M is never formed by subtraction, and the fixed rule in
+log z of ``quadrature.integrate_semi_infinite`` takes the outer integral.
 
-The decode-and-forward relay integrates the survival function of its
-weakest hop, a product of regularized upper incomplete gammas, against
-1/(1+g), in log g.  The incomplete gamma is this module's own
-(``_gammaincc``: a series below the split x = a + 1, a continued fraction
-above it), so the capacities need NumPy and ``math`` only.
+The decode-and-forward relay needs no outer integral: the capacity of
+the weaker hop is a sum over the two hops of E[log2(1 + G_i) P(G_j > G_i)],
+each on the Gamma-hop rule of G_i.  The survival function is this
+module's own regularized upper incomplete gamma (``_gammaincc``: a series
+below the split x = a + 1, a continued fraction above it), so the
+capacities need NumPy and ``math`` only.
 
 Average secrecy is the clamped difference of the two receivers' ergodic
 capacities.
@@ -97,19 +99,19 @@ _RULE_DECAY = 45.0
 
 
 @lru_cache(maxsize=64)
-def _gamma_rule(shape: float) -> tuple[np.ndarray, np.ndarray]:
+def _gamma_rule(shape: float, step: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Nodes u and weights w with sum(w * f(u)) ~ E f(U), U ~ Gamma(shape, 1).
 
-    A trapezoid rule in v = log u on the nodes v = k*h, h =
-    min(0.1, 0.5/sqrt(shape)), against the density exp(shape*v - e^v) of
-    V, whose peak at v = log(shape) has width about 1/sqrt(shape).  For
-    integrands analytic in a strip around the real v axis it converges
-    exponentially.  Nodes whose log-density is more than ``_RULE_DECAY``
-    below the peak are dropped; all others lie in
+    A trapezoid rule in v = log u on the nodes v = k*step, by default
+    step = min(0.1, 0.5/sqrt(shape)), against the density
+    exp(shape*v - e^v) of V, whose peak at v = log(shape) has width about
+    1/sqrt(shape).  For integrands analytic in a strip around the real v
+    axis it converges exponentially.  Nodes whose log-density is more than
+    ``_RULE_DECAY`` below the peak are dropped; all others lie in
     [log(shape) - 45/shape - 1, log(2*shape + 90)].  The weights are
     normalized to sum to one, and both arrays are read-only.
     """
-    h = min(0.1, 0.5 / math.sqrt(shape))
+    h = min(0.1, 0.5 / math.sqrt(shape)) if step is None else step
     lo = math.log(shape) - _RULE_DECAY / shape - 1.0
     hi = math.log(2.0 * shape + 2.0 * _RULE_DECAY)
     v = h * np.arange(math.floor(lo / h), math.ceil(hi / h) + 1)
@@ -124,32 +126,46 @@ def _gamma_rule(shape: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _complement(z: np.ndarray, phi: np.ndarray, w: np.ndarray, power: float) -> np.ndarray:
-    """1 - E[(1 + z phi(U))^-power] on an array of z, as the rule's positive sum."""
-    return -np.expm1(-power * np.log1p(np.multiply.outer(z, phi))) @ w
+    """1 - E[(1 + z phi(U))^-power] on an array of z, as the rule's positive sum.
+
+    The (z, u) array is transformed in place: on a whole outer grid it is
+    the largest array of a capacity, and one copy of it is the peak memory.
+    """
+    t = np.multiply.outer(z, phi)
+    np.log1p(t, out=t)
+    t *= -power
+    np.expm1(t, out=t)
+    return -(t @ w)
 
 
 # 1 - M^n is concave in z and vanishes at 0, so (1 - M^n)/z does not
 # increase and the integral beyond z = _Z_TAIL is at most
 # e^{-_Z_TAIL} / (1 - e^{-_Z_TAIL}) of the whole: below double precision.
 _Z_TAIL = 40.0
+# Below z = e^{-_Z_LEFT} / max(1, n m), n m the slope of 1 - M^n at 0, the
+# integrand in log z is at most n m z, which leaves out about e^{-_Z_LEFT}.
+_Z_LEFT = 32.0
 
 
 def _damped_capacity(phi: np.ndarray, w: np.ndarray, power: float, n: int) -> CapacityEstimate:
-    """(1/ln 2) * integral of (1 - M(z)^n) e^{-z}/z, 1 - M as in ``_complement``."""
+    """(1/ln 2) * integral of (1 - M(z)^n) e^{-z}/z, 1 - M as in ``_complement``.
+
+    The integral is the fixed trapezoid rule in log z of
+    ``integrate_semi_infinite`` on [-log(max(1, n m)) - _Z_LEFT, log _Z_TAIL],
+    where m = power * E[phi(U)] is the slope of 1 - M at 0.
+    """
 
     def integrand(z: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(z)
-        near = z < _Z_TAIL
-        zn = z[near]
-        delta = _complement(zn, phi, w, power)
+        delta = _complement(z, phi, w, power)
         # 1 - (1 - delta)^n without cancellation for delta close to zero.
         power_complement = np.ones_like(delta)
         below = delta < 1.0
         power_complement[below] = -np.expm1(n * np.log1p(-delta[below]))
-        out[near] = power_complement * np.exp(-zn) / zn
-        return out
+        return power_complement * np.exp(-z) / z
 
-    result = integrate_semi_infinite(integrand, tol_rel=1e-9)
+    slope = power * float(phi @ w)
+    s_lo = -math.log(max(1.0, n * slope)) - _Z_LEFT
+    result = integrate_semi_infinite(integrand, s_lo, math.log(_Z_TAIL), tol_rel=1e-9)
     return CapacityEstimate(bits_per_sec_hz=max(result.value, 0.0) / _LN2, method="analytic")
 
 
@@ -305,8 +321,8 @@ def _gammaincc(shapes: tuple[float, ...], x: np.ndarray) -> np.ndarray:
     fraction, evaluated backward from its fixed depth (two NumPy calls a
     level), times the prefactor exp(a log x - x - log Gamma(a)), which
     underflows to 0 for huge x.  Q(a, 0) = 1.  Both branches run on every
-    element, with x clamped into their range; on the small arrays of a
-    quadrature panel that costs fewer NumPy calls than masking.  Raises
+    element, with x clamped into their range; on the arrays of one rule's
+    nodes that costs fewer NumPy calls than masking.  Raises
     ``AccuracyError`` if a shape needs more than ``_GAMMA_MAX_ITER`` terms.
     """
     x = np.asarray(x, dtype=float)
@@ -348,28 +364,39 @@ def df_ccdf(g: float | np.ndarray, f1: FadingParams, fb: FadingParams) -> float 
     return float(out) if g_arr.ndim == 0 else out
 
 
+# Largest admissible |1 - P(G1 < G2) - P(G2 < G1)| on the rules' nodes.
+_DF_UNITY_TOL = 1e-9
+
+
 def df_ergodic_capacity(f1: FadingParams, fb: FadingParams) -> CapacityEstimate:
-    """Ergodic capacity of the weakest-hop SNR by survival-function quadrature.
+    """Ergodic capacity of the weakest-hop SNR as two sums on Gamma-hop rules.
 
-    C = (1/ln 2) * integral of ccdf(g)/(1+g) over g > 0.  With g = e^u the
-    integrand becomes h(u) = ccdf(e^u) expit(u), which spreads every decade
-    of g over the same length of u; the line is folded onto u > 0 as
-    h(u) + h(-u).  One ``_gammaincc`` call per panel takes both hops at
-    both u and -u.  The exponent is clamped where beta * e^u would
-    overflow; the survival function is zero there.
+    With hop SNRs G_i = U_i / beta_i, U_i ~ Gamma(shape_i, 1),
+    E[ln(1 + min(G_1, G_b))] is the sum over i != j of
+    E[ln(1 + G_i) Q(shape_j, beta_j G_i)], Q the survival function of the
+    other hop: one expectation over one hop each, on ``_gamma_rule``.  The
+    step min(0.1, 0.5/sqrt(max shape)) resolves the step of Q, whose width
+    in log u is about 1/sqrt(shape_j).  The same Q values sum to
+    P(G_1 < G_b) + P(G_b < G_1) = 1; AccuracyError is raised when they miss
+    it by more than ``_DF_UNITY_TOL``.  The rules keep their full window:
+    ln(1 + u/beta_i) does not vanish with u fast enough to trim it.
     """
-    u_max = 700.0 - math.log(max(f1.beta, fb.beta, 1.0))
-    shapes = (f1.alpha, fb.alpha)
-    rates = np.array([[f1.beta], [fb.beta]])
-
-    def folded(u: np.ndarray) -> np.ndarray:
-        v = np.concatenate([u, -u])
-        q = _gammaincc(shapes, rates * np.exp(np.minimum(v, u_max)))
-        h = q[0] * q[1] * np.exp(-np.logaddexp(0.0, -v))  # ccdf(e^v) expit(v)
-        return h[: u.size] + h[u.size:]
-
-    result = integrate_semi_infinite(folded, tol_rel=1e-9)
-    return CapacityEstimate(bits_per_sec_hz=result.value / _LN2, method="analytic")
+    step = min(0.1, 0.5 / math.sqrt(max(f1.alpha, fb.alpha)))
+    capacity = unity = 0.0
+    for own, other in ((f1, fb), (fb, f1)):
+        u, w = _gamma_rule(own.alpha, step)
+        g = u / own.beta
+        q = _gammaincc((other.alpha,), (other.beta * g)[None])[0]
+        capacity += float(w @ (np.log1p(g) * q))
+        unity += float(w @ q)
+    if not abs(1.0 - unity) <= _DF_UNITY_TOL:
+        raise AccuracyError(
+            f"decode-and-forward rule at step {step:g} gives "
+            f"P(G1 < G2) + P(G2 < G1) = {unity!r}",
+            estimate=capacity / _LN2,
+            error_estimate=abs(1.0 - unity) * capacity / _LN2,
+        )
+    return CapacityEstimate(bits_per_sec_hz=capacity / _LN2, method="analytic")
 
 
 def df_branches(scenario: ScenarioRelay) -> tuple[CapacityEstimate, CapacityEstimate]:

@@ -10,6 +10,7 @@ c*X ~ Gamma(alpha, beta/c).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,11 @@ __all__ = [
 ]
 
 RECEIVERS = ("legit", "eve")
+
+
+def _positive(value: float) -> bool:
+    """True for a finite value above zero; nan and inf are not."""
+    return value > 0 and math.isfinite(value)
 
 
 def db_to_linear(value_db: float) -> float:
@@ -52,8 +58,8 @@ class FadingParams:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("fading shape and rate must be positive")
+        if not (_positive(self.alpha) and _positive(self.beta)):
+            raise ValueError("fading shape and rate must be positive and finite")
 
     @property
     def mean(self) -> float:
@@ -77,11 +83,9 @@ class Geometry:
     pathloss_exponent: float
 
     def __post_init__(self):
-        for name in ("d_source_node", "d_node_legit", "d_node_eve"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.pathloss_exponent <= 0:
-            raise ValueError("pathloss_exponent must be positive")
+        for name in ("d_source_node", "d_node_legit", "d_node_eve", "pathloss_exponent"):
+            if not _positive(getattr(self, name)):
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -98,10 +102,12 @@ class ScenarioIrs:
     noise_power_eve: float
 
     def __post_init__(self):
-        if self.n_elements < 1:
+        if not self.n_elements >= 1:
             raise ValueError("n_elements must be at least 1")
-        if self.noise_power_legit <= 0 or self.noise_power_eve <= 0:
-            raise ValueError("noise powers must be positive")
+        if not (_positive(self.noise_power_legit) and _positive(self.noise_power_eve)):
+            raise ValueError("noise powers must be positive and finite")
+        if not math.isfinite(self.tx_power_dbm):
+            raise ValueError("tx_power_dbm must be finite")
 
 
 @dataclass(frozen=True)
@@ -118,8 +124,11 @@ class ScenarioRelay:
     noise_power_eve: float
 
     def __post_init__(self):
-        if min(self.noise_power_relay, self.noise_power_legit, self.noise_power_eve) <= 0:
-            raise ValueError("noise powers must be positive")
+        noise = (self.noise_power_relay, self.noise_power_legit, self.noise_power_eve)
+        if not all(map(_positive, noise)):
+            raise ValueError("noise powers must be positive and finite")
+        if not math.isfinite(self.tx_power_dbm):
+            raise ValueError("tx_power_dbm must be finite")
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,35 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from .config import parse_config, reference_config
 from .sweep import figure_preset, rows_to_csv, run_sweep, validate
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the input-error code."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _workers(text: str) -> int:
+    if not (text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {text!r}")
+    return int(text)
+
+
+def _powers(text: str) -> tuple[float, ...]:
+    try:
+        powers = tuple(float(p) for p in text.split(",") if p.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be numbers in dB, not {text!r}") from None
+    if not all(map(math.isfinite, powers)):
+        raise argparse.ArgumentTypeError(f"must be finite, not {text!r}")
+    return powers
 
 
 def _add_method(parser: argparse.ArgumentParser) -> None:
@@ -32,7 +57,7 @@ def _method_tuple(name: str) -> tuple[str, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="linksec",
         description=(
             "Average secrecy capacity of a surface- or relay-assisted link "
@@ -45,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True, help="scenario configuration file")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     _add_method(p_sweep)
-    p_sweep.add_argument("--workers", type=int, default=None, help="concurrent grid points")
+    p_sweep.add_argument("--workers", type=_workers, default=None, help="concurrent grid points")
 
     p_val = sub.add_parser("validate", help="check the analytic capacities against the simulator")
     p_val.add_argument("--config", required=True)
@@ -53,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--seed", type=int, required=True)
     p_val.add_argument(
         "--powers",
+        type=_powers,
         default="0,10,20",
         help="comma-separated transmit powers in dB (default 0,10,20)",
     )
@@ -66,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario file (default: the built-in reference scenario)",
     )
     _add_method(p_fig)
-    p_fig.add_argument("--workers", type=int, default=None)
+    p_fig.add_argument("--workers", type=_workers, default=None)
 
     return parser
 
@@ -90,9 +116,8 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "validate":
             parsed = parse_config(args.config)
-            powers = tuple(float(p) for p in args.powers.split(",") if p.strip())
             cfg = dataclasses.replace(parsed.mc, samples=args.samples, master_seed=args.seed)
-            report = validate(parsed, powers, cfg)
+            report = validate(parsed, args.powers, cfg)
             print(report.to_text())
             return 0 if report.passed else 2
 

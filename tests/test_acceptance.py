@@ -72,8 +72,8 @@ def test_criterion_1_analytic_monte_carlo_agreement():
 
 
 def test_criterion_2_df_three_path_equivalence():
-    """The confluent-U closed form, the contour path, and survival-function
-    quadrature agree pairwise within 1e-7 relative."""
+    """The confluent-U closed form, the contour path, and the library's
+    Gamma-hop sums agree pairwise within 1e-7 relative."""
     checked = 0
     for a1 in (1, 2, 3):
         for ab in (1, 2, 3):

@@ -558,9 +558,9 @@ class TestAnyShape:
 
 
 class TestParameterBox:
-    """Every branch of the box is within 1e-9 of an independent oracle and
-    takes at most BOX_MAX_EVALUATIONS integrand evaluations, a count that
-    does not depend on the machine."""
+    """Every branch of the box is within 1e-9 (DF: 1e-12) of an independent
+    oracle and takes at most BOX_MAX_EVALUATIONS integrand evaluations
+    (rule nodes for DF), a count that does not depend on the machine."""
 
     @pytest.fixture
     def evaluations(self, monkeypatch):
@@ -573,6 +573,20 @@ class TestParameterBox:
             return result
 
         monkeypatch.setattr(capacity, "integrate_semi_infinite", counting)
+        return counts
+
+    @pytest.fixture
+    def rule_nodes(self, monkeypatch):
+        """Node counts of the Gamma-hop rules a call asks for, in order."""
+        counts = []
+        gamma_rule = capacity._gamma_rule
+
+        def counting(*args, **kwargs):
+            u, w = gamma_rule(*args, **kwargs)
+            counts.append(u.size)
+            return u, w
+
+        monkeypatch.setattr(capacity, "_gamma_rule", counting)
         return counts
 
     def test_surface_against_contour(self, evaluations):
@@ -592,10 +606,14 @@ class TestParameterBox:
                 assert _relative_gap(value, ref) <= 1e-9, point
                 assert len(evaluations) == 1 and evaluations[0] <= BOX_MAX_EVALUATIONS, point
 
-    def test_relays_against_closed_forms(self, evaluations):
+    def test_relays_against_closed_forms(self, evaluations, rule_nodes, monkeypatch):
         # Oracles: the Bessel-K survival function in log g for the
         # fixed-gain relay (integer first hop up to 10) and the e^s E_n
-        # closed form for decode-and-forward (integer shapes).
+        # closed form for decode-and-forward (integer shapes).  DF has no
+        # outer integral; its count is the nodes of its two hop rules, and
+        # its P(G1 < G2) + P(G2 < G1) stays within 1e-12 of 1, so the
+        # production check at 1e-9 has room to spare.
+        monkeypatch.setattr(capacity, "_DF_UNITY_TOL", 1e-12)
         for a1, ab, power in itertools.product(BOX_SHAPES, BOX_SHAPES, BOX_POWERS_DB):
             scn = dataclasses.replace(
                 relay_scenario(power_dbm=power, shape=ab), fading_1=FadingParams(a1, 1.0)
@@ -613,8 +631,21 @@ class TestParameterBox:
                     ref = affg_ergodic_capacity_bessel(f1, fb, l).bits_per_sec_hz
                     assert _relative_gap(value, ref) <= 1e-9, ("affg", *point)
                 evaluations.clear()
+                rule_nodes.clear()
                 value = df_ergodic_capacity(f1, fb).bits_per_sec_hz
-                assert len(evaluations) == 1 and evaluations[0] <= BOX_MAX_EVALUATIONS, point
+                assert not evaluations and len(rule_nodes) == 2, point
+                assert sum(rule_nodes) <= BOX_MAX_EVALUATIONS, point
                 if a1.is_integer() and ab.is_integer():
                     ref = df_ergodic_capacity_closed_form(f1, fb).bits_per_sec_hz
-                    assert _relative_gap(value, ref) <= 1e-9, ("df", *point)
+                    assert _relative_gap(value, ref) <= 1e-12, ("df", *point)
+
+    def test_df_unity_check_raises_on_a_coarse_step(self, monkeypatch):
+        # A step of 1.5 in log u cannot resolve the other hop's survival
+        # function at shape 40, and the check on the same nodes says so.
+        gamma_rule = capacity._gamma_rule
+        monkeypatch.setattr(
+            capacity, "_gamma_rule", lambda shape, step=None: gamma_rule(shape, 1.5)
+        )
+        with pytest.raises(AccuracyError) as exc_info:
+            df_ergodic_capacity(FadingParams(40.0, 1.0), FadingParams(40.0, 0.5))
+        assert exc_info.value.error_estimate > 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from linksec.channels import (
     GammaGammaParams,
     Geometry,
     ScenarioIrs,
+    ScenarioRelay,
     irs_element_params,
     pathloss,
     sample_gamma,
@@ -185,6 +187,33 @@ class TestScenarioParameterization:
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
             Geometry(10.0, 0.0, 20.0, 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_or_nonpositive_values_rejected(self, bad):
+        scn = self._scenario()
+        with pytest.raises(ValueError):
+            FadingParams(bad, 1.0)
+        with pytest.raises(ValueError):
+            FadingParams(2.0, bad)
+        for i in range(4):
+            with pytest.raises(ValueError):
+                Geometry(*[bad if j == i else 10.0 for j in range(4)])
+        for field in ("noise_power_legit", "noise_power_eve"):
+            with pytest.raises(ValueError):
+                dataclasses.replace(scn, **{field: bad})
+        relay = ScenarioRelay(
+            scn.geometry, scn.fading_ts, scn.fading_sl, scn.fading_se, 20.0, 0.01, 0.01, 0.01
+        )
+        for field in ("noise_power_relay", "noise_power_legit", "noise_power_eve"):
+            with pytest.raises(ValueError):
+                dataclasses.replace(relay, **{field: bad})
+        if not math.isfinite(bad):
+            for scenario in (scn, relay):
+                with pytest.raises(ValueError):
+                    dataclasses.replace(scenario, tx_power_dbm=bad)
+        if math.isnan(bad):
+            with pytest.raises(ValueError):
+                dataclasses.replace(scn, n_elements=bad)
 
     def test_invalid_scenario_rejected(self):
         scn = self._scenario()

@@ -400,6 +400,28 @@ class TestCli:
         assert "FAIL: budget exhausted" in out
         assert out.splitlines()[-1] == "overall: FAIL"
 
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["figure", "--id", "7", "--out", "x.csv"], "--id"),
+            (["figure", "--id", "3", "--out", "x.csv", "--workers", "0"], "--workers"),
+            (["sweep", "--config", "c.cfg", "--out", "x.csv", "--workers", "-3"], "--workers"),
+            (["validate", "--config", "c.cfg", "--samples", "abc", "--seed", "1"], "--samples"),
+            (["validate", "--config", "c.cfg", "--samples", "9", "--seed", "1", "--powers", "nan"],
+             "--powers"),
+            (["validate", "--config", "c.cfg", "--samples", "9", "--seed", "1", "--powers", "0,inf"],
+             "--powers"),
+            (["figure", "--out", "x.csv"], "--id"),
+        ],
+    )
+    def test_bad_argument_is_input_error(self, args, flag, capsys):
+        # Exit 2 is kept for a failed validation; every bad argument is 1,
+        # and the message names the flag.
+        with pytest.raises(SystemExit) as exc_info:
+            main(args)
+        assert exc_info.value.code == 1
+        assert flag in capsys.readouterr().err
+
     def test_validate_without_powers_is_input_error(self, tmp_path):
         cfg_path = tmp_path / "scenario.cfg"
         cfg_path.write_text(REFERENCE_CONFIG)
