@@ -230,8 +230,8 @@ def irs_secrecy(scenario: ScenarioIrs) -> CapacityEstimate:
 _EPS = float(np.finfo(float).eps)
 # Cap on the series length and on the continued-fraction depth of one shape.
 _GAMMA_MAX_ITER = 10_000
-# Columns per block, so that a block's (terms x rows x columns) series
-# array stays within a few MB.
+# Elements per block, so that a block's (terms x elements) series array
+# stays within a few MB.
 _GAMMA_BLOCK = 4096
 
 
@@ -289,31 +289,28 @@ def _fraction_depth(a: float) -> int:
 
 
 @lru_cache(maxsize=64)
-def _gamma_plan(shapes: tuple[float, ...]) -> tuple[np.ndarray, ...]:
-    """Per-row constants of ``_gammaincc`` for rows of the given shapes.
+def _gamma_plan(a: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Constants of ``_gammaincc`` at shape a.
 
-    Returns (a, split, power, log_coef, num, den, log_gamma); the arrays
-    that carry a term axis carry it first.  Every row takes the longest
-    series and the deepest fraction that any row needs, so a value depends
-    on the shapes alone, not on the rest of the call.
+    Returns (split, power, log_coef, num, den); the arrays carry a term
+    axis first.  They depend on the shape alone, so a value does not
+    depend on the rest of the call.
 
     With r = x / split, term n of the series for P is
     exp((a + n) log r - x + log_coef_n), where
     log_coef_n = (a + n) log(split) - log Gamma(a + n + 1).
     """
-    a = np.array(shapes, dtype=float)[:, None]
     split = a + 1.0
-    power = a + np.arange(max(map(_series_length, shapes)) + 1.0)[:, None, None]
+    power = a + np.arange(_series_length(a) + 1.0)[:, None]
     log_coef = power * np.log(split) - np.vectorize(math.lgamma)(power + 1.0)
-    k = np.arange(max(map(_fraction_depth, shapes)) + 1.0)[:, None, None]
+    k = np.arange(_fraction_depth(a) + 1.0)[:, None]
     num = -k[1:] * (k[1:] - a)
     den = 2.0 * k + 1.0 - a
-    log_gamma = np.array([[math.lgamma(s)] for s in shapes])
-    return a, split, power, log_coef, num, den, log_gamma
+    return split, power, log_coef, num, den
 
 
-def _gammaincc(shapes: tuple[float, ...], x: np.ndarray) -> np.ndarray:
-    """Regularized upper incomplete gamma Q(shapes[i], x[i]) for each row i of x.
+def _gammaincc(a: float, x: np.ndarray) -> np.ndarray:
+    """Regularized upper incomplete gamma Q(a, x) for each element of x.
 
     Below the split x = a + 1: Q = 1 - P, P summed term by term from the
     power series x^a e^-x / Gamma(a + 1) * sum of x^n / ((a + 1) ... (a + n))
@@ -323,14 +320,19 @@ def _gammaincc(shapes: tuple[float, ...], x: np.ndarray) -> np.ndarray:
     underflows to 0 for huge x.  Q(a, 0) = 1.  Both branches run on every
     element, with x clamped into their range; on the arrays of one rule's
     nodes that costs fewer NumPy calls than masking.  Raises
-    ``AccuracyError`` if a shape needs more than ``_GAMMA_MAX_ITER`` terms.
+    ``AccuracyError`` if the shape needs more than ``_GAMMA_MAX_ITER`` terms.
     """
     x = np.asarray(x, dtype=float)
-    a, split, power, log_coef, num, den, log_gamma = _gamma_plan(shapes)
-    flat = x.reshape(len(shapes), -1)
+    split, power, log_coef, num, den = _gamma_plan(a)
+    log_gamma = math.lgamma(a)
+    flat = x.reshape(-1)
+    if flat.size % _GAMMA_BLOCK == 1:
+        # NumPy sums the terms of a lone element pairwise and those of two
+        # or more in order; a padded block keeps every element in order.
+        flat = np.append(flat, 0.0)
     out = np.empty(flat.shape)
-    for start in range(0, flat.shape[1], _GAMMA_BLOCK):
-        xb = flat[:, start:start + _GAMMA_BLOCK]
+    for start in range(0, flat.size, _GAMMA_BLOCK):
+        xb = flat[start:start + _GAMMA_BLOCK]
         low = np.minimum(np.maximum(xb, 1e-300), split)
         q_low = 1.0 - np.exp(power * np.log(low / split) + log_coef - low).sum(axis=0)
         high = np.minimum(np.maximum(xb, split), 1e300)  # Q(a, 1e300) = Q(a, inf) = 0
@@ -339,10 +341,10 @@ def _gammaincc(shapes: tuple[float, ...], x: np.ndarray) -> np.ndarray:
         for j in range(num.shape[0] - 1, 0, -1):
             t = num[j - 1] / (b[j] + t)
         q_high = np.exp(a * np.log(high) - high - log_gamma) / (b[0] + t)
-        out[:, start:start + _GAMMA_BLOCK] = np.where(
+        out[start:start + _GAMMA_BLOCK] = np.where(
             xb < split, np.where(xb > 0.0, q_low, 1.0), q_high
         )
-    return out.reshape(x.shape)
+    return out[:x.size].reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +361,7 @@ def df_ccdf(g: float | np.ndarray, f1: FadingParams, fb: FadingParams) -> float 
     g_arr = np.asarray(g, dtype=float)
     if np.any(g_arr < 0):
         raise ValueError("g must be nonnegative")
-    q = _gammaincc((f1.alpha, fb.alpha), np.stack([f1.beta * g_arr, fb.beta * g_arr]))
-    out = q[0] * q[1]
+    out = _gammaincc(f1.alpha, f1.beta * g_arr) * _gammaincc(fb.alpha, fb.beta * g_arr)
     return float(out) if g_arr.ndim == 0 else out
 
 
@@ -386,7 +387,7 @@ def df_ergodic_capacity(f1: FadingParams, fb: FadingParams) -> CapacityEstimate:
     for own, other in ((f1, fb), (fb, f1)):
         u, w = _gamma_rule(own.alpha, step)
         g = u / own.beta
-        q = _gammaincc((other.alpha,), (other.beta * g)[None])[0]
+        q = _gammaincc(other.alpha, other.beta * g)
         capacity += float(w @ (np.log1p(g) * q))
         unity += float(w @ q)
     if not abs(1.0 - unity) <= _DF_UNITY_TOL:
@@ -452,7 +453,7 @@ def affg_ccdf(
     out = np.ones(g_arr.shape)
     positive = g_arr > 0
     x = np.multiply.outer(g_arr[positive], 1.0 / phi)
-    tail = _gammaincc((f1.alpha,), x[None])[0] @ w
+    tail = _gammaincc(f1.alpha, x) @ w
     out[positive] = np.minimum(tail, 1.0)
     return float(out) if g_arr.ndim == 0 else out
 

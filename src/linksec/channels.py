@@ -43,10 +43,10 @@ def db_to_linear(value_db: float) -> float:
 
 def pathloss(d: float, zeta: float) -> float:
     """Power pathloss d^-zeta for a propagation distance d in meters."""
-    if d <= 0:
-        raise ValueError("distance must be positive")
-    if zeta <= 0:
-        raise ValueError("pathloss exponent must be positive")
+    if not _positive(d):
+        raise ValueError("distance must be positive and finite")
+    if not _positive(zeta):
+        raise ValueError("pathloss exponent must be positive and finite")
     return d ** (-zeta)
 
 
@@ -68,8 +68,8 @@ class FadingParams:
 
 def snr_scaled_params(fading: FadingParams, scale: float) -> FadingParams:
     """Fold a deterministic SNR scale factor into the Gamma rate."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not _positive(scale):
+        raise ValueError("scale must be positive and finite")
     return FadingParams(alpha=fading.alpha, beta=fading.beta / scale)
 
 

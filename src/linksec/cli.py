@@ -23,12 +23,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _workers(text: str) -> int:
-    if not (text.isdigit() and int(text) >= 1):
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {text!r}")
-    return int(text)
-
-
 def _powers(text: str) -> tuple[float, ...]:
     try:
         powers = tuple(float(p) for p in text.split(",") if p.strip())
@@ -70,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True, help="scenario configuration file")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     _add_method(p_sweep)
-    p_sweep.add_argument("--workers", type=_workers, default=None, help="concurrent grid points")
 
     p_val = sub.add_parser("validate", help="check the analytic capacities against the simulator")
     p_val.add_argument("--config", required=True)
@@ -92,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario file (default: the built-in reference scenario)",
     )
     _add_method(p_fig)
-    p_fig.add_argument("--workers", type=_workers, default=None)
 
     return parser
 
@@ -108,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
             spec = parsed.sweep
             if args.method is not None:
                 spec = dataclasses.replace(spec, methods=_method_tuple(args.method))
-            rows = run_sweep(spec, parsed, workers=args.workers)
+            rows = run_sweep(spec, parsed)
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(rows_to_csv(rows))
             print(f"wrote {len(rows)} rows to {args.out}")
@@ -124,10 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "figure":
             parsed = parse_config(args.config) if args.config else reference_config()
             rows = figure_preset(
-                args.id,
-                parsed,
-                methods=_method_tuple(args.method or "analytic"),
-                workers=args.workers,
+                args.id, parsed, methods=_method_tuple(args.method or "analytic")
             )
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(rows_to_csv(rows))

@@ -17,6 +17,7 @@ sums are reduced in chunk order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,6 +58,12 @@ class McConfig:
     chunk_size: int = 65536
 
     def __post_init__(self):
+        for name in ("samples", "master_seed", "chunk_size"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, not {value!r}") from None
         if self.samples < 1000:
             raise ValueError("samples must be at least 1000 for a reported estimate")
         if not (0 <= self.master_seed < 2**64):

@@ -2,10 +2,9 @@
 
 A sweep varies one scenario parameter over a grid and records, for every
 (grid value, architecture, method) combination, the secrecy capacity and
-the two per-receiver ergodic capacities.  Grid points are independent and
-may be evaluated concurrently; rows are emitted in a deterministic order
-(sorted by value, architecture, method) so repeated runs produce
-byte-identical files.
+the two per-receiver ergodic capacities.  Points are evaluated one after
+another and rows are emitted in a deterministic order (sorted by value,
+architecture, method), so repeated runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import dataclasses
 import io
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,42 +162,26 @@ def _evaluate(
     )
 
 
-def run_sweep(
-    spec: SweepSpec,
-    parsed,
-    mc_cfg: McConfig | None = None,
-    workers: int | None = None,
-) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec, parsed, mc_cfg: McConfig | None = None) -> list[SweepRow]:
     """Evaluate every grid point of the sweep; returns deterministic rows.
 
     Each distinct (scenario, architecture, method) is evaluated once and
     its result written to every grid value that maps to it: a relay
-    scenario does not change with ``n_elements``.  Points run concurrently
-    when ``workers`` > 1; ordering and numeric content are independent of
-    the degree of parallelism.  Per-point numerical failures land in the
+    scenario does not change with ``n_elements``.  A repeated architecture
+    or method gives one row.  Per-point numerical failures land in the
     row's status column instead of aborting the sweep.
     """
     mc_cfg = mc_cfg or parsed.mc
-    points = {}
+    results = {}
+    rows = []
     for value in spec.grid():
-        for arch in spec.architectures:
+        for arch in dict.fromkeys(spec.architectures):
             scenario = _apply_variable(_scenario_for(parsed, arch), spec.variable, value)
-            for method in spec.methods:
-                points[value, arch, method] = (scenario, arch, method)
-    distinct = list(dict.fromkeys(points.values()))
-
-    def job(key):
-        return _evaluate(*key, mc_cfg)
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(zip(distinct, pool.map(job, distinct)))
-    else:
-        results = {key: job(key) for key in distinct}
-    rows = [
-        SweepRow(spec.variable, value, arch, method, *results[key])
-        for (value, arch, method), key in points.items()
-    ]
+            for method in dict.fromkeys(spec.methods):
+                key = (scenario, arch, method)
+                if key not in results:
+                    results[key] = _evaluate(scenario, arch, method, mc_cfg)
+                rows.append(SweepRow(spec.variable, value, arch, method, *results[key]))
     rows.sort(key=lambda r: (r.value, r.architecture, r.method))
     return rows
 
@@ -260,12 +242,7 @@ def read_rows_csv(text: str) -> list[SweepRow]:
 _FIGURE_IDS = (3, 4, 5, 6)
 
 
-def figure_preset(
-    fig_id: int,
-    parsed,
-    methods: tuple[str, ...] = ("analytic",),
-    workers: int | None = None,
-) -> list[SweepRow]:
+def figure_preset(fig_id: int, parsed, methods: tuple[str, ...] = ("analytic",)) -> list[SweepRow]:
     """Qualitative reproductions of the published parameter studies.
 
     3: secrecy of all three architectures against transmit power;
@@ -277,10 +254,10 @@ def figure_preset(
     """
     if fig_id == 3:
         spec = SweepSpec("tx_power_dbm", 0.0, 50.0, 2.0, ARCHITECTURES, methods)
-        return run_sweep(spec, parsed, workers=workers)
+        return run_sweep(spec, parsed)
     if fig_id == 4:
         spec = SweepSpec("tx_power_dbm", 0.0, 50.0, 2.0, ("df", "affg"), methods)
-        return run_sweep(spec, parsed, workers=workers)
+        return run_sweep(spec, parsed)
     if fig_id == 5:
         base = dataclasses.replace(
             parsed,
@@ -288,7 +265,7 @@ def figure_preset(
             scenario_relay=dataclasses.replace(parsed.scenario_relay, tx_power_dbm=20.0),
         )
         spec = SweepSpec("eve_distance_m", 2.0, 40.0, 2.0, ARCHITECTURES, methods)
-        return run_sweep(spec, base, workers=workers)
+        return run_sweep(spec, base)
     if fig_id == 6:
         rows: list[SweepRow] = []
         spec = SweepSpec("source_surface_distance_m", 2.0, 30.0, 2.0, ("irs",), methods)
@@ -299,7 +276,7 @@ def figure_preset(
                     parsed.scenario_irs, n_elements=n, tx_power_dbm=10.0
                 ),
             )
-            for row in run_sweep(spec, variant, workers=workers):
+            for row in run_sweep(spec, variant):
                 rows.append(dataclasses.replace(row, architecture=f"irs-n{n}"))
         rows.sort(key=lambda r: (r.value, r.architecture, r.method))
         return rows

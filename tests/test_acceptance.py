@@ -251,19 +251,16 @@ def test_criterion_6_monotonicity_suite():
 
 
 def test_criterion_7_deterministic_sweeps():
-    """Identical configuration and seed give byte-identical CSV output,
-    independent of the number of worker threads."""
+    """Identical configuration and seed give byte-identical CSV output."""
     parsed = reference_config()
     spec = SweepSpec(
         "tx_power_dbm", 0.0, 10.0, 5.0, ("irs", "df", "affg"), ("analytic", "monte-carlo")
     )
     cfg = McConfig(samples=50_000, master_seed=99, chunk_size=8192)
-    first = rows_to_csv(run_sweep(spec, parsed, mc_cfg=cfg, workers=1))
-    second = rows_to_csv(run_sweep(spec, parsed, mc_cfg=cfg, workers=1))
-    threaded = rows_to_csv(run_sweep(spec, parsed, mc_cfg=cfg, workers=4))
+    first = rows_to_csv(run_sweep(spec, parsed, mc_cfg=cfg))
+    second = rows_to_csv(run_sweep(spec, parsed, mc_cfg=cfg))
     assert first == second
-    assert first == threaded
-    _report(7, f"byte-identical CSV across reruns and worker counts ({len(first)} bytes)")
+    _report(7, f"byte-identical CSV across reruns ({len(first)} bytes)")
 
 
 def test_criterion_8_special_function_spot_suite():

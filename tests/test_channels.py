@@ -35,10 +35,10 @@ class TestPathloss:
         assert pathloss(d, zeta) == pytest.approx(expected, rel=1e-15)
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            pathloss(0.0, 2.0)
-        with pytest.raises(ValueError):
-            pathloss(-3.0, 2.0)
+        bad = [(0.0, 2.0), (-3.0, 2.0), (math.nan, 2.0), (math.inf, 2.0), (10.0, math.nan)]
+        for d, zeta in bad:
+            with pytest.raises(ValueError):
+                pathloss(d, zeta)
 
 
 class TestSnrScaling:
@@ -62,6 +62,11 @@ class TestSnrScaling:
         p = FadingParams(2.5, 1.1)
         for c in (0.1, 3.0, 100.0):
             assert snr_scaled_params(p, c).alpha == p.alpha
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            snr_scaled_params(FadingParams(2.0, 4.0), scale)
 
 
 class TestGammaDistribution:

@@ -176,15 +176,14 @@ class TestRunSweep:
         for arch in ("df", "affg"):
             assert len({r.secrecy_bps_hz for r in rows if r.architecture == arch}) == 1
 
-    def test_deterministic_across_workers(self):
-        parsed = reference_config()
-        spec = SweepSpec(
-            "tx_power_dbm", 0.0, 8.0, 4.0, ("irs", "df", "affg"), ("analytic", "monte-carlo")
-        )
-        cfg = McConfig(samples=20_000, master_seed=77)
-        serial = rows_to_csv(run_sweep(spec, parsed, mc_cfg=cfg, workers=1))
-        threaded = rows_to_csv(run_sweep(spec, parsed, mc_cfg=cfg, workers=4))
-        assert serial == threaded
+    def test_repeated_architecture_or_method_gives_one_row(self):
+        # A config may list a method twice, or under an alias of itself.
+        spec = SweepSpec("tx_power_dbm", 0.0, 10.0, 10.0, ("df", "df"), ("analytic", "analytic"))
+        rows = run_sweep(spec, reference_config())
+        assert [(r.value, r.architecture, r.method) for r in rows] == [
+            (0.0, "df", "analytic"),
+            (10.0, "df", "analytic"),
+        ]
 
     def test_csv_roundtrip_exact(self):
         parsed = reference_config()
@@ -324,9 +323,7 @@ class TestCli:
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out1)]) == 0
-        assert main(
-            ["sweep", "--config", str(cfg_path), "--out", str(out2), "--workers", "4"]
-        ) == 0
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_missing_config_is_input_error(self, tmp_path):
@@ -404,8 +401,8 @@ class TestCli:
         "args, flag",
         [
             (["figure", "--id", "7", "--out", "x.csv"], "--id"),
-            (["figure", "--id", "3", "--out", "x.csv", "--workers", "0"], "--workers"),
-            (["sweep", "--config", "c.cfg", "--out", "x.csv", "--workers", "-3"], "--workers"),
+            (["figure", "--id", "3", "--out", "x.csv", "--workers", "2"], "--workers"),
+            (["sweep", "--config", "c.cfg", "--out", "x.csv", "--workers", "2"], "--workers"),
             (["validate", "--config", "c.cfg", "--samples", "abc", "--seed", "1"], "--samples"),
             (["validate", "--config", "c.cfg", "--samples", "9", "--seed", "1", "--powers", "nan"],
              "--powers"),

@@ -73,6 +73,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             McConfig(samples=1000, master_seed=2**64)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("samples", 2000.5), ("master_seed", 1.0), ("chunk_size", math.nan)],
+    )
+    def test_non_integer_rejected(self, field, value):
+        fields = {"samples": 2000, "master_seed": 1, "chunk_size": 4096, field: value}
+        with pytest.raises(ValueError, match=field):
+            McConfig(**fields)
+
 
 class TestDeterminism:
     def test_bit_identical_repeat(self):
