@@ -18,9 +18,10 @@ log z of ``quadrature.integrate_semi_infinite`` takes the outer integral.
 The decode-and-forward relay needs no outer integral: the capacity of
 the weaker hop is a sum over the two hops of E[log2(1 + G_i) P(G_j > G_i)],
 each on the Gamma-hop rule of G_i.  The survival function is this
-module's own regularized upper incomplete gamma (``_gammaincc``: a series
-below the split x = a + 1, a continued fraction above it), so the
-capacities need NumPy and ``math`` only.
+module's own regularized upper incomplete gamma (``_gammaincc``, element
+by element: a Horner series below the split x = a + 1, a backward
+continued fraction above it), so the capacities need NumPy and ``math``
+only.
 
 Average secrecy is the clamped difference of the two receivers' ergodic
 capacities.
@@ -230,9 +231,6 @@ def irs_secrecy(scenario: ScenarioIrs) -> CapacityEstimate:
 _EPS = float(np.finfo(float).eps)
 # Cap on the series length and on the continued-fraction depth of one shape.
 _GAMMA_MAX_ITER = 10_000
-# Elements per block, so that a block's (terms x elements) series array
-# stays within a few MB.
-_GAMMA_BLOCK = 4096
 
 
 @lru_cache(maxsize=64)
@@ -251,11 +249,8 @@ def _series_length(a: float) -> int:
         ratio = x / (a + n + 1.0)
         if ratio < 1.0 and term * ratio / (1.0 - ratio) < 0.5 * _EPS:
             return n
-    raise AccuracyError(
-        f"incomplete gamma series at shape {a:g} needs more than {_GAMMA_MAX_ITER} terms",
-        math.nan,
-        math.inf,
-    )
+    message = f"incomplete gamma series at shape {a:g} needs more than {_GAMMA_MAX_ITER} terms"
+    raise AccuracyError(message, math.nan, math.inf)
 
 
 @lru_cache(maxsize=64)
@@ -280,71 +275,36 @@ def _fraction_depth(a: float) -> int:
         c = c if abs(c) >= tiny else tiny
         if abs(c * d - 1.0) < _EPS:
             return n
-    raise AccuracyError(
-        f"incomplete gamma continued fraction at shape {a:g} needs more than "
-        f"{_GAMMA_MAX_ITER} terms",
-        math.nan,
-        math.inf,
-    )
-
-
-@lru_cache(maxsize=64)
-def _gamma_plan(a: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Constants of ``_gammaincc`` at shape a.
-
-    Returns (split, power, log_coef, num, den); the arrays carry a term
-    axis first.  They depend on the shape alone, so a value does not
-    depend on the rest of the call.
-
-    With r = x / split, term n of the series for P is
-    exp((a + n) log r - x + log_coef_n), where
-    log_coef_n = (a + n) log(split) - log Gamma(a + n + 1).
-    """
-    split = a + 1.0
-    power = a + np.arange(_series_length(a) + 1.0)[:, None]
-    log_coef = power * np.log(split) - np.vectorize(math.lgamma)(power + 1.0)
-    k = np.arange(_fraction_depth(a) + 1.0)[:, None]
-    num = -k[1:] * (k[1:] - a)
-    den = 2.0 * k + 1.0 - a
-    return split, power, log_coef, num, den
+    message = f"incomplete gamma fraction at shape {a:g} needs more than {_GAMMA_MAX_ITER} terms"
+    raise AccuracyError(message, math.nan, math.inf)
 
 
 def _gammaincc(a: float, x: np.ndarray) -> np.ndarray:
-    """Regularized upper incomplete gamma Q(a, x) for each element of x.
+    """Regularized upper incomplete gamma Q(a, x), element by element.
 
-    Below the split x = a + 1: Q = 1 - P, P summed term by term from the
-    power series x^a e^-x / Gamma(a + 1) * sum of x^n / ((a + 1) ... (a + n))
-    with each term formed in log space.  At and above it: the continued
-    fraction, evaluated backward from its fixed depth (two NumPy calls a
-    level), times the prefactor exp(a log x - x - log Gamma(a)), which
-    underflows to 0 for huge x.  Q(a, 0) = 1.  Both branches run on every
-    element, with x clamped into their range; on the arrays of one rule's
-    nodes that costs fewer NumPy calls than masking.  Raises
-    ``AccuracyError`` if the shape needs more than ``_GAMMA_MAX_ITER`` terms.
+    Below the split x = a + 1, Q = 1 - P, P the series of ``_series_length``
+    by Horner's rule from its last term; at and above it, the continued
+    fraction of ``_fraction_depth``, evaluated backward.  Q(a, 0) = 1.  Both
+    branches run on every element, x clamped into their range, and no
+    operation mixes elements: scalar and array calls agree bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    split, power, log_coef, num, den = _gamma_plan(a)
-    log_gamma = math.lgamma(a)
-    flat = x.reshape(-1)
-    if flat.size % _GAMMA_BLOCK == 1:
-        # NumPy sums the terms of a lone element pairwise and those of two
-        # or more in order; a padded block keeps every element in order.
-        flat = np.append(flat, 0.0)
-    out = np.empty(flat.shape)
-    for start in range(0, flat.size, _GAMMA_BLOCK):
-        xb = flat[start:start + _GAMMA_BLOCK]
-        low = np.minimum(np.maximum(xb, 1e-300), split)
-        q_low = 1.0 - np.exp(power * np.log(low / split) + log_coef - low).sum(axis=0)
-        high = np.minimum(np.maximum(xb, split), 1e300)  # Q(a, 1e300) = Q(a, inf) = 0
-        b = high + den
-        t = num[-1] / b[-1]
-        for j in range(num.shape[0] - 1, 0, -1):
-            t = num[j - 1] / (b[j] + t)
-        q_high = np.exp(a * np.log(high) - high - log_gamma) / (b[0] + t)
-        out[start:start + _GAMMA_BLOCK] = np.where(
-            xb < split, np.where(xb > 0.0, q_low, 1.0), q_high
-        )
-    return out[:x.size].reshape(x.shape)
+    split = a + 1.0
+    low = np.minimum(np.maximum(x, 1e-300), split)
+    s = np.ones(x.shape)
+    for n in range(_series_length(a), 0, -1):
+        s *= low
+        s /= a + n
+        s += 1.0
+    q_low = 1.0 - s * np.exp(a * np.log(low) - low - math.lgamma(a + 1.0))
+    high = np.minimum(np.maximum(x, split), 1e300)  # Q(a, 1e300) = Q(a, inf) = 0
+    t = np.zeros(x.shape)
+    for k in range(_fraction_depth(a), 0, -1):
+        t += high
+        t += 2.0 * k + 1.0 - a
+        np.divide(-k * (k - a), t, out=t)
+    q_high = np.exp(a * np.log(high) - high - math.lgamma(a)) / (high + (1.0 - a) + t)
+    return np.where(x < split, np.where(x > 0.0, q_low, 1.0), q_high)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +319,7 @@ def df_ccdf(g: float | np.ndarray, f1: FadingParams, fb: FadingParams) -> float 
     result has its shape, and is a float for a scalar.
     """
     g_arr = np.asarray(g, dtype=float)
-    if np.any(g_arr < 0):
+    if not np.all(g_arr >= 0):
         raise ValueError("g must be nonnegative")
     out = _gammaincc(f1.alpha, f1.beta * g_arr) * _gammaincc(fb.alpha, fb.beta * g_arr)
     return float(out) if g_arr.ndim == 0 else out
@@ -429,8 +389,8 @@ def _relay_hop(f1: FadingParams, fb: FadingParams, l: float) -> tuple[np.ndarray
     1), gives phi(u) = u / (beta_1 (u + l beta_b)); ``w`` is the receiving
     hop's rule.
     """
-    if l <= 0:
-        raise ValueError("gain constant must be positive")
+    if not 0 < l < math.inf:
+        raise ValueError("gain constant must be positive and finite")
     u, w = _gamma_rule(fb.alpha)
     return u / (f1.beta * (u + l * fb.beta)), w
 
@@ -448,7 +408,7 @@ def affg_ccdf(
     """
     phi, w = _relay_hop(f1, fb, l)
     g_arr = np.asarray(g, dtype=float)
-    if np.any(g_arr < 0):
+    if not np.all(g_arr >= 0):
         raise ValueError("g must be nonnegative")
     out = np.ones(g_arr.shape)
     positive = g_arr > 0

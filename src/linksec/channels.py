@@ -11,6 +11,7 @@ c*X ~ Gamma(alpha, beta/c).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,10 @@ class ScenarioIrs:
     noise_power_eve: float
 
     def __post_init__(self):
+        try:
+            operator.index(self.n_elements)
+        except TypeError:
+            raise ValueError(f"n_elements must be an integer, not {self.n_elements!r}") from None
         if not self.n_elements >= 1:
             raise ValueError("n_elements must be at least 1")
         if not (_positive(self.noise_power_legit) and _positive(self.noise_power_eve)):

@@ -50,6 +50,8 @@ VARIABLES = (
 
 # Numerical failures of one point; they fail that point, not the whole run.
 _NUMERICAL_ERRORS = (AccuracyError, OverflowError)
+# Most points in one sweep grid, checked before the grid is built.
+_MAX_GRID_POINTS = 100_000
 
 CSV_COLUMNS = (
     "variable",
@@ -76,10 +78,15 @@ class SweepSpec:
     def __post_init__(self):
         if self.variable not in VARIABLES:
             raise ValueError(f"variable must be one of {VARIABLES}")
+        for name in ("start", "stop", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"sweep {name} must be finite, not {getattr(self, name)!r}")
         if self.step <= 0:
             raise ValueError("step must be positive")
         if self.start > self.stop:
             raise ValueError("sweep start must not exceed stop")
+        if not self._steps() < _MAX_GRID_POINTS:
+            raise ValueError(f"sweep grid must have at most {_MAX_GRID_POINTS} points")
         if not self.architectures:
             raise ValueError("at least one architecture is required")
         for arch in self.architectures:
@@ -94,8 +101,12 @@ class SweepSpec:
             elif self.variable != "tx_power_dbm" and value <= 0:
                 raise ValueError(f"{self.variable} sweep values must be positive")
 
+    def _steps(self) -> float:
+        """(stop - start) / step, plus 1e-9 against rounding; inf if the division overflows."""
+        return (self.stop - self.start) / self.step + 1e-9
+
     def grid(self) -> list[float]:
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+        count = int(math.floor(self._steps())) + 1
         return [self.start + i * self.step for i in range(count)]
 
 

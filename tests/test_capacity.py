@@ -212,6 +212,10 @@ class TestDfRelay:
             df_ccdf(-1.0, FadingParams(2, 1.0), FadingParams(2, 1.0))
         with pytest.raises(ValueError):
             df_ccdf(np.array([1.0, -1.0]), FadingParams(2, 1.0), FadingParams(2, 1.0))
+        with pytest.raises(ValueError):
+            df_ccdf(math.nan, FadingParams(2, 1.0), FadingParams(2, 1.0))
+        with pytest.raises(ValueError):
+            df_ccdf(np.array([1.0, math.nan]), FadingParams(2, 1.0), FadingParams(2, 1.0))
 
     def test_exponential_closed_form(self):
         est = df_ergodic_capacity(FadingParams(1, 0.5), FadingParams(1, 0.5))
@@ -252,7 +256,7 @@ class TestIncompleteGamma:
 
     SHAPES = (0.5, 1.0, 2.0, 2.5, 7.3, 10.0, 40.0)
 
-    @pytest.mark.parametrize("a", SHAPES)
+    @pytest.mark.parametrize("a", (0.05, *SHAPES, 400.0))
     def test_against_mpmath(self, a):
         x = np.concatenate([[0.0], np.logspace(-12, 3.5, 160)])
         values = capacity._gammaincc(a, x)
@@ -278,10 +282,13 @@ class TestIncompleteGamma:
             array = capacity._gammaincc(a, x)
             scalar = [capacity._gammaincc(a, t) for t in x]
             np.testing.assert_array_equal(array, scalar)
-            # A full block and then a block of one element.
-            long = np.resize(x, capacity._GAMMA_BLOCK + 1)
+            long = np.resize(x, 4097)
             np.testing.assert_array_equal(
                 capacity._gammaincc(a, long), np.resize(scalar, long.size)
+            )
+            square = np.resize(x, (41, 41))
+            np.testing.assert_array_equal(
+                capacity._gammaincc(a, square), np.resize(scalar, square.shape)
             )
 
     def test_df_ccdf_array_equals_scalar_calls(self):
@@ -293,7 +300,7 @@ class TestIncompleteGamma:
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(capacity, "_GAMMA_MAX_ITER", 1)
-        for cached in (capacity._series_length, capacity._fraction_depth, capacity._gamma_plan):
+        for cached in (capacity._series_length, capacity._fraction_depth):
             monkeypatch.setattr(capacity, cached.__name__, functools.lru_cache(cached.__wrapped__))
         with pytest.raises(AccuracyError):
             capacity._fraction_depth(2.5)
@@ -366,6 +373,13 @@ class TestAffgRelay:
             affg_ccdf(-1.0, f1, fb, 2.0)
         with pytest.raises(ValueError):
             affg_ccdf(np.array([1.0, -1.0]), f1, fb, 2.0)
+        with pytest.raises(ValueError):
+            affg_ccdf(math.nan, f1, fb, 2.0)
+        with pytest.raises(ValueError):
+            affg_ccdf(np.array([1.0, math.nan]), f1, fb, 2.0)
+        for l in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                affg_ccdf(1.0, f1, fb, l)
 
     def test_df_dominates_ergodic(self):
         for p in (0.0, 10.0, 20.0, 35.0, 50.0):

@@ -233,3 +233,10 @@ class TestScenarioParameterization:
                 noise_power_legit=0.01,
                 noise_power_eve=0.01,
             )
+
+    def test_non_integer_element_count_rejected(self):
+        scn = self._scenario()
+        for bad in (2.5, 4.0, math.inf, "4"):
+            with pytest.raises(ValueError, match="n_elements"):
+                dataclasses.replace(scn, n_elements=bad)
+        assert dataclasses.replace(scn, n_elements=np.int64(4)).n_elements == 4

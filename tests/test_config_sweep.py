@@ -129,6 +129,22 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec("tx_power_dbm", 0.0, 10.0, -1.0)
 
+    @pytest.mark.parametrize("field", ["start", "stop", "step"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bounds_rejected(self, field, bad):
+        values = {"start": 0.0, "stop": 10.0, "step": 2.0, field: bad}
+        with pytest.raises(ValueError, match=field):
+            SweepSpec("tx_power_dbm", **values)
+
+    def test_grid_size_capped_before_it_is_built(self):
+        assert len(SweepSpec("tx_power_dbm", 0.0, 99_999.0, 1.0).grid()) == 100_000
+        with pytest.raises(ValueError, match="100000 points"):
+            SweepSpec("tx_power_dbm", 0.0, 100_000.0, 1.0)
+        with pytest.raises(ValueError, match="100000 points"):
+            SweepSpec("tx_power_dbm", 0.0, 50.0, 1e-12)
+        with pytest.raises(ValueError, match="100000 points"):
+            SweepSpec("tx_power_dbm", -1e308, 1e308, 1e-300)
+
     def test_element_grid_must_be_integer(self):
         with pytest.raises(ValueError):
             SweepSpec("n_elements", 2.0, 8.0, 1.5)
