@@ -8,10 +8,10 @@ it: it samples raw channel gains, forms the instantaneous end-to-end SNR
 of each receiver, and averages log2(1 + SNR).  Work is split into
 chunks of at most ``chunk_size`` rows and at most 2^18 Gamma values per
 hop, so a surface of N elements gets chunks of at most 2^18 // N rows and
-memory stays bounded as N grows.  Each chunk is driven by its own
-counter-based Philox stream derived from (master seed, chunk index), so
-results are bit-identical no matter how the chunks are scheduled.  Partial
-sums are reduced in chunk order.
+memory stays bounded as N grows.  Each chunk draws from its own SFC64
+stream, seeded from (master seed, chunk index) through ``SeedSequence``,
+so no draw depends on the order in which chunks run and reruns are
+bit-identical.  Partial sums are reduced in chunk order.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# Most Gamma values a chunk draws per hop.  2^18 is what a 65,536-row chunk
-# of the reference N = 4 surface draws, so that chunk and every relay chunk
-# of at most 2^18 rows keep their draws; wider surfaces get shorter chunks
-# and a memory bound that does not grow with N.
+# Most Gamma values a chunk draws per hop: 2 MiB of float64 per array.  A
+# 65,536-row chunk of the reference N = 4 surface fills it exactly, as does
+# a relay chunk of 2^18 rows; wider surfaces get shorter chunks, so memory
+# does not grow with N.
 _BLOCK_VALUES = 1 << 18
 
 
@@ -73,10 +73,10 @@ class McConfig:
 
 
 def _chunk_rng(cfg: McConfig, index: int) -> np.random.Generator:
-    # Each chunk owns a disjoint 2^128-wide counter window of the same keyed
-    # Philox stream; scheduling order cannot change any draw.
+    # Chunk ``index`` seeds its own SFC64 stream from (master seed, index),
+    # so its draws do not depend on which chunks ran before it.
     return np.random.Generator(
-        np.random.Philox(key=cfg.master_seed, counter=index << 128)
+        np.random.SFC64(np.random.SeedSequence(cfg.master_seed, spawn_key=(index,)))
     )
 
 
@@ -85,15 +85,20 @@ def _chunk_rng(cfg: McConfig, index: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 def _irs_snr(scenario: ScenarioIrs, rng: np.random.Generator, n: int):
-    # The source-surface gains are shared by both receivers.
-    shape = (n, scenario.n_elements)
+    # Element-major draws, so each sum over elements adds contiguous rows.
+    # The source-surface gains x are shared by both receivers; each
+    # receiver's hop is drawn, folded into its SNR and freed before the next.
+    shape = (scenario.n_elements, n)
     x = channels.sample_gamma(scenario.fading_ts, rng, shape)
-    yl = channels.sample_gamma(scenario.fading_sl, rng, shape)
-    ye = channels.sample_gamma(scenario.fading_se, rng, shape)
-    return (
-        (channels._irs_scale(scenario, "legit") * x * yl).sum(axis=1),
-        (channels._irs_scale(scenario, "eve") * x * ye).sum(axis=1),
-    )
+
+    def snr(hop: channels.FadingParams, receiver: str) -> np.ndarray:
+        y = channels.sample_gamma(hop, rng, shape)
+        y *= x
+        total = y.sum(axis=0)
+        total *= channels._irs_scale(scenario, receiver)
+        return total
+
+    return snr(scenario.fading_sl, "legit"), snr(scenario.fading_se, "eve")
 
 
 def _df_snr(scenario: ScenarioRelay, rng: np.random.Generator, n: int):
@@ -119,7 +124,8 @@ class Architecture:
 
     ``analytic(scenario)`` returns the analytic (legitimate,
     eavesdropper) capacity estimates; ``snr(scenario, rng, n)`` draws ``n``
-    paired (legitimate, eavesdropper) instantaneous SNRs from ``rng``.
+    paired (legitimate, eavesdropper) instantaneous SNRs from ``rng``, as
+    two new float arrays that the caller may overwrite.
     """
 
     scenario_type: type
@@ -159,10 +165,10 @@ def mc_branch_estimates(scenario, architecture: str, cfg: McConfig):
     for index in range(-(-cfg.samples // rows)):
         count = min(rows, cfg.samples - index * rows)
         rng = _chunk_rng(cfg, index)
-        # Both streams become bits before any sum, so the SNR arrays are
-        # freed before the sums allocate their temporaries.
-        bits = [np.log1p(snr) / _LN2 for snr in arch.snr(scenario, rng, count)]
-        for acc, b in zip(sums, bits):
+        for acc, b in zip(sums, arch.snr(scenario, rng, count)):
+            # The SNR array becomes bits in place, with no temporary.
+            np.log1p(b, out=b)
+            b /= _LN2
             acc[0] += float(b.sum())
             acc[1] += float((b * b).sum())
     n = cfg.samples

@@ -92,6 +92,8 @@ class SweepSpec:
         for arch in self.architectures:
             if arch not in ARCHITECTURES:
                 raise ValueError(f"unknown architecture {arch!r}")
+        if not self.methods:
+            raise ValueError("at least one method is required")
         for method in self.methods:
             if method not in METHODS:
                 raise ValueError(f"unknown method {method!r}")

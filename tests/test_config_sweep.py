@@ -145,6 +145,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="100000 points"):
             SweepSpec("tx_power_dbm", -1e308, 1e308, 1e-300)
 
+    def test_empty_architectures_or_methods_rejected(self):
+        with pytest.raises(ValueError, match="at least one architecture is required"):
+            SweepSpec("tx_power_dbm", 0.0, 10.0, 2.0, architectures=())
+        with pytest.raises(ValueError, match="at least one method is required"):
+            SweepSpec("tx_power_dbm", 0.0, 10.0, 2.0, methods=())
+
     def test_element_grid_must_be_integer(self):
         with pytest.raises(ValueError):
             SweepSpec("n_elements", 2.0, 8.0, 1.5)
@@ -349,6 +355,16 @@ class TestCli:
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(config_with(**{"geometry.d_node_legit": "0.0"}))
         assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 1
+
+    def test_empty_method_list_is_input_error(self, tmp_path):
+        # An empty list would otherwise write a header-only CSV and exit 0.
+        cfg_path = tmp_path / "empty.cfg"
+        cfg_path.write_text(config_with(**{"sweep.methods": ","}))
+        with pytest.raises(ConfigError, match="at least one method is required"):
+            parse_config_text(cfg_path.read_text())
+        out_path = tmp_path / "o.csv"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out_path)]) == 1
+        assert not out_path.exists()
 
     def test_validate_command_exit_codes(self, tmp_path):
         cfg_path = tmp_path / "scenario.cfg"
