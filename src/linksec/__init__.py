@@ -7,8 +7,8 @@ Monte Carlo channel simulator, and a sweep/validation CLI.
 
 The package runs on NumPy and the standard library alone.  The
 special-function module ``linksec.specfun`` (log Gamma and the
-Mellin-Barnes contour engine, built on SciPy) is not imported here; import
-it by name.
+Mellin-Barnes contour engine, built on SciPy from the ``test`` extra) is
+not imported here; import it by name.
 """
 
 from .capacity import (
@@ -17,20 +17,17 @@ from .capacity import (
     affg_ergodic_capacity,
     affg_secrecy,
     affg_snr_constant,
-    df_ccdf,
     df_ergodic_capacity,
     df_secrecy,
     ergodic_capacity_irs,
     irs_secrecy,
-    mgf_irs_element,
     secrecy_capacity,
 )
 from .channels import (
     FadingParams,
     GammaGammaParams,
     Geometry,
-    ScenarioIrs,
-    ScenarioRelay,
+    Scenario,
     pathloss,
     sample_gamma,
     snr_scaled_params,

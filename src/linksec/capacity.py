@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import channels
-from .channels import FadingParams, GammaGammaParams, ScenarioIrs, ScenarioRelay
+from .channels import FadingParams, GammaGammaParams, Scenario
 from .quadrature import AccuracyError, integrate_semi_infinite
 
 __all__ = [
@@ -47,13 +47,11 @@ __all__ = [
     "affg_secrecy",
     "affg_snr_constant",
     "df_branches",
-    "df_ccdf",
     "df_ergodic_capacity",
     "df_secrecy",
     "ergodic_capacity_irs",
     "irs_branches",
     "irs_secrecy",
-    "mgf_irs_element",
     "secrecy_capacity",
 ]
 
@@ -187,32 +185,13 @@ def _element_hop(gg: GammaGammaParams) -> tuple[np.ndarray, np.ndarray, float]:
     return u / gg.beta_gg, w, b
 
 
-def _mgf_complement(z: np.ndarray, gg: GammaGammaParams) -> np.ndarray:
-    """1 - MGF(z) of one element's SNR on an array of positive z."""
-    return _complement(z, *_element_hop(gg))
-
-
-def mgf_irs_element(z: float | np.ndarray, gg: GammaGammaParams) -> float | np.ndarray:
-    """Laplace transform E[exp(-z * SNR)] of one element's SNR.
-
-    ``z`` is a positive scalar or array; the result has its shape, and is a
-    float for a scalar.  It is one minus the complement 1 - MGF that the
-    capacity integral uses, clipped to [0, 1].
-    """
-    z_arr = np.asarray(z, dtype=float)
-    if not np.all(z_arr > 0):
-        raise ValueError("z must be positive")
-    out = np.clip(1.0 - _mgf_complement(np.atleast_1d(z_arr), gg), 0.0, 1.0)
-    return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
-
-
-def ergodic_capacity_irs(scenario: ScenarioIrs, receiver: str) -> CapacityEstimate:
+def ergodic_capacity_irs(scenario: Scenario, receiver: str) -> CapacityEstimate:
     """E[log2(1 + sum of element SNRs)] via the damped MGF integral."""
     gg = channels.irs_element_params(scenario, receiver)
     return _damped_capacity(*_element_hop(gg), scenario.n_elements)
 
 
-def irs_branches(scenario: ScenarioIrs) -> tuple[CapacityEstimate, CapacityEstimate]:
+def irs_branches(scenario: Scenario) -> tuple[CapacityEstimate, CapacityEstimate]:
     """Analytic (legitimate, eavesdropper) ergodic capacities of the surface link."""
     return (
         ergodic_capacity_irs(scenario, "legit"),
@@ -220,7 +199,7 @@ def irs_branches(scenario: ScenarioIrs) -> tuple[CapacityEstimate, CapacityEstim
     )
 
 
-def irs_secrecy(scenario: ScenarioIrs) -> CapacityEstimate:
+def irs_secrecy(scenario: Scenario) -> CapacityEstimate:
     return secrecy_capacity(*irs_branches(scenario))
 
 
@@ -311,20 +290,6 @@ def _gammaincc(a: float, x: np.ndarray) -> np.ndarray:
 # Decode-and-forward relay
 # ---------------------------------------------------------------------------
 
-def df_ccdf(g: float | np.ndarray, f1: FadingParams, fb: FadingParams) -> float | np.ndarray:
-    """Survival function of the weakest-hop SNR min(snr_1, snr_b).
-
-    The hops are independent, so it is the product of their regularized
-    upper incomplete gammas.  ``g`` is a nonnegative scalar or array; the
-    result has its shape, and is a float for a scalar.
-    """
-    g_arr = np.asarray(g, dtype=float)
-    if not np.all(g_arr >= 0):
-        raise ValueError("g must be nonnegative")
-    out = _gammaincc(f1.alpha, f1.beta * g_arr) * _gammaincc(fb.alpha, fb.beta * g_arr)
-    return float(out) if g_arr.ndim == 0 else out
-
-
 # Largest admissible |1 - P(G1 < G2) - P(G2 < G1)| on the rules' nodes.
 _DF_UNITY_TOL = 1e-9
 
@@ -360,7 +325,7 @@ def df_ergodic_capacity(f1: FadingParams, fb: FadingParams) -> CapacityEstimate:
     return CapacityEstimate(bits_per_sec_hz=capacity / _LN2, method="analytic")
 
 
-def df_branches(scenario: ScenarioRelay) -> tuple[CapacityEstimate, CapacityEstimate]:
+def df_branches(scenario: Scenario) -> tuple[CapacityEstimate, CapacityEstimate]:
     """(Legitimate, eavesdropper) ergodic capacities of the decode-and-forward link."""
     hops = channels.relay_hop_params(scenario)
     return (
@@ -369,7 +334,7 @@ def df_branches(scenario: ScenarioRelay) -> tuple[CapacityEstimate, CapacityEsti
     )
 
 
-def df_secrecy(scenario: ScenarioRelay) -> CapacityEstimate:
+def df_secrecy(scenario: Scenario) -> CapacityEstimate:
     return secrecy_capacity(*df_branches(scenario))
 
 
@@ -429,7 +394,7 @@ def affg_ergodic_capacity(
     return _damped_capacity(*_relay_hop(f1, fb, l), f1.alpha, 1)
 
 
-def affg_branches(scenario: ScenarioRelay) -> tuple[CapacityEstimate, CapacityEstimate]:
+def affg_branches(scenario: Scenario) -> tuple[CapacityEstimate, CapacityEstimate]:
     """(Legitimate, eavesdropper) ergodic capacities of the fixed-gain link."""
     hops = channels.relay_hop_params(scenario)
     l = affg_snr_constant(hops["first"])
@@ -439,5 +404,5 @@ def affg_branches(scenario: ScenarioRelay) -> tuple[CapacityEstimate, CapacityEs
     )
 
 
-def affg_secrecy(scenario: ScenarioRelay) -> CapacityEstimate:
+def affg_secrecy(scenario: Scenario) -> CapacityEstimate:
     return secrecy_capacity(*affg_branches(scenario))

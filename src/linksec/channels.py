@@ -20,8 +20,7 @@ __all__ = [
     "FadingParams",
     "GammaGammaParams",
     "Geometry",
-    "ScenarioIrs",
-    "ScenarioRelay",
+    "Scenario",
     "db_to_linear",
     "irs_element_params",
     "pathloss",
@@ -90,17 +89,23 @@ class Geometry:
 
 
 @dataclass(frozen=True)
-class ScenarioIrs:
-    """Source -> reflecting surface -> receiver link with N identical elements."""
+class Scenario:
+    """One source, one node, a legitimate receiver and an eavesdropper.
 
-    n_elements: int
+    The node is a reflecting surface of ``n_elements`` identical elements
+    or a relay, which ignores ``n_elements``; the relay alone uses
+    ``noise_power_relay``.  Fading is named after the hop it describes.
+    """
+
     geometry: Geometry
-    fading_ts: FadingParams
-    fading_sl: FadingParams
-    fading_se: FadingParams
+    fading_source_node: FadingParams
+    fading_node_legit: FadingParams
+    fading_node_eve: FadingParams
     tx_power_dbm: float
+    noise_power_relay: float
     noise_power_legit: float
     noise_power_eve: float
+    n_elements: int = 1
 
     def __post_init__(self):
         try:
@@ -109,26 +114,6 @@ class ScenarioIrs:
             raise ValueError(f"n_elements must be an integer, not {self.n_elements!r}") from None
         if not self.n_elements >= 1:
             raise ValueError("n_elements must be at least 1")
-        if not (_positive(self.noise_power_legit) and _positive(self.noise_power_eve)):
-            raise ValueError("noise powers must be positive and finite")
-        if not math.isfinite(self.tx_power_dbm):
-            raise ValueError("tx_power_dbm must be finite")
-
-
-@dataclass(frozen=True)
-class ScenarioRelay:
-    """Source -> relay -> receiver link; serves both relaying disciplines."""
-
-    geometry: Geometry
-    fading_1: FadingParams
-    fading_2: FadingParams
-    fading_3: FadingParams
-    tx_power_dbm: float
-    noise_power_relay: float
-    noise_power_legit: float
-    noise_power_eve: float
-
-    def __post_init__(self):
         noise = (self.noise_power_relay, self.noise_power_legit, self.noise_power_eve)
         if not all(map(_positive, noise)):
             raise ValueError("noise powers must be positive and finite")
@@ -171,10 +156,10 @@ def sample_gamma(p: FadingParams, rng: np.random.Generator, size=None):
 
 
 # ---------------------------------------------------------------------------
-# SNR parameterization of the two architectures
+# SNR parameterization of the surface and the relays
 # ---------------------------------------------------------------------------
 
-def _irs_scale(scenario: ScenarioIrs, receiver: str) -> float:
+def _irs_scale(scenario: Scenario, receiver: str) -> float:
     """Deterministic per-element SNR factor P * d_ts^-z * d_si^-z / w_i."""
     if receiver not in RECEIVERS:
         raise ValueError(f"receiver must be one of {RECEIVERS}")
@@ -192,14 +177,14 @@ def _irs_scale(scenario: ScenarioIrs, receiver: str) -> float:
     )
 
 
-def irs_element_params(scenario: ScenarioIrs, receiver: str) -> GammaGammaParams:
+def irs_element_params(scenario: Scenario, receiver: str) -> GammaGammaParams:
     """Distribution of one element's received SNR, scaling folded in."""
-    hop2 = scenario.fading_sl if receiver == "legit" else scenario.fading_se
+    hop2 = scenario.fading_node_legit if receiver == "legit" else scenario.fading_node_eve
     scaled = snr_scaled_params(hop2, _irs_scale(scenario, receiver))
-    return GammaGammaParams.from_hops(scenario.fading_ts, scaled)
+    return GammaGammaParams.from_hops(scenario.fading_source_node, scaled)
 
 
-def relay_hop_params(scenario: ScenarioRelay) -> dict[str, FadingParams]:
+def relay_hop_params(scenario: Scenario) -> dict[str, FadingParams]:
     """Per-hop SNR distributions with power/pathloss/noise folded in.
 
     Keys: "first" (source -> relay), "legit" and "eve" (relay -> receiver).
@@ -211,7 +196,7 @@ def relay_hop_params(scenario: ScenarioRelay) -> dict[str, FadingParams]:
     c2 = power * pathloss(geo.d_node_legit, z) / scenario.noise_power_legit
     c3 = power * pathloss(geo.d_node_eve, z) / scenario.noise_power_eve
     return {
-        "first": snr_scaled_params(scenario.fading_1, c1),
-        "legit": snr_scaled_params(scenario.fading_2, c2),
-        "eve": snr_scaled_params(scenario.fading_3, c3),
+        "first": snr_scaled_params(scenario.fading_source_node, c1),
+        "legit": snr_scaled_params(scenario.fading_node_legit, c2),
+        "eve": snr_scaled_params(scenario.fading_node_eve, c3),
     }

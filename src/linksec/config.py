@@ -6,8 +6,8 @@ per line::
     geometry.d_node_eve = 20.0
     fading.source_node.alpha = 2
 
-A single file describes the shared geometry/fading/power/noise of both
-architectures; the surface and relay scenario objects are derived from it.
+A single file describes the geometry, fading, power and noise that all
+three architectures share; it parses into one ``Scenario``.
 Parsing validates everything and reports the complete list of violations,
 not just the first one found.
 """
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .channels import FadingParams, Geometry, ScenarioIrs, ScenarioRelay
+from .channels import FadingParams, Geometry, Scenario
 from .montecarlo import ARCHITECTURES, McConfig
 from .sweep import METHODS, VARIABLES, SweepSpec
 
@@ -37,8 +37,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ParsedConfig:
-    scenario_irs: ScenarioIrs
-    scenario_relay: ScenarioRelay
+    scenario: Scenario
     sweep: SweepSpec | None
     mc: McConfig
 
@@ -216,43 +215,29 @@ def parse_config_text(text: str) -> ParsedConfig:
     if violations:
         raise ConfigError(violations)
 
-    geometry = Geometry(
-        d_source_node=values["geometry.d_source_node"],
-        d_node_legit=values["geometry.d_node_legit"],
-        d_node_eve=values["geometry.d_node_eve"],
-        pathloss_exponent=values["geometry.pathloss_exponent"],
-    )
-    fading_src = FadingParams(values["fading.source_node.alpha"], values["fading.source_node.beta"])
-    fading_leg = FadingParams(values["fading.node_legit.alpha"], values["fading.node_legit.beta"])
-    fading_eve = FadingParams(values["fading.node_eve.alpha"], values["fading.node_eve.beta"])
-
-    scenario_irs = ScenarioIrs(
-        n_elements=values["irs.n_elements"],
-        geometry=geometry,
-        fading_ts=fading_src,
-        fading_sl=fading_leg,
-        fading_se=fading_eve,
-        tx_power_dbm=values["power.tx_dbm"],
-        noise_power_legit=values["noise.legit"],
-        noise_power_eve=values["noise.eve"],
-    )
-    scenario_relay = ScenarioRelay(
-        geometry=geometry,
-        fading_1=fading_src,
-        fading_2=fading_leg,
-        fading_3=fading_eve,
+    scenario = Scenario(
+        geometry=Geometry(
+            d_source_node=values["geometry.d_source_node"],
+            d_node_legit=values["geometry.d_node_legit"],
+            d_node_eve=values["geometry.d_node_eve"],
+            pathloss_exponent=values["geometry.pathloss_exponent"],
+        ),
+        fading_source_node=FadingParams(
+            values["fading.source_node.alpha"], values["fading.source_node.beta"]
+        ),
+        fading_node_legit=FadingParams(
+            values["fading.node_legit.alpha"], values["fading.node_legit.beta"]
+        ),
+        fading_node_eve=FadingParams(
+            values["fading.node_eve.alpha"], values["fading.node_eve.beta"]
+        ),
         tx_power_dbm=values["power.tx_dbm"],
         noise_power_relay=values["noise.relay"],
         noise_power_legit=values["noise.legit"],
         noise_power_eve=values["noise.eve"],
+        n_elements=values["irs.n_elements"],
     )
-
-    return ParsedConfig(
-        scenario_irs=scenario_irs,
-        scenario_relay=scenario_relay,
-        sweep=sweep,
-        mc=mc,
-    )
+    return ParsedConfig(scenario=scenario, sweep=sweep, mc=mc)
 
 
 def parse_config(path: str) -> ParsedConfig:

@@ -1,14 +1,15 @@
 """Monte Carlo estimates of the same capacities the analytic route produces.
 
-``ARCHITECTURES`` describes each architecture once: the scenario type it
-takes, its analytic (legitimate, eavesdropper) capacity pair, and its
-simulator draw.  The table records the analytic pair so that sweeps and
-validation find both routes in one place, but the simulator never calls
-it: it samples raw channel gains, forms the instantaneous end-to-end SNR
-of each receiver, and averages log2(1 + SNR).  Work is split into
-chunks of at most ``chunk_size`` rows and at most 2^18 Gamma values per
-hop, so a surface of N elements gets chunks of at most 2^18 // N rows and
-memory stays bounded as N grows.  Each chunk draws from its own SFC64
+``ARCHITECTURES`` describes each architecture once: its analytic
+(legitimate, eavesdropper) capacity pair, its simulator draw, and whether
+it reads the scenario's element count.  The table records the analytic
+pair so that sweeps and validation find both routes in one place, but the
+simulator never calls it: it samples raw channel gains, forms the
+instantaneous end-to-end SNR of each receiver, and averages
+log2(1 + SNR).  Work is split into chunks of at most ``chunk_size`` rows
+and at most 2^18 Gamma values per hop, so a surface of N elements gets
+chunks of at most 2^18 // N rows and memory stays bounded as N grows; a
+relay's chunks do not depend on N.  Each chunk draws from its own SFC64
 stream, seeded from (master seed, chunk index) through ``SeedSequence``,
 so no draw depends on the order in which chunks run and reruns are
 bit-identical.  Partial sums are reduced in chunk order.
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import capacity, channels
 from .capacity import CapacityEstimate, affg_snr_constant, secrecy_capacity
-from .channels import ScenarioIrs, ScenarioRelay
+from .channels import Scenario
 
 __all__ = [
     "ARCHITECTURES",
@@ -84,12 +85,12 @@ def _chunk_rng(cfg: McConfig, index: int) -> np.random.Generator:
 # Per-architecture SNR draws
 # ---------------------------------------------------------------------------
 
-def _irs_snr(scenario: ScenarioIrs, rng: np.random.Generator, n: int):
+def _irs_snr(scenario: Scenario, rng: np.random.Generator, n: int):
     # Element-major draws, so each sum over elements adds contiguous rows.
     # The source-surface gains x are shared by both receivers; each
     # receiver's hop is drawn, folded into its SNR and freed before the next.
     shape = (scenario.n_elements, n)
-    x = channels.sample_gamma(scenario.fading_ts, rng, shape)
+    x = channels.sample_gamma(scenario.fading_source_node, rng, shape)
 
     def snr(hop: channels.FadingParams, receiver: str) -> np.ndarray:
         y = channels.sample_gamma(hop, rng, shape)
@@ -98,10 +99,10 @@ def _irs_snr(scenario: ScenarioIrs, rng: np.random.Generator, n: int):
         total *= channels._irs_scale(scenario, receiver)
         return total
 
-    return snr(scenario.fading_sl, "legit"), snr(scenario.fading_se, "eve")
+    return snr(scenario.fading_node_legit, "legit"), snr(scenario.fading_node_eve, "eve")
 
 
-def _df_snr(scenario: ScenarioRelay, rng: np.random.Generator, n: int):
+def _df_snr(scenario: Scenario, rng: np.random.Generator, n: int):
     hops = channels.relay_hop_params(scenario)
     g1 = channels.sample_gamma(hops["first"], rng, n)
     g2 = channels.sample_gamma(hops["legit"], rng, n)
@@ -109,34 +110,40 @@ def _df_snr(scenario: ScenarioRelay, rng: np.random.Generator, n: int):
     return np.minimum(g1, g2), np.minimum(g1, g3)
 
 
-def _affg_snr(scenario: ScenarioRelay, rng: np.random.Generator, n: int):
+def _affg_snr(scenario: Scenario, rng: np.random.Generator, n: int):
     hops = channels.relay_hop_params(scenario)
     l = affg_snr_constant(hops["first"])
     g1 = channels.sample_gamma(hops["first"], rng, n)
     g2 = channels.sample_gamma(hops["legit"], rng, n)
     g3 = channels.sample_gamma(hops["eve"], rng, n)
-    return g1 * g2 / (g2 + l), g1 * g3 / (g3 + l)
+    # g1 * g / (g + l) as g1 times a ratio below 1: the product g1 * g
+    # overflows at extreme power while the end-to-end SNR still fits.
+    for g in (g2, g3):
+        g /= g + l
+        g *= g1
+    return g2, g3
 
 
 @dataclass(frozen=True)
 class Architecture:
-    """One architecture: its scenario type and its two evaluation routes.
+    """One architecture: its two evaluation routes and whether it reads N.
 
     ``analytic(scenario)`` returns the analytic (legitimate,
     eavesdropper) capacity estimates; ``snr(scenario, rng, n)`` draws ``n``
     paired (legitimate, eavesdropper) instantaneous SNRs from ``rng``, as
-    two new float arrays that the caller may overwrite.
+    two new float arrays that the caller may overwrite.  ``per_element``
+    is True when both depend on the scenario's ``n_elements``.
     """
 
-    scenario_type: type
-    analytic: Callable[[object], tuple[CapacityEstimate, CapacityEstimate]]
-    snr: Callable[[object, np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
+    analytic: Callable[[Scenario], tuple[CapacityEstimate, CapacityEstimate]]
+    snr: Callable[[Scenario, np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
+    per_element: bool = False
 
 
 ARCHITECTURES = {
-    "irs": Architecture(ScenarioIrs, capacity.irs_branches, _irs_snr),
-    "df": Architecture(ScenarioRelay, capacity.df_branches, _df_snr),
-    "affg": Architecture(ScenarioRelay, capacity.affg_branches, _affg_snr),
+    "irs": Architecture(capacity.irs_branches, _irs_snr, per_element=True),
+    "df": Architecture(capacity.df_branches, _df_snr),
+    "affg": Architecture(capacity.affg_branches, _affg_snr),
 }
 
 
@@ -144,7 +151,7 @@ ARCHITECTURES = {
 # Paired branches and secrecy
 # ---------------------------------------------------------------------------
 
-def mc_branch_estimates(scenario, architecture: str, cfg: McConfig):
+def mc_branch_estimates(scenario: Scenario, architecture: str, cfg: McConfig):
     """Paired (legitimate, eavesdropper) estimates sharing the common hop.
 
     The source-side draws are reused by both receiver branches, matching
@@ -154,12 +161,8 @@ def mc_branch_estimates(scenario, architecture: str, cfg: McConfig):
     arch = ARCHITECTURES.get(architecture)
     if arch is None:
         raise ValueError(f"architecture must be one of {tuple(ARCHITECTURES)}")
-    if not isinstance(scenario, arch.scenario_type):
-        raise TypeError(
-            f"{architecture} architecture requires a {arch.scenario_type.__name__}"
-        )
 
-    width = getattr(scenario, "n_elements", 1)
+    width = scenario.n_elements if arch.per_element else 1
     rows = min(cfg.chunk_size, max(1, _BLOCK_VALUES // width))
     sums = [[0.0, 0.0], [0.0, 0.0]]
     for index in range(-(-cfg.samples // rows)):
@@ -182,7 +185,7 @@ def mc_branch_estimates(scenario, architecture: str, cfg: McConfig):
     return tuple(estimates)
 
 
-def mc_secrecy(scenario, architecture: str, cfg: McConfig) -> CapacityEstimate:
+def mc_secrecy(scenario: Scenario, architecture: str, cfg: McConfig) -> CapacityEstimate:
     """Clamped difference of the paired branch estimates."""
     est_l, est_e = mc_branch_estimates(scenario, architecture, cfg)
     return secrecy_capacity(est_l, est_e)

@@ -10,7 +10,8 @@ whole array of arguments, with error = tail + rounding floor.
 The capacities do not use the engine.  It serves ``meijer_g_2_1_1_2``
 and the tests' independent cross-checks.  This is the one module of the
 package that imports SciPy, and neither ``linksec`` nor the CLI imports
-it: import ``linksec.specfun`` by name.
+it: import ``linksec.specfun`` by name.  SciPy is not a dependency of the
+package; it comes with the ``test`` extra (``pip install -e .[test]``).
 """
 
 from __future__ import annotations

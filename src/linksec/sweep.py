@@ -20,7 +20,7 @@ import numpy as np
 
 from . import capacity, montecarlo
 from .capacity import CapacityEstimate
-from .channels import ScenarioIrs
+from .channels import Scenario
 from .montecarlo import McConfig
 from .quadrature import AccuracyError
 
@@ -125,7 +125,7 @@ class SweepRow:
     status: str = "ok"
 
 
-def _apply_variable(scenario, variable: str, value: float):
+def _apply_variable(scenario: Scenario, variable: str, value: float) -> Scenario:
     if variable == "tx_power_dbm":
         return dataclasses.replace(scenario, tx_power_dbm=value)
     if variable == "eve_distance_m":
@@ -135,22 +135,12 @@ def _apply_variable(scenario, variable: str, value: float):
         geo = dataclasses.replace(scenario.geometry, d_source_node=value)
         return dataclasses.replace(scenario, geometry=geo)
     if variable == "n_elements":
-        if isinstance(scenario, ScenarioIrs):
-            return dataclasses.replace(scenario, n_elements=int(value))
-        return scenario
+        return dataclasses.replace(scenario, n_elements=int(value))
     raise ValueError(f"unknown sweep variable {variable!r}")
 
 
-def _scenario_for(parsed, architecture: str):
-    """The parsed scenario of the type the architecture takes."""
-    kind = montecarlo.ARCHITECTURES[architecture].scenario_type
-    if isinstance(parsed.scenario_irs, kind):
-        return parsed.scenario_irs
-    return parsed.scenario_relay
-
-
 def _branch_estimates(
-    scenario, architecture: str, method: str, mc_cfg: McConfig
+    scenario: Scenario, architecture: str, method: str, mc_cfg: McConfig
 ) -> tuple[CapacityEstimate, CapacityEstimate]:
     if method == "analytic":
         return montecarlo.ARCHITECTURES[architecture].analytic(scenario)
@@ -158,7 +148,7 @@ def _branch_estimates(
 
 
 def _evaluate(
-    scenario, architecture: str, method: str, mc_cfg: McConfig
+    scenario: Scenario, architecture: str, method: str, mc_cfg: McConfig
 ) -> tuple[float, float, float, float, str]:
     """(secrecy, ergodic_l, ergodic_e, std_error, status) of one point."""
     try:
@@ -179,17 +169,21 @@ def run_sweep(spec: SweepSpec, parsed, mc_cfg: McConfig | None = None) -> list[S
     """Evaluate every grid point of the sweep; returns deterministic rows.
 
     Each distinct (scenario, architecture, method) is evaluated once and
-    its result written to every grid value that maps to it: a relay
-    scenario does not change with ``n_elements``.  A repeated architecture
-    or method gives one row.  Per-point numerical failures land in the
-    row's status column instead of aborting the sweep.
+    its result written to every grid value that maps to it: a relay reads
+    no ``n_elements``, so its scenario is keyed with ``n_elements = 1``.
+    A repeated architecture or method gives one row.  Per-point numerical
+    failures land in the row's status column instead of aborting the
+    sweep.
     """
     mc_cfg = mc_cfg or parsed.mc
     results = {}
     rows = []
     for value in spec.grid():
+        varied = _apply_variable(parsed.scenario, spec.variable, value)
         for arch in dict.fromkeys(spec.architectures):
-            scenario = _apply_variable(_scenario_for(parsed, arch), spec.variable, value)
+            scenario = varied
+            if not montecarlo.ARCHITECTURES[arch].per_element:
+                scenario = dataclasses.replace(varied, n_elements=1)
             for method in dict.fromkeys(spec.methods):
                 key = (scenario, arch, method)
                 if key not in results:
@@ -273,9 +267,7 @@ def figure_preset(fig_id: int, parsed, methods: tuple[str, ...] = ("analytic",))
         return run_sweep(spec, parsed)
     if fig_id == 5:
         base = dataclasses.replace(
-            parsed,
-            scenario_irs=dataclasses.replace(parsed.scenario_irs, tx_power_dbm=20.0),
-            scenario_relay=dataclasses.replace(parsed.scenario_relay, tx_power_dbm=20.0),
+            parsed, scenario=dataclasses.replace(parsed.scenario, tx_power_dbm=20.0)
         )
         spec = SweepSpec("eve_distance_m", 2.0, 40.0, 2.0, ARCHITECTURES, methods)
         return run_sweep(spec, base)
@@ -285,9 +277,7 @@ def figure_preset(fig_id: int, parsed, methods: tuple[str, ...] = ("analytic",))
         for n in (2, 8, 32, 64):
             variant = dataclasses.replace(
                 parsed,
-                scenario_irs=dataclasses.replace(
-                    parsed.scenario_irs, n_elements=n, tx_power_dbm=10.0
-                ),
+                scenario=dataclasses.replace(parsed.scenario, n_elements=n, tx_power_dbm=10.0),
             )
             for row in run_sweep(spec, variant):
                 rows.append(dataclasses.replace(row, architecture=f"irs-n{n}"))
@@ -359,7 +349,7 @@ def validate(
     rows: list[ValidationRow] = []
     points = itertools.product(powers_dbm, architectures)
     for index, (power, arch) in enumerate(points):
-        scenario = dataclasses.replace(_scenario_for(parsed, arch), tx_power_dbm=power)
+        scenario = dataclasses.replace(parsed.scenario, tx_power_dbm=power)
         try:
             ana_l, ana_e = _branch_estimates(scenario, arch, "analytic", mc_cfg)
         except _NUMERICAL_ERRORS as exc:

@@ -27,7 +27,7 @@ from linksec.channels import (
     FadingParams,
     GammaGammaParams,
     Geometry,
-    ScenarioRelay,
+    Scenario,
     relay_hop_params,
 )
 from linksec.config import reference_config
@@ -56,7 +56,7 @@ def test_criterion_1_analytic_monte_carlo_agreement():
     powers = (0.0, 10.0, 20.0)
 
     single = dataclasses.replace(
-        parsed, scenario_irs=dataclasses.replace(parsed.scenario_irs, n_elements=1)
+        parsed, scenario=dataclasses.replace(parsed.scenario, n_elements=1)
     )
     report_n1 = validate(single, powers, cfg, architectures=("irs",))
     report_rest = validate(parsed, powers, cfg)
@@ -99,11 +99,11 @@ def test_criterion_3_exponential_hop_closed_form():
     analytic = df_ergodic_capacity(FadingParams(1, 0.5), FadingParams(1, 0.5))
     assert analytic.bits_per_sec_hz == pytest.approx(0.86034, abs=1e-4)
 
-    scenario = ScenarioRelay(
+    scenario = Scenario(
         geometry=Geometry(1.0, 1.0, 1.0, 2.0),
-        fading_1=FadingParams(1, 0.5),
-        fading_2=FadingParams(1, 0.5),
-        fading_3=FadingParams(1, 0.5),
+        fading_source_node=FadingParams(1, 0.5),
+        fading_node_legit=FadingParams(1, 0.5),
+        fading_node_eve=FadingParams(1, 0.5),
         tx_power_dbm=0.0,
         noise_power_relay=1.0,
         noise_power_legit=1.0,
@@ -160,7 +160,7 @@ def _reference_power_curves():
     powers = [float(p) for p in range(0, 52, 2)]
     curves = {"df": [], "affg": [], "df_sec": [], "affg_sec": []}
     for p in powers:
-        scn = dataclasses.replace(parsed.scenario_relay, tx_power_dbm=p)
+        scn = dataclasses.replace(parsed.scenario, tx_power_dbm=p)
         hops = relay_hop_params(scn)
         l = affg_snr_constant(hops["first"])
         df_l = df_ergodic_capacity(hops["first"], hops["legit"])
@@ -195,12 +195,10 @@ def test_criterion_5_ordinal_claims():
     assert min(df_leads) < min(affg_leads)
 
     parsed = reference_config()
-    irs20 = irs_secrecy(
-        dataclasses.replace(parsed.scenario_irs, tx_power_dbm=20.0)
-    ).bits_per_sec_hz
-    rel20 = dataclasses.replace(parsed.scenario_relay, tx_power_dbm=20.0)
-    df20 = df_secrecy(rel20).bits_per_sec_hz
-    af20 = affg_secrecy(rel20).bits_per_sec_hz
+    scn20 = dataclasses.replace(parsed.scenario, tx_power_dbm=20.0)
+    irs20 = irs_secrecy(scn20).bits_per_sec_hz
+    df20 = df_secrecy(scn20).bits_per_sec_hz
+    af20 = affg_secrecy(scn20).bits_per_sec_hz
     assert irs20 > df20 and irs20 > af20
 
     _report(
@@ -235,17 +233,13 @@ def test_criterion_6_monotonicity_suite():
     rows34 = figure_preset(3, parsed) + figure_preset(4, parsed)
     assert all(r.secrecy_bps_hz >= 0.0 for r in rows34)
 
-    symmetric_irs = dataclasses.replace(
-        parsed.scenario_irs,
-        geometry=dataclasses.replace(parsed.scenario_irs.geometry, d_node_eve=10.0),
+    symmetric = dataclasses.replace(
+        parsed.scenario,
+        geometry=dataclasses.replace(parsed.scenario.geometry, d_node_eve=10.0),
     )
-    symmetric_relay = dataclasses.replace(
-        parsed.scenario_relay,
-        geometry=dataclasses.replace(parsed.scenario_relay.geometry, d_node_eve=10.0),
-    )
-    assert irs_secrecy(symmetric_irs).bits_per_sec_hz == 0.0
-    assert df_secrecy(symmetric_relay).bits_per_sec_hz == 0.0
-    assert affg_secrecy(symmetric_relay).bits_per_sec_hz == 0.0
+    assert irs_secrecy(symmetric).bits_per_sec_hz == 0.0
+    assert df_secrecy(symmetric).bits_per_sec_hz == 0.0
+    assert affg_secrecy(symmetric).bits_per_sec_hz == 0.0
 
     _report(6, "nonnegativity, distance/element monotonicity, and symmetric-zero hold")
 

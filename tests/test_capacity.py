@@ -16,22 +16,19 @@ from linksec.capacity import (
     affg_ergodic_capacity,
     affg_secrecy,
     affg_snr_constant,
-    df_ccdf,
     df_ergodic_capacity,
     df_secrecy,
-    _mgf_complement,
+    _element_hop,
     ergodic_capacity_irs,
     irs_branches,
     irs_secrecy,
-    mgf_irs_element,
     secrecy_capacity,
 )
 from linksec.channels import (
     FadingParams,
     GammaGammaParams,
     Geometry,
-    ScenarioIrs,
-    ScenarioRelay,
+    Scenario,
     relay_hop_params,
     snr_scaled_params,
 )
@@ -51,41 +48,49 @@ from oracles import (
 EXP_CASE_BITS = float(np.e * special.exp1(1.0) / np.log(2.0))  # 0.8603473822708868
 
 
-def relay_scenario(d_eve=20.0, power_dbm=20.0, noise=0.01, shape=2.0):
-    return ScenarioRelay(
+def irs_scenario(n=4, d_eve=20.0, power_dbm=20.0, noise=0.01, shape=2.0):
+    return Scenario(
         geometry=Geometry(13.0, 10.0, d_eve, 2.0),
-        fading_1=FadingParams(shape, 1.0),
-        fading_2=FadingParams(shape, 1.0),
-        fading_3=FadingParams(shape, 1.0),
+        fading_source_node=FadingParams(shape, 1.0),
+        fading_node_legit=FadingParams(shape, 1.0),
+        fading_node_eve=FadingParams(shape, 1.0),
         tx_power_dbm=power_dbm,
         noise_power_relay=noise,
         noise_power_legit=noise,
         noise_power_eve=noise,
-    )
-
-
-def irs_scenario(n=4, d_eve=20.0, power_dbm=20.0, noise=0.01, shape=2.0):
-    return ScenarioIrs(
         n_elements=n,
-        geometry=Geometry(13.0, 10.0, d_eve, 2.0),
-        fading_ts=FadingParams(shape, 1.0),
-        fading_sl=FadingParams(shape, 1.0),
-        fading_se=FadingParams(shape, 1.0),
-        tx_power_dbm=power_dbm,
-        noise_power_legit=noise,
-        noise_power_eve=noise,
     )
+
+
+def relay_scenario(d_eve=20.0, power_dbm=20.0, noise=0.01, shape=2.0):
+    return irs_scenario(n=1, d_eve=d_eve, power_dbm=power_dbm, noise=noise, shape=shape)
+
+
+def element_mgf(z, gg: GammaGammaParams):
+    """E[exp(-z * SNR)] of one element: one minus the capacity's 1 - MGF sum."""
+    z_arr = np.asarray(z, dtype=float)
+    out = 1.0 - capacity._complement(np.atleast_1d(z_arr), *_element_hop(gg))
+    return float(out[0]) if z_arr.ndim == 0 else out
+
+
+def df_survival(g, f1: FadingParams, fb: FadingParams):
+    """P(min(G1, Gb) > g): the product of the two hops' incomplete gammas."""
+    g_arr = np.asarray(g, dtype=float)
+    out = capacity._gammaincc(f1.alpha, f1.beta * g_arr) * capacity._gammaincc(
+        fb.alpha, fb.beta * g_arr
+    )
+    return float(out) if g_arr.ndim == 0 else out
 
 
 class TestMgfElement:
     GG = GammaGammaParams.from_hops(FadingParams(2.0, 2.0), FadingParams(2.0, 2.0))
 
     def test_limit_at_zero(self):
-        assert mgf_irs_element(1e-7, self.GG) == pytest.approx(1.0, abs=1e-6)
+        assert element_mgf(1e-7, self.GG) == pytest.approx(1.0, abs=1e-6)
 
     def test_monotone_decreasing(self):
         grid = np.logspace(-3, 2, 40)
-        vals = [mgf_irs_element(z, self.GG) for z in grid]
+        vals = [element_mgf(z, self.GG) for z in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert all(0.0 < v <= 1.0 for v in vals)
 
@@ -94,18 +99,18 @@ class TestMgfElement:
         oracle, _ = integrate.quad(
             lambda g: math.exp(-z * g) * gamma_gamma_pdf(g, self.GG), 0, np.inf
         )
-        assert mgf_irs_element(z, self.GG) == pytest.approx(oracle, rel=1e-6)
+        assert element_mgf(z, self.GG) == pytest.approx(oracle, rel=1e-6)
 
     def test_array_equals_scalar_calls_across_switch(self):
         gg = self.GG
         z_switch = gg.beta_gg / (20.0 * (gg.shape_first + 12.0) * (gg.shape_second + 12.0))
         z = z_switch * np.logspace(-1.0, 3.0, 41)
-        scalar = [mgf_irs_element(float(t), gg) for t in z]
+        scalar = [element_mgf(float(t), gg) for t in z]
         assert all(isinstance(v, float) for v in scalar)
         # The grid spans the switch to the moment series that the transform
         # once had; rows of one matrix product and single rows may round
         # differently.
-        np.testing.assert_allclose(mgf_irs_element(z, gg), scalar, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(element_mgf(z, gg), scalar, rtol=1e-12, atol=0.0)
 
     def test_series_and_contour_paths_agree(self):
         # Where the transform once switched to its moment series, the
@@ -115,7 +120,7 @@ class TestMgfElement:
         oracle, _ = integrate.quad(
             lambda g: math.exp(-z * g) * gamma_gamma_pdf(g, gg), 0, np.inf
         )
-        assert mgf_irs_element(z, gg) == pytest.approx(oracle, rel=1e-9)
+        assert element_mgf(z, gg) == pytest.approx(oracle, rel=1e-9)
 
 
 class TestIrsCapacity:
@@ -173,25 +178,25 @@ class TestSecrecyCombiner:
 
 class TestDfRelay:
     def test_ccdf_at_zero(self):
-        assert df_ccdf(0.0, FadingParams(2, 1.0), FadingParams(3, 2.0)) == 1.0
+        assert df_survival(0.0, FadingParams(2, 1.0), FadingParams(3, 2.0)) == 1.0
 
     def test_exponential_hops(self):
         f1, fb = FadingParams(1, 0.8), FadingParams(1, 1.4)
         for g in (0.1, 1.0, 3.0):
-            assert df_ccdf(g, f1, fb) == pytest.approx(math.exp(-2.2 * g), rel=1e-13)
+            assert df_survival(g, f1, fb) == pytest.approx(math.exp(-2.2 * g), rel=1e-13)
 
     def test_product_of_survivals(self):
         f1, fb = FadingParams(3, 0.9), FadingParams(2, 1.7)
         for g in np.linspace(0.0, 8.0, 17):
             product = gamma_ccdf_series(g, f1) * gamma_ccdf_series(g, fb)
-            assert df_ccdf(g, f1, fb) == pytest.approx(product, abs=1e-12)
+            assert df_survival(g, f1, fb) == pytest.approx(product, abs=1e-12)
 
     @pytest.mark.parametrize("g", [1e2, 1e4, 1e8])
     def test_large_shapes_stay_finite(self, g):
         # Shape-40 hops with mean SNRs of 40 and 80 dB: a power series in g
         # overflows long before the exponential can damp it.
         f1, fb = FadingParams(40, 4e-3), FadingParams(40, 4e-7)
-        value = df_ccdf(g, f1, fb)
+        value = df_survival(g, f1, fb)
         assert math.isfinite(value) and 0.0 <= value <= 1.0
         with mpmath.workdps(30):
             ref = float(
@@ -203,19 +208,9 @@ class TestDfRelay:
     def test_array_equals_scalar_calls(self):
         f1, fb = FadingParams(3, 0.9), FadingParams(2, 1.7)
         g = np.linspace(0.0, 8.0, 17)
-        scalar = [df_ccdf(float(t), f1, fb) for t in g]
+        scalar = [df_survival(float(t), f1, fb) for t in g]
         assert all(isinstance(v, float) for v in scalar)
-        np.testing.assert_allclose(df_ccdf(g, f1, fb), scalar, rtol=1e-15, atol=0.0)
-
-    def test_negative_g_rejected(self):
-        with pytest.raises(ValueError):
-            df_ccdf(-1.0, FadingParams(2, 1.0), FadingParams(2, 1.0))
-        with pytest.raises(ValueError):
-            df_ccdf(np.array([1.0, -1.0]), FadingParams(2, 1.0), FadingParams(2, 1.0))
-        with pytest.raises(ValueError):
-            df_ccdf(math.nan, FadingParams(2, 1.0), FadingParams(2, 1.0))
-        with pytest.raises(ValueError):
-            df_ccdf(np.array([1.0, math.nan]), FadingParams(2, 1.0), FadingParams(2, 1.0))
+        np.testing.assert_allclose(df_survival(g, f1, fb), scalar, rtol=1e-15, atol=0.0)
 
     def test_exponential_closed_form(self):
         est = df_ergodic_capacity(FadingParams(1, 0.5), FadingParams(1, 0.5))
@@ -295,8 +290,8 @@ class TestIncompleteGamma:
         # Non-integer and large shapes, across both branches of Q.
         f1, fb = FadingParams(2.5, 0.3), FadingParams(40, 4.0)
         g = np.concatenate([[0.0], np.logspace(-4, 3, 50)])
-        scalar = [df_ccdf(float(t), f1, fb) for t in g]
-        np.testing.assert_array_equal(df_ccdf(g, f1, fb), scalar)
+        scalar = [df_survival(float(t), f1, fb) for t in g]
+        np.testing.assert_array_equal(df_survival(g, f1, fb), scalar)
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(capacity, "_GAMMA_MAX_ITER", 1)
@@ -504,7 +499,7 @@ class TestMgfComplement:
         mpmath.mp.dps = 30
         gg = GammaGammaParams.from_hops(FadingParams(a, 1.0), FadingParams(b, 1.0))
         x = np.logspace(-3, 12, 11)
-        got = _mgf_complement(gg.beta_gg / x, gg)
+        got = capacity._complement(gg.beta_gg / x, *_element_hop(gg))
         ref = [_complement_reference(a, b, t) for t in x]
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0.0)
 
@@ -605,7 +600,7 @@ class TestParameterBox:
             BOX_SHAPES, BOX_SHAPES, BOX_POWERS_DB, BOX_ELEMENTS
         ):
             scn = dataclasses.replace(
-                irs_scenario(n=n, power_dbm=power, shape=b), fading_ts=FadingParams(a, 1.0)
+                irs_scenario(n=n, power_dbm=power, shape=b), fading_source_node=FadingParams(a, 1.0)
             )
             for receiver in ("legit", "eve"):
                 evaluations.clear()
@@ -625,7 +620,7 @@ class TestParameterBox:
         monkeypatch.setattr(capacity, "_DF_UNITY_TOL", 1e-12)
         for a1, ab, power in itertools.product(BOX_SHAPES, BOX_SHAPES, BOX_POWERS_DB):
             scn = dataclasses.replace(
-                relay_scenario(power_dbm=power, shape=ab), fading_1=FadingParams(a1, 1.0)
+                relay_scenario(power_dbm=power, shape=ab), fading_source_node=FadingParams(a1, 1.0)
             )
             hops = relay_hop_params(scn)
             f1 = hops["first"]

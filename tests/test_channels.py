@@ -9,8 +9,7 @@ from linksec.channels import (
     FadingParams,
     GammaGammaParams,
     Geometry,
-    ScenarioIrs,
-    ScenarioRelay,
+    Scenario,
     irs_element_params,
     pathloss,
     sample_gamma,
@@ -166,15 +165,16 @@ class TestSamplers:
 
 class TestScenarioParameterization:
     def _scenario(self):
-        return ScenarioIrs(
-            n_elements=4,
+        return Scenario(
             geometry=Geometry(10.0, 10.0, 20.0, 2.0),
-            fading_ts=FadingParams(2.0, 1.0),
-            fading_sl=FadingParams(2.0, 1.0),
-            fading_se=FadingParams(2.0, 1.0),
+            fading_source_node=FadingParams(2.0, 1.0),
+            fading_node_legit=FadingParams(2.0, 1.0),
+            fading_node_eve=FadingParams(2.0, 1.0),
             tx_power_dbm=20.0,
+            noise_power_relay=0.01,
             noise_power_legit=0.01,
             noise_power_eve=0.01,
+            n_elements=4,
         )
 
     def test_element_snr_moment_matches_sampling(self):
@@ -203,19 +203,12 @@ class TestScenarioParameterization:
         for i in range(4):
             with pytest.raises(ValueError):
                 Geometry(*[bad if j == i else 10.0 for j in range(4)])
-        for field in ("noise_power_legit", "noise_power_eve"):
-            with pytest.raises(ValueError):
-                dataclasses.replace(scn, **{field: bad})
-        relay = ScenarioRelay(
-            scn.geometry, scn.fading_ts, scn.fading_sl, scn.fading_se, 20.0, 0.01, 0.01, 0.01
-        )
         for field in ("noise_power_relay", "noise_power_legit", "noise_power_eve"):
             with pytest.raises(ValueError):
-                dataclasses.replace(relay, **{field: bad})
+                dataclasses.replace(scn, **{field: bad})
         if not math.isfinite(bad):
-            for scenario in (scn, relay):
-                with pytest.raises(ValueError):
-                    dataclasses.replace(scenario, tx_power_dbm=bad)
+            with pytest.raises(ValueError):
+                dataclasses.replace(scn, tx_power_dbm=bad)
         if math.isnan(bad):
             with pytest.raises(ValueError):
                 dataclasses.replace(scn, n_elements=bad)
@@ -223,15 +216,16 @@ class TestScenarioParameterization:
     def test_invalid_scenario_rejected(self):
         scn = self._scenario()
         with pytest.raises(ValueError):
-            ScenarioIrs(
-                n_elements=0,
+            Scenario(
                 geometry=scn.geometry,
-                fading_ts=scn.fading_ts,
-                fading_sl=scn.fading_sl,
-                fading_se=scn.fading_se,
+                fading_source_node=scn.fading_source_node,
+                fading_node_legit=scn.fading_node_legit,
+                fading_node_eve=scn.fading_node_eve,
                 tx_power_dbm=20.0,
+                noise_power_relay=0.01,
                 noise_power_legit=0.01,
                 noise_power_eve=0.01,
+                n_elements=0,
             )
 
     def test_non_integer_element_count_rejected(self):

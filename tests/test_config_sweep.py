@@ -48,10 +48,10 @@ def config_with(**overrides) -> str:
 class TestParsing:
     def test_reference_roundtrip(self):
         parsed = reference_config()
-        assert parsed.scenario_irs.n_elements == 4
-        assert parsed.scenario_irs.geometry.pathloss_exponent == 2.0
-        assert parsed.scenario_irs.geometry.d_node_eve == 20.0
-        assert parsed.scenario_relay is not None
+        assert parsed.scenario.n_elements == 4
+        assert parsed.scenario.geometry.pathloss_exponent == 2.0
+        assert parsed.scenario.geometry.d_node_eve == 20.0
+        assert parsed.scenario.noise_power_relay == 0.01
         assert parsed.sweep is not None
         assert parsed.sweep.variable == "tx_power_dbm"
         assert parsed.mc.samples == 200_000

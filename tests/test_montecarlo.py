@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,7 +12,7 @@ from linksec.capacity import (
     df_ergodic_capacity,
     ergodic_capacity_irs,
 )
-from linksec.channels import FadingParams, Geometry, ScenarioIrs, ScenarioRelay, relay_hop_params
+from linksec.channels import FadingParams, Geometry, Scenario, relay_hop_params
 from linksec.config import reference_config
 from linksec.montecarlo import (
     ARCHITECTURES,
@@ -24,40 +25,32 @@ from linksec.montecarlo import (
 EXP_CASE_BITS = float(np.e * special.exp1(1.0) / np.log(2.0))
 
 
-def irs_scenario(n=2, power_dbm=10.0):
-    return ScenarioIrs(
-        n_elements=n,
-        geometry=Geometry(13.0, 10.0, 20.0, 2.0),
-        fading_ts=FadingParams(2.0, 1.0),
-        fading_sl=FadingParams(2.0, 1.0),
-        fading_se=FadingParams(2.0, 1.0),
-        tx_power_dbm=power_dbm,
-        noise_power_legit=0.01,
-        noise_power_eve=0.01,
-    )
-
-
-def relay_scenario(power_dbm=10.0):
-    return ScenarioRelay(
-        geometry=Geometry(13.0, 10.0, 20.0, 2.0),
-        fading_1=FadingParams(2, 1.0),
-        fading_2=FadingParams(2, 1.0),
-        fading_3=FadingParams(2, 1.0),
+def irs_scenario(n=2, power_dbm=10.0, d_eve=20.0, shape=2.0):
+    return Scenario(
+        geometry=Geometry(13.0, 10.0, d_eve, 2.0),
+        fading_source_node=FadingParams(shape, 1.0),
+        fading_node_legit=FadingParams(shape, 1.0),
+        fading_node_eve=FadingParams(shape, 1.0),
         tx_power_dbm=power_dbm,
         noise_power_relay=0.01,
         noise_power_legit=0.01,
         noise_power_eve=0.01,
+        n_elements=n,
     )
+
+
+def relay_scenario(power_dbm=10.0, d_eve=20.0, shape=2.0):
+    return irs_scenario(n=1, power_dbm=power_dbm, d_eve=d_eve, shape=shape)
 
 
 def unit_rate_relay():
     # Unit scale factors: 1 m distances, 0 dB power, unit noise, so the hop
     # rates stay exactly as configured.
-    return ScenarioRelay(
+    return Scenario(
         geometry=Geometry(1.0, 1.0, 1.0, 2.0),
-        fading_1=FadingParams(1, 0.5),
-        fading_2=FadingParams(1, 0.5),
-        fading_3=FadingParams(1, 0.5),
+        fading_source_node=FadingParams(1, 0.5),
+        fading_node_legit=FadingParams(1, 0.5),
+        fading_node_eve=FadingParams(1, 0.5),
         tx_power_dbm=0.0,
         noise_power_relay=1.0,
         noise_power_legit=1.0,
@@ -123,12 +116,10 @@ class TestDeterminism:
         # absorbs last-bit differences of np.log1p, whose SIMD path on
         # AVX-512 and the libm fallback disagree by one ulp on a few
         # percent of inputs.
-        parsed = reference_config()
-        scenario = parsed.scenario_irs if architecture == "irs" else parsed.scenario_relay
         cfg = McConfig(samples=4096, master_seed=23)
         got = [
             (est.bits_per_sec_hz, est.std_error)
-            for est in mc_branch_estimates(scenario, architecture, cfg)
+            for est in mc_branch_estimates(reference_config().scenario, architecture, cfg)
         ]
         assert got == [pytest.approx(pair, rel=1e-12, abs=0) for pair in self.PINNED[architecture]]
 
@@ -182,6 +173,15 @@ class TestChunkBound:
             assert est.bits_per_sec_hz == mean
             assert est.std_error == math.sqrt(var / n)
 
+    @pytest.mark.parametrize("architecture", ["df", "affg"])
+    def test_relay_draws_ignore_element_count(self, architecture):
+        # A relay reads no n_elements, so its chunks keep their width, and
+        # its draws their stream, however many elements the scenario names.
+        cfg = McConfig(samples=10_000, master_seed=24)
+        one = mc_branch_estimates(irs_scenario(n=1), architecture, cfg)
+        wide = mc_branch_estimates(irs_scenario(n=64), architecture, cfg)
+        assert one == wide
+
 
 class TestAgainstClosedForms:
     def test_irs_single_element(self):
@@ -198,16 +198,7 @@ class TestAgainstClosedForms:
 
     @pytest.mark.parametrize("shape", [1, 2, 3])
     def test_df_matches_analytic(self, shape):
-        scn = ScenarioRelay(
-            geometry=Geometry(13.0, 10.0, 20.0, 2.0),
-            fading_1=FadingParams(shape, 1.0),
-            fading_2=FadingParams(shape, 1.0),
-            fading_3=FadingParams(shape, 1.0),
-            tx_power_dbm=10.0,
-            noise_power_relay=0.01,
-            noise_power_legit=0.01,
-            noise_power_eve=0.01,
-        )
+        scn = relay_scenario(shape=shape)
         hops = relay_hop_params(scn)
         cfg = McConfig(samples=400_000, master_seed=17)
         mc = mc_branch_estimates(scn, "df", cfg)[1]
@@ -223,6 +214,18 @@ class TestAgainstClosedForms:
         ana = affg_ergodic_capacity(hops["first"], hops["legit"], l)
         assert abs(mc.bits_per_sec_hz - ana.bits_per_sec_hz) <= 3.0 * mc.std_error
 
+    def test_affg_finite_at_extreme_power(self):
+        # At 2000 dB the hop SNRs reach about 1e200, so the product of two
+        # of them overflows; the simulator must still match the analytic value.
+        scn = relay_scenario(power_dbm=2000.0)
+        hops = relay_hop_params(scn)
+        l = affg_snr_constant(hops["first"])
+        cfg = McConfig(samples=20_000, master_seed=1)
+        for mc, receiver in zip(mc_branch_estimates(scn, "affg", cfg), ("legit", "eve")):
+            ana = affg_ergodic_capacity(hops["first"], hops[receiver], l)
+            assert math.isfinite(mc.bits_per_sec_hz) and mc.std_error > 0
+            assert abs(mc.bits_per_sec_hz - ana.bits_per_sec_hz) <= 5.0 * mc.std_error
+
 
 class TestStructuralProperties:
     def test_min_bound(self):
@@ -231,16 +234,10 @@ class TestStructuralProperties:
         df = mc_branch_estimates(scn, "df", cfg)[0]
         hops = relay_hop_params(scn)
         # Single-hop capacities estimated with the same budget.
+        legit = scn.fading_node_legit
         one = mc_branch_estimates(
-            ScenarioRelay(
-                geometry=scn.geometry,
-                fading_1=scn.fading_1,
-                fading_2=FadingParams(scn.fading_2.alpha, scn.fading_2.beta * 1e-9),
-                fading_3=scn.fading_3,
-                tx_power_dbm=scn.tx_power_dbm,
-                noise_power_relay=scn.noise_power_relay,
-                noise_power_legit=scn.noise_power_legit,
-                noise_power_eve=scn.noise_power_eve,
+            dataclasses.replace(
+                scn, fading_node_legit=FadingParams(legit.alpha, legit.beta * 1e-9)
             ),
             "df",
             cfg,
@@ -276,16 +273,7 @@ class TestStructuralProperties:
 
 class TestSecrecy:
     def test_symmetric_scenario_near_zero(self):
-        scn = ScenarioIrs(
-            n_elements=2,
-            geometry=Geometry(13.0, 10.0, 10.0, 2.0),
-            fading_ts=FadingParams(2.0, 1.0),
-            fading_sl=FadingParams(2.0, 1.0),
-            fading_se=FadingParams(2.0, 1.0),
-            tx_power_dbm=10.0,
-            noise_power_legit=0.01,
-            noise_power_eve=0.01,
-        )
+        scn = irs_scenario(n=2, d_eve=10.0)
         cfg = McConfig(samples=200_000, master_seed=8)
         est = mc_secrecy(scn, "irs", cfg)
         assert est.bits_per_sec_hz <= 3.0 * est.std_error
@@ -294,16 +282,7 @@ class TestSecrecy:
         cfg = McConfig(samples=200_000, master_seed=9)
         values = []
         for d_eve in (12.0, 20.0, 32.0):
-            scn = ScenarioRelay(
-                geometry=Geometry(13.0, 10.0, d_eve, 2.0),
-                fading_1=FadingParams(2, 1.0),
-                fading_2=FadingParams(2, 1.0),
-                fading_3=FadingParams(2, 1.0),
-                tx_power_dbm=20.0,
-                noise_power_relay=0.01,
-                noise_power_legit=0.01,
-                noise_power_eve=0.01,
-            )
+            scn = relay_scenario(power_dbm=20.0, d_eve=d_eve)
             values.append(mc_secrecy(scn, "df", cfg).bits_per_sec_hz)
         assert values[0] < values[1] < values[2]
 
@@ -335,11 +314,3 @@ class TestSecrecy:
         cfg = McConfig(samples=1000, master_seed=1)
         with pytest.raises(ValueError):
             mc_branch_estimates(relay_scenario(), "laser", cfg)
-        # Every architecture rejects the scenario type of the others.
-        for arch, wrong in (
-            ("irs", relay_scenario()),
-            ("df", irs_scenario()),
-            ("affg", irs_scenario()),
-        ):
-            with pytest.raises(TypeError):
-                mc_branch_estimates(wrong, arch, cfg)
