@@ -15,12 +15,9 @@ from .capacity import (
     CapacityEstimate,
     affg_ccdf,
     affg_ergodic_capacity,
-    affg_secrecy,
     affg_snr_constant,
     df_ergodic_capacity,
-    df_secrecy,
     ergodic_capacity_irs,
-    irs_secrecy,
     secrecy_capacity,
 )
 from .channels import (
@@ -33,11 +30,7 @@ from .channels import (
     snr_scaled_params,
 )
 from .config import ConfigError, ParsedConfig, parse_config, parse_config_text, reference_config
-from .montecarlo import (
-    McConfig,
-    mc_branch_estimates,
-    mc_secrecy,
-)
+from .montecarlo import McConfig, branches
 from .quadrature import AccuracyError
 from .sweep import (
     SweepRow,

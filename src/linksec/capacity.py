@@ -23,8 +23,9 @@ by element: a Horner series below the split x = a + 1, a backward
 continued fraction above it), so the capacities need NumPy and ``math``
 only.
 
-Average secrecy is the clamped difference of the two receivers' ergodic
-capacities.
+Average secrecy (``secrecy_capacity``) is the clamped difference of the
+two receivers' ergodic capacities; ``montecarlo.branches`` forms that
+pair for any architecture from a ``Scenario``.
 """
 
 from __future__ import annotations
@@ -41,17 +42,11 @@ from .quadrature import AccuracyError, integrate_semi_infinite
 
 __all__ = [
     "CapacityEstimate",
-    "affg_branches",
     "affg_ccdf",
     "affg_ergodic_capacity",
-    "affg_secrecy",
     "affg_snr_constant",
-    "df_branches",
     "df_ergodic_capacity",
-    "df_secrecy",
     "ergodic_capacity_irs",
-    "irs_branches",
-    "irs_secrecy",
     "secrecy_capacity",
 ]
 
@@ -191,18 +186,6 @@ def ergodic_capacity_irs(scenario: Scenario, receiver: str) -> CapacityEstimate:
     return _damped_capacity(*_element_hop(gg), scenario.n_elements)
 
 
-def irs_branches(scenario: Scenario) -> tuple[CapacityEstimate, CapacityEstimate]:
-    """Analytic (legitimate, eavesdropper) ergodic capacities of the surface link."""
-    return (
-        ergodic_capacity_irs(scenario, "legit"),
-        ergodic_capacity_irs(scenario, "eve"),
-    )
-
-
-def irs_secrecy(scenario: Scenario) -> CapacityEstimate:
-    return secrecy_capacity(*irs_branches(scenario))
-
-
 # ---------------------------------------------------------------------------
 # Regularized upper incomplete gamma
 # ---------------------------------------------------------------------------
@@ -325,19 +308,6 @@ def df_ergodic_capacity(f1: FadingParams, fb: FadingParams) -> CapacityEstimate:
     return CapacityEstimate(bits_per_sec_hz=capacity / _LN2, method="analytic")
 
 
-def df_branches(scenario: Scenario) -> tuple[CapacityEstimate, CapacityEstimate]:
-    """(Legitimate, eavesdropper) ergodic capacities of the decode-and-forward link."""
-    hops = channels.relay_hop_params(scenario)
-    return (
-        df_ergodic_capacity(hops["first"], hops["legit"]),
-        df_ergodic_capacity(hops["first"], hops["eve"]),
-    )
-
-
-def df_secrecy(scenario: Scenario) -> CapacityEstimate:
-    return secrecy_capacity(*df_branches(scenario))
-
-
 # ---------------------------------------------------------------------------
 # Fixed-gain relay
 # ---------------------------------------------------------------------------
@@ -392,17 +362,3 @@ def affg_ergodic_capacity(
     1 - MGF(z) = E_U[1 - (1 + z phi(U))^-shape_1].
     """
     return _damped_capacity(*_relay_hop(f1, fb, l), f1.alpha, 1)
-
-
-def affg_branches(scenario: Scenario) -> tuple[CapacityEstimate, CapacityEstimate]:
-    """(Legitimate, eavesdropper) ergodic capacities of the fixed-gain link."""
-    hops = channels.relay_hop_params(scenario)
-    l = affg_snr_constant(hops["first"])
-    return (
-        affg_ergodic_capacity(hops["first"], hops["legit"], l),
-        affg_ergodic_capacity(hops["first"], hops["eve"], l),
-    )
-
-
-def affg_secrecy(scenario: Scenario) -> CapacityEstimate:
-    return secrecy_capacity(*affg_branches(scenario))

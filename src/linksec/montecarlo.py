@@ -1,18 +1,20 @@
-"""Monte Carlo estimates of the same capacities the analytic route produces.
+"""The architecture table and the Monte Carlo simulator.
 
-``ARCHITECTURES`` describes each architecture once: its analytic
-(legitimate, eavesdropper) capacity pair, its simulator draw, and whether
-it reads the scenario's element count.  The table records the analytic
-pair so that sweeps and validation find both routes in one place, but the
-simulator never calls it: it samples raw channel gains, forms the
-instantaneous end-to-end SNR of each receiver, and averages
-log2(1 + SNR).  Work is split into chunks of at most ``chunk_size`` rows
-and at most 2^18 Gamma values per hop, so a surface of N elements gets
-chunks of at most 2^18 // N rows and memory stays bounded as N grows; a
-relay's chunks do not depend on N.  Each chunk draws from its own SFC64
-stream, seeded from (master seed, chunk index) through ``SeedSequence``,
-so no draw depends on the order in which chunks run and reruns are
-bit-identical.  Partial sums are reduced in chunk order.
+``ARCHITECTURES`` describes each architecture once: its analytic capacity
+of one receiver, its simulator draw, and whether it reads the scenario's
+element count.  ``branches(scenario, name, mc=None)`` is the one way to
+evaluate an architecture: it returns the (legitimate, eavesdropper)
+capacity estimates, analytic without ``mc`` and simulated with it.
+
+The simulator never calls the analytic route: it samples raw channel
+gains, forms the instantaneous end-to-end SNR of each receiver, and
+averages log2(1 + SNR).  Work is split into chunks of at most
+``chunk_size`` rows and at most 2^18 Gamma values per hop, so a surface of
+N elements gets chunks of at most 2^18 // N rows and memory stays bounded
+as N grows; a relay's chunks do not depend on N.  Each chunk draws from its
+own SFC64 stream, seeded from (master seed, chunk index) through
+``SeedSequence``, so no draw depends on the order in which chunks run and
+reruns are bit-identical.  Partial sums are reduced in chunk order.
 """
 
 from __future__ import annotations
@@ -25,23 +27,24 @@ from typing import Callable
 import numpy as np
 
 from . import capacity, channels
-from .capacity import CapacityEstimate, affg_snr_constant, secrecy_capacity
+from .capacity import CapacityEstimate, affg_snr_constant
 from .channels import Scenario
 
 __all__ = [
     "ARCHITECTURES",
     "Architecture",
     "McConfig",
+    "branches",
     "mc_branch_estimates",
-    "mc_secrecy",
 ]
 
 _LN2 = math.log(2.0)
 
-# Most Gamma values a chunk draws per hop: 2 MiB of float64 per array.  A
-# 65,536-row chunk of the reference N = 4 surface fills it exactly, as does
-# a relay chunk of 2^18 rows; wider surfaces get shorter chunks, so memory
-# does not grow with N.
+# Most Gamma values a chunk draws per hop: 2 MiB of float64 per array.  At
+# the default chunk_size of 65,536 rows, a chunk of the reference N = 4
+# surface fills it exactly and a relay chunk holds 65,536 values, 0.5 MiB
+# per array; wider surfaces get shorter chunks, so memory does not grow
+# with N.
 _BLOCK_VALUES = 1 << 18
 
 
@@ -124,32 +127,83 @@ def _affg_snr(scenario: Scenario, rng: np.random.Generator, n: int):
     return g2, g3
 
 
+# ---------------------------------------------------------------------------
+# Per-architecture analytic capacity of one receiver
+# ---------------------------------------------------------------------------
+# Each looks its capacity function up on ``capacity`` at call time, so a
+# wrapper set on that module attribute (to count or trace calls) is the one
+# called.
+
+def _irs_capacity(scenario: Scenario, receiver: str) -> CapacityEstimate:
+    return capacity.ergodic_capacity_irs(scenario, receiver)
+
+
+def _relay_hops(scenario: Scenario, receiver: str):
+    if receiver not in channels.RECEIVERS:
+        raise ValueError(f"receiver must be one of {channels.RECEIVERS}")
+    hops = channels.relay_hop_params(scenario)
+    return hops["first"], hops[receiver]
+
+
+def _df_capacity(scenario: Scenario, receiver: str) -> CapacityEstimate:
+    return capacity.df_ergodic_capacity(*_relay_hops(scenario, receiver))
+
+
+def _affg_capacity(scenario: Scenario, receiver: str) -> CapacityEstimate:
+    first, hop = _relay_hops(scenario, receiver)
+    return capacity.affg_ergodic_capacity(first, hop, affg_snr_constant(first))
+
+
 @dataclass(frozen=True)
 class Architecture:
     """One architecture: its two evaluation routes and whether it reads N.
 
-    ``analytic(scenario)`` returns the analytic (legitimate,
-    eavesdropper) capacity estimates; ``snr(scenario, rng, n)`` draws ``n``
-    paired (legitimate, eavesdropper) instantaneous SNRs from ``rng``, as
-    two new float arrays that the caller may overwrite.  ``per_element``
-    is True when both depend on the scenario's ``n_elements``.
+    ``analytic(scenario, receiver)`` returns the analytic ergodic capacity
+    of the receiver ``"legit"`` or ``"eve"``; ``snr(scenario, rng, n)``
+    draws ``n`` paired (legitimate, eavesdropper) instantaneous SNRs from
+    ``rng``, as two new float arrays that the caller may overwrite.
+    ``per_element`` is True when both depend on the scenario's
+    ``n_elements``.
     """
 
-    analytic: Callable[[Scenario], tuple[CapacityEstimate, CapacityEstimate]]
+    analytic: Callable[[Scenario, str], CapacityEstimate]
     snr: Callable[[Scenario, np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
     per_element: bool = False
 
 
 ARCHITECTURES = {
-    "irs": Architecture(capacity.irs_branches, _irs_snr, per_element=True),
-    "df": Architecture(capacity.df_branches, _df_snr),
-    "affg": Architecture(capacity.affg_branches, _affg_snr),
+    "irs": Architecture(_irs_capacity, _irs_snr, per_element=True),
+    "df": Architecture(_df_capacity, _df_snr),
+    "affg": Architecture(_affg_capacity, _affg_snr),
 }
 
 
+def _architecture(name: str) -> Architecture:
+    arch = ARCHITECTURES.get(name)
+    if arch is None:
+        raise ValueError(f"architecture must be one of {tuple(ARCHITECTURES)}")
+    return arch
+
+
 # ---------------------------------------------------------------------------
-# Paired branches and secrecy
+# Paired branches
 # ---------------------------------------------------------------------------
+
+def branches(
+    scenario: Scenario, architecture: str, mc: McConfig | None = None
+) -> tuple[CapacityEstimate, CapacityEstimate]:
+    """(Legitimate, eavesdropper) ergodic capacity estimates of one architecture.
+
+    Without ``mc`` both are analytic; given an ``McConfig`` they are the
+    paired simulator estimates of ``mc_branch_estimates``.  Their secrecy
+    is ``secrecy_capacity(*branches(...))``.  An unknown architecture
+    raises ValueError on both routes.
+    """
+    if mc is not None:
+        return mc_branch_estimates(scenario, architecture, mc)
+    analytic = _architecture(architecture).analytic
+    return tuple(analytic(scenario, receiver) for receiver in channels.RECEIVERS)
+
 
 def mc_branch_estimates(scenario: Scenario, architecture: str, cfg: McConfig):
     """Paired (legitimate, eavesdropper) estimates sharing the common hop.
@@ -158,10 +212,7 @@ def mc_branch_estimates(scenario: Scenario, architecture: str, cfg: McConfig):
     the physical channel and reducing the variance of their difference.
     Sums and sums of squares of log2(1 + SNR) accumulate in chunk order.
     """
-    arch = ARCHITECTURES.get(architecture)
-    if arch is None:
-        raise ValueError(f"architecture must be one of {tuple(ARCHITECTURES)}")
-
+    arch = _architecture(architecture)
     width = scenario.n_elements if arch.per_element else 1
     rows = min(cfg.chunk_size, max(1, _BLOCK_VALUES // width))
     sums = [[0.0, 0.0], [0.0, 0.0]]
@@ -183,9 +234,3 @@ def mc_branch_estimates(scenario: Scenario, architecture: str, cfg: McConfig):
             CapacityEstimate(mean, "monte-carlo", std_error=math.sqrt(var / n), samples=n)
         )
     return tuple(estimates)
-
-
-def mc_secrecy(scenario: Scenario, architecture: str, cfg: McConfig) -> CapacityEstimate:
-    """Clamped difference of the paired branch estimates."""
-    est_l, est_e = mc_branch_estimates(scenario, architecture, cfg)
-    return secrecy_capacity(est_l, est_e)

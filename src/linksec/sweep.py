@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import capacity, montecarlo
-from .capacity import CapacityEstimate
 from .channels import Scenario
 from .montecarlo import McConfig
 from .quadrature import AccuracyError
@@ -139,20 +138,14 @@ def _apply_variable(scenario: Scenario, variable: str, value: float) -> Scenario
     raise ValueError(f"unknown sweep variable {variable!r}")
 
 
-def _branch_estimates(
-    scenario: Scenario, architecture: str, method: str, mc_cfg: McConfig
-) -> tuple[CapacityEstimate, CapacityEstimate]:
-    if method == "analytic":
-        return montecarlo.ARCHITECTURES[architecture].analytic(scenario)
-    return montecarlo.mc_branch_estimates(scenario, architecture, mc_cfg)
-
-
 def _evaluate(
     scenario: Scenario, architecture: str, method: str, mc_cfg: McConfig
 ) -> tuple[float, float, float, float, str]:
     """(secrecy, ergodic_l, ergodic_e, std_error, status) of one point."""
     try:
-        est_l, est_e = _branch_estimates(scenario, architecture, method, mc_cfg)
+        est_l, est_e = montecarlo.branches(
+            scenario, architecture, None if method == "analytic" else mc_cfg
+        )
     except _NUMERICAL_ERRORS as exc:
         return math.nan, math.nan, math.nan, math.nan, f"error: {exc}"
     sec = capacity.secrecy_capacity(est_l, est_e)
@@ -351,7 +344,7 @@ def validate(
     for index, (power, arch) in enumerate(points):
         scenario = dataclasses.replace(parsed.scenario, tx_power_dbm=power)
         try:
-            ana_l, ana_e = _branch_estimates(scenario, arch, "analytic", mc_cfg)
+            ana_l, ana_e = montecarlo.branches(scenario, arch)
         except _NUMERICAL_ERRORS as exc:
             rows.append(
                 ValidationRow(
@@ -363,7 +356,7 @@ def validate(
             continue
         seed = np.random.SeedSequence([mc_cfg.master_seed, index]).generate_state(1, np.uint64)
         point_cfg = dataclasses.replace(mc_cfg, master_seed=int(seed[0]))
-        mc_l, mc_e = montecarlo.mc_branch_estimates(scenario, arch, point_cfg)
+        mc_l, mc_e = montecarlo.branches(scenario, arch, point_cfg)
         for receiver, ana, mc in (("legit", ana_l, mc_l), ("eve", ana_e, mc_e)):
             a = ana.bits_per_sec_hz
             m = mc.bits_per_sec_hz

@@ -15,12 +15,9 @@ from scipy import integrate, stats
 
 from linksec.capacity import (
     affg_ergodic_capacity,
-    affg_secrecy,
     affg_snr_constant,
     df_ergodic_capacity,
-    df_secrecy,
     ergodic_capacity_irs,
-    irs_secrecy,
     secrecy_capacity,
 )
 from linksec.channels import (
@@ -31,7 +28,7 @@ from linksec.channels import (
     relay_hop_params,
 )
 from linksec.config import reference_config
-from linksec.montecarlo import McConfig, mc_branch_estimates
+from linksec.montecarlo import McConfig, branches, mc_branch_estimates
 from linksec.specfun import MellinBarnesEvaluator
 from linksec.sweep import SweepSpec, figure_preset, rows_to_csv, run_sweep, validate
 from oracles import (
@@ -196,9 +193,9 @@ def test_criterion_5_ordinal_claims():
 
     parsed = reference_config()
     scn20 = dataclasses.replace(parsed.scenario, tx_power_dbm=20.0)
-    irs20 = irs_secrecy(scn20).bits_per_sec_hz
-    df20 = df_secrecy(scn20).bits_per_sec_hz
-    af20 = affg_secrecy(scn20).bits_per_sec_hz
+    irs20 = secrecy_capacity(*branches(scn20, "irs")).bits_per_sec_hz
+    df20 = secrecy_capacity(*branches(scn20, "df")).bits_per_sec_hz
+    af20 = secrecy_capacity(*branches(scn20, "affg")).bits_per_sec_hz
     assert irs20 > df20 and irs20 > af20
 
     _report(
@@ -237,9 +234,8 @@ def test_criterion_6_monotonicity_suite():
         parsed.scenario,
         geometry=dataclasses.replace(parsed.scenario.geometry, d_node_eve=10.0),
     )
-    assert irs_secrecy(symmetric).bits_per_sec_hz == 0.0
-    assert df_secrecy(symmetric).bits_per_sec_hz == 0.0
-    assert affg_secrecy(symmetric).bits_per_sec_hz == 0.0
+    for name in ("irs", "df", "affg"):
+        assert secrecy_capacity(*branches(symmetric, name)).bits_per_sec_hz == 0.0
 
     _report(6, "nonnegativity, distance/element monotonicity, and symmetric-zero hold")
 

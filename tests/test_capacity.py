@@ -14,14 +14,10 @@ from linksec.capacity import (
     _gamma_rule,
     affg_ccdf,
     affg_ergodic_capacity,
-    affg_secrecy,
     affg_snr_constant,
     df_ergodic_capacity,
-    df_secrecy,
     _element_hop,
     ergodic_capacity_irs,
-    irs_branches,
-    irs_secrecy,
     secrecy_capacity,
 )
 from linksec.channels import (
@@ -32,7 +28,7 @@ from linksec.channels import (
     relay_hop_params,
     snr_scaled_params,
 )
-from linksec.montecarlo import ARCHITECTURES, McConfig, mc_branch_estimates
+from linksec.montecarlo import McConfig, branches, mc_branch_estimates
 from linksec.quadrature import AccuracyError
 from oracles import (
     DF_PATHS,
@@ -162,10 +158,10 @@ class TestSecrecyCombiner:
 
     def test_symmetric_scenarios_zero(self):
         scn = irs_scenario(d_eve=10.0)
-        assert irs_secrecy(scn).bits_per_sec_hz == 0.0
+        assert secrecy_capacity(*branches(scn, "irs")).bits_per_sec_hz == 0.0
         rel = relay_scenario(d_eve=10.0)
-        assert df_secrecy(rel).bits_per_sec_hz == 0.0
-        assert affg_secrecy(rel).bits_per_sec_hz == 0.0
+        assert secrecy_capacity(*branches(rel, "df")).bits_per_sec_hz == 0.0
+        assert secrecy_capacity(*branches(rel, "affg")).bits_per_sec_hz == 0.0
 
     def test_errors_combined_in_quadrature(self):
         c = secrecy_capacity(
@@ -239,7 +235,7 @@ class TestDfRelay:
         # Both branches grow at the same rate once every hop is strong, so
         # the secrecy difference stabilizes.
         vals = [
-            df_secrecy(relay_scenario(power_dbm=p)).bits_per_sec_hz
+            secrecy_capacity(*branches(relay_scenario(power_dbm=p), "df")).bits_per_sec_hz
             for p in (40.0, 46.0, 52.0)
         ]
         assert abs(vals[-1] - vals[-2]) < 0.01
@@ -427,34 +423,34 @@ class TestScenarioInvariances:
             noise_power_legit=base_rel.noise_power_legit * 7.0,
             noise_power_eve=base_rel.noise_power_eve * 7.0,
         )
-        assert irs_secrecy(scaled_irs).bits_per_sec_hz == pytest.approx(
-            irs_secrecy(base_irs).bits_per_sec_hz, abs=1e-9
-        )
-        assert df_secrecy(scaled_rel).bits_per_sec_hz == pytest.approx(
-            df_secrecy(base_rel).bits_per_sec_hz, abs=1e-9
-        )
-        assert affg_secrecy(scaled_rel).bits_per_sec_hz == pytest.approx(
-            affg_secrecy(base_rel).bits_per_sec_hz, abs=1e-9
-        )
+        for name, base, scaled in (
+            ("irs", base_irs, scaled_irs),
+            ("df", base_rel, scaled_rel),
+            ("affg", base_rel, scaled_rel),
+        ):
+            assert secrecy_capacity(*branches(scaled, name)).bits_per_sec_hz == pytest.approx(
+                secrecy_capacity(*branches(base, name)).bits_per_sec_hz, abs=1e-9
+            )
 
     def test_secrecy_is_combiner_of_branch_capacities(self):
-        # Scenario-level secrecy is nothing but the deterministic combiner
-        # applied to the two branch capacities.
-        from linksec.channels import relay_hop_params
-
+        # branches() is nothing but the per-receiver capacity functions on
+        # the analytic route and mc_branch_estimates on the simulated one;
+        # secrecy is the deterministic combiner applied to either pair.
         scn = relay_scenario()
         hops = relay_hop_params(scn)
-        via_branches = secrecy_capacity(
-            df_ergodic_capacity(hops["first"], hops["legit"]),
-            df_ergodic_capacity(hops["first"], hops["eve"]),
-        )
-        assert df_secrecy(scn).bits_per_sec_hz == via_branches.bits_per_sec_hz
         l = affg_snr_constant(hops["first"])
-        via_branches = secrecy_capacity(
-            affg_ergodic_capacity(hops["first"], hops["legit"], l),
-            affg_ergodic_capacity(hops["first"], hops["eve"], l),
-        )
-        assert affg_secrecy(scn).bits_per_sec_hz == via_branches.bits_per_sec_hz
+        per_receiver = {
+            "irs": [ergodic_capacity_irs(scn, rx) for rx in ("legit", "eve")],
+            "df": [df_ergodic_capacity(hops["first"], hops[rx]) for rx in ("legit", "eve")],
+            "affg": [
+                affg_ergodic_capacity(hops["first"], hops[rx], l) for rx in ("legit", "eve")
+            ],
+        }
+        cfg = McConfig(samples=1000, master_seed=3)
+        for name, expected in per_receiver.items():
+            assert branches(scn, name) == tuple(expected)
+            assert secrecy_capacity(*branches(scn, name)) == secrecy_capacity(*expected)
+            assert branches(scn, name, cfg) == mc_branch_estimates(scn, name, cfg)
 
     def test_capacities_nondecreasing_in_power(self):
         powers = (0.0, 10.0, 20.0, 30.0)
@@ -513,7 +509,7 @@ class TestLargeShapes:
         cfg = McConfig(samples=100_000, master_seed=7, chunk_size=16_384)
         for n in (1, 64):
             scn = irs_scenario(n=n, power_dbm=power_dbm, shape=shape)
-            for ana, mc in zip(irs_branches(scn), mc_branch_estimates(scn, "irs", cfg)):
+            for ana, mc in zip(branches(scn, "irs"), branches(scn, "irs", cfg)):
                 assert abs(ana.bits_per_sec_hz - mc.bits_per_sec_hz) <= 4.0 * mc.std_error
 
 
@@ -556,8 +552,7 @@ class TestAnyShape:
             ("df", relay_scenario(shape=shape)),
             ("affg", relay_scenario(shape=shape)),
         ):
-            analytic = ARCHITECTURES[arch].analytic(scn)
-            for ana, mc in zip(analytic, mc_branch_estimates(scn, arch, cfg)):
+            for ana, mc in zip(branches(scn, arch), branches(scn, arch, cfg)):
                 assert abs(ana.bits_per_sec_hz - mc.bits_per_sec_hz) <= 4.0 * mc.std_error
 
 

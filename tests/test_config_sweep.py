@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from linksec import capacity, montecarlo, sweep
+from linksec import capacity, montecarlo
 from linksec.cli import main
 from linksec.config import (
     REFERENCE_CONFIG,
@@ -184,13 +184,13 @@ class TestRunSweep:
         # A relay scenario does not change with n_elements: two relay
         # points and four surface points, written to twelve rows.
         calls = []
-        branch_estimates = sweep._branch_estimates
+        branches = montecarlo.branches
 
-        def counting(scenario, architecture, method, mc_cfg):
+        def counting(scenario, architecture, mc=None):
             calls.append(architecture)
-            return branch_estimates(scenario, architecture, method, mc_cfg)
+            return branches(scenario, architecture, mc)
 
-        monkeypatch.setattr(sweep, "_branch_estimates", counting)
+        monkeypatch.setattr(montecarlo, "branches", counting)
         spec = SweepSpec("n_elements", 2, 8, 2, ("irs", "df", "affg"))
         rows = run_sweep(spec, reference_config())
         assert sorted(calls) == ["affg", "df"] + ["irs"] * 4
@@ -252,6 +252,24 @@ class TestFigurePresets:
         with pytest.raises(ValueError):
             figure_preset(7, reference_config())
 
+    def test_capacity_functions_resolved_at_call_time(self, monkeypatch):
+        # A wrapper set on a capacity module attribute, as a profiler does,
+        # must see every call: the architecture table may not bind the
+        # functions at import.  Figure 3 is 26 powers x 2 receivers each.
+        calls = {}
+        for attr in ("ergodic_capacity_irs", "df_ergodic_capacity", "affg_ergodic_capacity"):
+            def counting(*args, _attr=attr, _fn=getattr(capacity, attr)):
+                calls[_attr] = calls.get(_attr, 0) + 1
+                return _fn(*args)
+
+            monkeypatch.setattr(capacity, attr, counting)
+        figure_preset(3, reference_config())
+        assert calls == {
+            "ergodic_capacity_irs": 52,
+            "df_ergodic_capacity": 52,
+            "affg_ergodic_capacity": 52,
+        }
+
 
 class TestValidate:
     def test_reference_consistency_small_budget(self):
@@ -266,11 +284,9 @@ class TestValidate:
         cfg = McConfig(samples=50_000, master_seed=2024)
         # Shift every analytic value by 0.25 bits.
         for name, arch in list(montecarlo.ARCHITECTURES.items()):
-            def shifted(scenario, analytic=arch.analytic):
-                return tuple(
-                    dataclasses.replace(e, bits_per_sec_hz=e.bits_per_sec_hz + 0.25)
-                    for e in analytic(scenario)
-                )
+            def shifted(scenario, receiver, analytic=arch.analytic):
+                e = analytic(scenario, receiver)
+                return dataclasses.replace(e, bits_per_sec_hz=e.bits_per_sec_hz + 0.25)
             monkeypatch.setitem(
                 montecarlo.ARCHITECTURES, name, dataclasses.replace(arch, analytic=shifted)
             )
@@ -283,11 +299,9 @@ class TestValidate:
         parsed = reference_config()
         cfg = McConfig(samples=100_000, master_seed=2024)
         for name, arch in list(montecarlo.ARCHITECTURES.items()):
-            def scaled(scenario, analytic=arch.analytic):
-                return tuple(
-                    dataclasses.replace(e, bits_per_sec_hz=e.bits_per_sec_hz * 1.009)
-                    for e in analytic(scenario)
-                )
+            def scaled(scenario, receiver, analytic=arch.analytic):
+                e = analytic(scenario, receiver)
+                return dataclasses.replace(e, bits_per_sec_hz=e.bits_per_sec_hz * 1.009)
             monkeypatch.setitem(
                 montecarlo.ARCHITECTURES, name, dataclasses.replace(arch, analytic=scaled)
             )
@@ -307,6 +321,11 @@ class TestValidate:
         cfg = McConfig(samples=10_000, master_seed=3)
         report = validate(parsed, (-100.0,), cfg)
         assert report.passed
+
+    def test_unknown_architecture_rejected(self):
+        cfg = McConfig(samples=10_000, master_seed=3)
+        with pytest.raises(ValueError, match="architecture must be one of"):
+            validate(reference_config(), (0.0,), cfg, ("laser",))
 
     def test_no_point_compared_rejected(self):
         with pytest.raises(ValueError):

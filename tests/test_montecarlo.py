@@ -11,6 +11,7 @@ from linksec.capacity import (
     affg_snr_constant,
     df_ergodic_capacity,
     ergodic_capacity_irs,
+    secrecy_capacity,
 )
 from linksec.channels import FadingParams, Geometry, Scenario, relay_hop_params
 from linksec.config import reference_config
@@ -18,8 +19,8 @@ from linksec.montecarlo import (
     ARCHITECTURES,
     McConfig,
     _chunk_rng,
+    branches,
     mc_branch_estimates,
-    mc_secrecy,
 )
 
 EXP_CASE_BITS = float(np.e * special.exp1(1.0) / np.log(2.0))
@@ -275,7 +276,7 @@ class TestSecrecy:
     def test_symmetric_scenario_near_zero(self):
         scn = irs_scenario(n=2, d_eve=10.0)
         cfg = McConfig(samples=200_000, master_seed=8)
-        est = mc_secrecy(scn, "irs", cfg)
+        est = secrecy_capacity(*branches(scn, "irs", cfg))
         assert est.bits_per_sec_hz <= 3.0 * est.std_error
 
     def test_increases_with_eavesdropper_distance(self):
@@ -283,13 +284,13 @@ class TestSecrecy:
         values = []
         for d_eve in (12.0, 20.0, 32.0):
             scn = relay_scenario(power_dbm=20.0, d_eve=d_eve)
-            values.append(mc_secrecy(scn, "df", cfg).bits_per_sec_hz)
+            values.append(secrecy_capacity(*branches(scn, "df", cfg)).bits_per_sec_hz)
         assert values[0] < values[1] < values[2]
 
     def test_shared_hop_estimator_unbiased(self):
         scn = relay_scenario(power_dbm=20.0)
         cfg = McConfig(samples=400_000, master_seed=10)
-        paired = mc_secrecy(scn, "df", cfg)
+        paired = secrecy_capacity(*branches(scn, "df", cfg))
         le = mc_branch_estimates(scn, "df", McConfig(samples=400_000, master_seed=11))[0]
         ev = mc_branch_estimates(scn, "df", McConfig(samples=400_000, master_seed=12))[1]
         independent = max(le.bits_per_sec_hz - ev.bits_per_sec_hz, 0.0)
@@ -297,20 +298,25 @@ class TestSecrecy:
         assert abs(paired.bits_per_sec_hz - independent) <= 3.0 * combined_se
 
     def test_matches_analytic_per_architecture(self):
-        from linksec.capacity import affg_secrecy, df_secrecy, irs_secrecy
-
         cfg = McConfig(samples=400_000, master_seed=14)
         scn_i = irs_scenario(n=4, power_dbm=20.0)
         scn_r = relay_scenario(power_dbm=20.0)
-        pairs = [
-            (mc_secrecy(scn_i, "irs", cfg), irs_secrecy(scn_i)),
-            (mc_secrecy(scn_r, "df", cfg), df_secrecy(scn_r)),
-            (mc_secrecy(scn_r, "affg", cfg), affg_secrecy(scn_r)),
-        ]
-        for mc, ana in pairs:
+        for name, scn in (("irs", scn_i), ("df", scn_r), ("affg", scn_r)):
+            mc = secrecy_capacity(*branches(scn, name, cfg))
+            ana = secrecy_capacity(*branches(scn, name))
             assert abs(mc.bits_per_sec_hz - ana.bits_per_sec_hz) <= 3.0 * mc.std_error
 
     def test_architecture_validation(self):
         cfg = McConfig(samples=1000, master_seed=1)
         with pytest.raises(ValueError):
             mc_branch_estimates(relay_scenario(), "laser", cfg)
+        for mc in (None, cfg):
+            with pytest.raises(ValueError, match="architecture must be one of"):
+                branches(relay_scenario(), "laser", mc)
+
+    @pytest.mark.parametrize("architecture", sorted(ARCHITECTURES))
+    def test_analytic_receiver_validation(self, architecture):
+        # The relays' hop table also holds "first", which is no receiver.
+        for receiver in ("first", "laser"):
+            with pytest.raises(ValueError, match="receiver must be one of"):
+                ARCHITECTURES[architecture].analytic(relay_scenario(), receiver)
