@@ -150,8 +150,16 @@ class GammaGammaParams:
 # Samplers
 # ---------------------------------------------------------------------------
 
-def sample_gamma(p: FadingParams, rng: np.random.Generator, size=None):
-    """Exact Gamma draws (shape-aware rejection sampling via numpy)."""
+def sample_gamma(p: FadingParams, rng, size=None):
+    """Exact Gamma draws (shape-aware rejection sampling via numpy).
+
+    ``rng`` is a numpy ``Generator``, or anything with its ``gamma(shape,
+    scale, size)``.  The simulator passes one chunk's four SFC64
+    sub-streams (``montecarlo._ChunkStreams``): each call splits its flat
+    output into four contiguous pieces, draws piece s from sub-stream s and
+    fills the pieces concurrently, on up to four CPUs.  The call itself
+    returns on the thread that made it, with the whole array filled.
+    """
     return rng.gamma(shape=p.alpha, scale=1.0 / p.beta, size=size)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,12 +14,15 @@ from linksec.capacity import (
     ergodic_capacity_irs,
     secrecy_capacity,
 )
+from linksec import channels, montecarlo
 from linksec.channels import FadingParams, Geometry, Scenario, relay_hop_params
 from linksec.config import reference_config
 from linksec.montecarlo import (
+    _STREAMS,
     ARCHITECTURES,
     McConfig,
-    _chunk_rng,
+    _ChunkStreams,
+    _stream,
     branches,
     mc_branch_estimates,
 )
@@ -97,16 +101,16 @@ class TestDeterminism:
     # branches on the reference scenarios at 4,096 samples and seed 23.
     PINNED = {
         "irs": [
-            (3.202544603499137, 0.010856696933391138),
-            (1.6526127272620157, 0.00816642545334802),
+            (3.2183418578612595, 0.010902467323162498),
+            (1.6579266865229068, 0.008133568807714844),
         ],
         "df": [
-            (6.161478507027949, 0.01690292426552567),
-            (5.129873852290515, 0.016284402806231384),
+            (6.198823316106539, 0.016586447059494372),
+            (5.111569737228723, 0.016503828451225996),
         ],
         "affg": [
-            (5.570239417711307, 0.01946721452951244),
-            (4.487234065016182, 0.02064839661003971),
+            (5.620235961907531, 0.019136195111859138),
+            (4.494928925295875, 0.0209191885630798),
         ],
     }
 
@@ -125,13 +129,63 @@ class TestDeterminism:
         assert got == [pytest.approx(pair, rel=1e-12, abs=0) for pair in self.PINNED[architecture]]
 
     def test_chunks_draw_distinct_streams(self):
-        # A seeding that dropped the chunk index would repeat chunk 0's draws
-        # in every chunk and understate the s.e. by sqrt(chunks).
+        # A seeding that dropped the chunk or sub-stream index would repeat
+        # draws across chunks or pieces and understate the s.e.
         cfg = McConfig(samples=1000, master_seed=31)
-        first = _chunk_rng(cfg, 0).random(4)
-        assert not np.array_equal(first, _chunk_rng(cfg, 1).random(4))
         next_seed = McConfig(samples=1000, master_seed=32)
-        assert not np.array_equal(first, _chunk_rng(next_seed, 0).random(4))
+        draws = [
+            tuple(_stream(c, chunk, sub).random(4))
+            for c in (cfg, next_seed)
+            for chunk in (0, 1)
+            for sub in range(_STREAMS)
+        ]
+        assert len(set(draws)) == len(draws)
+
+
+class TestParallelFill:
+    # The sub-streams, not the threads, decide every draw: one thread and
+    # one per CPU must give the same bytes.
+
+    @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
+    @pytest.mark.parametrize("samples", [20_000, 65_537])
+    def test_thread_count_does_not_change_draws(self, monkeypatch, architecture, samples):
+        # 65,537 samples leave a final 1-row chunk: a relay's last arrays hold
+        # one value, so three of its four pieces are empty.
+        scn = irs_scenario(n=2)
+        cfg = McConfig(samples=samples, master_seed=25)
+        results = []
+        for threads in (1, _STREAMS, montecarlo._threads()):
+            monkeypatch.setattr(montecarlo, "_threads", lambda threads=threads: threads)
+            results.append(mc_branch_estimates(scn, architecture, cfg))
+        assert results[0] == results[1] == results[2]
+        assert all(math.isfinite(est.std_error) and est.std_error > 0 for est in results[0])
+
+    def test_pieces_come_from_their_sub_streams(self):
+        # Piece s of a 10-value array is sub-stream s's next draws, scaled.
+        cfg = McConfig(samples=1000, master_seed=26)
+        got = _ChunkStreams(cfg, 3).gamma(2.5, 0.5, (2, 5)).reshape(-1)
+        bounds = [10 * sub // _STREAMS for sub in range(_STREAMS + 1)]
+        for sub in range(_STREAMS):
+            want = _stream(cfg, 3, sub).gamma(2.5, 0.5, bounds[sub + 1] - bounds[sub])
+            assert np.array_equal(got[bounds[sub]:bounds[sub + 1]], want)
+
+    @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
+    def test_sample_gamma_runs_on_the_calling_thread(self, monkeypatch, architecture):
+        # A tracer that wraps channels.sample_gamma keeps one span stack, so
+        # every call must be made, and return, on the caller's thread: three
+        # per chunk, one per hop.
+        callers = []
+        inner = channels.sample_gamma
+
+        def recording(*args, **kwargs):
+            callers.append(threading.get_ident())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(channels, "sample_gamma", recording)
+        monkeypatch.setattr(montecarlo, "_threads", lambda: _STREAMS)
+        cfg = McConfig(samples=3 * 8192 + 1, master_seed=27, chunk_size=8192)
+        mc_branch_estimates(irs_scenario(n=2), architecture, cfg)
+        assert callers == [threading.get_ident()] * (3 * 4)
 
 
 class TestChunkBound:
@@ -166,7 +220,7 @@ class TestChunkBound:
         scn = irs_scenario(n=4)
         n = 65536
         cfg = McConfig(samples=n, master_seed=23, chunk_size=n)
-        snrs = ARCHITECTURES["irs"].snr(scn, _chunk_rng(cfg, 0), n)
+        snrs = ARCHITECTURES["irs"].snr(scn, _ChunkStreams(cfg, 0), n)
         for est, snr in zip(mc_branch_estimates(scn, "irs", cfg), snrs):
             bits = np.log1p(snr) / math.log(2.0)
             mean = float(bits.sum()) / n
