@@ -36,7 +36,6 @@ from .sweep import (
     SweepRow,
     SweepSpec,
     figure_preset,
-    read_rows_csv,
     rows_to_csv,
     run_sweep,
     validate,

@@ -1,7 +1,8 @@
 """Flat key-value configuration files describing one physical scenario.
 
 The format is declarative text with dotted section keys, one assignment
-per line::
+per line; blank lines and lines that start with ``#`` are skipped, but a
+``#`` after a value is part of the value::
 
     geometry.d_node_eve = 20.0
     fading.source_node.alpha = 2
@@ -50,41 +51,54 @@ class ParsedConfig:
 # grows) falls inside the default 0-50 dB sweep window.
 REFERENCE_CONFIG = (resources.files(__package__) / "reference.cfg").read_text(encoding="utf-8")
 
-_FLOAT_KEYS = {
-    "geometry.d_source_node",
-    "geometry.d_node_legit",
-    "geometry.d_node_eve",
-    "geometry.pathloss_exponent",
-    "fading.source_node.alpha",
-    "fading.source_node.beta",
-    "fading.node_legit.alpha",
-    "fading.node_legit.beta",
-    "fading.node_eve.alpha",
-    "fading.node_eve.beta",
-    "power.tx_dbm",
-    "noise.relay",
-    "noise.legit",
-    "noise.eve",
-    "sweep.from",
-    "sweep.to",
-    "sweep.step",
+# Defaults that are not values: each is the message given when its key is
+# absent.  The _SWEEP keys are required once any one of them is given.
+_REQUIRED = "required key is missing"
+_SWEEP = "required for a sweep section"
+
+_HOPS = ("source_node", "node_legit", "node_eve")
+
+# Every key once, as (kind, default).  A positive key is a float that must
+# be greater than zero.
+_KEYS = {
+    "geometry.d_source_node": ("positive", _REQUIRED),
+    "geometry.d_node_legit": ("positive", _REQUIRED),
+    "geometry.d_node_eve": ("positive", _REQUIRED),
+    "geometry.pathloss_exponent": ("positive", _REQUIRED),
+    **{f"fading.{hop}.{p}": ("positive", _REQUIRED) for hop in _HOPS for p in ("alpha", "beta")},
+    "power.tx_dbm": ("float", _REQUIRED),
+    "noise.relay": ("positive", _REQUIRED),
+    "noise.legit": ("positive", _REQUIRED),
+    "noise.eve": ("positive", _REQUIRED),
+    "irs.n_elements": ("int", _REQUIRED),
+    "sweep.variable": ("str", _SWEEP),
+    "sweep.from": ("float", _SWEEP),
+    "sweep.to": ("float", _SWEEP),
+    "sweep.step": ("float", _SWEEP),
+    "sweep.architectures": ("list", tuple(ARCHITECTURES)),
+    "sweep.methods": ("list", ("analytic",)),
+    "mc.samples": ("int", 200_000),
+    "mc.master_seed": ("int", 20240915),
+    "mc.chunk_size": ("int", 65536),
 }
-_INT_KEYS = {"irs.n_elements", "mc.samples", "mc.master_seed", "mc.chunk_size"}
-_LIST_KEYS = {"sweep.architectures", "sweep.methods"}
-_STR_KEYS = {"sweep.variable"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _LIST_KEYS | _STR_KEYS
-
-_REQUIRED = sorted(
-    k
-    for k in _ALL_KEYS
-    if k.startswith(("geometry.", "fading.", "power.", "noise.", "irs."))
-)
-
-_SWEEP_KEYS = ("sweep.variable", "sweep.from", "sweep.to", "sweep.step")
-
-_MC_DEFAULTS = {"mc.samples": 200_000, "mc.master_seed": 20240915, "mc.chunk_size": 65536}
 
 _METHOD_ALIASES = {"mc": "monte-carlo", "montecarlo": "monte-carlo"}
+
+
+def _finite(text: str) -> float:
+    number = float(text)
+    if not math.isfinite(number):
+        raise ValueError(text)
+    return number
+
+
+_PARSERS = {
+    "positive": _finite,
+    "float": _finite,
+    "int": int,
+    "list": lambda text: tuple(part.strip() for part in text.split(",") if part.strip()),
+    "str": str,
+}
 
 
 def _parse_lines(text: str, violations: list[str]) -> tuple[dict[str, object], set[str]]:
@@ -101,29 +115,32 @@ def _parse_lines(text: str, violations: list[str]) -> tuple[dict[str, object], s
         key, _, rhs = line.partition("=")
         key = key.strip()
         rhs = rhs.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             violations.append(f"line {lineno}: unknown key {key!r}")
             continue
         if key in values or key in rejected:
             violations.append(f"line {lineno}: duplicate key {key!r}")
             continue
+        kind = _KEYS[key][0]
         try:
-            if key in _FLOAT_KEYS:
-                number = float(rhs)
-                if not math.isfinite(number):
-                    raise ValueError(rhs)
-                values[key] = number
-            elif key in _INT_KEYS:
-                values[key] = int(rhs)
-            elif key in _LIST_KEYS:
-                values[key] = tuple(part.strip() for part in rhs.split(",") if part.strip())
-            else:
-                values[key] = rhs
+            values[key] = _PARSERS[kind](rhs)
         except ValueError:
-            kind = "a finite number" if key in _FLOAT_KEYS else "an integer"
-            violations.append(f"line {lineno}: {key}: expected {kind}, got {rhs!r}")
+            expected = "an integer" if kind == "int" else "a finite number"
+            violations.append(f"line {lineno}: {key}: expected {expected}, got {rhs!r}")
             rejected.add(key)
     return values, rejected
+
+
+def _unknown(key: str, noun: str, names, known, expected: str) -> list[str]:
+    return [
+        f"{key}: unknown {noun} {name!r}; expected {expected} {','.join(known)}"
+        for name in names
+        if name not in known
+    ]
+
+
+def _fading(values: dict[str, object], hop: str) -> FadingParams:
+    return FadingParams(values[f"fading.{hop}.alpha"], values[f"fading.{hop}.beta"])
 
 
 def parse_config_text(text: str) -> ParsedConfig:
@@ -131,83 +148,51 @@ def parse_config_text(text: str) -> ParsedConfig:
     full violation list on any problem."""
     violations: list[str] = []
     values, rejected = _parse_lines(text, violations)
-    present = values.keys() | rejected
+    sweep_keys = [key for key, (_, default) in _KEYS.items() if default == _SWEEP]
+    sweep_given = any(key in values or key in rejected for key in sweep_keys)
 
-    for key in _REQUIRED:
-        if key not in present and key not in _MC_DEFAULTS:
-            violations.append(f"{key}: required key is missing")
-
-    def positive(key: str) -> bool:
-        if key in values and not values[key] > 0:
-            violations.append(f"{key}: must be positive, got {values[key]!r}")
-            return False
-        return key in values
-
-    for key in (
-        "geometry.d_source_node",
-        "geometry.d_node_legit",
-        "geometry.d_node_eve",
-        "geometry.pathloss_exponent",
-        "noise.relay",
-        "noise.legit",
-        "noise.eve",
-        "fading.source_node.alpha",
-        "fading.source_node.beta",
-        "fading.node_legit.alpha",
-        "fading.node_legit.beta",
-        "fading.node_eve.alpha",
-        "fading.node_eve.beta",
-    ):
-        positive(key)
-    if "irs.n_elements" in values and values["irs.n_elements"] < 1:
+    for key, (kind, default) in _KEYS.items():
+        if key in values:
+            if kind == "positive" and not values[key] > 0:
+                violations.append(f"{key}: must be positive, got {values[key]!r}")
+        elif default in (_REQUIRED, _SWEEP):
+            if key not in rejected and (default == _REQUIRED or sweep_given):
+                violations.append(f"{key}: {default}")
+        else:
+            values[key] = default
+    if values.get("irs.n_elements", 1) < 1:
         violations.append("irs.n_elements: must be a positive integer")
 
-    architectures = values.get("sweep.architectures", tuple(ARCHITECTURES))
-    for arch in architectures:
-        if arch not in ARCHITECTURES:
-            violations.append(
-                f"sweep.architectures: unknown architecture {arch!r}; "
-                f"expected a subset of {','.join(ARCHITECTURES)}"
-            )
-    methods = tuple(_METHOD_ALIASES.get(m, m) for m in values.get("sweep.methods", ("analytic",)))
-    for method in methods:
-        if method not in METHODS:
-            violations.append(
-                f"sweep.methods: unknown method {method!r}; "
-                f"expected a subset of {','.join(METHODS)}"
-            )
+    architectures = values["sweep.architectures"]
+    methods = tuple(_METHOD_ALIASES.get(m, m) for m in values["sweep.methods"])
+    unknown_names = _unknown(
+        "sweep.architectures", "architecture", architectures, ARCHITECTURES, "a subset of"
+    ) + _unknown("sweep.methods", "method", methods, METHODS, "a subset of")
+    variable = (values["sweep.variable"],) if "sweep.variable" in values else ()
+    unknown_variable = _unknown("sweep.variable", "variable", variable, VARIABLES, "one of")
+    violations += unknown_names + unknown_variable
 
-    sweep_given = [k for k in _SWEEP_KEYS if k in present]
     sweep = None
-    if sweep_given:
-        missing = [k for k in _SWEEP_KEYS if k not in present]
-        for key in missing:
-            violations.append(f"{key}: required for a sweep section")
-        if all(k in values for k in _SWEEP_KEYS):
-            variable = values["sweep.variable"]
-            if variable not in VARIABLES:
-                violations.append(
-                    f"sweep.variable: unknown variable {variable!r}; "
-                    f"expected one of {','.join(VARIABLES)}"
-                )
-            elif not violations:
-                try:
-                    sweep = SweepSpec(
-                        variable=variable,
-                        start=values["sweep.from"],
-                        stop=values["sweep.to"],
-                        step=values["sweep.step"],
-                        architectures=tuple(architectures),
-                        methods=methods,
-                    )
-                except ValueError as exc:
-                    violations.append(f"sweep: {exc}")
+    if sweep_given and all(key in values for key in sweep_keys) and not unknown_variable:
+        # A bad name is reported above; the grid is still checked, under the
+        # default names.
+        names = {} if unknown_names else {"architectures": architectures, "methods": methods}
+        try:
+            sweep = SweepSpec(
+                variable=values["sweep.variable"],
+                start=values["sweep.from"],
+                stop=values["sweep.to"],
+                step=values["sweep.step"],
+                **names,
+            )
+        except ValueError as exc:
+            violations.append(f"sweep: {exc}")
 
     try:
         mc = McConfig(
-            samples=values.get("mc.samples", _MC_DEFAULTS["mc.samples"]),
-            master_seed=values.get("mc.master_seed", _MC_DEFAULTS["mc.master_seed"]),
-            chunk_size=values.get("mc.chunk_size", _MC_DEFAULTS["mc.chunk_size"]),
+            samples=values["mc.samples"],
+            master_seed=values["mc.master_seed"],
+            chunk_size=values["mc.chunk_size"],
         )
     except ValueError as exc:
         violations.append(f"mc: {exc}")
@@ -222,15 +207,7 @@ def parse_config_text(text: str) -> ParsedConfig:
             d_node_eve=values["geometry.d_node_eve"],
             pathloss_exponent=values["geometry.pathloss_exponent"],
         ),
-        fading_source_node=FadingParams(
-            values["fading.source_node.alpha"], values["fading.source_node.beta"]
-        ),
-        fading_node_legit=FadingParams(
-            values["fading.node_legit.alpha"], values["fading.node_legit.beta"]
-        ),
-        fading_node_eve=FadingParams(
-            values["fading.node_eve.alpha"], values["fading.node_eve.beta"]
-        ),
+        **{f"fading_{hop}": _fading(values, hop) for hop in _HOPS},
         tx_power_dbm=values["power.tx_dbm"],
         noise_power_relay=values["noise.relay"],
         noise_power_legit=values["noise.legit"],

@@ -9,9 +9,10 @@ capacity estimates, analytic without ``mc`` and simulated with it.
 The simulator never calls the analytic route: it samples raw channel
 gains, forms the instantaneous end-to-end SNR of each receiver, and
 averages log2(1 + SNR).  Work is split into chunks of at most
-``chunk_size`` rows and at most 2^18 Gamma values per hop, so a surface of
-N elements gets chunks of at most 2^18 // N rows and memory stays bounded
-as N grows; a relay's chunks do not depend on N.  Each chunk owns four
+``chunk_size`` rows and at most max(2^18, N) Gamma values per hop: a
+surface of N elements gets chunks of max(1, 2^18 // N) rows, so memory
+does not grow with N up to N = 2^18, and beyond it a chunk is one row of
+N values; a relay's chunks do not depend on N.  Each chunk owns four
 SFC64 sub-streams, seeded from (master seed, chunk index, sub-stream index)
 through ``SeedSequence``.  Every Gamma array a chunk draws is split into
 four contiguous pieces, piece s drawn from sub-stream s, and the pieces
@@ -45,11 +46,12 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# Most Gamma values a chunk draws per hop: 2 MiB of float64 per array.  At
-# the default chunk_size of 65,536 rows, a chunk of the reference N = 4
-# surface fills it exactly and a relay chunk holds 65,536 values, 0.5 MiB
-# per array; wider surfaces get shorter chunks, so memory does not grow
-# with N.
+# Most Gamma values a chunk draws per hop, 2 MiB of float64 per array,
+# unless one row alone holds more.  At the default chunk_size of 65,536
+# rows, a chunk of the reference N = 4 surface fills it exactly and a relay
+# chunk holds 65,536 values, 0.5 MiB per array; wider surfaces get shorter
+# chunks, so memory does not grow with N up to N = 2^18.  Beyond that a
+# chunk is one row of N values.
 _BLOCK_VALUES = 1 << 18
 
 # Sub-streams per chunk, and so the most threads that fill one array.  Fixed,
@@ -63,8 +65,9 @@ _STREAMS = 4
 class McConfig:
     """Sample count, master seed and the largest chunk, in rows.
 
-    A chunk holds at most ``chunk_size`` rows and at most 2^18 Gamma values
-    per hop, whichever bound is smaller.  The chunk length decides which
+    A chunk holds at most ``chunk_size`` rows and at most max(2^18, N)
+    Gamma values per hop for a surface of N elements (one row of N values
+    once N exceeds 2^18).  The chunk length decides which
     draws of the seeded streams an estimate uses.
     """
 

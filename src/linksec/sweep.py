@@ -32,7 +32,6 @@ __all__ = [
     "SweepSpec",
     "ValidationReport",
     "figure_preset",
-    "read_rows_csv",
     "rows_to_csv",
     "run_sweep",
     "validate",
@@ -40,12 +39,19 @@ __all__ = [
 
 ARCHITECTURES = tuple(montecarlo.ARCHITECTURES)
 METHODS = ("analytic", "monte-carlo")
-VARIABLES = (
-    "tx_power_dbm",
-    "eve_distance_m",
-    "n_elements",
-    "source_surface_distance_m",
-)
+
+# Each sweep variable and how it sets a value on a scenario.
+_VARIABLES = {
+    "tx_power_dbm": lambda scn, v: dataclasses.replace(scn, tx_power_dbm=v),
+    "eve_distance_m": lambda scn, v: dataclasses.replace(
+        scn, geometry=dataclasses.replace(scn.geometry, d_node_eve=v)
+    ),
+    "n_elements": lambda scn, v: dataclasses.replace(scn, n_elements=int(v)),
+    "source_surface_distance_m": lambda scn, v: dataclasses.replace(
+        scn, geometry=dataclasses.replace(scn.geometry, d_source_node=v)
+    ),
+}
+VARIABLES = tuple(_VARIABLES)
 
 # Numerical failures of one point; they fail that point, not the whole run.
 _NUMERICAL_ERRORS = (AccuracyError, OverflowError)
@@ -124,20 +130,6 @@ class SweepRow:
     status: str = "ok"
 
 
-def _apply_variable(scenario: Scenario, variable: str, value: float) -> Scenario:
-    if variable == "tx_power_dbm":
-        return dataclasses.replace(scenario, tx_power_dbm=value)
-    if variable == "eve_distance_m":
-        geo = dataclasses.replace(scenario.geometry, d_node_eve=value)
-        return dataclasses.replace(scenario, geometry=geo)
-    if variable == "source_surface_distance_m":
-        geo = dataclasses.replace(scenario.geometry, d_source_node=value)
-        return dataclasses.replace(scenario, geometry=geo)
-    if variable == "n_elements":
-        return dataclasses.replace(scenario, n_elements=int(value))
-    raise ValueError(f"unknown sweep variable {variable!r}")
-
-
 def _evaluate(
     scenario: Scenario, architecture: str, method: str, mc_cfg: McConfig
 ) -> tuple[float, float, float, float, str]:
@@ -158,7 +150,7 @@ def _evaluate(
     )
 
 
-def run_sweep(spec: SweepSpec, parsed, mc_cfg: McConfig | None = None) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec, parsed) -> list[SweepRow]:
     """Evaluate every grid point of the sweep; returns deterministic rows.
 
     Each distinct (scenario, architecture, method) is evaluated once and
@@ -168,11 +160,10 @@ def run_sweep(spec: SweepSpec, parsed, mc_cfg: McConfig | None = None) -> list[S
     failures land in the row's status column instead of aborting the
     sweep.
     """
-    mc_cfg = mc_cfg or parsed.mc
     results = {}
     rows = []
     for value in spec.grid():
-        varied = _apply_variable(parsed.scenario, spec.variable, value)
+        varied = _VARIABLES[spec.variable](parsed.scenario, value)
         for arch in dict.fromkeys(spec.architectures):
             scenario = varied
             if not montecarlo.ARCHITECTURES[arch].per_element:
@@ -180,7 +171,7 @@ def run_sweep(spec: SweepSpec, parsed, mc_cfg: McConfig | None = None) -> list[S
             for method in dict.fromkeys(spec.methods):
                 key = (scenario, arch, method)
                 if key not in results:
-                    results[key] = _evaluate(scenario, arch, method, mc_cfg)
+                    results[key] = _evaluate(scenario, arch, method, parsed.mc)
                 rows.append(SweepRow(spec.variable, value, arch, method, *results[key]))
     rows.sort(key=lambda r: (r.value, r.architecture, r.method))
     return rows
@@ -210,29 +201,6 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
             ]
         )
     return buf.getvalue()
-
-
-def read_rows_csv(text: str) -> list[SweepRow]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != CSV_COLUMNS:
-        raise ValueError(f"unexpected CSV header {header!r}")
-    rows = []
-    for rec in reader:
-        rows.append(
-            SweepRow(
-                variable=rec[0],
-                value=float(rec[1]),
-                architecture=rec[2],
-                method=rec[3],
-                secrecy_bps_hz=float(rec[4]),
-                ergodic_l=float(rec[5]),
-                ergodic_e=float(rec[6]),
-                std_error=float(rec[7]),
-                status=rec[8],
-            )
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +292,7 @@ class ValidationReport:
 def validate(
     parsed,
     powers_dbm: tuple[float, ...],
-    mc_cfg: McConfig | None = None,
+    mc_cfg: McConfig,
     architectures: tuple[str, ...] = ARCHITECTURES,
 ) -> ValidationReport:
     """Compare the analytic capacities against the simulator on a power grid.
@@ -338,7 +306,6 @@ def validate(
     failing row for both receivers.  Raises ValueError when no point could
     be compared.
     """
-    mc_cfg = mc_cfg or parsed.mc
     rows: list[ValidationRow] = []
     points = itertools.product(powers_dbm, architectures)
     for index, (power, arch) in enumerate(points):

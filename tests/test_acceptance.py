@@ -246,9 +246,11 @@ def test_criterion_7_deterministic_sweeps():
     spec = SweepSpec(
         "tx_power_dbm", 0.0, 10.0, 5.0, ("irs", "df", "affg"), ("analytic", "monte-carlo")
     )
-    cfg = McConfig(samples=50_000, master_seed=99, chunk_size=8192)
-    first = rows_to_csv(run_sweep(spec, parsed, mc_cfg=cfg))
-    second = rows_to_csv(run_sweep(spec, parsed, mc_cfg=cfg))
+    seeded = dataclasses.replace(
+        parsed, mc=McConfig(samples=50_000, master_seed=99, chunk_size=8192)
+    )
+    first = rows_to_csv(run_sweep(spec, seeded))
+    second = rows_to_csv(run_sweep(spec, seeded))
     assert first == second
     _report(7, f"byte-identical CSV across reruns ({len(first)} bytes)")
 

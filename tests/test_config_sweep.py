@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -15,13 +17,21 @@ from linksec.config import (
 from linksec.montecarlo import McConfig
 from linksec.quadrature import AccuracyError
 from linksec.sweep import (
+    CSV_COLUMNS,
     SweepSpec,
     figure_preset,
-    read_rows_csv,
     rows_to_csv,
     run_sweep,
     validate,
 )
+
+
+def csv_records(text: str) -> list[dict[str, str]]:
+    """The data rows of a sweep CSV, keyed by column; checks the header."""
+    reader = csv.DictReader(io.StringIO(text))
+    records = list(reader)
+    assert tuple(reader.fieldnames) == CSV_COLUMNS
+    return records
 
 
 def config_with(**overrides) -> str:
@@ -118,6 +128,144 @@ class TestParsing:
         assert key in exc_info.value.violations[0]
 
 
+# The line on which ``config_with() + "\nkey = value"`` puts the new line.
+_APPENDED_LINE = len(REFERENCE_CONFIG.splitlines()) + 1
+
+
+def _line_of(key: str) -> int:
+    """The line on which the reference config assigns ``key``."""
+    lines = REFERENCE_CONFIG.splitlines()
+    return next(i for i, raw in enumerate(lines, start=1) if raw.partition("=")[0].strip() == key)
+
+
+class TestMessages:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                config_with() + "\njust words",
+                f"line {_APPENDED_LINE}: expected 'key = value', got 'just words'",
+            ),
+            (
+                config_with(**{"bogus.key": "1"}),
+                f"line {_APPENDED_LINE}: unknown key 'bogus.key'",
+            ),
+            (
+                config_with() + "\npower.tx_dbm = 10.0",
+                f"line {_APPENDED_LINE}: duplicate key 'power.tx_dbm'",
+            ),
+            (
+                config_with(**{"geometry.d_node_eve": "twenty"}),
+                f"line {_line_of('geometry.d_node_eve')}: geometry.d_node_eve: "
+                "expected a finite number, got 'twenty'",
+            ),
+            (
+                config_with(**{"noise.eve": "inf"}),
+                f"line {_line_of('noise.eve')}: noise.eve: expected a finite number, got 'inf'",
+            ),
+            (
+                config_with(**{"irs.n_elements": "4.5"}),
+                f"line {_line_of('irs.n_elements')}: irs.n_elements: "
+                "expected an integer, got '4.5'",
+            ),
+            (
+                config_with(**{"power.tx_dbm": None}),
+                "power.tx_dbm: required key is missing",
+            ),
+            (
+                config_with(**{"noise.eve": "-1"}),
+                "noise.eve: must be positive, got -1.0",
+            ),
+            (
+                config_with(**{"irs.n_elements": "0"}),
+                "irs.n_elements: must be a positive integer",
+            ),
+            (
+                config_with(**{"sweep.architectures": "irs,laser"}),
+                "sweep.architectures: unknown architecture 'laser'; "
+                "expected a subset of irs,df,affg",
+            ),
+            (
+                config_with(**{"sweep.methods": "mc,montecarlo,monte_carlo"}),
+                "sweep.methods: unknown method 'monte_carlo'; "
+                "expected a subset of analytic,monte-carlo",
+            ),
+            (
+                config_with(**{"sweep.variable": "bogus"}),
+                "sweep.variable: unknown variable 'bogus'; expected one of "
+                "tx_power_dbm,eve_distance_m,n_elements,source_surface_distance_m",
+            ),
+            (
+                config_with(**{"sweep.step": None}),
+                "sweep.step: required for a sweep section",
+            ),
+            (
+                config_with(**{"sweep.from": "60.0"}),
+                "sweep: sweep start must not exceed stop",
+            ),
+            (
+                config_with(**{"mc.samples": "10"}),
+                "mc: samples must be at least 1000 for a reported estimate",
+            ),
+        ],
+        ids=[
+            "malformed-line",
+            "unknown-key",
+            "duplicate-key",
+            "bad-float",
+            "non-finite-float",
+            "bad-int",
+            "missing-required",
+            "non-positive",
+            "no-elements",
+            "unknown-architecture",
+            "unknown-method",
+            "unknown-variable",
+            "missing-sweep-key",
+            "sweep-spec",
+            "mc-config",
+        ],
+    )
+    def test_exact_message(self, text, message):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config_text(text)
+        assert exc_info.value.violations == [message]
+
+    def test_sweep_violation_reported_beside_other_keys(self):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config_text(config_with(**{"sweep.from": "60.0", "noise.eve": "-1"}))
+        assert sorted(exc_info.value.violations) == [
+            "noise.eve: must be positive, got -1.0",
+            "sweep: sweep start must not exceed stop",
+        ]
+
+    def test_sweep_grid_checked_beside_unknown_architecture(self):
+        text = config_with(
+            **{
+                "geometry.d_node_eve": "-3",
+                "sweep.architectures": "irs,laser",
+                "sweep.from": "60.0",
+            }
+        )
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config_text(text)
+        assert sorted(exc_info.value.violations) == [
+            "geometry.d_node_eve: must be positive, got -3.0",
+            "sweep.architectures: unknown architecture 'laser'; "
+            "expected a subset of irs,df,affg",
+            "sweep: sweep start must not exceed stop",
+        ]
+
+    def test_unknown_variable_reported_beside_missing_sweep_key(self):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config_text(config_with(**{"sweep.variable": "bogus", "sweep.step": None}))
+        assert sorted(exc_info.value.violations) == [
+            "sweep.step: required for a sweep section",
+            "sweep.variable: unknown variable 'bogus'; expected one of "
+            "tx_power_dbm,eve_distance_m,n_elements,source_surface_distance_m",
+        ]
+
+
 class TestSweepSpec:
     def test_grid_arithmetic(self):
         spec = SweepSpec("tx_power_dbm", 0.0, 50.0, 2.0)
@@ -211,14 +359,14 @@ class TestRunSweep:
         parsed = reference_config()
         spec = SweepSpec("tx_power_dbm", 0.0, 10.0, 5.0, ("df",), ("analytic",))
         rows = run_sweep(spec, parsed)
-        text = rows_to_csv(rows)
-        parsed_rows = read_rows_csv(text)
-        for a, b in zip(rows, parsed_rows):
-            assert a.value == b.value
-            assert a.secrecy_bps_hz == b.secrecy_bps_hz
-            assert a.ergodic_l == b.ergodic_l
-            assert a.ergodic_e == b.ergodic_e
-            assert a.std_error == b.std_error
+        records = csv_records(rows_to_csv(rows))
+        assert len(records) == len(rows)
+        for row, rec in zip(rows, records):
+            assert float(rec["value"]) == row.value
+            assert float(rec["secrecy_bps_hz"]) == row.secrecy_bps_hz
+            assert float(rec["ergodic_L"]) == row.ergodic_l
+            assert float(rec["ergodic_E"]) == row.ergodic_e
+            assert float(rec["std_error"]) == row.std_error
 
 
 class TestFigurePresets:
@@ -346,8 +494,7 @@ class TestCli:
             )
         )
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out_path)]) == 0
-        rows = read_rows_csv(out_path.read_text())
-        assert len(rows) == 3 * 2
+        assert len(csv_records(out_path.read_text())) == 3 * 2
 
     def test_sweep_rerun_byte_identical(self, tmp_path):
         cfg_path = tmp_path / "scenario.cfg"
@@ -482,9 +629,9 @@ class TestCli:
         out_path = tmp_path / "fig4.csv"
         args = ["figure", "--id", "4", "--config", str(cfg_path), "--out", str(out_path)]
         assert main(args + ["--method", "mc"]) == 0
-        rows = read_rows_csv(out_path.read_text())
-        assert rows
-        assert {r.method for r in rows} == {"monte-carlo"}
+        records = csv_records(out_path.read_text())
+        assert records
+        assert {rec["method"] for rec in records} == {"monte-carlo"}
 
     def test_non_integer_shapes_on_every_hop(self, tmp_path, capsys):
         shapes = {f"fading.{hop}.alpha": "2.5" for hop in ("source_node", "node_legit", "node_eve")}
@@ -492,9 +639,9 @@ class TestCli:
         cfg_path.write_text(config_with(**shapes))
         out_path = tmp_path / "fig3.csv"
         assert main(["figure", "--id", "3", "--config", str(cfg_path), "--out", str(out_path)]) == 0
-        rows = read_rows_csv(out_path.read_text())
-        assert len(rows) == 78
-        assert all(r.status == "ok" for r in rows)
+        records = csv_records(out_path.read_text())
+        assert len(records) == 78
+        assert all(rec["status"] == "ok" for rec in records)
         args = ["validate", "--config", str(cfg_path), "--samples", "100000", "--seed", "11"]
         assert main(args) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "overall: PASS"
@@ -502,5 +649,5 @@ class TestCli:
     def test_figure_command_with_builtin_reference(self, tmp_path):
         out_path = tmp_path / "fig4.csv"
         assert main(["figure", "--id", "4", "--out", str(out_path)]) == 0
-        rows = read_rows_csv(out_path.read_text())
-        assert {r.architecture for r in rows} == {"df", "affg"}
+        records = csv_records(out_path.read_text())
+        assert {rec["architecture"] for rec in records} == {"df", "affg"}
