@@ -22,7 +22,6 @@ from .capacity import (
 )
 from .channels import (
     FadingParams,
-    GammaGammaParams,
     Geometry,
     Scenario,
     pathloss,

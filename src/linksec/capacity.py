@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import channels
-from .channels import FadingParams, GammaGammaParams, Scenario
+from .channels import FadingParams, Scenario
 from .quadrature import AccuracyError, integrate_semi_infinite
 
 __all__ = [
@@ -167,23 +167,23 @@ def _damped_capacity(phi: np.ndarray, w: np.ndarray, power: float, n: int) -> Ca
 # Surface-assisted link
 # ---------------------------------------------------------------------------
 
-def _element_hop(gg: GammaGammaParams) -> tuple[np.ndarray, np.ndarray, float]:
-    """(phi, w, power) of one element's 1 - MGF.
+def _element_hop(x: FadingParams, y: FadingParams) -> tuple[np.ndarray, np.ndarray, float]:
+    """(phi, w, power) of the 1 - MGF of one element's SNR X * Y.
 
-    With unit-rate Gamma hops U and V the element's SNR is U V / beta_gg.
-    Averaging over V in closed form leaves
-    1 - MGF(z) = E_U[1 - (1 + z U / beta_gg)^-b], b the shape of V.  U is
-    the hop with the smaller shape, whose density is the wider in log u.
+    With unit-rate Gamma hops U and V the element's SNR is U V / beta,
+    beta the product of the two rates.  Averaging over V in closed form
+    leaves 1 - MGF(z) = E_U[1 - (1 + z U / beta)^-b], b the shape of V.  U
+    is the hop with the smaller shape, whose density is the wider in log u.
     """
-    a, b = sorted((gg.shape_first, gg.shape_second))
+    a, b = sorted((x.alpha, y.alpha))
     u, w = _gamma_rule(a)
-    return u / gg.beta_gg, w, b
+    return u / (x.beta * y.beta), w, b
 
 
 def ergodic_capacity_irs(scenario: Scenario, receiver: str) -> CapacityEstimate:
     """E[log2(1 + sum of element SNRs)] via the damped MGF integral."""
-    gg = channels.irs_element_params(scenario, receiver)
-    return _damped_capacity(*_element_hop(gg), scenario.n_elements)
+    hops = channels.surface_hops(scenario, receiver)
+    return _damped_capacity(*_element_hop(*hops), scenario.n_elements)
 
 
 # ---------------------------------------------------------------------------

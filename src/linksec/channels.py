@@ -1,4 +1,4 @@
-"""Channel model: fading distributions, pathloss, and SNR parameterization.
+"""Channel model: fading distributions, pathloss, and the link model.
 
 Squared Nakagami-m envelopes are Gamma distributed, so every link gain is a
 Gamma variate with a shape ``alpha`` and a rate ``beta``.  The surface path
@@ -6,6 +6,10 @@ T -> element -> receiver multiplies two independent gains, giving the
 Gamma-Gamma family.  Deterministic scale factors (transmit power, pathloss,
 receiver noise) fold into the rate: if X ~ Gamma(alpha, beta) then
 c*X ~ Gamma(alpha, beta/c).
+
+The link model is stated once, here, and both the analytic capacities and
+the simulator read it: ``surface_hops`` and ``relay_hops`` return a
+receiver's two hops with those factors folded into the right one.
 """
 
 from __future__ import annotations
@@ -18,15 +22,14 @@ import numpy as np
 
 __all__ = [
     "FadingParams",
-    "GammaGammaParams",
     "Geometry",
     "Scenario",
     "db_to_linear",
-    "irs_element_params",
     "pathloss",
-    "relay_hop_params",
+    "relay_hops",
     "sample_gamma",
     "snr_scaled_params",
+    "surface_hops",
 ]
 
 RECEIVERS = ("legit", "eve")
@@ -121,31 +124,6 @@ class Scenario:
             raise ValueError("tx_power_dbm must be finite")
 
 
-@dataclass(frozen=True)
-class GammaGammaParams:
-    """Product-of-two-Gammas distribution of one element's SNR.
-
-    ``beta_gg`` is the product of the two rates (after any SNR scaling);
-    the two hop shapes are kept as they are.
-    """
-
-    beta_gg: float
-    shape_first: float
-    shape_second: float
-
-    @classmethod
-    def from_hops(cls, first: FadingParams, second: FadingParams) -> "GammaGammaParams":
-        return cls(
-            beta_gg=first.beta * second.beta,
-            shape_first=first.alpha,
-            shape_second=second.alpha,
-        )
-
-    @property
-    def mean(self) -> float:
-        return self.shape_first * self.shape_second / self.beta_gg
-
-
 # ---------------------------------------------------------------------------
 # Samplers
 # ---------------------------------------------------------------------------
@@ -164,47 +142,42 @@ def sample_gamma(p: FadingParams, rng, size=None):
 
 
 # ---------------------------------------------------------------------------
-# SNR parameterization of the surface and the relays
+# The link model: power, pathloss and noise folded into each hop
 # ---------------------------------------------------------------------------
 
-def _irs_scale(scenario: Scenario, receiver: str) -> float:
-    """Deterministic per-element SNR factor P * d_ts^-z * d_si^-z / w_i."""
-    if receiver not in RECEIVERS:
-        raise ValueError(f"receiver must be one of {RECEIVERS}")
+def _receiver(scenario: Scenario, receiver: str) -> tuple[FadingParams, float, float]:
+    """The receiver's hop fading, its distance from the node and its noise power."""
     geo = scenario.geometry
-    power = db_to_linear(scenario.tx_power_dbm)
     if receiver == "legit":
-        d_hop, noise = geo.d_node_legit, scenario.noise_power_legit
-    else:
-        d_hop, noise = geo.d_node_eve, scenario.noise_power_eve
-    return (
-        power
-        * pathloss(geo.d_source_node, geo.pathloss_exponent)
-        * pathloss(d_hop, geo.pathloss_exponent)
-        / noise
-    )
+        return scenario.fading_node_legit, geo.d_node_legit, scenario.noise_power_legit
+    if receiver == "eve":
+        return scenario.fading_node_eve, geo.d_node_eve, scenario.noise_power_eve
+    raise ValueError(f"receiver must be one of {RECEIVERS}")
 
 
-def irs_element_params(scenario: Scenario, receiver: str) -> GammaGammaParams:
-    """Distribution of one element's received SNR, scaling folded in."""
-    hop2 = scenario.fading_node_legit if receiver == "legit" else scenario.fading_node_eve
-    scaled = snr_scaled_params(hop2, _irs_scale(scenario, receiver))
-    return GammaGammaParams.from_hops(scenario.fading_source_node, scaled)
+def surface_hops(scenario: Scenario, receiver: str) -> tuple[FadingParams, FadingParams]:
+    """(X, Y): one element's gains towards ``receiver``, whose SNR is X * Y.
 
-
-def relay_hop_params(scenario: Scenario) -> dict[str, FadingParams]:
-    """Per-hop SNR distributions with power/pathloss/noise folded in.
-
-    Keys: "first" (source -> relay), "legit" and "eve" (relay -> receiver).
+    X is the configured source-element fading.  Y, element to receiver, carries
+    P * d_1^-z * d_r^-z / w_r: the power, both pathlosses and the noise.
     """
+    fading, d_hop, noise = _receiver(scenario, receiver)
     geo = scenario.geometry
-    power = db_to_linear(scenario.tx_power_dbm)
     z = geo.pathloss_exponent
-    c1 = power * pathloss(geo.d_source_node, z) / scenario.noise_power_relay
-    c2 = power * pathloss(geo.d_node_legit, z) / scenario.noise_power_legit
-    c3 = power * pathloss(geo.d_node_eve, z) / scenario.noise_power_eve
-    return {
-        "first": snr_scaled_params(scenario.fading_source_node, c1),
-        "legit": snr_scaled_params(scenario.fading_node_legit, c2),
-        "eve": snr_scaled_params(scenario.fading_node_eve, c3),
-    }
+    power = db_to_linear(scenario.tx_power_dbm)
+    scale = power * pathloss(geo.d_source_node, z) * pathloss(d_hop, z) / noise
+    return scenario.fading_source_node, snr_scaled_params(fading, scale)
+
+
+def relay_hops(scenario: Scenario, receiver: str) -> tuple[FadingParams, FadingParams]:
+    """(first, second): the SNRs of the relay's two hops towards ``receiver``.
+
+    The first is scaled by P * d_1^-z / w_relay, the second by P * d_r^-z / w_r.
+    """
+    fading, d_hop, noise = _receiver(scenario, receiver)
+    geo = scenario.geometry
+    z = geo.pathloss_exponent
+    power = db_to_linear(scenario.tx_power_dbm)
+    first = power * pathloss(geo.d_source_node, z) / scenario.noise_power_relay
+    second = power * pathloss(d_hop, z) / noise
+    return snr_scaled_params(scenario.fading_source_node, first), snr_scaled_params(fading, second)

@@ -147,32 +147,31 @@ def _irs_snr(scenario: Scenario, rng: _ChunkStreams, n: int):
     # The source-surface gains x are shared by both receivers; each
     # receiver's hop is drawn, folded into its SNR and freed before the next.
     shape = (scenario.n_elements, n)
-    x = channels.sample_gamma(scenario.fading_source_node, rng, shape)
+    (first, legit), (_, eve) = (channels.surface_hops(scenario, rx) for rx in channels.RECEIVERS)
+    x = channels.sample_gamma(first, rng, shape)
 
-    def snr(hop: channels.FadingParams, receiver: str) -> np.ndarray:
+    def snr(hop: channels.FadingParams) -> np.ndarray:
         y = channels.sample_gamma(hop, rng, shape)
         y *= x
-        total = y.sum(axis=0)
-        total *= channels._irs_scale(scenario, receiver)
-        return total
+        return y.sum(axis=0)
 
-    return snr(scenario.fading_node_legit, "legit"), snr(scenario.fading_node_eve, "eve")
+    return snr(legit), snr(eve)
+
+
+def _relay_draws(scenario: Scenario, rng: _ChunkStreams, n: int):
+    """The first hop, and n SNR draws of the first, legitimate and eavesdropper hops."""
+    (first, legit), (_, eve) = (channels.relay_hops(scenario, rx) for rx in channels.RECEIVERS)
+    return first, [channels.sample_gamma(hop, rng, n) for hop in (first, legit, eve)]
 
 
 def _df_snr(scenario: Scenario, rng: _ChunkStreams, n: int):
-    hops = channels.relay_hop_params(scenario)
-    g1 = channels.sample_gamma(hops["first"], rng, n)
-    g2 = channels.sample_gamma(hops["legit"], rng, n)
-    g3 = channels.sample_gamma(hops["eve"], rng, n)
+    _, (g1, g2, g3) = _relay_draws(scenario, rng, n)
     return np.minimum(g1, g2), np.minimum(g1, g3)
 
 
 def _affg_snr(scenario: Scenario, rng: _ChunkStreams, n: int):
-    hops = channels.relay_hop_params(scenario)
-    l = affg_snr_constant(hops["first"])
-    g1 = channels.sample_gamma(hops["first"], rng, n)
-    g2 = channels.sample_gamma(hops["legit"], rng, n)
-    g3 = channels.sample_gamma(hops["eve"], rng, n)
+    first, (g1, g2, g3) = _relay_draws(scenario, rng, n)
+    l = affg_snr_constant(first)
     # g1 * g / (g + l) as g1 times a ratio below 1: the product g1 * g
     # overflows at extreme power while the end-to-end SNR still fits.
     for g in (g2, g3):
@@ -192,19 +191,12 @@ def _irs_capacity(scenario: Scenario, receiver: str) -> CapacityEstimate:
     return capacity.ergodic_capacity_irs(scenario, receiver)
 
 
-def _relay_hops(scenario: Scenario, receiver: str):
-    if receiver not in channels.RECEIVERS:
-        raise ValueError(f"receiver must be one of {channels.RECEIVERS}")
-    hops = channels.relay_hop_params(scenario)
-    return hops["first"], hops[receiver]
-
-
 def _df_capacity(scenario: Scenario, receiver: str) -> CapacityEstimate:
-    return capacity.df_ergodic_capacity(*_relay_hops(scenario, receiver))
+    return capacity.df_ergodic_capacity(*channels.relay_hops(scenario, receiver))
 
 
 def _affg_capacity(scenario: Scenario, receiver: str) -> CapacityEstimate:
-    first, hop = _relay_hops(scenario, receiver)
+    first, hop = channels.relay_hops(scenario, receiver)
     return capacity.affg_ergodic_capacity(first, hop, affg_snr_constant(first))
 
 

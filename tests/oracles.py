@@ -22,7 +22,7 @@ from scipy import special as sp
 
 from linksec import channels
 from linksec.capacity import CapacityEstimate, df_ergodic_capacity
-from linksec.channels import FadingParams, GammaGammaParams, sample_gamma
+from linksec.channels import FadingParams, sample_gamma
 from linksec.quadrature import AccuracyError, QuadratureResult
 from linksec.specfun import MellinBarnesEvaluator, _evaluator, log_gamma
 
@@ -332,20 +332,21 @@ def gamma_ccdf_series(g, p: FadingParams):
     return out if out.ndim else float(out)
 
 
-def gamma_gamma_pdf(g, gg: GammaGammaParams):
-    """Density of the product of two independent Gamma gains.
+def gamma_gamma_pdf(g, x: FadingParams, y: FadingParams):
+    """Density of the product X * Y of two independent Gamma gains.
 
-    Its power is the mean of the two shapes and its Bessel order their
-    difference.
+    Its power is the mean of the two shapes, its Bessel order their
+    difference, and its rate the product of the two rates.
     """
     g_arr = np.atleast_1d(np.asarray(g, dtype=float))
     if np.any(g_arr <= 0):
         raise ValueError("gamma_gamma_pdf requires g > 0")
-    alpha = 0.5 * (gg.shape_first + gg.shape_second)
-    order = gg.shape_first - gg.shape_second
-    norm = math.exp(log_gamma(gg.shape_first).real + log_gamma(gg.shape_second).real)
-    bess = sp.kv(order, 2.0 * np.sqrt(g_arr * gg.beta_gg))
-    out = 2.0 * gg.beta_gg ** alpha * g_arr ** (alpha - 1.0) * bess / norm
+    beta = x.beta * y.beta
+    alpha = 0.5 * (x.alpha + y.alpha)
+    order = x.alpha - y.alpha
+    norm = math.exp(log_gamma(x.alpha).real + log_gamma(y.alpha).real)
+    bess = sp.kv(order, 2.0 * np.sqrt(g_arr * beta))
+    out = 2.0 * beta ** alpha * g_arr ** (alpha - 1.0) * bess / norm
     return out if np.ndim(g) else float(out[0])
 
 
@@ -354,15 +355,15 @@ def sample_gamma_gamma(p1: FadingParams, p2: FadingParams, rng: np.random.Genera
     return sample_gamma(p1, rng, size) * sample_gamma(p2, rng, size)
 
 
-def gamma_gamma_moment(gg: GammaGammaParams, k: int) -> float:
-    """E[SNR^k] from the product-of-independent-Gammas factorization."""
+def gamma_gamma_moment(x: FadingParams, y: FadingParams, k: int) -> float:
+    """E[(X Y)^k] from the product-of-independent-Gammas factorization."""
     num = (
-        log_gamma(gg.shape_first + k).real
-        - log_gamma(gg.shape_first).real
-        + log_gamma(gg.shape_second + k).real
-        - log_gamma(gg.shape_second).real
+        log_gamma(x.alpha + k).real
+        - log_gamma(x.alpha).real
+        + log_gamma(y.alpha + k).real
+        - log_gamma(y.alpha).real
     )
-    return math.exp(num - k * math.log(gg.beta_gg))
+    return math.exp(num - k * math.log(x.beta * y.beta))
 
 
 def df_ergodic_capacity_contour(f1: FadingParams, fb: FadingParams) -> CapacityEstimate:
@@ -418,10 +419,12 @@ DF_PATHS = (
 # Surface: 1 - MGF on a Mellin-Barnes contour
 # ---------------------------------------------------------------------------
 
-def mgf_complement_contour(z: np.ndarray, gg: GammaGammaParams) -> np.ndarray:
-    """1 - MGF(z) of one element's SNR on an array of positive z.
+def mgf_complement_contour(
+    z: np.ndarray, first: FadingParams, second: FadingParams
+) -> np.ndarray:
+    """1 - MGF(z) of one element's SNR, the product of the two hop gains.
 
-    With x = beta_gg / z and the hop shapes a, b, the MGF is
+    With x = (product of the two rates) / z and the hop shapes a, b, the MGF is
     G^{2,1}_{1,2}(x | 1; a, b) / (Gamma(a) Gamma(b)): the line integral of
     Gamma(a+u) Gamma(b+u) Gamma(-u) x^{-u} left of u = 0.  Moving the line
     to Re u = 1/2 drops only the residue at u = 0, which is
@@ -432,8 +435,8 @@ def mgf_complement_contour(z: np.ndarray, gg: GammaGammaParams) -> np.ndarray:
     its rounding grows like sqrt(x).  Where the residue at u = 1 is within
     5e-11 of the whole, (a+1)(b+1)/(2x) <= 5e-11, the value is ab/x.
     """
-    a, b = gg.shape_first, gg.shape_second
-    x = gg.beta_gg / z
+    a, b = first.alpha, second.alpha
+    x = first.beta * second.beta / z
     far = x > 1e10 * (a + 1.0) * (b + 1.0)
     out = a * b / x
     if not far.all():
@@ -444,14 +447,14 @@ def mgf_complement_contour(z: np.ndarray, gg: GammaGammaParams) -> np.ndarray:
 
 def ergodic_capacity_irs_contour(scenario, receiver: str) -> CapacityEstimate:
     """Surface capacity from the contour's 1 - MGF in the damped MGF integral."""
-    gg = channels.irs_element_params(scenario, receiver)
+    hops = channels.surface_hops(scenario, receiver)
     n = scenario.n_elements
 
     def integrand(z):
         out = np.zeros_like(z)
         near = z < 40.0
         zn = z[near]
-        delta = mgf_complement_contour(zn, gg)
+        delta = mgf_complement_contour(zn, *hops)
         power = np.ones_like(delta)
         below = delta < 1.0
         power[below] = -np.expm1(n * np.log1p(-delta[below]))

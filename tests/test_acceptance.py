@@ -20,13 +20,7 @@ from linksec.capacity import (
     ergodic_capacity_irs,
     secrecy_capacity,
 )
-from linksec.channels import (
-    FadingParams,
-    GammaGammaParams,
-    Geometry,
-    Scenario,
-    relay_hop_params,
-)
+from linksec.channels import FadingParams, Geometry, Scenario, relay_hops
 from linksec.config import reference_config
 from linksec.montecarlo import McConfig, branches, mc_branch_estimates
 from linksec.specfun import MellinBarnesEvaluator
@@ -126,9 +120,9 @@ def test_criterion_4_product_distribution_correctness():
     n_draws = 10_000_000
     n_bins = 80
     for first, second, seed in param_sets:
-        gg = GammaGammaParams.from_hops(first, second)
-
-        norm, _ = integrate.quad(lambda g: gamma_gamma_pdf(g, gg), 0, np.inf, limit=400)
+        norm, _ = integrate.quad(
+            lambda g: gamma_gamma_pdf(g, first, second), 0, np.inf, limit=400
+        )
         assert norm == pytest.approx(1.0, abs=1e-8)
 
         rng = np.random.default_rng(seed)
@@ -139,7 +133,7 @@ def test_criterion_4_product_distribution_correctness():
         lo = 0.0
         for i, hi in enumerate(np.concatenate((edges, [np.inf]))):
             val, _ = integrate.quad(
-                lambda g: gamma_gamma_pdf(g, gg), lo, hi, limit=400
+                lambda g: gamma_gamma_pdf(g, first, second), lo, hi, limit=400
             )
             expected[i] = val * n_draws
             lo = hi
@@ -158,12 +152,12 @@ def _reference_power_curves():
     curves = {"df": [], "affg": [], "df_sec": [], "affg_sec": []}
     for p in powers:
         scn = dataclasses.replace(parsed.scenario, tx_power_dbm=p)
-        hops = relay_hop_params(scn)
-        l = affg_snr_constant(hops["first"])
-        df_l = df_ergodic_capacity(hops["first"], hops["legit"])
-        df_e = df_ergodic_capacity(hops["first"], hops["eve"])
-        af_l = affg_ergodic_capacity(hops["first"], hops["legit"], l)
-        af_e = affg_ergodic_capacity(hops["first"], hops["eve"], l)
+        (first, legit), (_, eve) = relay_hops(scn, "legit"), relay_hops(scn, "eve")
+        l = affg_snr_constant(first)
+        df_l = df_ergodic_capacity(first, legit)
+        df_e = df_ergodic_capacity(first, eve)
+        af_l = affg_ergodic_capacity(first, legit, l)
+        af_e = affg_ergodic_capacity(first, eve, l)
         curves["df"].append((df_l.bits_per_sec_hz, df_e.bits_per_sec_hz))
         curves["affg"].append((af_l.bits_per_sec_hz, af_e.bits_per_sec_hz))
         curves["df_sec"].append(secrecy_capacity(df_l, df_e).bits_per_sec_hz)

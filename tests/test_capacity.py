@@ -22,12 +22,12 @@ from linksec.capacity import (
 )
 from linksec.channels import (
     FadingParams,
-    GammaGammaParams,
     Geometry,
     Scenario,
-    relay_hop_params,
+    relay_hops,
     snr_scaled_params,
 )
+from linksec.config import reference_config
 from linksec.montecarlo import McConfig, branches, mc_branch_estimates
 from linksec.quadrature import AccuracyError
 from oracles import (
@@ -62,10 +62,10 @@ def relay_scenario(d_eve=20.0, power_dbm=20.0, noise=0.01, shape=2.0):
     return irs_scenario(n=1, d_eve=d_eve, power_dbm=power_dbm, noise=noise, shape=shape)
 
 
-def element_mgf(z, gg: GammaGammaParams):
-    """E[exp(-z * SNR)] of one element: one minus the capacity's 1 - MGF sum."""
+def element_mgf(z, x: FadingParams, y: FadingParams):
+    """E[exp(-z * X * Y)] of one element: one minus the capacity's 1 - MGF sum."""
     z_arr = np.asarray(z, dtype=float)
-    out = 1.0 - capacity._complement(np.atleast_1d(z_arr), *_element_hop(gg))
+    out = 1.0 - capacity._complement(np.atleast_1d(z_arr), *_element_hop(x, y))
     return float(out[0]) if z_arr.ndim == 0 else out
 
 
@@ -79,44 +79,44 @@ def df_survival(g, f1: FadingParams, fb: FadingParams):
 
 
 class TestMgfElement:
-    GG = GammaGammaParams.from_hops(FadingParams(2.0, 2.0), FadingParams(2.0, 2.0))
+    HOPS = (FadingParams(2.0, 2.0), FadingParams(2.0, 2.0))
 
     def test_limit_at_zero(self):
-        assert element_mgf(1e-7, self.GG) == pytest.approx(1.0, abs=1e-6)
+        assert element_mgf(1e-7, *self.HOPS) == pytest.approx(1.0, abs=1e-6)
 
     def test_monotone_decreasing(self):
         grid = np.logspace(-3, 2, 40)
-        vals = [element_mgf(z, self.GG) for z in grid]
+        vals = [element_mgf(z, *self.HOPS) for z in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert all(0.0 < v <= 1.0 for v in vals)
 
     @pytest.mark.parametrize("z", [0.1, 1.0, 10.0])
     def test_against_transform_quadrature(self, z):
         oracle, _ = integrate.quad(
-            lambda g: math.exp(-z * g) * gamma_gamma_pdf(g, self.GG), 0, np.inf
+            lambda g: math.exp(-z * g) * gamma_gamma_pdf(g, *self.HOPS), 0, np.inf
         )
-        assert element_mgf(z, self.GG) == pytest.approx(oracle, rel=1e-6)
+        assert element_mgf(z, *self.HOPS) == pytest.approx(oracle, rel=1e-6)
 
     def test_array_equals_scalar_calls_across_switch(self):
-        gg = self.GG
-        z_switch = gg.beta_gg / (20.0 * (gg.shape_first + 12.0) * (gg.shape_second + 12.0))
+        x, y = self.HOPS
+        z_switch = x.beta * y.beta / (20.0 * (x.alpha + 12.0) * (y.alpha + 12.0))
         z = z_switch * np.logspace(-1.0, 3.0, 41)
-        scalar = [element_mgf(float(t), gg) for t in z]
+        scalar = [element_mgf(float(t), x, y) for t in z]
         assert all(isinstance(v, float) for v in scalar)
         # The grid spans the switch to the moment series that the transform
         # once had; rows of one matrix product and single rows may round
         # differently.
-        np.testing.assert_allclose(element_mgf(z, gg), scalar, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(element_mgf(z, x, y), scalar, rtol=1e-12, atol=0.0)
 
     def test_series_and_contour_paths_agree(self):
         # Where the transform once switched to its moment series, the
         # Gamma-hop rule must still match quadrature.
-        gg = self.GG
-        z = gg.beta_gg / ((gg.shape_first + 12.0) * (gg.shape_second + 12.0) / 0.04)
+        x, y = self.HOPS
+        z = x.beta * y.beta / ((x.alpha + 12.0) * (y.alpha + 12.0) / 0.04)
         oracle, _ = integrate.quad(
-            lambda g: math.exp(-z * g) * gamma_gamma_pdf(g, gg), 0, np.inf
+            lambda g: math.exp(-z * g) * gamma_gamma_pdf(g, x, y), 0, np.inf
         )
-        assert element_mgf(z, gg) == pytest.approx(oracle, rel=1e-9)
+        assert element_mgf(z, x, y) == pytest.approx(oracle, rel=1e-9)
 
 
 class TestIrsCapacity:
@@ -374,13 +374,10 @@ class TestAffgRelay:
 
     def test_df_dominates_ergodic(self):
         for p in (0.0, 10.0, 20.0, 35.0, 50.0):
-            scn = relay_scenario(power_dbm=p)
-            from linksec.channels import relay_hop_params
-
-            hops = relay_hop_params(scn)
-            l = affg_snr_constant(hops["first"])
-            df = df_ergodic_capacity(hops["first"], hops["legit"]).bits_per_sec_hz
-            af = affg_ergodic_capacity(hops["first"], hops["legit"], l).bits_per_sec_hz
+            first, legit = relay_hops(relay_scenario(power_dbm=p), "legit")
+            l = affg_snr_constant(first)
+            df = df_ergodic_capacity(first, legit).bits_per_sec_hz
+            af = affg_ergodic_capacity(first, legit, l).bits_per_sec_hz
             assert df > af
 
     def test_huge_gain_constant_kills_capacity(self):
@@ -437,14 +434,12 @@ class TestScenarioInvariances:
         # the analytic route and mc_branch_estimates on the simulated one;
         # secrecy is the deterministic combiner applied to either pair.
         scn = relay_scenario()
-        hops = relay_hop_params(scn)
-        l = affg_snr_constant(hops["first"])
+        hops = [relay_hops(scn, rx) for rx in ("legit", "eve")]
+        l = affg_snr_constant(hops[0][0])
         per_receiver = {
             "irs": [ergodic_capacity_irs(scn, rx) for rx in ("legit", "eve")],
-            "df": [df_ergodic_capacity(hops["first"], hops[rx]) for rx in ("legit", "eve")],
-            "affg": [
-                affg_ergodic_capacity(hops["first"], hops[rx], l) for rx in ("legit", "eve")
-            ],
+            "df": [df_ergodic_capacity(*pair) for pair in hops],
+            "affg": [affg_ergodic_capacity(*pair, l) for pair in hops],
         }
         cfg = McConfig(samples=1000, master_seed=3)
         for name, expected in per_receiver.items():
@@ -461,21 +456,40 @@ class TestScenarioInvariances:
         df_caps = []
         af_caps = []
         for p in powers:
-            scn = relay_scenario(power_dbm=p)
-            from linksec.channels import relay_hop_params
-
-            hops = relay_hop_params(scn)
-            df_caps.append(
-                df_ergodic_capacity(hops["first"], hops["legit"]).bits_per_sec_hz
-            )
+            first, legit = relay_hops(relay_scenario(power_dbm=p), "legit")
+            df_caps.append(df_ergodic_capacity(first, legit).bits_per_sec_hz)
             af_caps.append(
-                affg_ergodic_capacity(
-                    hops["first"], hops["legit"], affg_snr_constant(hops["first"])
-                ).bits_per_sec_hz
+                affg_ergodic_capacity(first, legit, affg_snr_constant(first)).bits_per_sec_hz
             )
         for series in (irs_caps, df_caps, af_caps):
             assert all(b >= a for a, b in zip(series, series[1:]))
             assert all(v >= 0.0 for v in series)
+
+
+class TestAnalyticPins:
+    # branches() on the reference scenario, recorded with repr.  The
+    # allowance is TestDeterminism.PINNED's: last-bit differences of the
+    # vectorized log1p/expm1 paths across CPUs, nothing more.
+    PINNED = {
+        (0.0, "irs", 4): (0.1288864082239606, 0.033629791505831286),
+        (0.0, "df", 4): (0.873261049335092, 0.48452633118390975),
+        (0.0, "affg", 4): (0.5405126651877046, 0.2529493569220117),
+        (20.0, "irs", 4): (3.2206452523301885, 1.6539927048907177),
+        (20.0, "df", 4): (6.191766159384588, 5.107133208705329),
+        (20.0, "affg", 4): (5.60527005860176, 4.490077647536211),
+        (50.0, "irs", 4): (12.997438460030319, 10.998059299888954),
+        (50.0, "df", 4): (16.12895609723272, 15.01245456719282),
+        (50.0, "affg", 4): (15.527434425690553, 14.349488436730294),
+        (0.0, "irs", 64): (1.3253811760025271, 0.462251604457188),
+        (20.0, "irs", 64): (7.238648225439085, 5.267291313958215),
+        (50.0, "irs", 64): (17.19476424738621, 15.19479338033392),
+    }
+
+    @pytest.mark.parametrize("power, name, n", sorted(PINNED))
+    def test_pinned_branches(self, power, name, n):
+        scn = dataclasses.replace(reference_config().scenario, tx_power_dbm=power, n_elements=n)
+        got = tuple(est.bits_per_sec_hz for est in branches(scn, name))
+        assert got == pytest.approx(self.PINNED[power, name, n], rel=1e-12, abs=0)
 
 
 def _complement_reference(a, b, x):
@@ -493,9 +507,9 @@ class TestMgfComplement:
     @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.5, 40.0), (2.0, 2.0), (10.0, 10.0), (40.0, 40.0)])
     def test_against_mpmath(self, a, b):
         mpmath.mp.dps = 30
-        gg = GammaGammaParams.from_hops(FadingParams(a, 1.0), FadingParams(b, 1.0))
+        hops = (FadingParams(a, 1.0), FadingParams(b, 1.0))
         x = np.logspace(-3, 12, 11)
-        got = capacity._complement(gg.beta_gg / x, *_element_hop(gg))
+        got = capacity._complement(hops[0].beta * hops[1].beta / x, *_element_hop(*hops))
         ref = [_complement_reference(a, b, t) for t in x]
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0.0)
 
@@ -617,11 +631,9 @@ class TestParameterBox:
             scn = dataclasses.replace(
                 relay_scenario(power_dbm=power, shape=ab), fading_source_node=FadingParams(a1, 1.0)
             )
-            hops = relay_hop_params(scn)
-            f1 = hops["first"]
-            l = affg_snr_constant(f1)
             for receiver in ("legit", "eve"):
-                fb = hops[receiver]
+                f1, fb = relay_hops(scn, receiver)
+                l = affg_snr_constant(f1)
                 point = (a1, ab, power, receiver)
                 evaluations.clear()
                 value = affg_ergodic_capacity(f1, fb, l).bits_per_sec_hz

@@ -7,13 +7,13 @@ from scipy import integrate
 
 from linksec.channels import (
     FadingParams,
-    GammaGammaParams,
     Geometry,
     Scenario,
-    irs_element_params,
     pathloss,
+    relay_hops,
     sample_gamma,
     snr_scaled_params,
+    surface_hops,
 )
 from oracles import (
     gamma_ccdf_series,
@@ -112,32 +112,75 @@ class TestGammaGamma:
         ],
     )
     def test_pdf_normalizes(self, hops):
-        gg = GammaGammaParams.from_hops(*hops)
         val, _ = integrate.quad(
-            lambda g: gamma_gamma_pdf(g, gg), 0, np.inf, limit=200
+            lambda g: gamma_gamma_pdf(g, *hops), 0, np.inf, limit=200
         )
         assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_mean_is_product_of_hop_means(self):
-        gg = GammaGammaParams.from_hops(FadingParams(2.0, 3.0), FadingParams(2.0, 5.0))
-        assert gg.mean == pytest.approx(4.0 / 15.0, rel=1e-14)
+        hops = (FadingParams(2.0, 3.0), FadingParams(2.0, 5.0))
+        assert gamma_gamma_moment(*hops, 1) == pytest.approx(4.0 / 15.0, rel=1e-14)
         val, _ = integrate.quad(
-            lambda g: g * gamma_gamma_pdf(g, gg), 0, np.inf, limit=200
+            lambda g: g * gamma_gamma_pdf(g, *hops), 0, np.inf, limit=200
         )
         assert val == pytest.approx(4.0 / 15.0, rel=1e-8)
 
     def test_moments_match_quadrature(self):
-        gg = GammaGammaParams.from_hops(FadingParams(2.0, 1.0), FadingParams(3.0, 2.0))
+        hops = (FadingParams(2.0, 1.0), FadingParams(3.0, 2.0))
         for k in (1, 2, 3):
             val, _ = integrate.quad(
-                lambda g: g ** k * gamma_gamma_pdf(g, gg), 0, np.inf, limit=200
+                lambda g: g ** k * gamma_gamma_pdf(g, *hops), 0, np.inf, limit=200
             )
-            assert gamma_gamma_moment(gg, k) == pytest.approx(val, rel=1e-7)
+            assert gamma_gamma_moment(*hops, k) == pytest.approx(val, rel=1e-7)
 
     def test_rejects_nonpositive_argument(self):
-        gg = GammaGammaParams.from_hops(FadingParams(2.0, 1.0), FadingParams(2.0, 1.0))
         with pytest.raises(ValueError):
-            gamma_gamma_pdf(0.0, gg)
+            gamma_gamma_pdf(0.0, FadingParams(2.0, 1.0), FadingParams(2.0, 1.0))
+
+
+class TestLinkModel:
+    # Every distance, noise power, rate and shape differs, so a hop that
+    # read another hop's distance or noise power would move its mean.
+    SCENARIO = Scenario(
+        geometry=Geometry(7.0, 11.0, 17.0, 2.7),
+        fading_source_node=FadingParams(2.3, 1.7),
+        fading_node_legit=FadingParams(3.1, 0.9),
+        fading_node_eve=FadingParams(1.6, 2.2),
+        tx_power_dbm=23.0,
+        noise_power_relay=0.02,
+        noise_power_legit=0.03,
+        noise_power_eve=0.05,
+        n_elements=5,
+    )
+    POWER = 10.0 ** 2.3
+    # Mean gain of each hop before power, pathloss and noise.
+    MEAN_FIRST = 2.3 / 1.7
+    MEAN_RX = {"legit": 3.1 / 0.9, "eve": 1.6 / 2.2}
+    D_RX = {"legit": 11.0, "eve": 17.0}
+    NOISE_RX = {"legit": 0.03, "eve": 0.05}
+
+    @pytest.mark.parametrize("rx", ["legit", "eve"])
+    def test_relay_hop_means(self, rx):
+        first, second = relay_hops(self.SCENARIO, rx)
+        mean_first = self.MEAN_FIRST * self.POWER * 7.0 ** -2.7 / 0.02
+        mean_second = self.MEAN_RX[rx] * self.POWER * self.D_RX[rx] ** -2.7 / self.NOISE_RX[rx]
+        assert first.mean == pytest.approx(mean_first, rel=1e-13)
+        assert second.mean == pytest.approx(mean_second, rel=1e-13)
+
+    @pytest.mark.parametrize("rx", ["legit", "eve"])
+    def test_surface_element_mean(self, rx):
+        x, y = surface_hops(self.SCENARIO, rx)
+        mean = (
+            self.MEAN_FIRST
+            * self.MEAN_RX[rx]
+            * self.POWER
+            * 7.0 ** -2.7
+            * self.D_RX[rx] ** -2.7
+            / self.NOISE_RX[rx]
+        )
+        # X is the configured source-element gain; Y carries every factor.
+        assert x == self.SCENARIO.fading_source_node
+        assert x.mean * y.mean == pytest.approx(mean, rel=1e-13)
 
 
 class TestSamplers:
@@ -181,13 +224,13 @@ class TestScenarioParameterization:
         # Sampled per-element SNR agrees in the first moment with the
         # product-distribution parameterization.
         scn = self._scenario()
-        gg = irs_element_params(scn, "eve")
+        x, y = surface_hops(scn, "eve")
         rng = np.random.default_rng(99)
         power = 10.0 ** (scn.tx_power_dbm / 10.0)
         scale = power * 10.0 ** -2.0 * 20.0 ** -2.0 / scn.noise_power_eve
         draws = scale * rng.gamma(2.0, 1.0, 500_000) * rng.gamma(2.0, 1.0, 500_000)
         se = draws.std() / math.sqrt(draws.size)
-        assert abs(draws.mean() - gg.mean) <= 3.0 * se
+        assert abs(draws.mean() - x.mean * y.mean) <= 3.0 * se
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):

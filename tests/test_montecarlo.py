@@ -15,7 +15,7 @@ from linksec.capacity import (
     secrecy_capacity,
 )
 from linksec import channels, montecarlo
-from linksec.channels import FadingParams, Geometry, Scenario, relay_hop_params
+from linksec.channels import FadingParams, Geometry, Scenario, relay_hops, surface_hops
 from linksec.config import reference_config
 from linksec.montecarlo import (
     _STREAMS,
@@ -254,30 +254,28 @@ class TestAgainstClosedForms:
     @pytest.mark.parametrize("shape", [1, 2, 3])
     def test_df_matches_analytic(self, shape):
         scn = relay_scenario(shape=shape)
-        hops = relay_hop_params(scn)
         cfg = McConfig(samples=400_000, master_seed=17)
         mc = mc_branch_estimates(scn, "df", cfg)[1]
-        ana = df_ergodic_capacity(hops["first"], hops["eve"])
+        ana = df_ergodic_capacity(*relay_hops(scn, "eve"))
         assert abs(mc.bits_per_sec_hz - ana.bits_per_sec_hz) <= 3.0 * mc.std_error
 
     def test_affg_matches_analytic(self):
         scn = relay_scenario()
-        hops = relay_hop_params(scn)
-        l = affg_snr_constant(hops["first"])
+        first, legit = relay_hops(scn, "legit")
+        l = affg_snr_constant(first)
         cfg = McConfig(samples=400_000, master_seed=19)
         mc = mc_branch_estimates(scn, "affg", cfg)[0]
-        ana = affg_ergodic_capacity(hops["first"], hops["legit"], l)
+        ana = affg_ergodic_capacity(first, legit, l)
         assert abs(mc.bits_per_sec_hz - ana.bits_per_sec_hz) <= 3.0 * mc.std_error
 
     def test_affg_finite_at_extreme_power(self):
         # At 2000 dB the hop SNRs reach about 1e200, so the product of two
         # of them overflows; the simulator must still match the analytic value.
         scn = relay_scenario(power_dbm=2000.0)
-        hops = relay_hop_params(scn)
-        l = affg_snr_constant(hops["first"])
         cfg = McConfig(samples=20_000, master_seed=1)
         for mc, receiver in zip(mc_branch_estimates(scn, "affg", cfg), ("legit", "eve")):
-            ana = affg_ergodic_capacity(hops["first"], hops[receiver], l)
+            first, hop = relay_hops(scn, receiver)
+            ana = affg_ergodic_capacity(first, hop, affg_snr_constant(first))
             assert math.isfinite(mc.bits_per_sec_hz) and mc.std_error > 0
             assert abs(mc.bits_per_sec_hz - ana.bits_per_sec_hz) <= 5.0 * mc.std_error
 
@@ -287,7 +285,6 @@ class TestStructuralProperties:
         scn = relay_scenario()
         cfg = McConfig(samples=100_000, master_seed=3)
         df = mc_branch_estimates(scn, "df", cfg)[0]
-        hops = relay_hop_params(scn)
         # Single-hop capacities estimated with the same budget.
         legit = scn.fading_node_legit
         one = mc_branch_estimates(
@@ -368,9 +365,17 @@ class TestSecrecy:
             with pytest.raises(ValueError, match="architecture must be one of"):
                 branches(relay_scenario(), "laser", mc)
 
-    @pytest.mark.parametrize("architecture", sorted(ARCHITECTURES))
-    def test_analytic_receiver_validation(self, architecture):
-        # The relays' hop table also holds "first", which is no receiver.
+    # Every function that takes a receiver name: the analytic capacities and
+    # the link model beneath both routes.
+    RECEIVER_READERS = {
+        **{name: arch.analytic for name, arch in ARCHITECTURES.items()},
+        "relay_hops": relay_hops,
+        "surface_hops": surface_hops,
+    }
+
+    @pytest.mark.parametrize("reader", sorted(RECEIVER_READERS))
+    def test_analytic_receiver_validation(self, reader):
+        # "first" names the relays' first hop, which is no receiver.
         for receiver in ("first", "laser"):
             with pytest.raises(ValueError, match="receiver must be one of"):
-                ARCHITECTURES[architecture].analytic(relay_scenario(), receiver)
+                self.RECEIVER_READERS[reader](relay_scenario(), receiver)
