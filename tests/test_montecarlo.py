@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import special, stats
 
 from linksec.capacity import (
     affg_ergodic_capacity,
@@ -18,6 +18,7 @@ from linksec import channels, montecarlo
 from linksec.channels import FadingParams, Geometry, Scenario, relay_hops, surface_hops
 from linksec.config import reference_config
 from linksec.montecarlo import (
+    _SCRATCH_VALUES,
     _STREAMS,
     ARCHITECTURES,
     McConfig,
@@ -101,16 +102,16 @@ class TestDeterminism:
     # branches on the reference scenarios at 4,096 samples and seed 23.
     PINNED = {
         "irs": [
-            (3.2183418578612595, 0.010902467323162498),
-            (1.6579266865229068, 0.008133568807714844),
+            (3.218876104554127, 0.010837184051467554),
+            (1.6624413253825738, 0.008240008841513425),
         ],
         "df": [
-            (6.198823316106539, 0.016586447059494372),
-            (5.111569737228723, 0.016503828451225996),
+            (6.2083793006118135, 0.016821147128135972),
+            (5.1145425671544045, 0.01655020296560329),
         ],
         "affg": [
-            (5.620235961907531, 0.019136195111859138),
-            (4.494928925295875, 0.0209191885630798),
+            (5.621993698492551, 0.019744977377317622),
+            (4.52044642301202, 0.020638290585366995),
         ],
     }
 
@@ -186,6 +187,61 @@ class TestParallelFill:
         cfg = McConfig(samples=3 * 8192 + 1, master_seed=27, chunk_size=8192)
         mc_branch_estimates(irs_scenario(n=2), architecture, cfg)
         assert callers == [threading.get_ident()] * (3 * 4)
+
+
+class TestErlangFill:
+    # Integer shapes up to 3 are sums of exponentials; every other shape is
+    # standard_gamma, bit for bit.
+
+    @staticmethod
+    def erlang_piece(rng, k, size):
+        # The documented draw order: one exponential per value, then k - 1
+        # more per scratch block, added block by block.
+        piece = rng.standard_exponential(size)
+        for start in range(0, size, _SCRATCH_VALUES):
+            block = piece[start:start + _SCRATCH_VALUES]
+            for _ in range(k - 1):
+                block += rng.standard_exponential(block.size)
+        return piece
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("size", [1, 10 * _SCRATCH_VALUES + 3])
+    def test_pieces_are_sub_stream_exponential_sums(self, k, size):
+        # One value leaves three empty pieces and a piece of one; the large
+        # array gives pieces of 2.5 scratch blocks, the last one partial.
+        cfg = McConfig(samples=1000, master_seed=28)
+        got = _ChunkStreams(cfg, 2).gamma(float(k), 0.25, size)
+        bounds = [size * sub // _STREAMS for sub in range(_STREAMS + 1)]
+        for sub in range(_STREAMS):
+            want = self.erlang_piece(_stream(cfg, 2, sub), k, bounds[sub + 1] - bounds[sub])
+            want *= 0.25
+            assert got[bounds[sub]:bounds[sub + 1]].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_erlang_draws_follow_gamma(self, k):
+        scale = 0.4
+        n = 10**6
+        draws = _ChunkStreams(McConfig(samples=n, master_seed=29), 0).gamma(float(k), scale, n)
+        assert stats.kstest(draws, stats.gamma(k, scale=scale).cdf).pvalue > 1e-3
+        mean, var = k * scale, k * scale**2
+        assert abs(draws.mean() - mean) < 5 * math.sqrt(var / n)
+        # Var of the sample variance: var^2 (2 + 6/k) / n, from the Gamma
+        # excess kurtosis 6/k.
+        assert abs(draws.var(ddof=1) - var) < 5 * var * math.sqrt((2 + 6 / k) / n)
+
+    @pytest.mark.parametrize("shape", [1.0, 2.5, 2.0000001, 4.0])
+    def test_other_shapes_are_standard_gamma(self, shape):
+        # Shape 1 is the k = 1 Erlang rule, whose bits are standard_gamma's;
+        # non-integer shapes and integers above 3 call standard_gamma.
+        cfg = McConfig(samples=1000, master_seed=30)
+        size = 4 * _SCRATCH_VALUES + 5
+        got = _ChunkStreams(cfg, 1).gamma(shape, 3.0, size)
+        bounds = [size * sub // _STREAMS for sub in range(_STREAMS + 1)]
+        want = np.concatenate([
+            _stream(cfg, 1, sub).standard_gamma(shape, bounds[sub + 1] - bounds[sub]) * 3.0
+            for sub in range(_STREAMS)
+        ])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestChunkBound:
