@@ -136,12 +136,12 @@ def sample_gamma(p: FadingParams, rng, size=None):
     sub-streams (``montecarlo._ChunkStreams``): each call splits its flat
     output into four contiguous pieces, draws piece s from sub-stream s and
     fills the pieces concurrently, on up to four CPUs.  A piece at an
-    integer shape k <= 3 is an Erlang draw, the sum of k standard
-    exponentials; every other shape is NumPy's Marsaglia-Tsang
-    ``standard_gamma``.  The Erlang sum is cheaper per value up to k = 3
-    and dearer from k = 4 (measured break-even in ``montecarlo``).  The
-    call itself returns on the thread that made it, with the whole array
-    filled.
+    integer shape k <= 5 is an Erlang draw, -log of a product of k
+    factors 1 - u of uniforms u; every other shape is NumPy's
+    Marsaglia-Tsang ``standard_gamma``.  The product is cheaper per value
+    up to k = 5 and no cheaper from k = 6 (measured break-even in
+    ``montecarlo``).  The call itself returns on the thread that made it,
+    with the whole array filled.
     """
     return rng.gamma(shape=p.alpha, scale=1.0 / p.beta, size=size)
 

@@ -21,12 +21,18 @@ order in which chunks run or on the number of threads, and reruns are
 bit-identical.  Chunks run one at a time, and partial sums are reduced in
 chunk order.
 
-A piece at an integer shape k <= 3 is an exact Erlang draw, the sum of k
-standard exponentials (Devroye, *Non-Uniform Random Variate Generation*,
-1986, section IX.3); any other shape is NumPy's ``standard_gamma``.  On a
-2-vCPU host ``standard_gamma`` costs 22-32 ns a value at any shape; the
-Erlang sum costs 10-12.5 ns at k = 2 and 18.4 ns at k = 3, but 25.4 ns at
-k = 4 against 20.3 ns, so the rule stops at 3.
+A piece at an integer shape k <= 5 is an exact Erlang draw, -log of a
+product of k uniforms (Knuth, *TAOCP* vol. 2, section 3.4.1; Devroye,
+*Non-Uniform Random Variate Generation*, 1986, section IX.3), which costs
+k uniforms and one logarithm a value; any other shape is NumPy's
+``standard_gamma``.  Through ``_ChunkStreams.gamma`` on 2 pool threads of
+a 2-vCPU host, 2^18-value arrays, in ns a value:
+
+    k                  1     2     3     4     5     6
+    uniform product    4.0   6.4   8.8  11.1  13.8  16.2
+    standard_gamma     5.9  16.1  16.7  16.2  16.6  16.2
+
+so the rule stops at 5.
 """
 
 from __future__ import annotations
@@ -67,14 +73,17 @@ _BLOCK_VALUES = 1 << 18
 # where four raise it by 2-3%.
 _STREAMS = 4
 
-# Integer shapes up to this one are drawn as sums of exponentials (the
-# break-even is in the module docstring).
-_ERLANG_MAX_SHAPE = 3
+# Integer shapes up to this one are drawn as -log of a product of uniforms
+# (the break-even is in the module docstring).
+_ERLANG_MAX_SHAPE = 5
 
-# Values per scratch block that the second and third exponentials of an
-# Erlang piece are drawn into, 64 KiB of float64: a whole-piece temporary
-# raised the wide-surface sweep's peak RSS by 1 MB.
-_SCRATCH_VALUES = 1 << 13
+# Values per block of an integer-shape piece, and of the scratch block that
+# its second to k-th uniforms are drawn into, 256 KiB of float64.  Each
+# NumPy call on a block releases and retakes the GIL; at 2^13 values those
+# hand-offs kept the second CPU from helping.  On the wide-surface sweep,
+# 2^15 took 16% less time than 2^13 for 0.6 MB more peak RSS; 2^16 saved
+# little more and cost 1.8 MB.
+_SCRATCH_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -131,10 +140,13 @@ class _ChunkStreams:
     Gamma draws: its flat values are split into ``_STREAMS`` contiguous
     pieces, piece s is filled from sub-stream s and then multiplied by
     ``scale``.  At an integer shape k <= ``_ERLANG_MAX_SHAPE`` a piece is
-    the sum of k standard exponentials, in this draw order: one for every
-    value of the piece, then, per block of ``_SCRATCH_VALUES`` values,
-    k - 1 more for the block, each drawn into a scratch block and added.
-    At shape 1 these are the bits of ``standard_gamma(1.0)``.  Any other
+    -scale * log of a product of k factors 1 - u, drawn block by block of
+    ``_SCRATCH_VALUES`` values in this order: the block's uniforms, then
+    k - 1 more rounds of them through a scratch block, each multiplied in;
+    then the log, scaled.  ``Generator.random`` returns u in [0, 1), so
+    1 - u lies in (0, 1] and is exact; for k <= 5 the product is at least
+    2^-265 and never underflows, and a draw is 0 only when every u is 0.
+    Rounding the product adds at most about k * 2^-53 to a draw.  Any other
     shape is filled by ``standard_gamma``, the same bits as
     ``Generator.gamma``.  The pieces are filled concurrently on ``pool``, a
     ``concurrent.futures`` executor, or one after another on the calling
@@ -154,19 +166,22 @@ class _ChunkStreams:
         def fill(sub: int) -> None:
             piece = flat[n * sub // _STREAMS : n * (sub + 1) // _STREAMS]
             rng = self._rngs[sub]
-            if erlang:
-                rng.standard_exponential(out=piece)
-                if shape > 1 and piece.size:
-                    scratch = np.empty(min(_SCRATCH_VALUES, piece.size))
-                    for start in range(0, piece.size, scratch.size):
-                        block = piece[start : start + scratch.size]
-                        extra = scratch[: block.size]
-                        for _ in range(int(shape) - 1):
-                            rng.standard_exponential(out=extra)
-                            block += extra
-            else:
+            if not erlang:
                 rng.standard_gamma(shape, out=piece)
-            piece *= scale
+                piece *= scale
+                return
+            scratch = np.empty(min(_SCRATCH_VALUES, piece.size))
+            for start in range(0, piece.size, _SCRATCH_VALUES):
+                block = piece[start : start + _SCRATCH_VALUES]
+                rng.random(out=block)
+                np.subtract(1.0, block, out=block)
+                u = scratch[: block.size]
+                for _ in range(int(shape) - 1):
+                    rng.random(out=u)
+                    np.subtract(1.0, u, out=u)
+                    block *= u
+                np.log(block, out=block)
+                block *= -scale
 
         list(self._map(fill, range(_STREAMS)))  # also raises a fill's error
         return out

@@ -102,16 +102,16 @@ class TestDeterminism:
     # branches on the reference scenarios at 4,096 samples and seed 23.
     PINNED = {
         "irs": [
-            (3.218876104554127, 0.010837184051467554),
-            (1.6624413253825738, 0.008240008841513425),
+            (3.2028972397048507, 0.010595874722380598),
+            (1.649966863108654, 0.008133993957101134),
         ],
         "df": [
-            (6.2083793006118135, 0.016821147128135972),
-            (5.1145425671544045, 0.01655020296560329),
+            (6.172871123734266, 0.017034662202768256),
+            (5.109236038458263, 0.01629663049015434),
         ],
         "affg": [
-            (5.621993698492551, 0.019744977377317622),
-            (4.52044642301202, 0.020638290585366995),
+            (5.5772501604896645, 0.019817176532390377),
+            (4.4886176788838466, 0.020716512027424867),
         ],
     }
 
@@ -190,34 +190,38 @@ class TestParallelFill:
 
 
 class TestErlangFill:
-    # Integer shapes up to 3 are sums of exponentials; every other shape is
-    # standard_gamma, bit for bit.
+    # Integer shapes 1 to 5 are -log of a product of uniforms; every other
+    # shape is standard_gamma, bit for bit.
 
     @staticmethod
-    def erlang_piece(rng, k, size):
-        # The documented draw order: one exponential per value, then k - 1
-        # more per scratch block, added block by block.
-        piece = rng.standard_exponential(size)
+    def erlang_piece(rng, k, size, scale):
+        # The documented draw order, block by block: the block's uniforms,
+        # then k - 1 more rounds of them, each taken as 1 - u and multiplied
+        # in; then -log, scaled.
+        piece = np.empty(size)
         for start in range(0, size, _SCRATCH_VALUES):
             block = piece[start:start + _SCRATCH_VALUES]
+            block[:] = 1.0 - rng.random(block.size)
             for _ in range(k - 1):
-                block += rng.standard_exponential(block.size)
+                block *= 1.0 - rng.random(block.size)
+            block[:] = -np.log(block) * scale
         return piece
 
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("size", [1, 10 * _SCRATCH_VALUES + 3])
     def test_pieces_are_sub_stream_exponential_sums(self, k, size):
-        # One value leaves three empty pieces and a piece of one; the large
-        # array gives pieces of 2.5 scratch blocks, the last one partial.
+        # -log of the product is the sum of k exponentials -log(1 - u), each
+        # drawn by inversion.  One value leaves three empty pieces and a
+        # piece of one; the large array gives pieces of 2.5 scratch blocks,
+        # the last one partial.
         cfg = McConfig(samples=1000, master_seed=28)
         got = _ChunkStreams(cfg, 2).gamma(float(k), 0.25, size)
         bounds = [size * sub // _STREAMS for sub in range(_STREAMS + 1)]
         for sub in range(_STREAMS):
-            want = self.erlang_piece(_stream(cfg, 2, sub), k, bounds[sub + 1] - bounds[sub])
-            want *= 0.25
+            want = self.erlang_piece(_stream(cfg, 2, sub), k, bounds[sub + 1] - bounds[sub], 0.25)
             assert got[bounds[sub]:bounds[sub + 1]].tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_erlang_draws_follow_gamma(self, k):
         scale = 0.4
         n = 10**6
@@ -229,10 +233,31 @@ class TestErlangFill:
         # excess kurtosis 6/k.
         assert abs(draws.var(ddof=1) - var) < 5 * var * math.sqrt((2 + 6 / k) / n)
 
-    @pytest.mark.parametrize("shape", [1.0, 2.5, 2.0000001, 4.0])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_uniform_edges_give_finite_draws(self, monkeypatch, k):
+        # Generator.random returns [0, 1): at u = 0 every factor 1 - u is 1
+        # and the draw is 0; at the largest u, 1 - 2^-53, each factor is
+        # 2^-53 and the product 2^(-53 k) is still a normal float.  Drawing
+        # log(u) instead would give inf at u = 0.
+        class Constant:
+            def __init__(self, value):
+                self.value = value
+
+            def random(self, out):
+                out.fill(self.value)
+
+        scale = 0.25
+        size = 2 * _SCRATCH_VALUES + 3
+        cfg = McConfig(samples=1000, master_seed=1)
+        for u, want in ((0.0, 0.0), (1.0 - 2.0**-53, -np.log(2.0 ** (-53 * k)) * scale)):
+            monkeypatch.setattr(montecarlo, "_stream", lambda cfg, chunk, sub: Constant(u))
+            draws = _ChunkStreams(cfg, 0).gamma(float(k), scale, size)
+            assert np.isfinite(draws).all()
+            assert (draws == want).all()
+
+    @pytest.mark.parametrize("shape", [2.5, 2.0000001, 6.0])
     def test_other_shapes_are_standard_gamma(self, shape):
-        # Shape 1 is the k = 1 Erlang rule, whose bits are standard_gamma's;
-        # non-integer shapes and integers above 3 call standard_gamma.
+        # Non-integer shapes and integers above 5 call standard_gamma.
         cfg = McConfig(samples=1000, master_seed=30)
         size = 4 * _SCRATCH_VALUES + 5
         got = _ChunkStreams(cfg, 1).gamma(shape, 3.0, size)
