@@ -159,7 +159,7 @@ def _damped_capacity(phi: np.ndarray, w: np.ndarray, power: float, n: int) -> Ca
 
     slope = power * float(phi @ w)
     s_lo = -math.log(max(1.0, n * slope)) - _Z_LEFT
-    result = integrate_semi_infinite(integrand, s_lo, math.log(_Z_TAIL), tol_rel=1e-9)
+    result = integrate_semi_infinite(integrand, s_lo, math.log(_Z_TAIL))
     return CapacityEstimate(bits_per_sec_hz=max(result.value, 0.0) / _LN2, method="analytic")
 
 
@@ -317,31 +317,33 @@ def affg_snr_constant(f1: FadingParams) -> float:
     return f1.mean + 1.0
 
 
-def _relay_hop(f1: FadingParams, fb: FadingParams, l: float) -> tuple[np.ndarray, np.ndarray]:
+def _relay_hop(f1: FadingParams, fb: FadingParams) -> tuple[np.ndarray, np.ndarray]:
     """(phi, w): the end-to-end SNR is X phi(U), X ~ Gamma(shape_1, 1).
 
     snr_1 * snr_b / (snr_b + l) with snr_b = U / beta_b, U ~ Gamma(shape_b,
-    1), gives phi(u) = u / (beta_1 (u + l beta_b)); ``w`` is the receiving
-    hop's rule.
+    1), and l = ``affg_snr_constant(f1)`` gives phi(u) = u / (beta_1 (u + l
+    beta_b)); ``w`` is the receiving hop's rule.  Raises ValueError if l
+    overflows.
     """
-    if not 0 < l < math.inf:
-        raise ValueError("gain constant must be positive and finite")
+    l = affg_snr_constant(f1)
+    if not math.isfinite(l):
+        raise ValueError("gain constant must be finite")
     u, w = _gamma_rule(fb.alpha)
     return u / (f1.beta * (u + l * fb.beta)), w
 
 
-def affg_ccdf(
-    g: float | np.ndarray, f1: FadingParams, fb: FadingParams, l: float
-) -> float | np.ndarray:
+def affg_ccdf(g: float | np.ndarray, f1: FadingParams, fb: FadingParams) -> float | np.ndarray:
     """Survival function of the fixed-gain end-to-end SNR.
 
-    The end-to-end SNR is snr_1 * snr_b / (snr_b + l) = X phi(U), so its
-    survival function is E_U[Q(shape_1, g / phi(U))], Q the regularized
-    upper incomplete gamma, on the receiving hop's rule.  Both shapes may
-    be any positive real.  ``g`` is a nonnegative scalar or array; the
-    result has its shape, is a float for a scalar, and is exactly 1 at 0.
+    The end-to-end SNR is snr_1 * snr_b / (snr_b + l) = X phi(U), l the gain
+    constant ``affg_snr_constant(f1)``, so its survival function is
+    E_U[Q(shape_1, g / phi(U))], Q the regularized upper incomplete gamma,
+    on the receiving hop's rule.  Both shapes may be any positive real.
+    ``g`` is a nonnegative scalar or array; the result has its shape, is a
+    float for a scalar, and is exactly 1 at 0.  Raises ValueError when the
+    gain constant overflows.
     """
-    phi, w = _relay_hop(f1, fb, l)
+    phi, w = _relay_hop(f1, fb)
     g_arr = np.asarray(g, dtype=float)
     if not np.all(g_arr >= 0):
         raise ValueError("g must be nonnegative")
@@ -353,12 +355,10 @@ def affg_ccdf(
     return float(out) if g_arr.ndim == 0 else out
 
 
-def affg_ergodic_capacity(
-    f1: FadingParams, fb: FadingParams, l: float
-) -> CapacityEstimate:
+def affg_ergodic_capacity(f1: FadingParams, fb: FadingParams) -> CapacityEstimate:
     """Ergodic capacity of the fixed-gain link via the damped MGF integral.
 
     Averaging over X in closed form leaves
-    1 - MGF(z) = E_U[1 - (1 + z phi(U))^-shape_1].
+    1 - MGF(z) = E_U[1 - (1 + z phi(U))^-shape_1], phi as in ``affg_ccdf``.
     """
-    return _damped_capacity(*_relay_hop(f1, fb, l), f1.alpha, 1)
+    return _damped_capacity(*_relay_hop(f1, fb), f1.alpha, 1)

@@ -129,19 +129,12 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 def sample_gamma(p: FadingParams, rng, size=None):
-    """Exact Gamma draws.
+    """A new array of ``size`` exact Gamma(alpha, beta) draws from ``rng``.
 
     ``rng`` is a numpy ``Generator``, or anything with its ``gamma(shape,
-    scale, size)``.  The simulator passes one chunk's four SFC64
-    sub-streams (``montecarlo._ChunkStreams``): each call splits its flat
-    output into four contiguous pieces, draws piece s from sub-stream s and
-    fills the pieces concurrently, on up to four CPUs.  A piece at an
-    integer shape k <= 5 is an Erlang draw, -log of a product of k
-    factors 1 - u of uniforms u; every other shape is NumPy's
-    Marsaglia-Tsang ``standard_gamma``.  The product is cheaper per value
-    up to k = 5 and no cheaper from k = 6 (measured break-even in
-    ``montecarlo``).  The call itself returns on the thread that made it,
-    with the whole array filled.
+    scale, size)``; how the simulator's streams draw is described in
+    ``montecarlo``.  The call returns, with the whole array filled, on the
+    thread that made it.
     """
     return rng.gamma(shape=p.alpha, scale=1.0 / p.beta, size=size)
 

@@ -12,7 +12,7 @@ import math
 import sys
 
 from .config import parse_config, reference_config
-from .sweep import figure_preset, rows_to_csv, run_sweep, validate
+from .sweep import FIGURE_IDS, METHODS, figure_preset, rows_to_csv, run_sweep, validate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -33,21 +33,22 @@ def _powers(text: str) -> tuple[float, ...]:
     return powers
 
 
-def _add_method(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--method",
-        choices=("analytic", "mc", "both"),
-        default=None,
-        help="evaluation method override (default: as configured)",
-    )
+# Each --method choice and the sweep methods it selects.
+_METHODS = {"analytic": ("analytic",), "mc": ("monte-carlo",), "both": METHODS}
 
 
-def _method_tuple(name: str) -> tuple[str, ...]:
-    return {
-        "analytic": ("analytic",),
-        "mc": ("monte-carlo",),
-        "both": ("analytic", "monte-carlo"),
-    }[name]
+def _attach_powers(argv: list[str]) -> list[str]:
+    """``--powers VALUE`` as ``--powers=VALUE``.
+
+    After a space, argparse reads a list such as ``-10,0`` as an option.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--powers":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run the sweep configured in a scenario file")
     p_sweep.add_argument("--config", required=True, help="scenario configuration file")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
-    _add_method(p_sweep)
 
     p_val = sub.add_parser("validate", help="check the analytic capacities against the simulator")
     p_val.add_argument("--config", required=True)
@@ -77,20 +77,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_fig = sub.add_parser("figure", help="emit a preset study as CSV")
-    p_fig.add_argument("--id", type=int, choices=(3, 4, 5, 6), required=True)
+    p_fig.add_argument("--id", type=int, choices=FIGURE_IDS, required=True)
     p_fig.add_argument("--out", required=True)
     p_fig.add_argument(
         "--config",
         default=None,
         help="scenario file (default: the built-in reference scenario)",
     )
-    _add_method(p_fig)
 
+    for p in (p_sweep, p_fig):
+        p.add_argument(
+            "--method",
+            choices=tuple(_METHODS),
+            default=None,
+            help="evaluation method override (default: as configured)",
+        )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_powers(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "sweep":
             parsed = parse_config(args.config)
@@ -99,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
             spec = parsed.sweep
             if args.method is not None:
-                spec = dataclasses.replace(spec, methods=_method_tuple(args.method))
+                spec = dataclasses.replace(spec, methods=_METHODS[args.method])
             rows = run_sweep(spec, parsed)
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(rows_to_csv(rows))
@@ -116,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "figure":
             parsed = parse_config(args.config) if args.config else reference_config()
             rows = figure_preset(
-                args.id, parsed, methods=_method_tuple(args.method or "analytic")
+                args.id, parsed, methods=_METHODS[args.method or "analytic"]
             )
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(rows_to_csv(rows))

@@ -245,8 +245,7 @@ def _df_capacity(scenario: Scenario, receiver: str) -> CapacityEstimate:
 
 
 def _affg_capacity(scenario: Scenario, receiver: str) -> CapacityEstimate:
-    first, hop = channels.relay_hops(scenario, receiver)
-    return capacity.affg_ergodic_capacity(first, hop, affg_snr_constant(first))
+    return capacity.affg_ergodic_capacity(*channels.relay_hops(scenario, receiver))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .quadrature import AccuracyError
 __all__ = [
     "ARCHITECTURES",
     "CSV_COLUMNS",
+    "FIGURE_IDS",
     "METHODS",
     "VARIABLES",
     "SweepRow",
@@ -207,7 +208,7 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
 # Figure presets
 # ---------------------------------------------------------------------------
 
-_FIGURE_IDS = (3, 4, 5, 6)
+FIGURE_IDS = (3, 4, 5, 6)
 
 
 def figure_preset(fig_id: int, parsed, methods: tuple[str, ...] = ("analytic",)) -> list[SweepRow]:
@@ -244,7 +245,7 @@ def figure_preset(fig_id: int, parsed, methods: tuple[str, ...] = ("analytic",))
                 rows.append(dataclasses.replace(row, architecture=f"irs-n{n}"))
         rows.sort(key=lambda r: (r.value, r.architecture, r.method))
         return rows
-    raise ValueError(f"figure id must be one of {_FIGURE_IDS}")
+    raise ValueError(f"figure id must be one of {FIGURE_IDS}")
 
 
 # ---------------------------------------------------------------------------

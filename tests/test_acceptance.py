@@ -15,7 +15,6 @@ from scipy import integrate, stats
 
 from linksec.capacity import (
     affg_ergodic_capacity,
-    affg_snr_constant,
     df_ergodic_capacity,
     ergodic_capacity_irs,
     secrecy_capacity,
@@ -153,11 +152,10 @@ def _reference_power_curves():
     for p in powers:
         scn = dataclasses.replace(parsed.scenario, tx_power_dbm=p)
         (first, legit), (_, eve) = relay_hops(scn, "legit"), relay_hops(scn, "eve")
-        l = affg_snr_constant(first)
         df_l = df_ergodic_capacity(first, legit)
         df_e = df_ergodic_capacity(first, eve)
-        af_l = affg_ergodic_capacity(first, legit, l)
-        af_e = affg_ergodic_capacity(first, eve, l)
+        af_l = affg_ergodic_capacity(first, legit)
+        af_e = affg_ergodic_capacity(first, eve)
         curves["df"].append((df_l.bits_per_sec_hz, df_e.bits_per_sec_hz))
         curves["affg"].append((af_l.bits_per_sec_hz, af_e.bits_per_sec_hz))
         curves["df_sec"].append(secrecy_capacity(df_l, df_e).bits_per_sec_hz)

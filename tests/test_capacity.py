@@ -313,10 +313,11 @@ class TestAffgRelay:
         assert l1 == pytest.approx(10.0 * l0, rel=1e-12)
 
     def test_ccdf_at_zero(self):
-        assert affg_ccdf(0.0, FadingParams(2, 1.0), FadingParams(2, 3.0), 5.0) == 1.0
+        assert affg_ccdf(0.0, FadingParams(2, 1.0), FadingParams(2, 3.0)) == 1.0
 
     def test_ccdf_against_monte_carlo(self):
-        f1, fb, l = FadingParams(2, 1.0), FadingParams(2, 3.0), 5.0
+        f1, fb = FadingParams(2, 1.0), FadingParams(2, 3.0)
+        l = affg_snr_constant(f1)
         rng = np.random.default_rng(8)
         n = 1_000_000
         g1 = rng.gamma(2.0, 1.0, n)
@@ -325,12 +326,13 @@ class TestAffgRelay:
         for g in (0.1, 1.0, 5.0):
             emp = float((snr > g).mean())
             se = math.sqrt(emp * (1.0 - emp) / n)
-            assert abs(affg_ccdf(g, f1, fb, l) - emp) <= 3.0 * max(se, 1e-6)
+            assert abs(affg_ccdf(g, f1, fb) - emp) <= 3.0 * max(se, 1e-6)
 
     def test_ccdf_against_joint_distribution_quadrature(self):
         # CDF(g) as the iterated integral of the joint hop density over the
         # region where the end-to-end SNR stays below g.
-        f1, fb, l = FadingParams(2, 1.0), FadingParams(3, 2.0), 4.0
+        f1, fb = FadingParams(2, 1.0), FadingParams(3, 2.0)
+        l = affg_snr_constant(f1)
 
         def cdf_oracle(g):
             def inner(t):
@@ -343,16 +345,16 @@ class TestAffgRelay:
             return val
 
         for g in (0.2, 1.0, 3.0):
-            assert affg_ccdf(g, f1, fb, l) == pytest.approx(1.0 - cdf_oracle(g), abs=1e-6)
+            assert affg_ccdf(g, f1, fb) == pytest.approx(1.0 - cdf_oracle(g), abs=1e-6)
 
     def test_array_equals_scalar_calls(self):
-        f1, fb, l = FadingParams(2, 1.0), FadingParams(2.5, 3.0), 5.0
+        f1, fb = FadingParams(2, 1.0), FadingParams(2.5, 3.0)
         # 0 (exact 1), the body of the distribution, and 1e4 and 1e16, where
         # every incomplete gamma of the receiving hop's rule underflows.
         g = np.array([0.0, 0.1, 1.0, 5.0, 1e4, 1e16])
-        scalar = [affg_ccdf(float(t), f1, fb, l) for t in g]
+        scalar = [affg_ccdf(float(t), f1, fb) for t in g]
         assert all(isinstance(v, float) for v in scalar)
-        values = affg_ccdf(g, f1, fb, l)
+        values = affg_ccdf(g, f1, fb)
         np.testing.assert_allclose(values, scalar, rtol=1e-15, atol=0.0)
         assert values[0] == 1.0
         assert values[-2] == 0.0 and values[-1] == 0.0
@@ -361,36 +363,36 @@ class TestAffgRelay:
     def test_negative_g_rejected(self):
         f1, fb = FadingParams(2, 1.0), FadingParams(2, 1.0)
         with pytest.raises(ValueError):
-            affg_ccdf(-1.0, f1, fb, 2.0)
+            affg_ccdf(-1.0, f1, fb)
         with pytest.raises(ValueError):
-            affg_ccdf(np.array([1.0, -1.0]), f1, fb, 2.0)
+            affg_ccdf(np.array([1.0, -1.0]), f1, fb)
         with pytest.raises(ValueError):
-            affg_ccdf(math.nan, f1, fb, 2.0)
+            affg_ccdf(math.nan, f1, fb)
         with pytest.raises(ValueError):
-            affg_ccdf(np.array([1.0, math.nan]), f1, fb, 2.0)
-        for l in (math.nan, math.inf):
-            with pytest.raises(ValueError):
-                affg_ccdf(1.0, f1, fb, l)
+            affg_ccdf(np.array([1.0, math.nan]), f1, fb)
+
+    def test_overflowing_gain_constant_rejected(self):
+        # The first hop's mean, 1e600, overflows, and so does the gain constant.
+        f1, fb = FadingParams(1e300, 1e-300), FadingParams(2, 1.0)
+        assert affg_snr_constant(f1) == math.inf
+        with pytest.raises(ValueError):
+            affg_ccdf(1.0, f1, fb)
+        with pytest.raises(ValueError):
+            affg_ergodic_capacity(f1, fb)
 
     def test_df_dominates_ergodic(self):
         for p in (0.0, 10.0, 20.0, 35.0, 50.0):
             first, legit = relay_hops(relay_scenario(power_dbm=p), "legit")
-            l = affg_snr_constant(first)
             df = df_ergodic_capacity(first, legit).bits_per_sec_hz
-            af = affg_ergodic_capacity(first, legit, l).bits_per_sec_hz
+            af = affg_ergodic_capacity(first, legit).bits_per_sec_hz
             assert df > af
-
-    def test_huge_gain_constant_kills_capacity(self):
-        f1, fb = FadingParams(2, 1.0), FadingParams(2, 1.0)
-        est = affg_ergodic_capacity(f1, fb, l=1e12)
-        assert est.bits_per_sec_hz == pytest.approx(0.0, abs=1e-8)
 
     def test_ergodic_against_monte_carlo(self):
         for mean_scale in (1.0, 10.0):
             f1 = snr_scaled_params(FadingParams(2, 2.0), mean_scale)
             fb = snr_scaled_params(FadingParams(2, 2.0), mean_scale)
             l = affg_snr_constant(f1)
-            ana = affg_ergodic_capacity(f1, fb, l).bits_per_sec_hz
+            ana = affg_ergodic_capacity(f1, fb).bits_per_sec_hz
             rng = np.random.default_rng(21)
             n = 1_000_000
             g1 = rng.gamma(f1.alpha, 1.0 / f1.beta, n)
@@ -435,11 +437,10 @@ class TestScenarioInvariances:
         # secrecy is the deterministic combiner applied to either pair.
         scn = relay_scenario()
         hops = [relay_hops(scn, rx) for rx in ("legit", "eve")]
-        l = affg_snr_constant(hops[0][0])
         per_receiver = {
             "irs": [ergodic_capacity_irs(scn, rx) for rx in ("legit", "eve")],
             "df": [df_ergodic_capacity(*pair) for pair in hops],
-            "affg": [affg_ergodic_capacity(*pair, l) for pair in hops],
+            "affg": [affg_ergodic_capacity(*pair) for pair in hops],
         }
         cfg = McConfig(samples=1000, master_seed=3)
         for name, expected in per_receiver.items():
@@ -458,9 +459,7 @@ class TestScenarioInvariances:
         for p in powers:
             first, legit = relay_hops(relay_scenario(power_dbm=p), "legit")
             df_caps.append(df_ergodic_capacity(first, legit).bits_per_sec_hz)
-            af_caps.append(
-                affg_ergodic_capacity(first, legit, affg_snr_constant(first)).bits_per_sec_hz
-            )
+            af_caps.append(affg_ergodic_capacity(first, legit).bits_per_sec_hz)
         for series in (irs_caps, df_caps, af_caps):
             assert all(b >= a for a, b in zip(series, series[1:]))
             assert all(v >= 0.0 for v in series)
@@ -547,7 +546,8 @@ class TestAnyShape:
         assert w @ (u * u) == pytest.approx(shape * (shape + 1.0), rel=1e-13, abs=0.0)
 
     def test_affg_ccdf_non_integer_first_hop_against_monte_carlo(self):
-        f1, fb, l = FadingParams(1.5, 1.0), FadingParams(2.5, 3.0), 5.0
+        f1, fb = FadingParams(1.5, 1.0), FadingParams(2.5, 3.0)
+        l = affg_snr_constant(f1)
         rng = np.random.default_rng(15)
         n = 1_000_000
         g1 = rng.gamma(1.5, 1.0, n)
@@ -556,7 +556,7 @@ class TestAnyShape:
         for g in (0.05, 0.5, 2.0):
             emp = float((snr > g).mean())
             se = math.sqrt(emp * (1.0 - emp) / n)
-            assert abs(affg_ccdf(g, f1, fb, l) - emp) <= 4.0 * se
+            assert abs(affg_ccdf(g, f1, fb) - emp) <= 4.0 * se
 
     @pytest.mark.parametrize("shape", [0.5, 2.5, 7.3])
     def test_branches_against_monte_carlo(self, shape):
@@ -633,14 +633,13 @@ class TestParameterBox:
             )
             for receiver in ("legit", "eve"):
                 f1, fb = relay_hops(scn, receiver)
-                l = affg_snr_constant(f1)
                 point = (a1, ab, power, receiver)
                 evaluations.clear()
-                value = affg_ergodic_capacity(f1, fb, l).bits_per_sec_hz
+                value = affg_ergodic_capacity(f1, fb).bits_per_sec_hz
                 assert len(evaluations) == 1 and evaluations[0] <= BOX_MAX_EVALUATIONS, point
                 if a1 in (2.0, 10.0):
-                    ref = affg_ergodic_capacity_bessel(f1, fb, l).bits_per_sec_hz
-                    assert _relative_gap(value, ref) <= 1e-9, ("affg", *point)
+                    ref = affg_ergodic_capacity_bessel(f1, fb, affg_snr_constant(f1))
+                    assert _relative_gap(value, ref.bits_per_sec_hz) <= 1e-9, ("affg", *point)
                 evaluations.clear()
                 rule_nodes.clear()
                 value = df_ergodic_capacity(f1, fb).bits_per_sec_hz
@@ -660,3 +659,48 @@ class TestParameterBox:
         with pytest.raises(AccuracyError) as exc_info:
             df_ergodic_capacity(FadingParams(40.0, 1.0), FadingParams(40.0, 0.5))
         assert exc_info.value.error_estimate > 0.0
+
+
+CORNER_SHAPES = (0.05, 400.0)
+CORNER_MAX_EVALUATIONS = 700
+
+
+class TestParameterCorners:
+    """Corners beyond the box that a config still accepts: every branch is
+    finite, nonnegative and raises no AccuracyError, each outer rule takes at
+    most CORNER_MAX_EVALUATIONS integrand evaluations, and the relays and the
+    one-element surface lie within 5 s.e. (or 1e-9 bits) of the simulator."""
+
+    @pytest.mark.parametrize("power", [-150.0, 300.0])
+    def test_corners(self, power, monkeypatch):
+        counts = []
+        integrate_semi_infinite = capacity.integrate_semi_infinite
+
+        def counting(*args):
+            result = integrate_semi_infinite(*args)
+            counts.append(result.evaluations)
+            return result
+
+        monkeypatch.setattr(capacity, "integrate_semi_infinite", counting)
+        cfg = McConfig(samples=20_000, master_seed=1)
+        for first, legit, eve in itertools.product(CORNER_SHAPES, repeat=3):
+            base = dataclasses.replace(
+                irs_scenario(power_dbm=power),
+                fading_source_node=FadingParams(first, 1.0),
+                fading_node_legit=FadingParams(legit, 1.0),
+                fading_node_eve=FadingParams(eve, 1.0),
+            )
+            for arch, n in (("irs", 1), ("irs", 10**6), ("df", 1), ("affg", 1)):
+                scn = dataclasses.replace(base, n_elements=n)
+                point = (arch, first, legit, eve, power, n)
+                counts.clear()
+                analytic = branches(scn, arch)
+                assert all(c <= CORNER_MAX_EVALUATIONS for c in counts), (point, counts)
+                for ana in analytic:
+                    assert math.isfinite(ana.bits_per_sec_hz), point
+                    assert ana.bits_per_sec_hz >= 0.0, point
+                if n > 1:
+                    continue
+                for ana, mc in zip(analytic, branches(scn, arch, cfg)):
+                    gap = abs(ana.bits_per_sec_hz - mc.bits_per_sec_hz)
+                    assert gap <= max(5.0 * mc.std_error, 1e-9), (point, gap, mc.std_error)

@@ -550,6 +550,18 @@ class TestCli:
         )
         assert code == 0
 
+    def test_validate_power_list_may_start_with_a_minus(self, tmp_path, capsys):
+        # "-10,0" after a space is the value of --powers, not an option.
+        cfg_path = tmp_path / "scenario.cfg"
+        cfg_path.write_text(REFERENCE_CONFIG)
+        args = ["validate", "--config", str(cfg_path), "--samples", "20000", "--seed", "11"]
+        assert main(args + ["--powers", "-10,0"]) == 0
+        spaced = capsys.readouterr().out
+        assert main(args + ["--powers=-10,0"]) == 0
+        assert capsys.readouterr().out == spaced
+        powers = {line.split()[1] for line in spaced.splitlines()[1:-1]}
+        assert powers == {"-10.0", "0.0"}
+
     def test_validate_keeps_configured_mc_values(self, tmp_path, capsys):
         text = config_with(**{"mc.chunk_size": "8192"})
         cfg_path = tmp_path / "scenario.cfg"

@@ -9,7 +9,6 @@ from scipy import special, stats
 
 from linksec.capacity import (
     affg_ergodic_capacity,
-    affg_snr_constant,
     df_ergodic_capacity,
     ergodic_capacity_irs,
     secrecy_capacity,
@@ -342,11 +341,9 @@ class TestAgainstClosedForms:
 
     def test_affg_matches_analytic(self):
         scn = relay_scenario()
-        first, legit = relay_hops(scn, "legit")
-        l = affg_snr_constant(first)
         cfg = McConfig(samples=400_000, master_seed=19)
         mc = mc_branch_estimates(scn, "affg", cfg)[0]
-        ana = affg_ergodic_capacity(first, legit, l)
+        ana = affg_ergodic_capacity(*relay_hops(scn, "legit"))
         assert abs(mc.bits_per_sec_hz - ana.bits_per_sec_hz) <= 3.0 * mc.std_error
 
     def test_affg_finite_at_extreme_power(self):
@@ -355,8 +352,7 @@ class TestAgainstClosedForms:
         scn = relay_scenario(power_dbm=2000.0)
         cfg = McConfig(samples=20_000, master_seed=1)
         for mc, receiver in zip(mc_branch_estimates(scn, "affg", cfg), ("legit", "eve")):
-            first, hop = relay_hops(scn, receiver)
-            ana = affg_ergodic_capacity(first, hop, affg_snr_constant(first))
+            ana = affg_ergodic_capacity(*relay_hops(scn, receiver))
             assert math.isfinite(mc.bits_per_sec_hz) and mc.std_error > 0
             assert abs(mc.bits_per_sec_hz - ana.bits_per_sec_hz) <= 5.0 * mc.std_error
 

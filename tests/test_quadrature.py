@@ -48,8 +48,8 @@ class TestFixedRule:
 
     def test_halves_the_step_once_then_raises(self):
         # A bump of width 0.05 in log x, centered on a node: the step 0.2
-        # misses it, and so does the halved step, which evaluates the
-        # midpoints alone.
+        # misses it, and the rule raises after its one pass, with no
+        # halving.
         calls = []
 
         def f(x):
@@ -59,17 +59,8 @@ class TestFixedRule:
         with pytest.raises(AccuracyError) as exc_info:
             integrate_semi_infinite(f, -2.0, 2.0)
         err = exc_info.value
-        assert len(calls) == 2 and calls[1] == calls[0] - 1
+        assert calls == [math.floor(4.0 / 0.2) + 1]
         assert err.error_estimate > 1e-9 * abs(err.estimate)
-
-    def test_halved_step_can_pass(self):
-        # A bump of width 0.3 needs the halved step for 1e-9, and gets it.
-        width = 0.3
-        res = integrate_semi_infinite(
-            lambda x: np.exp(-0.5 * (np.log(x) / width) ** 2) / x, -3.0, 3.0
-        )
-        assert res.evaluations == 31 + 30
-        assert res.value == pytest.approx(width * math.sqrt(2.0 * math.pi), rel=1e-9)
 
     def test_nan_integrand_raises(self):
         def f(x):
@@ -85,8 +76,6 @@ class TestFixedRule:
         assert res.value == 0.0 and res.abs_error_estimate == 0.0
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            integrate_semi_infinite(lambda x: np.exp(-x), -1.0, 1.0, tol_rel=0.0)
         with pytest.raises(ValueError):
             integrate_semi_infinite(lambda x: np.exp(-x), 1.0, -1.0)
         with pytest.raises(ValueError):
