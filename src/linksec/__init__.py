@@ -6,9 +6,9 @@ amplify-and-forward relay) at any positive fading shapes, an independent
 Monte Carlo channel simulator, and a sweep/validation CLI.
 
 The package runs on NumPy and the standard library alone.  The
-special-function module ``linksec.specfun`` (log Gamma and the
-Mellin-Barnes contour engine, built on SciPy from the ``test`` extra) is
-not imported here; import it by name.
+special-function module ``linksec.specfun`` (the Mellin-Barnes contour
+engine, built on SciPy from the ``test`` extra) is not imported here;
+import it by name.
 """
 
 from .capacity import (

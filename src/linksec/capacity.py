@@ -23,6 +23,9 @@ by element: a Horner series below the split x = a + 1, a backward
 continued fraction above it), so the capacities need NumPy and ``math``
 only.
 
+Each capacity takes one receiver's hops, which the
+``montecarlo.ARCHITECTURES`` table builds with ``channels.surface_hops``
+or ``channels.relay_hops``.
 Average secrecy (``secrecy_capacity``) is the clamped difference of the
 two receivers' ergodic capacities; ``montecarlo.branches`` forms that
 pair for any architecture from a ``Scenario``.
@@ -36,8 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import channels
-from .channels import FadingParams, Scenario
+from .channels import FadingParams
 from .quadrature import AccuracyError, integrate_semi_infinite
 
 __all__ = [
@@ -180,10 +182,13 @@ def _element_hop(x: FadingParams, y: FadingParams) -> tuple[np.ndarray, np.ndarr
     return u / (x.beta * y.beta), w, b
 
 
-def ergodic_capacity_irs(scenario: Scenario, receiver: str) -> CapacityEstimate:
-    """E[log2(1 + sum of element SNRs)] via the damped MGF integral."""
-    hops = channels.surface_hops(scenario, receiver)
-    return _damped_capacity(*_element_hop(*hops), scenario.n_elements)
+def ergodic_capacity_irs(x: FadingParams, y: FadingParams, n: int) -> CapacityEstimate:
+    """E[log2(1 + sum of n element SNRs X_i Y_i)] via the damped MGF integral.
+
+    ``x`` and ``y`` are one element's two hops, as ``channels.surface_hops``
+    returns them; the n elements are independent and alike.
+    """
+    return _damped_capacity(*_element_hop(x, y), n)
 
 
 # ---------------------------------------------------------------------------

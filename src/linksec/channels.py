@@ -7,9 +7,10 @@ Gamma-Gamma family.  Deterministic scale factors (transmit power, pathloss,
 receiver noise) fold into the rate: if X ~ Gamma(alpha, beta) then
 c*X ~ Gamma(alpha, beta/c).
 
-The link model is stated once, here, and both the analytic capacities and
-the simulator read it: ``surface_hops`` and ``relay_hops`` return a
-receiver's two hops with those factors folded into the right one.
+The link model is stated once, here: ``surface_hops`` and ``relay_hops``
+return a receiver's two hops with those factors folded into the right one.
+The ``montecarlo.ARCHITECTURES`` table reads them for both routes, and the
+capacities take the hops they return.
 """
 
 from __future__ import annotations

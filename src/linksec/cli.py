@@ -98,6 +98,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(_attach_powers(sys.argv[1:] if argv is None else argv))
     try:
+        if args.command == "validate":
+            parsed = parse_config(args.config)
+            mc = dataclasses.replace(parsed.mc, samples=args.samples, master_seed=args.seed)
+            report = validate(parsed.scenario, args.powers, mc)
+            print(report.to_text())
+            return 0 if report.passed else 2
+
         if args.command == "sweep":
             parsed = parse_config(args.config)
             if parsed.sweep is None:
@@ -106,33 +113,19 @@ def main(argv: list[str] | None = None) -> int:
             spec = parsed.sweep
             if args.method is not None:
                 spec = dataclasses.replace(spec, methods=_METHODS[args.method])
-            rows = run_sweep(spec, parsed)
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(rows_to_csv(rows))
-            print(f"wrote {len(rows)} rows to {args.out}")
-            return 0
-
-        if args.command == "validate":
-            parsed = parse_config(args.config)
-            cfg = dataclasses.replace(parsed.mc, samples=args.samples, master_seed=args.seed)
-            report = validate(parsed, args.powers, cfg)
-            print(report.to_text())
-            return 0 if report.passed else 2
-
-        if args.command == "figure":
+            rows = run_sweep(spec, parsed.scenario, parsed.mc)
+        else:  # figure
             parsed = parse_config(args.config) if args.config else reference_config()
-            rows = figure_preset(
-                args.id, parsed, methods=_METHODS[args.method or "analytic"]
-            )
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(rows_to_csv(rows))
-            print(f"wrote {len(rows)} rows to {args.out}")
-            return 0
+            methods = _METHODS[args.method or "analytic"]
+            rows = figure_preset(args.id, parsed.scenario, parsed.mc, methods=methods)
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(rows_to_csv(rows))
+        print(f"wrote {len(rows)} rows to {args.out}")
+        return 0
     except (OSError, ValueError) as exc:
         # ValueError includes ConfigError.
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

@@ -237,7 +237,8 @@ def _affg_snr(scenario: Scenario, rng: _ChunkStreams, n: int):
 # called.
 
 def _irs_capacity(scenario: Scenario, receiver: str) -> CapacityEstimate:
-    return capacity.ergodic_capacity_irs(scenario, receiver)
+    hops = channels.surface_hops(scenario, receiver)
+    return capacity.ergodic_capacity_irs(*hops, scenario.n_elements)
 
 
 def _df_capacity(scenario: Scenario, receiver: str) -> CapacityEstimate:

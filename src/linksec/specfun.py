@@ -1,11 +1,10 @@
-"""Special functions: log Gamma and a Mellin-Barnes contour engine.
+"""Special functions: a Mellin-Barnes contour engine.
 
-log Gamma is delegated to scipy behind a validating wrapper.  The engine
-integrates a product of Gamma factors against x^{-s} along a vertical
-line, by default the Meijer G line of the separating strip, or any line
-off the poles.  One grid per parameter set, cut at a height set by the
-kernel's monotone decay, serves every argument; one call evaluates a
-whole array of arguments, with error = tail + rounding floor.
+The engine integrates a product of Gamma factors against x^{-s} along a
+vertical line, by default the Meijer G line of the separating strip, or
+any line off the poles.  One grid per parameter set, cut at a height set
+by the kernel's monotone decay, serves every argument; one call evaluates
+a whole array of arguments, with error = tail + rounding floor.
 
 The capacities do not use the engine.  It serves ``meijer_g_2_1_1_2``
 and the tests' independent cross-checks.  This is the one module of the
@@ -25,23 +24,11 @@ from scipy import special as sp
 from .quadrature import AccuracyError
 
 __all__ = [
-    "log_gamma",
     "meijer_g_2_1_1_2",
     "MellinBarnesEvaluator",
 ]
 
 _EPS = float(np.finfo(float).eps)
-
-
-def log_gamma(z: complex) -> complex:
-    """Principal branch of log Gamma(z).
-
-    Accepts complex arguments; rejects the poles at 0, -1, -2, ...
-    """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise ValueError(f"log_gamma pole at z = {z.real:g}")
-    return complex(sp.loggamma(z))
 
 
 # ---------------------------------------------------------------------------

@@ -151,28 +151,28 @@ def _evaluate(
     )
 
 
-def run_sweep(spec: SweepSpec, parsed) -> list[SweepRow]:
-    """Evaluate every grid point of the sweep; returns deterministic rows.
+def run_sweep(spec: SweepSpec, scenario: Scenario, mc: McConfig) -> list[SweepRow]:
+    """Evaluate every grid point of the sweep on ``scenario``; deterministic rows.
 
-    Each distinct (scenario, architecture, method) is evaluated once and
-    its result written to every grid value that maps to it: a relay reads
-    no ``n_elements``, so its scenario is keyed with ``n_elements = 1``.
-    A repeated architecture or method gives one row.  Per-point numerical
-    failures land in the row's status column instead of aborting the
-    sweep.
+    Monte Carlo points draw with ``mc``.  Each distinct (scenario,
+    architecture, method) is evaluated once and its result written to
+    every grid value that maps to it: a relay reads no ``n_elements``, so
+    its scenario is keyed with ``n_elements = 1``.  A repeated
+    architecture or method gives one row.  Per-point numerical failures
+    land in the row's status column instead of aborting the sweep.
     """
     results = {}
     rows = []
     for value in spec.grid():
-        varied = _VARIABLES[spec.variable](parsed.scenario, value)
+        varied = _VARIABLES[spec.variable](scenario, value)
         for arch in dict.fromkeys(spec.architectures):
-            scenario = varied
+            point = varied
             if not montecarlo.ARCHITECTURES[arch].per_element:
-                scenario = dataclasses.replace(varied, n_elements=1)
+                point = dataclasses.replace(varied, n_elements=1)
             for method in dict.fromkeys(spec.methods):
-                key = (scenario, arch, method)
+                key = (point, arch, method)
                 if key not in results:
-                    results[key] = _evaluate(scenario, arch, method, parsed.mc)
+                    results[key] = _evaluate(point, arch, method, mc)
                 rows.append(SweepRow(spec.variable, value, arch, method, *results[key]))
     rows.sort(key=lambda r: (r.value, r.architecture, r.method))
     return rows
@@ -183,23 +183,16 @@ def run_sweep(spec: SweepSpec, parsed) -> list[SweepRow]:
 # ---------------------------------------------------------------------------
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
-    """Render rows in the fixed column order at full round-trip precision."""
+    """Render each row's fields in ``SweepRow``'s order, which ``CSV_COLUMNS`` names.
+
+    Strings are written as they are, numbers as ``repr(float(v))``.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in rows:
         writer.writerow(
-            [
-                r.variable,
-                repr(float(r.value)),
-                r.architecture,
-                r.method,
-                repr(float(r.secrecy_bps_hz)),
-                repr(float(r.ergodic_l)),
-                repr(float(r.ergodic_e)),
-                repr(float(r.std_error)),
-                r.status,
-            ]
+            v if isinstance(v, str) else repr(float(v)) for v in dataclasses.astuple(r)
         )
     return buf.getvalue()
 
@@ -211,37 +204,35 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
 FIGURE_IDS = (3, 4, 5, 6)
 
 
-def figure_preset(fig_id: int, parsed, methods: tuple[str, ...] = ("analytic",)) -> list[SweepRow]:
+def figure_preset(
+    fig_id: int, scenario: Scenario, mc: McConfig, methods: tuple[str, ...] = ("analytic",)
+) -> list[SweepRow]:
     """Qualitative reproductions of the published parameter studies.
+
+    Each varies ``scenario`` as below; Monte Carlo rows draw with ``mc``.
 
     3: secrecy of all three architectures against transmit power;
     4: the two relaying disciplines against power, with their per-receiver
        ergodic capacities (the region-crossing study);
     5: secrecy against the eavesdropper distance at 20 dB;
-    6: surface secrecy against the source-surface distance, one series per
-       element count (architecture labeled irs-n{N}).
+    6: surface secrecy against the source-surface distance at 10 dB, one
+       series per element count (architecture labeled irs-n{N}).
     """
     if fig_id == 3:
         spec = SweepSpec("tx_power_dbm", 0.0, 50.0, 2.0, ARCHITECTURES, methods)
-        return run_sweep(spec, parsed)
+        return run_sweep(spec, scenario, mc)
     if fig_id == 4:
         spec = SweepSpec("tx_power_dbm", 0.0, 50.0, 2.0, ("df", "affg"), methods)
-        return run_sweep(spec, parsed)
+        return run_sweep(spec, scenario, mc)
     if fig_id == 5:
-        base = dataclasses.replace(
-            parsed, scenario=dataclasses.replace(parsed.scenario, tx_power_dbm=20.0)
-        )
         spec = SweepSpec("eve_distance_m", 2.0, 40.0, 2.0, ARCHITECTURES, methods)
-        return run_sweep(spec, base)
+        return run_sweep(spec, dataclasses.replace(scenario, tx_power_dbm=20.0), mc)
     if fig_id == 6:
         rows: list[SweepRow] = []
         spec = SweepSpec("source_surface_distance_m", 2.0, 30.0, 2.0, ("irs",), methods)
         for n in (2, 8, 32, 64):
-            variant = dataclasses.replace(
-                parsed,
-                scenario=dataclasses.replace(parsed.scenario, n_elements=n, tx_power_dbm=10.0),
-            )
-            for row in run_sweep(spec, variant):
+            variant = dataclasses.replace(scenario, n_elements=n, tx_power_dbm=10.0)
+            for row in run_sweep(spec, variant, mc):
                 rows.append(dataclasses.replace(row, architecture=f"irs-n{n}"))
         rows.sort(key=lambda r: (r.value, r.architecture, r.method))
         return rows
@@ -291,12 +282,15 @@ class ValidationReport:
 
 
 def validate(
-    parsed,
+    scenario: Scenario,
     powers_dbm: tuple[float, ...],
-    mc_cfg: McConfig,
+    mc: McConfig,
     architectures: tuple[str, ...] = ARCHITECTURES,
 ) -> ValidationReport:
     """Compare the analytic capacities against the simulator on a power grid.
+
+    ``scenario`` is evaluated at each of ``powers_dbm``; the simulator draws
+    with ``mc``.
 
     A receiver passes when |analytic - MC| <= 5 s.e., or when the gap is
     at most 1e-9 bits, which makes points where both methods are
@@ -310,9 +304,9 @@ def validate(
     rows: list[ValidationRow] = []
     points = itertools.product(powers_dbm, architectures)
     for index, (power, arch) in enumerate(points):
-        scenario = dataclasses.replace(parsed.scenario, tx_power_dbm=power)
+        point = dataclasses.replace(scenario, tx_power_dbm=power)
         try:
-            ana_l, ana_e = montecarlo.branches(scenario, arch)
+            ana_l, ana_e = montecarlo.branches(point, arch)
         except _NUMERICAL_ERRORS as exc:
             rows.append(
                 ValidationRow(
@@ -322,13 +316,13 @@ def validate(
                 )
             )
             continue
-        seed = np.random.SeedSequence([mc_cfg.master_seed, index]).generate_state(1, np.uint64)
-        point_cfg = dataclasses.replace(mc_cfg, master_seed=int(seed[0]))
-        mc_l, mc_e = montecarlo.branches(scenario, arch, point_cfg)
-        for receiver, ana, mc in (("legit", ana_l, mc_l), ("eve", ana_e, mc_e)):
+        seed = np.random.SeedSequence([mc.master_seed, index]).generate_state(1, np.uint64)
+        point_cfg = dataclasses.replace(mc, master_seed=int(seed[0]))
+        mc_l, mc_e = montecarlo.branches(point, arch, point_cfg)
+        for receiver, ana, sim in (("legit", ana_l, mc_l), ("eve", ana_e, mc_e)):
             a = ana.bits_per_sec_hz
-            m = mc.bits_per_sec_hz
-            se = mc.std_error
+            m = sim.bits_per_sec_hz
+            se = sim.std_error
             gap = abs(a - m)
             z = gap / se if se > 0 else (0.0 if gap == 0 else math.inf)
             passed = gap <= max(_MAX_Z * se, 1e-9)

@@ -45,11 +45,9 @@ def test_criterion_1_analytic_monte_carlo_agreement():
     cfg = McConfig(samples=1_000_000, master_seed=20240915)
     powers = (0.0, 10.0, 20.0)
 
-    single = dataclasses.replace(
-        parsed, scenario=dataclasses.replace(parsed.scenario, n_elements=1)
-    )
+    single = dataclasses.replace(parsed.scenario, n_elements=1)
     report_n1 = validate(single, powers, cfg, architectures=("irs",))
-    report_rest = validate(parsed, powers, cfg)
+    report_rest = validate(parsed.scenario, powers, cfg)
 
     for report, label in ((report_n1, "irs n=1"), (report_rest, "irs n=4, df, affg")):
         for row in report.rows:
@@ -204,13 +202,13 @@ def test_criterion_6_monotonicity_suite():
     symmetric receivers."""
     parsed = reference_config()
 
-    rows5 = figure_preset(5, parsed)
+    rows5 = figure_preset(5, parsed.scenario, parsed.mc)
     for arch in ("irs", "df", "affg"):
         series = [r.secrecy_bps_hz for r in rows5 if r.architecture == arch]
         assert all(v >= 0.0 for v in series)
         assert all(b >= a - 1e-9 for a, b in zip(series, series[1:]))
 
-    rows6 = figure_preset(6, parsed)
+    rows6 = figure_preset(6, parsed.scenario, parsed.mc)
     by_distance: dict[float, dict[str, float]] = {}
     for r in rows6:
         assert r.secrecy_bps_hz >= 0.0
@@ -219,7 +217,9 @@ def test_criterion_6_monotonicity_suite():
         ordered = [per_n[f"irs-n{n}"] for n in (2, 8, 32, 64)]
         assert all(b >= a - 1e-9 for a, b in zip(ordered, ordered[1:]))
 
-    rows34 = figure_preset(3, parsed) + figure_preset(4, parsed)
+    rows34 = figure_preset(3, parsed.scenario, parsed.mc) + figure_preset(
+        4, parsed.scenario, parsed.mc
+    )
     assert all(r.secrecy_bps_hz >= 0.0 for r in rows34)
 
     symmetric = dataclasses.replace(
@@ -238,11 +238,9 @@ def test_criterion_7_deterministic_sweeps():
     spec = SweepSpec(
         "tx_power_dbm", 0.0, 10.0, 5.0, ("irs", "df", "affg"), ("analytic", "monte-carlo")
     )
-    seeded = dataclasses.replace(
-        parsed, mc=McConfig(samples=50_000, master_seed=99, chunk_size=8192)
-    )
-    first = rows_to_csv(run_sweep(spec, seeded))
-    second = rows_to_csv(run_sweep(spec, seeded))
+    seeded = McConfig(samples=50_000, master_seed=99, chunk_size=8192)
+    first = rows_to_csv(run_sweep(spec, parsed.scenario, seeded))
+    second = rows_to_csv(run_sweep(spec, parsed.scenario, seeded))
     assert first == second
     _report(7, f"byte-identical CSV across reruns ({len(first)} bytes)")
 

@@ -26,6 +26,7 @@ from linksec.channels import (
     Scenario,
     relay_hops,
     snr_scaled_params,
+    surface_hops,
 )
 from linksec.config import reference_config
 from linksec.montecarlo import McConfig, branches, mc_branch_estimates
@@ -122,12 +123,12 @@ class TestMgfElement:
 class TestIrsCapacity:
     def test_zero_power_limit(self):
         scn = irs_scenario(power_dbm=-280.0)
-        est = ergodic_capacity_irs(scn, "legit")
+        est = ergodic_capacity_irs(*surface_hops(scn, "legit"), scn.n_elements)
         assert est.bits_per_sec_hz == pytest.approx(0.0, abs=1e-9)
 
     def test_more_elements_help(self):
-        c1 = ergodic_capacity_irs(irs_scenario(n=1), "legit").bits_per_sec_hz
-        c2 = ergodic_capacity_irs(irs_scenario(n=2), "legit").bits_per_sec_hz
+        c1 = ergodic_capacity_irs(*surface_hops(irs_scenario(n=1), "legit"), 1).bits_per_sec_hz
+        c2 = ergodic_capacity_irs(*surface_hops(irs_scenario(n=2), "legit"), 2).bits_per_sec_hz
         assert c2 > c1
 
     @pytest.mark.parametrize("n", [1, 2, 4])
@@ -136,7 +137,7 @@ class TestIrsCapacity:
         # transform raised to the n-th power must match simulation of the
         # actual n-term sum.
         scn = irs_scenario(n=n, power_dbm=10.0)
-        ana = ergodic_capacity_irs(scn, "legit")
+        ana = ergodic_capacity_irs(*surface_hops(scn, "legit"), n)
         mc = mc_branch_estimates(scn, "irs", McConfig(samples=400_000, master_seed=31))[0]
         assert abs(ana.bits_per_sec_hz - mc.bits_per_sec_hz) <= 3.0 * mc.std_error
 
@@ -438,7 +439,10 @@ class TestScenarioInvariances:
         scn = relay_scenario()
         hops = [relay_hops(scn, rx) for rx in ("legit", "eve")]
         per_receiver = {
-            "irs": [ergodic_capacity_irs(scn, rx) for rx in ("legit", "eve")],
+            "irs": [
+                ergodic_capacity_irs(*surface_hops(scn, rx), scn.n_elements)
+                for rx in ("legit", "eve")
+            ],
             "df": [df_ergodic_capacity(*pair) for pair in hops],
             "affg": [affg_ergodic_capacity(*pair) for pair in hops],
         }
@@ -451,7 +455,8 @@ class TestScenarioInvariances:
     def test_capacities_nondecreasing_in_power(self):
         powers = (0.0, 10.0, 20.0, 30.0)
         irs_caps = [
-            ergodic_capacity_irs(irs_scenario(power_dbm=p), "legit").bits_per_sec_hz
+            ergodic_capacity_irs(*surface_hops(irs_scenario(power_dbm=p), "legit"), 4)
+            .bits_per_sec_hz
             for p in powers
         ]
         df_caps = []
@@ -613,7 +618,7 @@ class TestParameterBox:
             )
             for receiver in ("legit", "eve"):
                 evaluations.clear()
-                value = ergodic_capacity_irs(scn, receiver).bits_per_sec_hz
+                value = ergodic_capacity_irs(*surface_hops(scn, receiver), n).bits_per_sec_hz
                 ref = ergodic_capacity_irs_contour(scn, receiver).bits_per_sec_hz
                 point = (a, b, power, n, receiver)
                 assert _relative_gap(value, ref) <= 1e-9, point

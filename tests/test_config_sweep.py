@@ -18,12 +18,16 @@ from linksec.montecarlo import McConfig
 from linksec.quadrature import AccuracyError
 from linksec.sweep import (
     CSV_COLUMNS,
+    SweepRow,
     SweepSpec,
     figure_preset,
     rows_to_csv,
     run_sweep,
     validate,
 )
+
+# The built-in reference configuration: its scenario and Monte Carlo settings.
+REFERENCE = reference_config()
 
 
 def csv_records(text: str) -> list[dict[str, str]]:
@@ -310,7 +314,7 @@ class TestRunSweep:
     def test_power_sweep_row_count(self):
         parsed = reference_config()
         spec = SweepSpec("tx_power_dbm", 0.0, 50.0, 2.0, ("irs", "df", "affg"), ("analytic",))
-        rows = run_sweep(spec, parsed)
+        rows = run_sweep(spec, parsed.scenario, parsed.mc)
         assert len(rows) == 26 * 3
         assert all(r.status == "ok" for r in rows)
         assert all(r.secrecy_bps_hz >= 0.0 for r in rows)
@@ -318,13 +322,13 @@ class TestRunSweep:
     def test_close_eavesdropper_has_null_secrecy(self):
         parsed = reference_config()
         spec = SweepSpec("eve_distance_m", 2.0, 10.0, 2.0, ("irs", "df", "affg"), ("analytic",))
-        rows = run_sweep(spec, parsed)
+        rows = run_sweep(spec, parsed.scenario, parsed.mc)
         assert all(r.secrecy_bps_hz == 0.0 for r in rows)
 
     def test_element_sweep_monotone(self):
         parsed = reference_config()
         spec = SweepSpec("n_elements", 2.0, 10.0, 2.0, ("irs",), ("analytic",))
-        rows = run_sweep(spec, parsed)
+        rows = run_sweep(spec, parsed.scenario, parsed.mc)
         values = [r.secrecy_bps_hz for r in sorted(rows, key=lambda r: r.value)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
@@ -340,7 +344,8 @@ class TestRunSweep:
 
         monkeypatch.setattr(montecarlo, "branches", counting)
         spec = SweepSpec("n_elements", 2, 8, 2, ("irs", "df", "affg"))
-        rows = run_sweep(spec, reference_config())
+        parsed = reference_config()
+        rows = run_sweep(spec, parsed.scenario, parsed.mc)
         assert sorted(calls) == ["affg", "df"] + ["irs"] * 4
         assert len(rows) == 12
         for arch in ("df", "affg"):
@@ -349,16 +354,22 @@ class TestRunSweep:
     def test_repeated_architecture_or_method_gives_one_row(self):
         # A config may list a method twice, or under an alias of itself.
         spec = SweepSpec("tx_power_dbm", 0.0, 10.0, 10.0, ("df", "df"), ("analytic", "analytic"))
-        rows = run_sweep(spec, reference_config())
+        parsed = reference_config()
+        rows = run_sweep(spec, parsed.scenario, parsed.mc)
         assert [(r.value, r.architecture, r.method) for r in rows] == [
             (0.0, "df", "analytic"),
             (10.0, "df", "analytic"),
         ]
 
+    def test_csv_columns_name_the_row_fields_in_order(self):
+        # rows_to_csv writes each row's fields in SweepRow's order.
+        fields = [field.name for field in dataclasses.fields(SweepRow)]
+        assert [column.lower() for column in CSV_COLUMNS] == fields
+
     def test_csv_roundtrip_exact(self):
         parsed = reference_config()
         spec = SweepSpec("tx_power_dbm", 0.0, 10.0, 5.0, ("df",), ("analytic",))
-        rows = run_sweep(spec, parsed)
+        rows = run_sweep(spec, parsed.scenario, parsed.mc)
         records = csv_records(rows_to_csv(rows))
         assert len(records) == len(rows)
         for row, rec in zip(rows, records):
@@ -371,12 +382,12 @@ class TestRunSweep:
 
 class TestFigurePresets:
     def test_fig3_rows(self):
-        rows = figure_preset(3, reference_config())
+        rows = figure_preset(3, REFERENCE.scenario, REFERENCE.mc)
         assert len(rows) == 26 * 3
         assert {r.architecture for r in rows} == {"irs", "df", "affg"}
 
     def test_fig5_secrecy_rises_with_distance(self):
-        rows = figure_preset(5, reference_config())
+        rows = figure_preset(5, REFERENCE.scenario, REFERENCE.mc)
         for arch in ("irs", "df", "affg"):
             series = [
                 r.secrecy_bps_hz for r in rows if r.architecture == arch
@@ -386,7 +397,7 @@ class TestFigurePresets:
             assert series[-1] > 0.0
 
     def test_fig6_monotone_in_elements(self):
-        rows = figure_preset(6, reference_config())
+        rows = figure_preset(6, REFERENCE.scenario, REFERENCE.mc)
         labels = sorted({r.architecture for r in rows})
         assert labels == ["irs-n2", "irs-n32", "irs-n64", "irs-n8"]
         by_value = {}
@@ -398,7 +409,7 @@ class TestFigurePresets:
 
     def test_unknown_figure(self):
         with pytest.raises(ValueError):
-            figure_preset(7, reference_config())
+            figure_preset(7, REFERENCE.scenario, REFERENCE.mc)
 
     def test_capacity_functions_resolved_at_call_time(self, monkeypatch):
         # A wrapper set on a capacity module attribute, as a profiler does,
@@ -411,7 +422,7 @@ class TestFigurePresets:
                 return _fn(*args)
 
             monkeypatch.setattr(capacity, attr, counting)
-        figure_preset(3, reference_config())
+        figure_preset(3, REFERENCE.scenario, REFERENCE.mc)
         assert calls == {
             "ergodic_capacity_irs": 52,
             "df_ergodic_capacity": 52,
@@ -423,7 +434,7 @@ class TestValidate:
     def test_reference_consistency_small_budget(self):
         parsed = reference_config()
         cfg = McConfig(samples=50_000, master_seed=2024)
-        report = validate(parsed, (0.0, 10.0), cfg)
+        report = validate(parsed.scenario, (0.0, 10.0), cfg)
         assert report.passed
         assert len(report.rows) == 2 * 3 * 2
 
@@ -438,7 +449,7 @@ class TestValidate:
             monkeypatch.setitem(
                 montecarlo.ARCHITECTURES, name, dataclasses.replace(arch, analytic=shifted)
             )
-        report = validate(parsed, (10.0,), cfg)
+        report = validate(parsed.scenario, (10.0,), cfg)
         assert not report.passed
 
     def test_small_relative_bias_flagged(self, monkeypatch):
@@ -453,13 +464,14 @@ class TestValidate:
             monkeypatch.setitem(
                 montecarlo.ARCHITECTURES, name, dataclasses.replace(arch, analytic=scaled)
             )
-        report = validate(parsed, (50.0,), cfg)
+        report = validate(parsed.scenario, (50.0,), cfg)
         assert not any(r.passed for r in report.rows)
 
     def test_points_draw_from_their_own_seeds(self):
         parsed = reference_config()
         cfg = McConfig(samples=10_000, master_seed=7)
-        first_l, first_e, second_l, second_e = validate(parsed, (20.0, 20.0), cfg, ("irs",)).rows
+        report = validate(parsed.scenario, (20.0, 20.0), cfg, ("irs",))
+        first_l, first_e, second_l, second_e = report.rows
         assert first_l.analytic == second_l.analytic
         assert first_l.monte_carlo != second_l.monte_carlo
         assert first_e.monte_carlo != second_e.monte_carlo
@@ -467,17 +479,17 @@ class TestValidate:
     def test_zero_power_trivially_consistent(self):
         parsed = reference_config()
         cfg = McConfig(samples=10_000, master_seed=3)
-        report = validate(parsed, (-100.0,), cfg)
+        report = validate(parsed.scenario, (-100.0,), cfg)
         assert report.passed
 
     def test_unknown_architecture_rejected(self):
         cfg = McConfig(samples=10_000, master_seed=3)
         with pytest.raises(ValueError, match="architecture must be one of"):
-            validate(reference_config(), (0.0,), cfg, ("laser",))
+            validate(REFERENCE.scenario, (0.0,), cfg, ("laser",))
 
     def test_no_point_compared_rejected(self):
         with pytest.raises(ValueError):
-            validate(reference_config(), (), McConfig(samples=10_000, master_seed=3))
+            validate(REFERENCE.scenario, (), McConfig(samples=10_000, master_seed=3))
 
 
 class TestCli:
@@ -532,6 +544,41 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out_path)]) == 1
         assert not out_path.exists()
 
+    def test_sweep_without_sweep_section_is_input_error(self, tmp_path, capsys):
+        keys = ("variable", "from", "to", "step", "architectures", "methods")
+        cfg_path = tmp_path / "no-sweep.cfg"
+        cfg_path.write_text(config_with(**{f"sweep.{key}": None for key in keys}))
+        out_path = tmp_path / "o.csv"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out_path)]) == 1
+        assert "no sweep section" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "figure"])
+    def test_output_in_missing_directory_is_input_error(self, command, tmp_path, capsys):
+        cfg_path = tmp_path / "scenario.cfg"
+        cfg_path.write_text(config_with(**{"sweep.to": "0.0", "sweep.architectures": "df"}))
+        out_path = tmp_path / "missing" / "o.csv"
+        args = [command, "--config", str(cfg_path), "--out", str(out_path)]
+        if command == "figure":
+            args += ["--id", "4"]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out_path.parent.exists()
+
+    @pytest.mark.parametrize("command, rows", [("sweep", 3), ("figure", 26 * 2)])
+    def test_success_reports_rows_written(self, command, rows, tmp_path, capsys):
+        cfg_path = tmp_path / "scenario.cfg"
+        cfg_path.write_text(
+            config_with(**{"sweep.to": "10.0", "sweep.step": "5.0", "sweep.architectures": "df"})
+        )
+        out_path = tmp_path / "o.csv"
+        args = [command, "--config", str(cfg_path), "--out", str(out_path)]
+        if command == "figure":
+            args += ["--id", "4"]
+        assert main(args) == 0
+        assert capsys.readouterr().out == f"wrote {rows} rows to {out_path}\n"
+        assert len(csv_records(out_path.read_text())) == rows
+
     def test_validate_command_exit_codes(self, tmp_path):
         cfg_path = tmp_path / "scenario.cfg"
         cfg_path.write_text(REFERENCE_CONFIG)
@@ -568,7 +615,7 @@ class TestCli:
         cfg_path.write_text(text)
         parsed = parse_config_text(text)
         mc_cfg = dataclasses.replace(parsed.mc, samples=20_000, master_seed=11)
-        expected = validate(parsed, (0.0, 10.0), mc_cfg).to_text()
+        expected = validate(parsed.scenario, (0.0, 10.0), mc_cfg).to_text()
         args = ["validate", "--config", str(cfg_path), "--samples", "20000", "--seed", "11"]
         assert main(args + ["--powers", "0,10"]) == 0
         assert capsys.readouterr().out == expected + "\n"
@@ -595,7 +642,7 @@ class TestCli:
         assert lines[-1] == "overall: PASS"
 
     def test_validate_numerical_failure_is_fail_row(self, tmp_path, monkeypatch, capsys):
-        def broken(scenario, receiver):
+        def broken(*args):
             raise AccuracyError("budget exhausted", estimate=0.0, error_estimate=1.0)
 
         monkeypatch.setattr(capacity, "ergodic_capacity_irs", broken)

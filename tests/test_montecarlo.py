@@ -323,7 +323,7 @@ class TestAgainstClosedForms:
         scn = irs_scenario(n=1)
         cfg = McConfig(samples=400_000, master_seed=7)
         mc = mc_branch_estimates(scn, "irs", cfg)[0]
-        ana = ergodic_capacity_irs(scn, "legit")
+        ana = ergodic_capacity_irs(*surface_hops(scn, "legit"), 1)
         assert abs(mc.bits_per_sec_hz - ana.bits_per_sec_hz) <= 3.0 * mc.std_error
 
     def test_df_exponential_case(self):

@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate, special
 
 from linksec.quadrature import AccuracyError
-from linksec.specfun import MellinBarnesEvaluator, log_gamma, meijer_g_2_1_1_2
+from linksec.specfun import MellinBarnesEvaluator, meijer_g_2_1_1_2
 from oracles import (
     bessel_k,
     meijer_g_1_2_2_1,
@@ -18,32 +18,6 @@ from oracles import (
 )
 
 EULER_GAMMA = 0.5772156649015328606
-
-
-class TestLogGamma:
-    @pytest.mark.parametrize(
-        "z,expected",
-        [
-            (1.0, 0.0),
-            (5.0, math.log(24.0)),
-            (0.5, 0.5 * math.log(math.pi)),
-        ],
-    )
-    def test_classical_values(self, z, expected):
-        assert log_gamma(z).real == pytest.approx(expected, abs=1e-14)
-        assert log_gamma(z).imag == 0.0
-
-    def test_pole_rejected(self):
-        for z in (0.0, -1.0, -7.0):
-            with pytest.raises(ValueError):
-                log_gamma(z)
-
-    def test_recurrence_on_complex_grid(self):
-        # Gamma(z + 1) = z * Gamma(z), checked in log space.
-        for z in (0.3 + 0.0j, 2.5 + 1.5j, -0.7 + 3.0j, 10.0 - 4.0j):
-            lhs = log_gamma(z + 1.0)
-            rhs = log_gamma(z) + np.log(complex(z))
-            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
 class TestUpperIncompleteGamma:
