@@ -8,7 +8,8 @@ receiver noise) fold into the rate: if X ~ Gamma(alpha, beta) then
 c*X ~ Gamma(alpha, beta/c).
 
 The link model is stated once, here: ``surface_hops`` and ``relay_hops``
-return a receiver's two hops with those factors folded into the right one.
+return a receiver's two hops with those factors folded into the right one;
+a folded scale that leaves the float range raises ``OverflowError``.
 The ``montecarlo.ARCHITECTURES`` table reads them for both routes, and the
 capacities take the hops they return.
 """
@@ -154,6 +155,13 @@ def _receiver(scenario: Scenario, receiver: str) -> tuple[FadingParams, float, f
     raise ValueError(f"receiver must be one of {RECEIVERS}")
 
 
+def _folded(fading: FadingParams, scale: float, scenario: Scenario) -> FadingParams:
+    """``fading`` with ``scale`` folded in; OverflowError when the scale is 0 or inf."""
+    if not _positive(scale):
+        raise OverflowError(f"SNR scale leaves the float range at {scenario.tx_power_dbm} dB")
+    return snr_scaled_params(fading, scale)
+
+
 def surface_hops(scenario: Scenario, receiver: str) -> tuple[FadingParams, FadingParams]:
     """(X, Y): one element's gains towards ``receiver``, whose SNR is X * Y.
 
@@ -165,7 +173,7 @@ def surface_hops(scenario: Scenario, receiver: str) -> tuple[FadingParams, Fadin
     z = geo.pathloss_exponent
     power = db_to_linear(scenario.tx_power_dbm)
     scale = power * pathloss(geo.d_source_node, z) * pathloss(d_hop, z) / noise
-    return scenario.fading_source_node, snr_scaled_params(fading, scale)
+    return scenario.fading_source_node, _folded(fading, scale, scenario)
 
 
 def relay_hops(scenario: Scenario, receiver: str) -> tuple[FadingParams, FadingParams]:
@@ -179,4 +187,4 @@ def relay_hops(scenario: Scenario, receiver: str) -> tuple[FadingParams, FadingP
     power = db_to_linear(scenario.tx_power_dbm)
     first = power * pathloss(geo.d_source_node, z) / scenario.noise_power_relay
     second = power * pathloss(d_hop, z) / noise
-    return snr_scaled_params(scenario.fading_source_node, first), snr_scaled_params(fading, second)
+    return _folded(scenario.fading_source_node, first, scenario), _folded(fading, second, scenario)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .channels import FadingParams, Geometry, Scenario
-from .montecarlo import ARCHITECTURES, McConfig
-from .sweep import METHODS, VARIABLES, SweepSpec
+from .montecarlo import McConfig
+from .sweep import ARCHITECTURES, METHODS, VARIABLES, SweepSpec
 
 __all__ = ["ConfigError", "ParsedConfig", "REFERENCE_CONFIG", "parse_config", "parse_config_text"]
 
@@ -58,8 +58,9 @@ _SWEEP = "required for a sweep section"
 
 _HOPS = ("source_node", "node_legit", "node_eve")
 
-# Every key once, as (kind, default).  A positive key is a float that must
-# be greater than zero.
+# Every key once, as (kind, default); a default that SweepSpec or McConfig
+# owns is read from its class.  A positive key is a float that must be
+# greater than zero.
 _KEYS = {
     "geometry.d_source_node": ("positive", _REQUIRED),
     "geometry.d_node_legit": ("positive", _REQUIRED),
@@ -75,11 +76,11 @@ _KEYS = {
     "sweep.from": ("float", _SWEEP),
     "sweep.to": ("float", _SWEEP),
     "sweep.step": ("float", _SWEEP),
-    "sweep.architectures": ("list", tuple(ARCHITECTURES)),
-    "sweep.methods": ("list", ("analytic",)),
+    "sweep.architectures": ("list", SweepSpec.architectures),
+    "sweep.methods": ("list", SweepSpec.methods),
     "mc.samples": ("int", 200_000),
     "mc.master_seed": ("int", 20240915),
-    "mc.chunk_size": ("int", 65536),
+    "mc.chunk_size": ("int", McConfig.chunk_size),
 }
 
 _METHOD_ALIASES = {"mc": "monte-carlo", "montecarlo": "monte-carlo"}

@@ -148,14 +148,13 @@ class _ChunkStreams:
     2^-265 and never underflows, and a draw is 0 only when every u is 0.
     Rounding the product adds at most about k * 2^-53 to a draw.  Any other
     shape is filled by ``standard_gamma``, the same bits as
-    ``Generator.gamma``.  The pieces are filled concurrently on ``pool``, a
-    ``concurrent.futures`` executor, or one after another on the calling
-    thread without one; the values are the same either way.
+    ``Generator.gamma``.  The pieces are filled through ``map_fn``, such
+    as an executor's ``map``, and the values do not depend on it.
     """
 
-    def __init__(self, cfg: McConfig, chunk: int, pool=None):
+    def __init__(self, cfg: McConfig, chunk: int, map_fn):
         self._rngs = [_stream(cfg, chunk, sub) for sub in range(_STREAMS)]
-        self._map = map if pool is None else pool.map
+        self._map = map_fn
 
     def gamma(self, shape: float, scale: float, size) -> np.ndarray:
         out = np.empty(size)
@@ -319,7 +318,7 @@ def mc_branch_estimates(scenario: Scenario, architecture: str, cfg: McConfig):
     with ThreadPoolExecutor(_threads()) as pool:
         for index in range(-(-cfg.samples // rows)):
             count = min(rows, cfg.samples - index * rows)
-            rng = _ChunkStreams(cfg, index, pool)
+            rng = _ChunkStreams(cfg, index, pool.map)
             for acc, b in zip(sums, arch.snr(scenario, rng, count)):
                 # The SNR array becomes bits in place, with no temporary.
                 np.log1p(b, out=b)

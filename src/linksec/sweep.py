@@ -59,19 +59,6 @@ _NUMERICAL_ERRORS = (AccuracyError, OverflowError)
 # Most points in one sweep grid, checked before the grid is built.
 _MAX_GRID_POINTS = 100_000
 
-CSV_COLUMNS = (
-    "variable",
-    "value",
-    "architecture",
-    "method",
-    "secrecy_bps_hz",
-    "ergodic_L",
-    "ergodic_E",
-    "std_error",
-    "status",
-)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     variable: str
@@ -125,16 +112,20 @@ class SweepRow:
     architecture: str
     method: str
     secrecy_bps_hz: float
-    ergodic_l: float
-    ergodic_e: float
+    ergodic_L: float
+    ergodic_E: float
     std_error: float
     status: str = "ok"
+
+
+# The CSV header: SweepRow's fields, in the order rows_to_csv writes them.
+CSV_COLUMNS = tuple(field.name for field in dataclasses.fields(SweepRow))
 
 
 def _evaluate(
     scenario: Scenario, architecture: str, method: str, mc_cfg: McConfig
 ) -> tuple[float, float, float, float, str]:
-    """(secrecy, ergodic_l, ergodic_e, std_error, status) of one point."""
+    """(secrecy, ergodic_L, ergodic_E, std_error, status) of one point."""
     try:
         est_l, est_e = montecarlo.branches(
             scenario, architecture, None if method == "analytic" else mc_cfg
@@ -154,26 +145,18 @@ def _evaluate(
 def run_sweep(spec: SweepSpec, scenario: Scenario, mc: McConfig) -> list[SweepRow]:
     """Evaluate every grid point of the sweep on ``scenario``; deterministic rows.
 
-    Monte Carlo points draw with ``mc``.  Each distinct (scenario,
-    architecture, method) is evaluated once and its result written to
-    every grid value that maps to it: a relay reads no ``n_elements``, so
-    its scenario is keyed with ``n_elements = 1``.  A repeated
+    Each (grid value, architecture, method) is evaluated on the varied
+    scenario as given; Monte Carlo points draw with ``mc``.  A repeated
     architecture or method gives one row.  Per-point numerical failures
     land in the row's status column instead of aborting the sweep.
     """
-    results = {}
     rows = []
     for value in spec.grid():
-        varied = _VARIABLES[spec.variable](scenario, value)
+        point = _VARIABLES[spec.variable](scenario, value)
         for arch in dict.fromkeys(spec.architectures):
-            point = varied
-            if not montecarlo.ARCHITECTURES[arch].per_element:
-                point = dataclasses.replace(varied, n_elements=1)
             for method in dict.fromkeys(spec.methods):
-                key = (point, arch, method)
-                if key not in results:
-                    results[key] = _evaluate(point, arch, method, mc)
-                rows.append(SweepRow(spec.variable, value, arch, method, *results[key]))
+                row = _evaluate(point, arch, method, mc)
+                rows.append(SweepRow(spec.variable, value, arch, method, *row))
     rows.sort(key=lambda r: (r.value, r.architecture, r.method))
     return rows
 
@@ -183,7 +166,7 @@ def run_sweep(spec: SweepSpec, scenario: Scenario, mc: McConfig) -> list[SweepRo
 # ---------------------------------------------------------------------------
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
-    """Render each row's fields in ``SweepRow``'s order, which ``CSV_COLUMNS`` names.
+    """A header of ``CSV_COLUMNS``, then each row's fields in that order.
 
     Strings are written as they are, numbers as ``repr(float(v))``.
     """

@@ -18,7 +18,6 @@ from linksec.montecarlo import McConfig
 from linksec.quadrature import AccuracyError
 from linksec.sweep import (
     CSV_COLUMNS,
-    SweepRow,
     SweepSpec,
     figure_preset,
     rows_to_csv,
@@ -332,24 +331,30 @@ class TestRunSweep:
         values = [r.secrecy_bps_hz for r in sorted(rows, key=lambda r: r.value)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
-    def test_each_distinct_point_evaluated_once(self, monkeypatch):
-        # A relay scenario does not change with n_elements: two relay
-        # points and four surface points, written to twelve rows.
-        calls = []
-        branches = montecarlo.branches
-
-        def counting(scenario, architecture, mc=None):
-            calls.append(architecture)
-            return branches(scenario, architecture, mc)
-
-        monkeypatch.setattr(montecarlo, "branches", counting)
-        spec = SweepSpec("n_elements", 2, 8, 2, ("irs", "df", "affg"))
+    def test_relay_rows_do_not_change_with_element_count(self):
+        # A relay reads no n_elements: on both routes, its rows at every N
+        # are byte-identical.
+        spec = SweepSpec("n_elements", 2, 8, 2, ("irs", "df", "affg"), ("analytic", "monte-carlo"))
         parsed = reference_config()
-        rows = run_sweep(spec, parsed.scenario, parsed.mc)
-        assert sorted(calls) == ["affg", "df"] + ["irs"] * 4
-        assert len(rows) == 12
+        mc = McConfig(samples=2000, master_seed=5)
+        rows = run_sweep(spec, parsed.scenario, mc)
+        assert len(rows) == 4 * 3 * 2
         for arch in ("df", "affg"):
-            assert len({r.secrecy_bps_hz for r in rows if r.architecture == arch}) == 1
+            for method in ("analytic", "monte-carlo"):
+                series = [r for r in rows if (r.architecture, r.method) == (arch, method)]
+                assert len(series) == 4
+                lines = {rows_to_csv([dataclasses.replace(r, value=0.0)]) for r in series}
+                assert len(lines) == 1
+
+    def test_overflowing_scale_fails_its_rows(self):
+        # With noise.legit = 0.001, a relay's legitimate scale passes the
+        # largest float above 3072.5 dB, and the power itself above 3082.5 dB.
+        parsed = parse_config_text(config_with(**{"noise.legit": "0.001"}))
+        spec = SweepSpec("tx_power_dbm", 3000.0, 3100.0, 25.0, ("df", "affg"))
+        rows = run_sweep(spec, parsed.scenario, parsed.mc)
+        assert len(rows) == 5 * 2
+        for r in rows:
+            assert r.status.startswith("error:") == (r.value >= 3075.0)
 
     def test_repeated_architecture_or_method_gives_one_row(self):
         # A config may list a method twice, or under an alias of itself.
@@ -361,10 +366,11 @@ class TestRunSweep:
             (10.0, "df", "analytic"),
         ]
 
-    def test_csv_columns_name_the_row_fields_in_order(self):
-        # rows_to_csv writes each row's fields in SweepRow's order.
-        fields = [field.name for field in dataclasses.fields(SweepRow)]
-        assert [column.lower() for column in CSV_COLUMNS] == fields
+    def test_csv_header(self):
+        header = rows_to_csv([]).splitlines()[0]
+        assert header == (
+            "variable,value,architecture,method,secrecy_bps_hz,ergodic_L,ergodic_E,std_error,status"
+        )
 
     def test_csv_roundtrip_exact(self):
         parsed = reference_config()
@@ -375,8 +381,8 @@ class TestRunSweep:
         for row, rec in zip(rows, records):
             assert float(rec["value"]) == row.value
             assert float(rec["secrecy_bps_hz"]) == row.secrecy_bps_hz
-            assert float(rec["ergodic_L"]) == row.ergodic_l
-            assert float(rec["ergodic_E"]) == row.ergodic_e
+            assert float(rec["ergodic_L"]) == row.ergodic_L
+            assert float(rec["ergodic_E"]) == row.ergodic_E
             assert float(rec["std_error"]) == row.std_error
 
 
@@ -481,6 +487,16 @@ class TestValidate:
         cfg = McConfig(samples=10_000, master_seed=3)
         report = validate(parsed.scenario, (-100.0,), cfg)
         assert report.passed
+
+    def test_power_whose_scale_underflows_fails_its_point(self):
+        # At -3300 dB the power, and so every folded SNR scale, is 0.
+        report = validate(REFERENCE.scenario, (-3300.0, 0.0), McConfig(samples=2000, master_seed=1))
+        low = [r for r in report.rows if r.tx_power_dbm == -3300.0]
+        high = [r for r in report.rows if r.tx_power_dbm == 0.0]
+        assert [(r.receiver, r.passed) for r in low] == [("both", False)] * 3
+        assert all("float range" in r.error for r in low)
+        assert len(high) == 3 * 2 and all(r.passed for r in high)
+        assert not report.passed
 
     def test_unknown_architecture_rejected(self):
         cfg = McConfig(samples=10_000, master_seed=3)

@@ -163,7 +163,7 @@ class TestParallelFill:
     def test_pieces_come_from_their_sub_streams(self):
         # Piece s of a 10-value array is sub-stream s's next draws, scaled.
         cfg = McConfig(samples=1000, master_seed=26)
-        got = _ChunkStreams(cfg, 3).gamma(2.5, 0.5, (2, 5)).reshape(-1)
+        got = _ChunkStreams(cfg, 3, map).gamma(2.5, 0.5, (2, 5)).reshape(-1)
         bounds = [10 * sub // _STREAMS for sub in range(_STREAMS + 1)]
         for sub in range(_STREAMS):
             want = _stream(cfg, 3, sub).gamma(2.5, 0.5, bounds[sub + 1] - bounds[sub])
@@ -214,7 +214,7 @@ class TestErlangFill:
         # piece of one; the large array gives pieces of 2.5 scratch blocks,
         # the last one partial.
         cfg = McConfig(samples=1000, master_seed=28)
-        got = _ChunkStreams(cfg, 2).gamma(float(k), 0.25, size)
+        got = _ChunkStreams(cfg, 2, map).gamma(float(k), 0.25, size)
         bounds = [size * sub // _STREAMS for sub in range(_STREAMS + 1)]
         for sub in range(_STREAMS):
             want = self.erlang_piece(_stream(cfg, 2, sub), k, bounds[sub + 1] - bounds[sub], 0.25)
@@ -224,7 +224,7 @@ class TestErlangFill:
     def test_erlang_draws_follow_gamma(self, k):
         scale = 0.4
         n = 10**6
-        draws = _ChunkStreams(McConfig(samples=n, master_seed=29), 0).gamma(float(k), scale, n)
+        draws = _ChunkStreams(McConfig(samples=n, master_seed=29), 0, map).gamma(float(k), scale, n)
         assert stats.kstest(draws, stats.gamma(k, scale=scale).cdf).pvalue > 1e-3
         mean, var = k * scale, k * scale**2
         assert abs(draws.mean() - mean) < 5 * math.sqrt(var / n)
@@ -250,7 +250,7 @@ class TestErlangFill:
         cfg = McConfig(samples=1000, master_seed=1)
         for u, want in ((0.0, 0.0), (1.0 - 2.0**-53, -np.log(2.0 ** (-53 * k)) * scale)):
             monkeypatch.setattr(montecarlo, "_stream", lambda cfg, chunk, sub: Constant(u))
-            draws = _ChunkStreams(cfg, 0).gamma(float(k), scale, size)
+            draws = _ChunkStreams(cfg, 0, map).gamma(float(k), scale, size)
             assert np.isfinite(draws).all()
             assert (draws == want).all()
 
@@ -259,7 +259,7 @@ class TestErlangFill:
         # Non-integer shapes and integers above 5 call standard_gamma.
         cfg = McConfig(samples=1000, master_seed=30)
         size = 4 * _SCRATCH_VALUES + 5
-        got = _ChunkStreams(cfg, 1).gamma(shape, 3.0, size)
+        got = _ChunkStreams(cfg, 1, map).gamma(shape, 3.0, size)
         bounds = [size * sub // _STREAMS for sub in range(_STREAMS + 1)]
         want = np.concatenate([
             _stream(cfg, 1, sub).standard_gamma(shape, bounds[sub + 1] - bounds[sub]) * 3.0
@@ -300,7 +300,7 @@ class TestChunkBound:
         scn = irs_scenario(n=4)
         n = 65536
         cfg = McConfig(samples=n, master_seed=23, chunk_size=n)
-        snrs = ARCHITECTURES["irs"].snr(scn, _ChunkStreams(cfg, 0), n)
+        snrs = ARCHITECTURES["irs"].snr(scn, _ChunkStreams(cfg, 0, map), n)
         for est, snr in zip(mc_branch_estimates(scn, "irs", cfg), snrs):
             bits = np.log1p(snr) / math.log(2.0)
             mean = float(bits.sum()) / n
