@@ -9,7 +9,8 @@ c*X ~ Gamma(alpha, beta/c).
 
 The link model is stated once, here: ``surface_hops`` and ``relay_hops``
 return a receiver's two hops with those factors folded into the right one;
-a folded scale that leaves the float range raises ``OverflowError``.
+a hop whose folded scale, rate or mean leaves the float range raises
+``OverflowError`` naming the power (``montecarlo.branches`` does the rest).
 The ``montecarlo.ARCHITECTURES`` table reads them for both routes, and the
 capacities take the hops they return.
 """
@@ -26,7 +27,6 @@ __all__ = [
     "FadingParams",
     "Geometry",
     "Scenario",
-    "db_to_linear",
     "pathloss",
     "relay_hops",
     "sample_gamma",
@@ -40,10 +40,6 @@ RECEIVERS = ("legit", "eve")
 def _positive(value: float) -> bool:
     """True for a finite value above zero; nan and inf are not."""
     return value > 0 and math.isfinite(value)
-
-
-def db_to_linear(value_db: float) -> float:
-    return 10.0 ** (value_db / 10.0)
 
 
 def pathloss(d: float, zeta: float) -> float:
@@ -155,11 +151,26 @@ def _receiver(scenario: Scenario, receiver: str) -> tuple[FadingParams, float, f
     raise ValueError(f"receiver must be one of {RECEIVERS}")
 
 
-def _folded(fading: FadingParams, scale: float, scenario: Scenario) -> FadingParams:
-    """``fading`` with ``scale`` folded in; OverflowError when the scale is 0 or inf."""
-    if not _positive(scale):
-        raise OverflowError(f"SNR scale leaves the float range at {scenario.tx_power_dbm} dB")
-    return snr_scaled_params(fading, scale)
+def _folded(
+    fading: FadingParams, scenario: Scenario, noise: float, *distances: float
+) -> FadingParams:
+    """``fading`` with P * (d^-zeta for each of ``distances``) / ``noise`` in its rate.
+
+    The scale is formed left to right.  Unless it, the folded rate and the
+    folded mean are finite and positive, raises OverflowError naming the power.
+    """
+    message = f"SNR scale leaves the float range at {scenario.tx_power_dbm} dB"
+    try:
+        scale = 10.0 ** (scenario.tx_power_dbm / 10.0)
+    except OverflowError:
+        raise OverflowError(message) from None
+    for d in distances:
+        scale *= pathloss(d, scenario.geometry.pathloss_exponent)
+    scale /= noise
+    beta = fading.beta / scale if _positive(scale) else 0.0
+    if not (_positive(beta) and _positive(fading.alpha / beta)):
+        raise OverflowError(message)
+    return FadingParams(fading.alpha, beta)
 
 
 def surface_hops(scenario: Scenario, receiver: str) -> tuple[FadingParams, FadingParams]:
@@ -169,11 +180,8 @@ def surface_hops(scenario: Scenario, receiver: str) -> tuple[FadingParams, Fadin
     P * d_1^-z * d_r^-z / w_r: the power, both pathlosses and the noise.
     """
     fading, d_hop, noise = _receiver(scenario, receiver)
-    geo = scenario.geometry
-    z = geo.pathloss_exponent
-    power = db_to_linear(scenario.tx_power_dbm)
-    scale = power * pathloss(geo.d_source_node, z) * pathloss(d_hop, z) / noise
-    return scenario.fading_source_node, _folded(fading, scale, scenario)
+    d_first = scenario.geometry.d_source_node
+    return scenario.fading_source_node, _folded(fading, scenario, noise, d_first, d_hop)
 
 
 def relay_hops(scenario: Scenario, receiver: str) -> tuple[FadingParams, FadingParams]:
@@ -182,9 +190,6 @@ def relay_hops(scenario: Scenario, receiver: str) -> tuple[FadingParams, FadingP
     The first is scaled by P * d_1^-z / w_relay, the second by P * d_r^-z / w_r.
     """
     fading, d_hop, noise = _receiver(scenario, receiver)
-    geo = scenario.geometry
-    z = geo.pathloss_exponent
-    power = db_to_linear(scenario.tx_power_dbm)
-    first = power * pathloss(geo.d_source_node, z) / scenario.noise_power_relay
-    second = power * pathloss(d_hop, z) / noise
-    return _folded(scenario.fading_source_node, first, scenario), _folded(fading, second, scenario)
+    relay = scenario.noise_power_relay
+    first = _folded(scenario.fading_source_node, scenario, relay, scenario.geometry.d_source_node)
+    return first, _folded(fading, scenario, noise, d_hop)

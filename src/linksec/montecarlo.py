@@ -293,12 +293,20 @@ def branches(
     Without ``mc`` both are analytic; given an ``McConfig`` they are the
     paired simulator estimates of ``mc_branch_estimates``.  Their secrecy
     is ``secrecy_capacity(*branches(...))``.  An unknown architecture
-    raises ValueError on both routes.
+    raises ValueError on both routes.  Both run under one float-range rule:
+    NumPy's overflow, divide and invalid operations raise, on the pool
+    threads too, and leave as OverflowError naming the power, as a hop out
+    of the float range does in ``channels``.  The NumPy error state is kept.
     """
-    if mc is not None:
-        return mc_branch_estimates(scenario, architecture, mc)
-    analytic = _architecture(architecture).analytic
-    return tuple(analytic(scenario, receiver) for receiver in channels.RECEIVERS)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if mc is not None:
+                return mc_branch_estimates(scenario, architecture, mc)
+            analytic = _architecture(architecture).analytic
+            return tuple(analytic(scenario, receiver) for receiver in channels.RECEIVERS)
+    except FloatingPointError as exc:
+        message = f"{exc}: the capacity leaves the float range at {scenario.tx_power_dbm} dB"
+        raise OverflowError(message) from None
 
 
 def mc_branch_estimates(scenario: Scenario, architecture: str, cfg: McConfig):
@@ -307,6 +315,7 @@ def mc_branch_estimates(scenario: Scenario, architecture: str, cfg: McConfig):
     The source-side draws are reused by both receiver branches, matching
     the physical channel and reducing the variance of their difference.
     Sums and sums of squares of log2(1 + SNR) accumulate in chunk order.
+    The pool threads that draw take the caller's NumPy error state.
     """
     arch = _architecture(architecture)
     width = scenario.n_elements if arch.per_element else 1
@@ -315,7 +324,8 @@ def mc_branch_estimates(scenario: Scenario, architecture: str, cfg: McConfig):
     # Imported here, so the analytic route does not pay for it.
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(_threads()) as pool:
+    errors = np.geterr()
+    with ThreadPoolExecutor(_threads(), initializer=lambda: np.seterr(**errors)) as pool:
         for index in range(-(-cfg.samples // rows)):
             count = min(rows, cfg.samples - index * rows)
             rng = _ChunkStreams(cfg, index, pool.map)

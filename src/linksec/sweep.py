@@ -5,6 +5,9 @@ A sweep varies one scenario parameter over a grid and records, for every
 the two per-receiver ergodic capacities.  Points are evaluated one after
 another and rows are emitted in a deterministic order (sorted by value,
 architecture, method), so repeated runs produce byte-identical files.
+A point that raises an ArithmeticError (an AccuracyError, or an
+OverflowError naming the power at the edge of the float range) fails
+alone: an ``error:`` status in a sweep, a failing row in ``validate``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import numpy as np
 from . import capacity, montecarlo
 from .channels import Scenario
 from .montecarlo import McConfig
-from .quadrature import AccuracyError
 
 __all__ = [
     "ARCHITECTURES",
@@ -54,8 +56,6 @@ _VARIABLES = {
 }
 VARIABLES = tuple(_VARIABLES)
 
-# Numerical failures of one point; they fail that point, not the whole run.
-_NUMERICAL_ERRORS = (AccuracyError, OverflowError)
 # Most points in one sweep grid, checked before the grid is built.
 _MAX_GRID_POINTS = 100_000
 
@@ -126,20 +126,13 @@ def _evaluate(
     scenario: Scenario, architecture: str, method: str, mc_cfg: McConfig
 ) -> tuple[float, float, float, float, str]:
     """(secrecy, ergodic_L, ergodic_E, std_error, status) of one point."""
+    mc = None if method == "analytic" else mc_cfg
     try:
-        est_l, est_e = montecarlo.branches(
-            scenario, architecture, None if method == "analytic" else mc_cfg
-        )
-    except _NUMERICAL_ERRORS as exc:
+        est_l, est_e = montecarlo.branches(scenario, architecture, mc)
+    except ArithmeticError as exc:
         return math.nan, math.nan, math.nan, math.nan, f"error: {exc}"
     sec = capacity.secrecy_capacity(est_l, est_e)
-    return (
-        sec.bits_per_sec_hz,
-        est_l.bits_per_sec_hz,
-        est_e.bits_per_sec_hz,
-        sec.std_error,
-        "ok",
-    )
+    return sec.bits_per_sec_hz, est_l.bits_per_sec_hz, est_e.bits_per_sec_hz, sec.std_error, "ok"
 
 
 def run_sweep(spec: SweepSpec, scenario: Scenario, mc: McConfig) -> list[SweepRow]:
@@ -147,8 +140,7 @@ def run_sweep(spec: SweepSpec, scenario: Scenario, mc: McConfig) -> list[SweepRo
 
     Each (grid value, architecture, method) is evaluated on the varied
     scenario as given; Monte Carlo points draw with ``mc``.  A repeated
-    architecture or method gives one row.  Per-point numerical failures
-    land in the row's status column instead of aborting the sweep.
+    architecture or method gives one row.
     """
     rows = []
     for value in spec.grid():
@@ -280,28 +272,22 @@ def validate(
     numerically zero trivially consistent.  Each (power, architecture)
     point draws from its own master seed, derived from the configured
     seed and the point's index, so the points are independent evidence.
-    A point whose analytic value cannot be computed is reported as one
-    failing row for both receivers.  Raises ValueError when no point could
-    be compared.
+    A point that fails on either route is one failing row for both
+    receivers.  Raises ValueError when no point could be compared.
     """
     rows: list[ValidationRow] = []
     points = itertools.product(powers_dbm, architectures)
     for index, (power, arch) in enumerate(points):
         point = dataclasses.replace(scenario, tx_power_dbm=power)
-        try:
-            ana_l, ana_e = montecarlo.branches(point, arch)
-        except _NUMERICAL_ERRORS as exc:
-            rows.append(
-                ValidationRow(
-                    arch, power, "both",
-                    math.nan, math.nan, math.nan, math.nan,
-                    passed=False, error=str(exc),
-                )
-            )
-            continue
         seed = np.random.SeedSequence([mc.master_seed, index]).generate_state(1, np.uint64)
         point_cfg = dataclasses.replace(mc, master_seed=int(seed[0]))
-        mc_l, mc_e = montecarlo.branches(point, arch, point_cfg)
+        try:
+            ana_l, ana_e = montecarlo.branches(point, arch)
+            mc_l, mc_e = montecarlo.branches(point, arch, point_cfg)
+        except ArithmeticError as exc:
+            nan = math.nan
+            rows.append(ValidationRow(arch, power, "both", nan, nan, nan, nan, False, str(exc)))
+            continue
         for receiver, ana, sim in (("legit", ana_l, mc_l), ("eve", ana_e, mc_e)):
             a = ana.bits_per_sec_hz
             m = sim.bits_per_sec_hz
@@ -309,9 +295,7 @@ def validate(
             gap = abs(a - m)
             z = gap / se if se > 0 else (0.0 if gap == 0 else math.inf)
             passed = gap <= max(_MAX_Z * se, 1e-9)
-            rows.append(
-                ValidationRow(arch, power, receiver, a, m, se, z, passed)
-            )
+            rows.append(ValidationRow(arch, power, receiver, a, m, se, z, passed))
     if not rows:
         raise ValueError("validate compared no point: no power or no architecture")
     return ValidationReport(rows=tuple(rows), passed=all(r.passed for r in rows))

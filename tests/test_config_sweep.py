@@ -18,6 +18,7 @@ from linksec.montecarlo import McConfig
 from linksec.quadrature import AccuracyError
 from linksec.sweep import (
     CSV_COLUMNS,
+    METHODS,
     SweepSpec,
     figure_preset,
     rows_to_csv,
@@ -356,6 +357,25 @@ class TestRunSweep:
         for r in rows:
             assert r.status.startswith("error:") == (r.value >= 3075.0)
 
+    @pytest.mark.parametrize("noise_legit", ["0.01", "0.001"])
+    def test_edge_sweep_rows_are_finite_or_fail(self, noise_legit):
+        # Up to the power where 10^(P/10) itself overflows: each row is a
+        # finite ok row, or an error row that names its power.  Runs under
+        # the RuntimeWarning-as-error filter.
+        parsed = parse_config_text(config_with(**{"noise.legit": noise_legit}))
+        spec = SweepSpec("tx_power_dbm", 3000.0, 3085.0, 2.5, ("irs", "df", "affg"), METHODS)
+        rows = run_sweep(spec, parsed.scenario, McConfig(samples=20_000, master_seed=1))
+        assert len(rows) == 35 * 3 * 2
+        for r in rows:
+            values = (r.secrecy_bps_hz, r.ergodic_L, r.ergodic_E, r.std_error)
+            if r.status == "ok":
+                assert all(map(math.isfinite, values)), r
+            else:
+                assert r.status.startswith("error: ")
+                assert f"float range at {r.value} dB" in r.status, r
+        assert {r.status for r in rows if r.value == 3000.0} == {"ok"}
+        assert all(r.status != "ok" for r in rows if r.value == 3085.0)
+
     def test_repeated_architecture_or_method_gives_one_row(self):
         # A config may list a method twice, or under an alias of itself.
         spec = SweepSpec("tx_power_dbm", 0.0, 10.0, 10.0, ("df", "df"), ("analytic", "analytic"))
@@ -594,6 +614,21 @@ class TestCli:
         assert main(args) == 0
         assert capsys.readouterr().out == f"wrote {rows} rows to {out_path}\n"
         assert len(csv_records(out_path.read_text())) == rows
+
+    def test_power_past_the_float_edge_fails_its_points(self, tmp_path, capsys):
+        # At 3082.2 dB the relays' first-hop mean passes the largest float,
+        # and the surface's capacity overflows on the way.
+        cfg_path = tmp_path / "reference.cfg"
+        cfg_path.write_text(REFERENCE_CONFIG)
+        args = ["--samples", "20000", "--seed", "1", "--powers", "0,3082.2"]
+        assert main(["validate", "--config", str(cfg_path), *args]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        edge = [line for line in lines if " 3082.2 " in line]
+        for arch in ("df", "affg"):
+            assert any(line.startswith(arch) and "FAIL: " in line for line in edge)
+        assert all("float range at 3082.2 dB" in line for line in edge)
+        assert sum(" 0.0 " in line and line.endswith(" ok") for line in lines) == 6
+        assert lines[-1] == "overall: FAIL"
 
     def test_validate_command_exit_codes(self, tmp_path):
         cfg_path = tmp_path / "scenario.cfg"

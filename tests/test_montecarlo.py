@@ -2,6 +2,7 @@ import dataclasses
 import math
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -456,3 +457,27 @@ class TestSecrecy:
         for receiver in ("first", "laser"):
             with pytest.raises(ValueError, match="receiver must be one of"):
                 self.RECEIVER_READERS[reader](relay_scenario(), receiver)
+
+
+class TestFloatPolicy:
+    # With noise.legit = 0.001, DF's legitimate hop still has a finite mean
+    # at 3065 dB, but its draws times the folded scale pass the largest
+    # float, on the pool threads that fill the chunk.
+    EDGE = dataclasses.replace(relay_scenario(power_dbm=3065.0), noise_power_legit=0.001)
+    CFG = McConfig(samples=20_000, master_seed=1)
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_pool_thread_overflow_raises(self, action):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            before = np.geterr()
+            with pytest.raises(OverflowError, match=r"float range at 3065\.0 dB"):
+                branches(self.EDGE, "df", self.CFG)
+            assert np.geterr() == before
+
+    @pytest.mark.parametrize("mc", [None, CFG], ids=["analytic", "mc"])
+    def test_error_state_restored_after_a_point(self, mc):
+        before = np.geterr()
+        estimates = branches(relay_scenario(), "df", mc)
+        assert all(math.isfinite(e.bits_per_sec_hz) for e in estimates)
+        assert np.geterr() == before
