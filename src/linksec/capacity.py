@@ -187,6 +187,8 @@ def ergodic_capacity_irs(x: FadingParams, y: FadingParams, n: int) -> CapacityEs
 
     ``x`` and ``y`` are one element's two hops, as ``channels.surface_hops``
     returns them; the n elements are independent and alike.
+    Out of the float range this may return nan or inf: call it through
+    ``montecarlo.branches``, which raises OverflowError naming the power.
     """
     return _damped_capacity(*_element_hop(x, y), n)
 
@@ -294,6 +296,8 @@ def df_ergodic_capacity(f1: FadingParams, fb: FadingParams) -> CapacityEstimate:
     P(G_1 < G_b) + P(G_b < G_1) = 1; AccuracyError is raised when they miss
     it by more than ``_DF_UNITY_TOL``.  The rules keep their full window:
     ln(1 + u/beta_i) does not vanish with u fast enough to trim it.
+    Out of the float range this may return nan or inf: call it through
+    ``montecarlo.branches``, which raises OverflowError naming the power.
     """
     step = min(0.1, 0.5 / math.sqrt(max(f1.alpha, fb.alpha)))
     capacity = unity = 0.0
@@ -365,5 +369,7 @@ def affg_ergodic_capacity(f1: FadingParams, fb: FadingParams) -> CapacityEstimat
 
     Averaging over X in closed form leaves
     1 - MGF(z) = E_U[1 - (1 + z phi(U))^-shape_1], phi as in ``affg_ccdf``.
+    Out of the float range this may return nan or inf: call it through
+    ``montecarlo.branches``, which raises OverflowError naming the power.
     """
     return _damped_capacity(*_relay_hop(f1, fb), f1.alpha, 1)

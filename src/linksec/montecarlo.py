@@ -8,18 +8,24 @@ capacity estimates, analytic without ``mc`` and simulated with it.
 
 The simulator never calls the analytic route: it samples raw channel
 gains, forms the instantaneous end-to-end SNR of each receiver, and
-averages log2(1 + SNR).  Work is split into chunks of at most
-``chunk_size`` rows and at most max(2^18, N) Gamma values per hop: a
-surface of N elements gets chunks of max(1, 2^18 // N) rows, so memory
-does not grow with N up to N = 2^18, and beyond it a chunk is one row of
-N values; a relay's chunks do not depend on N.  Each chunk owns four
-SFC64 sub-streams, seeded from (master seed, chunk index, sub-stream index)
+averages log2(1 + SNR).  Work is split into chunks of min(chunk_size, 2^18)
+rows, whatever the architecture and N.  Each chunk owns four SFC64
+sub-streams, seeded from (master seed, chunk index, sub-stream index)
 through ``SeedSequence``.  Every Gamma array a chunk draws is split into
 four contiguous pieces, piece s drawn from sub-stream s, and the pieces
 are filled concurrently on up to four CPUs.  So no draw depends on the
 order in which chunks run or on the number of threads, and reruns are
 bit-identical.  Chunks run one at a time, and partial sums are reduced in
 chunk order.
+
+A surface draws its elements in blocks of E = 2^18 // rows elements (4 at
+the default 65,536 rows): a block is x, then y_L, then y_E, each of shape
+(E, rows), and the block holding the last element needed is drawn whole.
+So element i's draws do not depend on how many elements follow, and
+memory does not depend on N.  Each receiver's SNR adds one element at a
+time, in element order, into its own accumulator, so the estimate at N
+elements is read after element N; ``mc_element_estimates`` reads many
+counts off one pass.  A relay's draws do not read N.
 
 A piece at an integer shape k <= 5 is an exact Erlang draw, -log of a
 product of k uniforms (Knuth, *TAOCP* vol. 2, section 3.4.1; Devroye,
@@ -37,11 +43,14 @@ so the rule stops at 5.
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import math
 import operator
 import os
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -55,16 +64,14 @@ __all__ = [
     "McConfig",
     "branches",
     "mc_branch_estimates",
+    "mc_element_estimates",
 ]
 
 _LN2 = math.log(2.0)
 
-# Most Gamma values a chunk draws per hop, 2 MiB of float64 per array,
-# unless one row alone holds more.  At the default chunk_size of 65,536
-# rows, a chunk of the reference N = 4 surface fills it exactly and a relay
-# chunk holds 65,536 values, 0.5 MiB per array; wider surfaces get shorter
-# chunks, so memory does not grow with N up to N = 2^18.  Beyond that a
-# chunk is one row of N values.
+# Most rows in a chunk, and most Gamma values in one surface block of one
+# hop: 2 MiB of float64.  At the default chunk_size of 65,536 rows a block
+# is four elements, and the reference N = 4 surface draws one per chunk.
 _BLOCK_VALUES = 1 << 18
 
 # Sub-streams per chunk, and so the most threads that fill one array.  Fixed,
@@ -90,10 +97,9 @@ _SCRATCH_VALUES = 1 << 15
 class McConfig:
     """Sample count, master seed and the largest chunk, in rows.
 
-    A chunk holds at most ``chunk_size`` rows and at most max(2^18, N)
-    Gamma values per hop for a surface of N elements (one row of N values
-    once N exceeds 2^18).  The chunk length decides which
-    draws of the seeded streams an estimate uses.
+    A chunk holds min(chunk_size, 2^18) rows for every architecture and
+    every N; a surface draws blocks of 2^18 // rows elements a hop.  The
+    chunk length decides which draws of the seeded streams an estimate uses.
     """
 
     samples: int
@@ -155,9 +161,16 @@ class _ChunkStreams:
     def __init__(self, cfg: McConfig, chunk: int, map_fn):
         self._rngs = [_stream(cfg, chunk, sub) for sub in range(_STREAMS)]
         self._map = map_fn
+        self._out = None
+
+    def into(self, out: np.ndarray) -> _ChunkStreams:
+        """These streams, drawing each array into the front of the flat array ``out``."""
+        streams = copy.copy(self)
+        streams._out = out
+        return streams
 
     def gamma(self, shape: float, scale: float, size) -> np.ndarray:
-        out = np.empty(size)
+        out = np.empty(size) if self._out is None else self._out[: np.prod(size)].reshape(size)
         flat = out.reshape(-1)
         n = flat.size
         erlang = float(shape).is_integer() and 1 <= shape <= _ERLANG_MAX_SHAPE
@@ -186,39 +199,64 @@ class _ChunkStreams:
         return out
 
 
+def _rows(cfg: McConfig) -> int:
+    """Rows of every chunk but the last, whatever the architecture and N."""
+    return min(cfg.chunk_size, _BLOCK_VALUES)
+
+
+def _chunks(cfg: McConfig, map_fn) -> Iterator[tuple[_ChunkStreams, int]]:
+    """Each chunk's streams and row count, in chunk order."""
+    rows = _rows(cfg)
+    for index in range(-(-cfg.samples // rows)):
+        yield _ChunkStreams(cfg, index, map_fn), min(rows, cfg.samples - index * rows)
+
+
 # ---------------------------------------------------------------------------
-# Per-architecture SNR draws
+# Per-architecture SNR draws (``Architecture.snr``)
 # ---------------------------------------------------------------------------
 
-def _irs_snr(scenario: Scenario, rng: _ChunkStreams, n: int):
-    # Element-major draws, so each sum over elements adds contiguous rows.
-    # The source-surface gains x are shared by both receivers; each
-    # receiver's hop is drawn, folded into its SNR and freed before the next.
-    shape = (scenario.n_elements, n)
+def _irs_snr(scenario: Scenario, cfg: McConfig, counts, map_fn):
+    # Two buffers serve every block of the call: x, and y_L then y_E.  The
+    # source-surface gains x are shared by both receivers.  An element's
+    # row of y, once added, is spare.
     (first, legit), (_, eve) = (channels.surface_hops(scenario, rx) for rx in channels.RECEIVERS)
-    x = channels.sample_gamma(first, rng, shape)
+    width = _BLOCK_VALUES // _rows(cfg)
+    rows = min(_rows(cfg), cfg.samples)
+    x_buf, y_buf = np.empty(width * rows), np.empty(width * rows)
+    totals = np.empty((2, rows))
+    last = max(counts)
+    snapshot = {count: k for k, count in enumerate(counts)}
+    for rng, n in _chunks(cfg, map_fn):
+        sums = totals[:, :n]
+        sums[...] = 0.0
+        for start in range(0, last, width):
+            used = min(width, last - start)
+            x = channels.sample_gamma(first, rng.into(x_buf), (width, n))
+            for receiver, hop in enumerate((legit, eve)):
+                y = channels.sample_gamma(hop, rng.into(y_buf), (width, n))
+                y[:used] *= x[:used]
+                for i in range(used):
+                    sums[receiver] += y[i]
+                    k = snapshot.get(start + i + 1)
+                    if k is not None:
+                        yield receiver, k, sums[receiver], y[i]
 
-    def snr(hop: channels.FadingParams) -> np.ndarray:
-        y = channels.sample_gamma(hop, rng, shape)
-        y *= x
-        return y.sum(axis=0)
 
-    return snr(legit), snr(eve)
-
-
-def _relay_draws(scenario: Scenario, rng: _ChunkStreams, n: int):
-    """The first hop, and n SNR draws of the first, legitimate and eavesdropper hops."""
+def _relay_snr(combine, scenario: Scenario, cfg: McConfig, counts, map_fn):
+    # Each chunk draws the first, legitimate and eavesdropper hops, and
+    # combine(first hop, g1, g2, g3) forms the two receivers' SNRs.
     (first, legit), (_, eve) = (channels.relay_hops(scenario, rx) for rx in channels.RECEIVERS)
-    return first, [channels.sample_gamma(hop, rng, n) for hop in (first, legit, eve)]
+    for rng, n in _chunks(cfg, map_fn):
+        g1, g2, g3 = (channels.sample_gamma(hop, rng, n) for hop in (first, legit, eve))
+        for receiver, b in enumerate(combine(first, g1, g2, g3)):
+            yield receiver, 0, b, b
 
 
-def _df_snr(scenario: Scenario, rng: _ChunkStreams, n: int):
-    _, (g1, g2, g3) = _relay_draws(scenario, rng, n)
+def _df_combine(first, g1, g2, g3):
     return np.minimum(g1, g2), np.minimum(g1, g3)
 
 
-def _affg_snr(scenario: Scenario, rng: _ChunkStreams, n: int):
-    first, (g1, g2, g3) = _relay_draws(scenario, rng, n)
+def _affg_combine(first, g1, g2, g3):
     l = affg_snr_constant(first)
     # g1 * g / (g + l) as g1 times a ratio below 1: the product g1 * g
     # overflows at extreme power while the end-to-end SNR still fits.
@@ -253,24 +291,25 @@ class Architecture:
     """One architecture: its two evaluation routes and whether it reads N.
 
     ``analytic(scenario, receiver)`` returns the analytic ergodic capacity
-    of the receiver ``"legit"`` or ``"eve"``; ``snr(scenario, rng, n)``
-    draws ``n`` paired (legitimate, eavesdropper) instantaneous SNRs from
-    ``rng``, as two new float arrays that the caller may overwrite.
-    ``rng`` is one chunk's sub-streams (``_ChunkStreams``), whose ``gamma``
-    splits each array across them and fills the pieces concurrently.
-    ``per_element`` is True when both depend on the scenario's
-    ``n_elements``.
+    of the receiver ``"legit"`` or ``"eve"``.  ``snr(scenario, cfg, counts,
+    map_fn)`` draws every chunk of ``cfg`` in chunk order, filling each
+    Gamma array through ``map_fn``, and yields (receiver, k, snr, spare):
+    ``snr`` holds the chunk's instantaneous SNRs of receiver 0 (legit) or 1
+    (eve) at the k-th of the ascending element ``counts``, and ``spare`` is
+    an array of its size that the caller may overwrite.  ``per_element``
+    is True when both routes read the element count; when it is False,
+    ``snr`` yields k = 0 only.
     """
 
     analytic: Callable[[Scenario, str], CapacityEstimate]
-    snr: Callable[[Scenario, _ChunkStreams, int], tuple[np.ndarray, np.ndarray]]
+    snr: Callable[..., Iterator[tuple[int, int, np.ndarray, np.ndarray]]]
     per_element: bool = False
 
 
 ARCHITECTURES = {
     "irs": Architecture(_irs_capacity, _irs_snr, per_element=True),
-    "df": Architecture(_df_capacity, _df_snr),
-    "affg": Architecture(_affg_capacity, _affg_snr),
+    "df": Architecture(_df_capacity, partial(_relay_snr, _df_combine)),
+    "affg": Architecture(_affg_capacity, partial(_relay_snr, _affg_combine)),
 }
 
 
@@ -285,6 +324,17 @@ def _architecture(name: str) -> Architecture:
 # Paired branches
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _float_range(scenario: Scenario):
+    """NumPy's overflow, divide and invalid operations raise OverflowError naming the power."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        message = f"{exc}: the capacity leaves the float range at {scenario.tx_power_dbm} dB"
+        raise OverflowError(message) from None
+
+
 def branches(
     scenario: Scenario, architecture: str, mc: McConfig | None = None
 ) -> tuple[CapacityEstimate, CapacityEstimate]:
@@ -298,15 +348,11 @@ def branches(
     threads too, and leave as OverflowError naming the power, as a hop out
     of the float range does in ``channels``.  The NumPy error state is kept.
     """
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            if mc is not None:
-                return mc_branch_estimates(scenario, architecture, mc)
-            analytic = _architecture(architecture).analytic
-            return tuple(analytic(scenario, receiver) for receiver in channels.RECEIVERS)
-    except FloatingPointError as exc:
-        message = f"{exc}: the capacity leaves the float range at {scenario.tx_power_dbm} dB"
-        raise OverflowError(message) from None
+    with _float_range(scenario):
+        if mc is not None:
+            return mc_branch_estimates(scenario, architecture, mc)
+        analytic = _architecture(architecture).analytic
+        return tuple(analytic(scenario, receiver) for receiver in channels.RECEIVERS)
 
 
 def mc_branch_estimates(scenario: Scenario, architecture: str, cfg: McConfig):
@@ -315,32 +361,52 @@ def mc_branch_estimates(scenario: Scenario, architecture: str, cfg: McConfig):
     The source-side draws are reused by both receiver branches, matching
     the physical channel and reducing the variance of their difference.
     Sums and sums of squares of log2(1 + SNR) accumulate in chunk order.
-    The pool threads that draw take the caller's NumPy error state.
+    Runs under the float-range rule of ``branches``.
+    """
+    return mc_element_estimates(scenario, architecture, cfg, (scenario.n_elements,))[0]
+
+
+def mc_element_estimates(scenario: Scenario, architecture: str, cfg: McConfig, counts):
+    """``mc_branch_estimates`` at each element count of ``counts``, from one pass.
+
+    Returns one (legitimate, eavesdropper) pair per count, in the order
+    given, each bit for bit the pair of ``scenario`` with that many
+    elements: the pass draws to the largest count and reads each smaller
+    one on the way.  So the pairs share their draws and are correlated
+    across counts.  A relay reads no element count and is simulated once.
+    Runs under the float-range rule of ``branches``: the pool threads that
+    draw take its NumPy error state, and a value out of the float range at
+    any count raises OverflowError naming the power.
     """
     arch = _architecture(architecture)
-    width = scenario.n_elements if arch.per_element else 1
-    rows = min(cfg.chunk_size, max(1, _BLOCK_VALUES // width))
-    sums = [[0.0, 0.0], [0.0, 0.0]]
+    for count in counts:  # a count that is no valid n_elements raises ValueError
+        replace(scenario, n_elements=count)
+    # A relay reads no element count: one pass at any count serves them all.
+    targets = sorted(set(counts)) if arch.per_element else [1]
+    sums = [[[0.0, 0.0], [0.0, 0.0]] for _ in targets]
     # Imported here, so the analytic route does not pay for it.
     from concurrent.futures import ThreadPoolExecutor
 
-    errors = np.geterr()
-    with ThreadPoolExecutor(_threads(), initializer=lambda: np.seterr(**errors)) as pool:
-        for index in range(-(-cfg.samples // rows)):
-            count = min(rows, cfg.samples - index * rows)
-            rng = _ChunkStreams(cfg, index, pool.map)
-            for acc, b in zip(sums, arch.snr(scenario, rng, count)):
-                # The SNR array becomes bits in place, with no temporary.
-                np.log1p(b, out=b)
-                b /= _LN2
-                acc[0] += float(b.sum())
-                acc[1] += float((b * b).sum())
+    with _float_range(scenario):
+        errors = np.geterr()
+        with ThreadPoolExecutor(_threads(), initializer=lambda: np.seterr(**errors)) as pool:
+            for receiver, k, snr, spare in arch.snr(scenario, cfg, targets, pool.map):
+                # The bits go into the spare array, with no temporary.
+                np.log1p(snr, out=spare)
+                spare /= _LN2
+                acc = sums[k][receiver]
+                acc[0] += float(spare.sum())
+                spare *= spare
+                acc[1] += float(spare.sum())
     n = cfg.samples
-    estimates = []
-    for s1, s2 in sums:
-        mean = s1 / n
-        var = max(s2 - n * mean * mean, 0.0) / (n - 1)
-        estimates.append(
-            CapacityEstimate(mean, "monte-carlo", std_error=math.sqrt(var / n), samples=n)
-        )
-    return tuple(estimates)
+    pairs = {}
+    for count, per_receiver in zip(targets, sums):
+        estimates = []
+        for s1, s2 in per_receiver:
+            mean = s1 / n
+            var = max(s2 - n * mean * mean, 0.0) / (n - 1)
+            estimates.append(
+                CapacityEstimate(mean, "monte-carlo", std_error=math.sqrt(var / n), samples=n)
+            )
+        pairs[count] = tuple(estimates)
+    return [pairs[count if arch.per_element else 1] for count in counts]

@@ -3,7 +3,10 @@
 A sweep varies one scenario parameter over a grid and records, for every
 (grid value, architecture, method) combination, the secrecy capacity and
 the two per-receiver ergodic capacities.  Points are evaluated one after
-another and rows are emitted in a deterministic order (sorted by value,
+another, except that the Monte Carlo rows of an element-count sweep come
+from one simulator pass per architecture (``montecarlo.mc_element_estimates``):
+they are correlated across N, and each still equals its point evaluated
+alone.  Rows are emitted in a deterministic order (sorted by value,
 architecture, method), so repeated runs produce byte-identical files.
 A point that raises an ArithmeticError (an AccuracyError, or an
 OverflowError naming the power at the edge of the float range) fails
@@ -122,6 +125,12 @@ class SweepRow:
 CSV_COLUMNS = tuple(field.name for field in dataclasses.fields(SweepRow))
 
 
+def _result(est_l, est_e) -> tuple[float, float, float, float, str]:
+    """(secrecy, ergodic_L, ergodic_E, std_error, status) of one point's estimates."""
+    sec = capacity.secrecy_capacity(est_l, est_e)
+    return sec.bits_per_sec_hz, est_l.bits_per_sec_hz, est_e.bits_per_sec_hz, sec.std_error, "ok"
+
+
 def _evaluate(
     scenario: Scenario, architecture: str, method: str, mc_cfg: McConfig
 ) -> tuple[float, float, float, float, str]:
@@ -131,8 +140,26 @@ def _evaluate(
         est_l, est_e = montecarlo.branches(scenario, architecture, mc)
     except ArithmeticError as exc:
         return math.nan, math.nan, math.nan, math.nan, f"error: {exc}"
-    sec = capacity.secrecy_capacity(est_l, est_e)
-    return sec.bits_per_sec_hz, est_l.bits_per_sec_hz, est_e.bits_per_sec_hz, sec.std_error, "ok"
+    return _result(est_l, est_e)
+
+
+def _evaluate_grid(
+    spec: SweepSpec, scenario: Scenario, architecture: str, method: str, mc: McConfig
+) -> list[tuple[float, float, float, float, str]]:
+    """``_evaluate`` at every grid point of ``spec``, in grid order.
+
+    The Monte Carlo points of an element-count sweep are read off one pass;
+    if that pass raises, each point is evaluated alone, so it fails alone.
+    """
+    points = [_VARIABLES[spec.variable](scenario, value) for value in spec.grid()]
+    if method == "monte-carlo" and spec.variable == "n_elements":
+        counts = [point.n_elements for point in points]
+        try:
+            pairs = montecarlo.mc_element_estimates(scenario, architecture, mc, counts)
+            return [_result(*pair) for pair in pairs]
+        except ArithmeticError:
+            pass
+    return [_evaluate(point, architecture, method, mc) for point in points]
 
 
 def run_sweep(spec: SweepSpec, scenario: Scenario, mc: McConfig) -> list[SweepRow]:
@@ -143,12 +170,11 @@ def run_sweep(spec: SweepSpec, scenario: Scenario, mc: McConfig) -> list[SweepRo
     architecture or method gives one row.
     """
     rows = []
-    for value in spec.grid():
-        point = _VARIABLES[spec.variable](scenario, value)
-        for arch in dict.fromkeys(spec.architectures):
-            for method in dict.fromkeys(spec.methods):
-                row = _evaluate(point, arch, method, mc)
-                rows.append(SweepRow(spec.variable, value, arch, method, *row))
+    for arch in dict.fromkeys(spec.architectures):
+        for method in dict.fromkeys(spec.methods):
+            results = _evaluate_grid(spec, scenario, arch, method, mc)
+            for value, result in zip(spec.grid(), results):
+                rows.append(SweepRow(spec.variable, value, arch, method, *result))
     rows.sort(key=lambda r: (r.value, r.architecture, r.method))
     return rows
 

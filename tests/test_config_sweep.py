@@ -347,6 +347,43 @@ class TestRunSweep:
                 lines = {rows_to_csv([dataclasses.replace(r, value=0.0)]) for r in series}
                 assert len(lines) == 1
 
+    @pytest.mark.parametrize("start, stop, step", [(1, 8, 1), (64, 256, 64)])
+    def test_element_sweep_rows_equal_each_point_alone(self, start, stop, step):
+        # The Monte Carlo rows of an element-count sweep come from one pass
+        # per architecture; each equals its point evaluated alone.
+        mc = McConfig(samples=2000, master_seed=6)
+        spec = SweepSpec("n_elements", start, stop, step, ("irs", "df", "affg"), ("monte-carlo",))
+        rows = run_sweep(spec, REFERENCE.scenario, mc)
+        assert len(rows) == len(spec.grid()) * 3
+        for r in rows:
+            point = dataclasses.replace(REFERENCE.scenario, n_elements=int(r.value))
+            est_l, est_e = montecarlo.branches(point, r.architecture, mc)
+            sec = capacity.secrecy_capacity(est_l, est_e)
+            assert r.status == "ok"
+            assert (r.secrecy_bps_hz, r.ergodic_L, r.ergodic_E, r.std_error) == (
+                sec.bits_per_sec_hz, est_l.bits_per_sec_hz, est_e.bits_per_sec_hz, sec.std_error
+            )
+
+    def test_element_sweep_point_fails_alone(self):
+        # At 3075 dB the surface's SNR sum passes the largest float between
+        # N = 181 and 196, so the pass to N = 256 raises; the points below
+        # still read ok, as they do evaluated alone.
+        scn = dataclasses.replace(REFERENCE.scenario, tx_power_dbm=3075.0)
+        mc = McConfig(samples=2000, master_seed=REFERENCE.mc.master_seed)
+        spec = SweepSpec("n_elements", 1, 256, 15, ("irs",), ("monte-carlo",))
+        rows = {r.value: r for r in run_sweep(spec, scn, mc)}
+        assert [rows[n].status for n in (1.0, 16.0)] == ["ok", "ok"]
+        assert rows[256.0].status.startswith("error: ")
+        assert "float range at 3075.0 dB" in rows[256.0].status
+        for r in rows.values():
+            point = dataclasses.replace(scn, n_elements=int(r.value))
+            try:
+                montecarlo.branches(point, "irs", mc)
+            except OverflowError:
+                assert r.status.startswith("error: ")
+            else:
+                assert r.status == "ok"
+
     def test_overflowing_scale_fails_its_rows(self):
         # With noise.legit = 0.001, a relay's legitimate scale passes the
         # largest float above 3072.5 dB, and the power itself above 3082.5 dB.

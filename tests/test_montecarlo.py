@@ -26,6 +26,7 @@ from linksec.montecarlo import (
     _stream,
     branches,
     mc_branch_estimates,
+    mc_element_estimates,
 )
 
 EXP_CASE_BITS = float(np.e * special.exp1(1.0) / np.log(2.0))
@@ -283,17 +284,24 @@ class TestChunkBound:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    def test_capped_chunk_sizes_agree(self):
-        # At N = 256 every chunk_size of 1,024 rows or more is capped to
-        # 2^18 // 256 = 1,024 rows, so the draws are the same.
-        scn = irs_scenario(n=256)
-        results = {
-            mc_branch_estimates(
-                scn, "irs", McConfig(samples=8192, master_seed=22, chunk_size=chunk_size)
-            )
-            for chunk_size in (2048, 65536, 2**20)
-        }
-        assert len(results) == 1
+    def test_surface_chunk_rows_do_not_depend_on_n(self, monkeypatch):
+        # Every chunk holds chunk_size = 8,192 rows whatever N, and the
+        # surface draws x, y_L and y_E in whole blocks of 2^18 // 8192 = 32
+        # elements: a block is drawn whole for N = 1 and N = 33.
+        sizes = []
+        inner = channels.sample_gamma
+
+        def recording(p, rng, size=None):
+            sizes.append(size)
+            return inner(p, rng, size)
+
+        monkeypatch.setattr(channels, "sample_gamma", recording)
+        cfg = McConfig(samples=2 * 8192 + 1, master_seed=22, chunk_size=8192)
+        for n in (1, 32, 33, 256):
+            sizes.clear()
+            mc_branch_estimates(irs_scenario(n=n), "irs", cfg)
+            draws = 3 * -(-n // 32)
+            assert sizes == [(32, 8192)] * (2 * draws) + [(32, 1)] * draws
 
     def test_chunk_within_cap_is_one_draw(self):
         # N = 4 at 65,536 rows is exactly 2^18 values per hop: one chunk,
@@ -301,8 +309,8 @@ class TestChunkBound:
         scn = irs_scenario(n=4)
         n = 65536
         cfg = McConfig(samples=n, master_seed=23, chunk_size=n)
-        snrs = ARCHITECTURES["irs"].snr(scn, _ChunkStreams(cfg, 0, map), n)
-        for est, snr in zip(mc_branch_estimates(scn, "irs", cfg), snrs):
+        snrs = {rx: snr.copy() for rx, _, snr, _ in ARCHITECTURES["irs"].snr(scn, cfg, [4], map)}
+        for est, snr in zip(mc_branch_estimates(scn, "irs", cfg), (snrs[0], snrs[1])):
             bits = np.log1p(snr) / math.log(2.0)
             mean = float(bits.sum()) / n
             var = max(float((bits * bits).sum()) - n * mean * mean, 0.0) / (n - 1)
@@ -317,6 +325,40 @@ class TestChunkBound:
         one = mc_branch_estimates(irs_scenario(n=1), architecture, cfg)
         wide = mc_branch_estimates(irs_scenario(n=64), architecture, cfg)
         assert one == wide
+
+
+class TestElementCounts:
+    # One pass to the largest count reads every smaller count on the way.
+    # 3,000 samples are one partial chunk of 65,536 rows (blocks of 4
+    # elements), or one full and one partial chunk of 2,048 (blocks of 128).
+
+    @pytest.mark.parametrize("chunk_size", [65536, 2048])
+    @pytest.mark.parametrize("counts", [range(1, 9), range(64, 257, 64)], ids=["1-8", "64-256"])
+    @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
+    def test_pairs_equal_each_count_alone(self, architecture, counts, chunk_size):
+        cfg = McConfig(samples=3000, master_seed=31, chunk_size=chunk_size)
+        scn = irs_scenario()
+        got = mc_element_estimates(scn, architecture, cfg, counts)
+        want = [
+            mc_branch_estimates(dataclasses.replace(scn, n_elements=n), architecture, cfg)
+            for n in counts
+        ]
+        assert got == want
+
+    def test_a_larger_count_leaves_the_others_unchanged(self):
+        cfg = McConfig(samples=3000, master_seed=32)
+        scn = irs_scenario()
+        alone = mc_element_estimates(scn, "irs", cfg, [3, 6])
+        assert mc_element_estimates(scn, "irs", cfg, [3, 6, 200])[:2] == alone
+        assert mc_element_estimates(scn, "irs", cfg, [6, 200, 3, 6]) == [
+            alone[1], mc_element_estimates(scn, "irs", cfg, [200])[0], alone[0], alone[1]
+        ]
+
+    @pytest.mark.parametrize("count", [0, 2.5])
+    def test_counts_must_be_positive_integers(self, count):
+        with pytest.raises(ValueError, match="n_elements"):
+            cfg = McConfig(samples=1000, master_seed=1)
+            mc_element_estimates(irs_scenario(), "irs", cfg, [1, count])
 
 
 class TestAgainstClosedForms:
@@ -473,6 +515,19 @@ class TestFloatPolicy:
             before = np.geterr()
             with pytest.raises(OverflowError, match=r"float range at 3065\.0 dB"):
                 branches(self.EDGE, "df", self.CFG)
+            assert np.geterr() == before
+
+    @pytest.mark.parametrize("architecture", ["df", "affg"])
+    def test_simulator_entries_raise(self, architecture):
+        # Called directly, not through branches, the simulator still takes
+        # the float-range rule, whatever the warnings filter.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            before = np.geterr()
+            with pytest.raises(OverflowError, match=r"float range at 3065\.0 dB"):
+                mc_branch_estimates(self.EDGE, architecture, self.CFG)
+            with pytest.raises(OverflowError, match=r"float range at 3065\.0 dB"):
+                mc_element_estimates(self.EDGE, architecture, self.CFG, [1, 2])
             assert np.geterr() == before
 
     @pytest.mark.parametrize("mc", [None, CFG], ids=["analytic", "mc"])
