@@ -130,9 +130,8 @@ def sample_gamma(p: FadingParams, rng, size=None):
     """A new array of ``size`` exact Gamma(alpha, beta) draws from ``rng``.
 
     ``rng`` is a numpy ``Generator``, or anything with its ``gamma(shape,
-    scale, size)``; how the simulator's streams draw is described in
-    ``montecarlo``.  The call returns, with the whole array filled, on the
-    thread that made it.
+    scale, size)``.  The simulator does not call it: its pool threads
+    draw through their own fill, described in ``montecarlo``.
     """
     return rng.gamma(shape=p.alpha, scale=1.0 / p.beta, size=size)
 

@@ -1,53 +1,57 @@
 """The architecture table and the Monte Carlo simulator.
 
 ``ARCHITECTURES`` describes each architecture once: its analytic capacity
-of one receiver, its simulator draw, and whether it reads the scenario's
-element count.  ``branches(scenario, name, mc=None)`` is the one way to
-evaluate an architecture: it returns the (legitimate, eavesdropper)
-capacity estimates, analytic without ``mc`` and simulated with it.
+of one receiver, its link model, its simulator draw, and whether it reads
+the scenario's element count.  ``branches(scenario, name, mc=None)`` is the
+one way to evaluate an architecture: it returns the (legitimate,
+eavesdropper) capacity estimates, analytic without ``mc`` and simulated
+with it.
 
 The simulator never calls the analytic route: it samples raw channel
 gains, forms the instantaneous end-to-end SNR of each receiver, and
 averages log2(1 + SNR).  Work is split into chunks of min(chunk_size, 2^18)
-rows, whatever the architecture and N.  Each chunk owns four SFC64
-sub-streams, seeded from (master seed, chunk index, sub-stream index)
-through ``SeedSequence``.  Every Gamma array a chunk draws is split into
-four contiguous pieces, piece s drawn from sub-stream s, and the pieces
-are filled concurrently on up to four CPUs.  So no draw depends on the
-order in which chunks run or on the number of threads, and reruns are
-bit-identical.  Chunks run one at a time, and partial sums are reduced in
-chunk order.
+rows, whatever the architecture and N, and a chunk of n rows into four
+sub-chunks, sub-chunk s holding rows n*s//4 to n*(s+1)//4 and drawing
+every hop from its own SFC64 sub-stream, seeded from (master seed, chunk
+index, s) through ``SeedSequence``.  Up to four pool threads run whole
+sub-chunks: the draws, both receivers' SNRs, log1p and the partial sums
+of the bits and their squares.  The caller reduces those in (chunk,
+sub-chunk) order, with at most two tasks a thread in flight.  So no value
+depends on the number of threads, reruns are bit-identical, and memory
+does not grow with the sample count.
 
-A surface draws its elements in blocks of E = 2^18 // rows elements (4 at
-the default 65,536 rows): a block is x, then y_L, then y_E, each of shape
-(E, rows), and the block holding the last element needed is drawn whole.
-So element i's draws do not depend on how many elements follow, and
-memory does not depend on N.  Each receiver's SNR adds one element at a
-time, in element order, into its own accumulator, so the estimate at N
-elements is read after element N; ``mc_element_estimates`` reads many
-counts off one pass.  A relay's draws do not read N.
+A surface draws its elements in blocks of E = min(4, 2^18 // rows)
+elements, rows being the chunk's: a block is x, then y_L, then y_E, each
+of shape (E, sub-chunk rows), and the block holding the last element
+needed is drawn whole.  So element i's draws do not depend on how many
+elements follow, and memory does not depend on N.  Each receiver's SNR
+adds one element at a time, in element order, into its own accumulator,
+so the estimate at N elements is read after element N;
+``mc_element_estimates`` reads many counts off one pass.  A relay's draws
+do not read N.
 
-A piece at an integer shape k <= 5 is an exact Erlang draw, -log of a
-product of k uniforms (Knuth, *TAOCP* vol. 2, section 3.4.1; Devroye,
+A Gamma array at an integer shape k <= 5 is an exact Erlang draw, -log of
+a product of k uniforms (Knuth, *TAOCP* vol. 2, section 3.4.1; Devroye,
 *Non-Uniform Random Variate Generation*, 1986, section IX.3), which costs
 k uniforms and one logarithm a value; any other shape is NumPy's
-``standard_gamma``.  Through ``_ChunkStreams.gamma`` on 2 pool threads of
-a 2-vCPU host, 2^18-value arrays, in ns a value:
+``standard_gamma``.  Through ``_fill`` on one thread of a 2-vCPU host,
+2^16-value arrays (a default sub-chunk's surface block), in ns a value:
 
     k                  1     2     3     4     5     6
-    uniform product    4.0   6.4   8.8  11.1  13.8  16.2
-    standard_gamma     5.9  16.1  16.7  16.2  16.6  16.2
+    uniform product    3.9   6.5   9.7  12.2  15.0  17.7
+    standard_gamma     6.8  20.3  20.3  20.6  20.5  20.1
 
-so the rule stops at 5.
+The rule stops at 5, set when two threads shared each array; at 6 a
+product is now about 12% cheaper, but moving the rule moves those draws.
 """
 
 from __future__ import annotations
 
 import contextlib
-import copy
 import math
 import operator
 import os
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterator
@@ -56,7 +60,7 @@ import numpy as np
 
 from . import capacity, channels
 from .capacity import CapacityEstimate, affg_snr_constant
-from .channels import Scenario
+from .channels import FadingParams, Scenario
 
 __all__ = [
     "ARCHITECTURES",
@@ -69,22 +73,27 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# Most rows in a chunk, and most Gamma values in one surface block of one
-# hop: 2 MiB of float64.  At the default chunk_size of 65,536 rows a block
-# is four elements, and the reference N = 4 surface draws one per chunk.
+# Most rows in a chunk, and most Gamma values a chunk's surface block
+# draws for one hop: 2 MiB of float64.
 _BLOCK_VALUES = 1 << 18
 
-# Sub-streams per chunk, and so the most threads that fill one array.  Fixed,
-# so the draws are the same on any number of CPUs.  Eight balanced better
-# under host CPU steal, but raised the wide-surface sweep's peak RSS by 7%
-# where four raise it by 2-3%.
+# Most elements in a surface block: at the default chunk_size of 65,536
+# rows a block fills 2^18 values, and the reference N = 4 surface draws
+# one.  A smaller chunk keeps four, so no surface draws more than three
+# elements it does not use.
+_BLOCK_ELEMENTS = 4
+
+# Sub-chunks, and so sub-streams, per chunk, and the most threads that run
+# them.  Fixed, so the draws are the same on any number of CPUs.  Eight
+# balanced better under host CPU steal, but raised the wide-surface
+# sweep's peak RSS by 7% where four raise it by 2-3%.
 _STREAMS = 4
 
 # Integer shapes up to this one are drawn as -log of a product of uniforms
 # (the break-even is in the module docstring).
 _ERLANG_MAX_SHAPE = 5
 
-# Values per block of an integer-shape piece, and of the scratch block that
+# Values per block of an integer-shape fill, and of the scratch block that
 # its second to k-th uniforms are drawn into, 256 KiB of float64.  Each
 # NumPy call on a block releases and retakes the GIL; at 2^13 values those
 # hand-offs kept the second CPU from helping.  On the wide-surface sweep,
@@ -98,8 +107,9 @@ class McConfig:
     """Sample count, master seed and the largest chunk, in rows.
 
     A chunk holds min(chunk_size, 2^18) rows for every architecture and
-    every N; a surface draws blocks of 2^18 // rows elements a hop.  The
-    chunk length decides which draws of the seeded streams an estimate uses.
+    every N, split into four sub-chunks; a surface draws blocks of
+    min(4, 2^18 // rows) elements a hop.  The chunk length decides which
+    draws of the seeded streams an estimate uses.
     """
 
     samples: int
@@ -124,14 +134,14 @@ class McConfig:
 def _stream(cfg: McConfig, chunk: int, sub: int) -> np.random.Generator:
     # Sub-stream ``sub`` of chunk ``chunk`` seeds its own SFC64 stream from
     # (master seed, chunk, sub), so its draws do not depend on which chunks
-    # ran before it or on which thread fills from it.
+    # ran before it or on which thread draws from it.
     return np.random.Generator(
         np.random.SFC64(np.random.SeedSequence(cfg.master_seed, spawn_key=(chunk, sub)))
     )
 
 
 def _threads() -> int:
-    """Threads that fill a chunk's pieces: one per CPU, at most ``_STREAMS``."""
+    """Threads that run sub-chunks: one per CPU, at most ``_STREAMS``."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on macOS and Windows
@@ -139,121 +149,82 @@ def _threads() -> int:
     return min(_STREAMS, cpus)
 
 
-class _ChunkStreams:
-    """One chunk's ``_STREAMS`` sub-streams, drawn like ``Generator.gamma``.
-
-    ``gamma(shape, scale, size)`` returns a new float64 array of ``size``
-    Gamma draws: its flat values are split into ``_STREAMS`` contiguous
-    pieces, piece s is filled from sub-stream s and then multiplied by
-    ``scale``.  At an integer shape k <= ``_ERLANG_MAX_SHAPE`` a piece is
-    -scale * log of a product of k factors 1 - u, drawn block by block of
-    ``_SCRATCH_VALUES`` values in this order: the block's uniforms, then
-    k - 1 more rounds of them through a scratch block, each multiplied in;
-    then the log, scaled.  ``Generator.random`` returns u in [0, 1), so
-    1 - u lies in (0, 1] and is exact; for k <= 5 the product is at least
-    2^-265 and never underflows, and a draw is 0 only when every u is 0.
-    Rounding the product adds at most about k * 2^-53 to a draw.  Any other
-    shape is filled by ``standard_gamma``, the same bits as
-    ``Generator.gamma``.  The pieces are filled through ``map_fn``, such
-    as an executor's ``map``, and the values do not depend on it.
-    """
-
-    def __init__(self, cfg: McConfig, chunk: int, map_fn):
-        self._rngs = [_stream(cfg, chunk, sub) for sub in range(_STREAMS)]
-        self._map = map_fn
-        self._out = None
-
-    def into(self, out: np.ndarray) -> _ChunkStreams:
-        """These streams, drawing each array into the front of the flat array ``out``."""
-        streams = copy.copy(self)
-        streams._out = out
-        return streams
-
-    def gamma(self, shape: float, scale: float, size) -> np.ndarray:
-        out = np.empty(size) if self._out is None else self._out[: np.prod(size)].reshape(size)
-        flat = out.reshape(-1)
-        n = flat.size
-        erlang = float(shape).is_integer() and 1 <= shape <= _ERLANG_MAX_SHAPE
-
-        def fill(sub: int) -> None:
-            piece = flat[n * sub // _STREAMS : n * (sub + 1) // _STREAMS]
-            rng = self._rngs[sub]
-            if not erlang:
-                rng.standard_gamma(shape, out=piece)
-                piece *= scale
-                return
-            scratch = np.empty(min(_SCRATCH_VALUES, piece.size))
-            for start in range(0, piece.size, _SCRATCH_VALUES):
-                block = piece[start : start + _SCRATCH_VALUES]
-                rng.random(out=block)
-                np.subtract(1.0, block, out=block)
-                u = scratch[: block.size]
-                for _ in range(int(shape) - 1):
-                    rng.random(out=u)
-                    np.subtract(1.0, u, out=u)
-                    block *= u
-                np.log(block, out=block)
-                block *= -scale
-
-        list(self._map(fill, range(_STREAMS)))  # also raises a fill's error
-        return out
-
-
 def _rows(cfg: McConfig) -> int:
     """Rows of every chunk but the last, whatever the architecture and N."""
     return min(cfg.chunk_size, _BLOCK_VALUES)
 
 
-def _chunks(cfg: McConfig, map_fn) -> Iterator[tuple[_ChunkStreams, int]]:
-    """Each chunk's streams and row count, in chunk order."""
-    rows = _rows(cfg)
-    for index in range(-(-cfg.samples // rows)):
-        yield _ChunkStreams(cfg, index, map_fn), min(rows, cfg.samples - index * rows)
+def _fill(rng: np.random.Generator, hop: FadingParams, out: np.ndarray) -> np.ndarray:
+    """Fill the contiguous array ``out`` with Gamma draws of ``hop`` from ``rng``; return it.
+
+    Values are drawn in flat order.  At an integer shape k <=
+    ``_ERLANG_MAX_SHAPE`` a draw is -scale * log of a product of k factors
+    1 - u, drawn block by block of ``_SCRATCH_VALUES`` values in this order:
+    the block's uniforms, then k - 1 more rounds of them through a scratch
+    block, each multiplied in; then the log, scaled.  ``Generator.random``
+    returns u in [0, 1), so 1 - u lies in (0, 1] and is exact; for k <= 5
+    the product is at least 2^-265 and never underflows, and a draw is 0
+    only when every u is 0.  Rounding the product adds at most about
+    k * 2^-53 to a draw.  Any other shape is ``standard_gamma`` times the
+    scale, the same bits as ``Generator.gamma``.
+    """
+    shape, scale = hop.alpha, 1.0 / hop.beta
+    flat = out.reshape(-1)
+    if not (float(shape).is_integer() and 1 <= shape <= _ERLANG_MAX_SHAPE):
+        rng.standard_gamma(shape, out=flat)
+        flat *= scale
+        return out
+    scratch = np.empty(min(_SCRATCH_VALUES, flat.size))
+    for start in range(0, flat.size, _SCRATCH_VALUES):
+        block = flat[start : start + _SCRATCH_VALUES]
+        rng.random(out=block)
+        np.subtract(1.0, block, out=block)
+        u = scratch[: block.size]
+        for _ in range(int(shape) - 1):
+            rng.random(out=u)
+            np.subtract(1.0, u, out=u)
+            block *= u
+        np.log(block, out=block)
+        block *= -scale
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Per-architecture SNR draws (``Architecture.snr``)
+# Per-architecture SNR draws of one sub-chunk (``Architecture.snr``)
 # ---------------------------------------------------------------------------
 
-def _irs_snr(scenario: Scenario, cfg: McConfig, counts, map_fn):
-    # Two buffers serve every block of the call: x, and y_L then y_E.  The
-    # source-surface gains x are shared by both receivers.  An element's
-    # row of y, once added, is spare.
-    (first, legit), (_, eve) = (channels.surface_hops(scenario, rx) for rx in channels.RECEIVERS)
-    width = _BLOCK_VALUES // _rows(cfg)
-    rows = min(_rows(cfg), cfg.samples)
-    x_buf, y_buf = np.empty(width * rows), np.empty(width * rows)
-    totals = np.empty((2, rows))
-    last = max(counts)
+def _irs_snr(hops, rng, rows: int, width: int, counts):
+    # Two buffers serve every block of the sub-chunk: x, and y_L then y_E.
+    # The source-surface gains x are shared by both receivers.  An
+    # element's row of y, once added, is spare.
+    first, legit, eve = hops
+    x, y = np.empty((width, rows)), np.empty((width, rows))
+    sums = np.zeros((2, rows))
+    last = counts[-1]
     snapshot = {count: k for k, count in enumerate(counts)}
-    for rng, n in _chunks(cfg, map_fn):
-        sums = totals[:, :n]
-        sums[...] = 0.0
-        for start in range(0, last, width):
-            used = min(width, last - start)
-            x = channels.sample_gamma(first, rng.into(x_buf), (width, n))
-            for receiver, hop in enumerate((legit, eve)):
-                y = channels.sample_gamma(hop, rng.into(y_buf), (width, n))
-                y[:used] *= x[:used]
-                for i in range(used):
-                    sums[receiver] += y[i]
-                    k = snapshot.get(start + i + 1)
-                    if k is not None:
-                        yield receiver, k, sums[receiver], y[i]
+    for start in range(0, last, width):
+        used = min(width, last - start)
+        _fill(rng, first, x)
+        for receiver, hop in enumerate((legit, eve)):
+            _fill(rng, hop, y)
+            y[:used] *= x[:used]
+            for i in range(used):
+                sums[receiver] += y[i]
+                k = snapshot.get(start + i + 1)
+                if k is not None:
+                    yield receiver, k, sums[receiver], y[i]
 
 
-def _relay_snr(combine, scenario: Scenario, cfg: McConfig, counts, map_fn):
-    # Each chunk draws the first, legitimate and eavesdropper hops, and
+def _relay_snr(combine, hops, rng, rows: int, width: int, counts):
+    # The sub-chunk draws the first, legitimate and eavesdropper hops, and
     # combine(first hop, g1, g2, g3) forms the two receivers' SNRs.
-    (first, legit), (_, eve) = (channels.relay_hops(scenario, rx) for rx in channels.RECEIVERS)
-    for rng, n in _chunks(cfg, map_fn):
-        g1, g2, g3 = (channels.sample_gamma(hop, rng, n) for hop in (first, legit, eve))
-        for receiver, b in enumerate(combine(first, g1, g2, g3)):
-            yield receiver, 0, b, b
+    g1, g2, g3 = (_fill(rng, hop, np.empty(rows)) for hop in hops)
+    for receiver, b in enumerate(combine(hops[0], g1, g2, g3)):
+        yield receiver, 0, b, b
 
 
 def _df_combine(first, g1, g2, g3):
-    return np.minimum(g1, g2), np.minimum(g1, g3)
+    return np.minimum(g1, g2, out=g2), np.minimum(g1, g3, out=g3)
 
 
 def _affg_combine(first, g1, g2, g3):
@@ -291,25 +262,28 @@ class Architecture:
     """One architecture: its two evaluation routes and whether it reads N.
 
     ``analytic(scenario, receiver)`` returns the analytic ergodic capacity
-    of the receiver ``"legit"`` or ``"eve"``.  ``snr(scenario, cfg, counts,
-    map_fn)`` draws every chunk of ``cfg`` in chunk order, filling each
-    Gamma array through ``map_fn``, and yields (receiver, k, snr, spare):
-    ``snr`` holds the chunk's instantaneous SNRs of receiver 0 (legit) or 1
-    (eve) at the k-th of the ascending element ``counts``, and ``spare`` is
-    an array of its size that the caller may overwrite.  ``per_element``
-    is True when both routes read the element count; when it is False,
-    ``snr`` yields k = 0 only.
+    of the receiver ``"legit"`` or ``"eve"``, and ``hops(scenario,
+    receiver)`` its two hops from the link model.  ``snr(hops, rng, rows,
+    width, counts)`` draws one sub-chunk of ``rows`` rows from the
+    Generator ``rng``, given the folded (first, legitimate, eavesdropper)
+    hops, a surface in blocks of ``width`` elements, and yields (receiver,
+    k, snr, spare): ``snr`` holds the sub-chunk's instantaneous SNRs of
+    receiver 0 (legit) or 1 (eve) at the k-th of the ascending element
+    ``counts``, and ``spare`` is an array of its size that the caller may
+    overwrite.  ``per_element`` is True when both routes read the element
+    count; when it is False, ``snr`` yields k = 0 only.
     """
 
     analytic: Callable[[Scenario, str], CapacityEstimate]
+    hops: Callable[[Scenario, str], tuple[FadingParams, FadingParams]]
     snr: Callable[..., Iterator[tuple[int, int, np.ndarray, np.ndarray]]]
     per_element: bool = False
 
 
 ARCHITECTURES = {
-    "irs": Architecture(_irs_capacity, _irs_snr, per_element=True),
-    "df": Architecture(_df_capacity, partial(_relay_snr, _df_combine)),
-    "affg": Architecture(_affg_capacity, partial(_relay_snr, _affg_combine)),
+    "irs": Architecture(_irs_capacity, channels.surface_hops, _irs_snr, per_element=True),
+    "df": Architecture(_df_capacity, channels.relay_hops, partial(_relay_snr, _df_combine)),
+    "affg": Architecture(_affg_capacity, channels.relay_hops, partial(_relay_snr, _affg_combine)),
 }
 
 
@@ -360,7 +334,8 @@ def mc_branch_estimates(scenario: Scenario, architecture: str, cfg: McConfig):
 
     The source-side draws are reused by both receiver branches, matching
     the physical channel and reducing the variance of their difference.
-    Sums and sums of squares of log2(1 + SNR) accumulate in chunk order.
+    Sums and sums of squares of log2(1 + SNR) accumulate in (chunk,
+    sub-chunk) order.
     Runs under the float-range rule of ``branches``.
     """
     return mc_element_estimates(scenario, architecture, cfg, (scenario.n_elements,))[0]
@@ -374,33 +349,55 @@ def mc_element_estimates(scenario: Scenario, architecture: str, cfg: McConfig, c
     elements: the pass draws to the largest count and reads each smaller
     one on the way.  So the pairs share their draws and are correlated
     across counts.  A relay reads no element count and is simulated once.
-    Runs under the float-range rule of ``branches``: the pool threads that
-    draw take its NumPy error state, and a value out of the float range at
-    any count raises OverflowError naming the power.
+    Runs under the float-range rule of ``branches``: the hops are folded
+    on the calling thread before any draw, the pool threads take its NumPy
+    error state, and a value out of the float range at any count raises
+    OverflowError naming the power.
     """
     arch = _architecture(architecture)
     for count in counts:  # a count that is no valid n_elements raises ValueError
         replace(scenario, n_elements=count)
     # A relay reads no element count: one pass at any count serves them all.
     targets = sorted(set(counts)) if arch.per_element else [1]
-    sums = [[[0.0, 0.0], [0.0, 0.0]] for _ in targets]
+    rows = _rows(cfg)
+    width = min(_BLOCK_ELEMENTS, _BLOCK_VALUES // rows)
+
+    def partial_sums(hops, chunk: int, sub: int, m: int) -> np.ndarray:
+        # Sums of the bits and of their squares, per (count, receiver).
+        sums = np.zeros((len(targets), 2, 2))
+        for receiver, k, snr, spare in arch.snr(hops, _stream(cfg, chunk, sub), m, width, targets):
+            # The bits go into the spare array, with no temporary.
+            np.log1p(snr, out=spare)
+            spare /= _LN2
+            sums[k, receiver, 0] = spare.sum()
+            spare *= spare
+            sums[k, receiver, 1] = spare.sum()
+        return sums
+
     # Imported here, so the analytic route does not pay for it.
     from concurrent.futures import ThreadPoolExecutor
 
+    totals = np.zeros((len(targets), 2, 2))
     with _float_range(scenario):
-        errors = np.geterr()
-        with ThreadPoolExecutor(_threads(), initializer=lambda: np.seterr(**errors)) as pool:
-            for receiver, k, snr, spare in arch.snr(scenario, cfg, targets, pool.map):
-                # The bits go into the spare array, with no temporary.
-                np.log1p(snr, out=spare)
-                spare /= _LN2
-                acc = sums[k][receiver]
-                acc[0] += float(spare.sum())
-                spare *= spare
-                acc[1] += float(spare.sum())
+        (first, legit), (_, eve) = (arch.hops(scenario, rx) for rx in channels.RECEIVERS)
+        errors, threads = np.geterr(), _threads()
+        with ThreadPoolExecutor(threads, initializer=lambda: np.seterr(**errors)) as pool:
+            # At most two tasks a thread in flight, reduced oldest first:
+            # memory does not grow with samples, and sums add in task order.
+            window = deque()
+            for chunk in range(-(-cfg.samples // rows)):
+                size = min(rows, cfg.samples - chunk * rows)
+                for sub in range(_STREAMS):
+                    m = size * (sub + 1) // _STREAMS - size * sub // _STREAMS
+                    if m:
+                        if len(window) == 2 * threads:
+                            totals += window.popleft().result()
+                        window.append(pool.submit(partial_sums, (first, legit, eve), chunk, sub, m))
+            for future in window:
+                totals += future.result()
     n = cfg.samples
     pairs = {}
-    for count, per_receiver in zip(targets, sums):
+    for count, per_receiver in zip(targets, totals.tolist()):
         estimates = []
         for s1, s2 in per_receiver:
             mean = s1 / n

@@ -1,6 +1,6 @@
+import collections
 import dataclasses
 import math
-import threading
 import tracemalloc
 import warnings
 
@@ -22,7 +22,7 @@ from linksec.montecarlo import (
     _STREAMS,
     ARCHITECTURES,
     McConfig,
-    _ChunkStreams,
+    _fill,
     _stream,
     branches,
     mc_branch_estimates,
@@ -103,8 +103,8 @@ class TestDeterminism:
     # branches on the reference scenarios at 4,096 samples and seed 23.
     PINNED = {
         "irs": [
-            (3.2028972397048507, 0.010595874722380598),
-            (1.649966863108654, 0.008133993957101134),
+            (3.1995687363945913, 0.010680408790043392),
+            (1.6513403492615317, 0.008113064169258064),
         ],
         "df": [
             (6.172871123734266, 0.017034662202768256),
@@ -145,88 +145,139 @@ class TestDeterminism:
 
 
 class TestParallelFill:
-    # The sub-streams, not the threads, decide every draw: one thread and
-    # one per CPU must give the same bytes.
+    # The sub-streams, not the threads, decide every draw, and partial sums
+    # are reduced in (chunk, sub-chunk) order: one thread and several must
+    # give the same bytes.
 
     @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
     @pytest.mark.parametrize("samples", [20_000, 65_537])
     def test_thread_count_does_not_change_draws(self, monkeypatch, architecture, samples):
-        # 65,537 samples leave a final 1-row chunk: a relay's last arrays hold
-        # one value, so three of its four pieces are empty.
+        # 65,537 samples leave a final 1-row chunk, so three of its four
+        # sub-chunks are empty.
         scn = irs_scenario(n=2)
         cfg = McConfig(samples=samples, master_seed=25)
         results = []
-        for threads in (1, _STREAMS, montecarlo._threads()):
+        for threads in (1, 2, 4):
             monkeypatch.setattr(montecarlo, "_threads", lambda threads=threads: threads)
-            results.append(mc_branch_estimates(scn, architecture, cfg))
+            estimates = mc_branch_estimates(scn, architecture, cfg)
+            results.append(np.array([(e.bits_per_sec_hz, e.std_error) for e in estimates]).tobytes())
         assert results[0] == results[1] == results[2]
-        assert all(math.isfinite(est.std_error) and est.std_error > 0 for est in results[0])
+        assert all(math.isfinite(est.std_error) and est.std_error > 0 for est in estimates)
 
-    def test_pieces_come_from_their_sub_streams(self):
-        # Piece s of a 10-value array is sub-stream s's next draws, scaled.
-        cfg = McConfig(samples=1000, master_seed=26)
-        got = _ChunkStreams(cfg, 3, map).gamma(2.5, 0.5, (2, 5)).reshape(-1)
-        bounds = [10 * sub // _STREAMS for sub in range(_STREAMS + 1)]
-        for sub in range(_STREAMS):
-            want = _stream(cfg, 3, sub).gamma(2.5, 0.5, bounds[sub + 1] - bounds[sub])
-            assert np.array_equal(got[bounds[sub]:bounds[sub + 1]], want)
+    @staticmethod
+    def read_layout(scn, architecture, cfg):
+        # (legit, eve) pairs of (Σbits, Σbits²), read off the documented
+        # layout at a shape where every draw is Generator.gamma.
+        hops = surface_hops if architecture == "irs" else relay_hops
+        (first, legit), (_, eve) = hops(scn, "legit"), hops(scn, "eve")
+        rows = cfg.chunk_size
+        sums = np.zeros((2, 2))
+        for chunk, top in enumerate(range(0, cfg.samples, rows)):
+            size = min(rows, cfg.samples - top)
+            for sub in range(_STREAMS):
+                m = size * (sub + 1) // _STREAMS - size * sub // _STREAMS
+                rng = _stream(cfg, chunk, sub)
+                if architecture == "irs":
+                    snrs = [np.zeros(m), np.zeros(m)]
+                    for start in range(0, scn.n_elements, 4):
+                        x = rng.gamma(first.alpha, 1.0 / first.beta, (4, m))
+                        for receiver, hop in enumerate((legit, eve)):
+                            y = rng.gamma(hop.alpha, 1.0 / hop.beta, (4, m))
+                            for i in range(min(4, scn.n_elements - start)):
+                                snrs[receiver] += x[i] * y[i]
+                else:
+                    g1, g2, g3 = (rng.gamma(p.alpha, 1.0 / p.beta, m) for p in (first, legit, eve))
+                    if architecture == "df":
+                        snrs = [np.minimum(g1, g2), np.minimum(g1, g3)]
+                    else:
+                        l = first.mean + 1.0
+                        snrs = [g1 * (g / (g + l)) for g in (g2, g3)]
+                for receiver, snr in enumerate(snrs):
+                    bits = np.log1p(snr) / math.log(2.0)
+                    sums[receiver] += (bits.sum(), (bits * bits).sum())
+        return sums.tolist()
+
+    def test_sub_chunks_come_from_their_sub_streams(self):
+        # The layout read independently, at shape 2.5, where every draw is
+        # Generator.gamma: chunks of 4,099 rows, the last one partial, each
+        # split at rows n*s//4 into unequal sub-chunks; sub-chunk s draws
+        # from sub-stream s, a surface in blocks of four elements (the
+        # second of N = 6 drawn whole); the partial sums of the bits and of
+        # their squares are reduced in (chunk, sub-chunk) order.
+        scn = irs_scenario(n=6, shape=2.5)
+        cfg = McConfig(samples=20_000, master_seed=26, chunk_size=4099)
+        n = cfg.samples
+        for architecture in ARCHITECTURES:
+            got = mc_branch_estimates(scn, architecture, cfg)
+            for est, (s1, s2) in zip(got, self.read_layout(scn, architecture, cfg)):
+                mean = s1 / n
+                assert est.bits_per_sec_hz == mean
+                assert est.std_error == math.sqrt(max(s2 - n * mean * mean, 0.0) / (n - 1) / n)
 
     @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
-    def test_sample_gamma_runs_on_the_calling_thread(self, monkeypatch, architecture):
-        # A tracer that wraps channels.sample_gamma keeps one span stack, so
-        # every call must be made, and return, on the caller's thread: three
-        # per chunk, one per hop.
-        callers = []
-        inner = channels.sample_gamma
+    def test_simulator_never_calls_sample_gamma(self, monkeypatch, architecture):
+        # The pool threads draw through the private fill.  A tracer that
+        # wraps channels.sample_gamma keeps one span stack, which calls
+        # from pool threads would tangle.
+        calls = []
 
         def recording(*args, **kwargs):
-            callers.append(threading.get_ident())
-            return inner(*args, **kwargs)
+            calls.append(args)
+            raise AssertionError("the simulator called channels.sample_gamma")
 
         monkeypatch.setattr(channels, "sample_gamma", recording)
-        monkeypatch.setattr(montecarlo, "_threads", lambda: _STREAMS)
         cfg = McConfig(samples=3 * 8192 + 1, master_seed=27, chunk_size=8192)
         mc_branch_estimates(irs_scenario(n=2), architecture, cfg)
-        assert callers == [threading.get_ident()] * (3 * 4)
+        mc_element_estimates(irs_scenario(), architecture, cfg, [1, 5])
+        assert calls == []
 
 
 class TestErlangFill:
     # Integer shapes 1 to 5 are -log of a product of uniforms; every other
-    # shape is standard_gamma, bit for bit.
+    # shape is Generator.gamma, bit for bit.
 
     @staticmethod
-    def erlang_piece(rng, k, size, scale):
+    def erlang_fill(rng, k, size, scale):
         # The documented draw order, block by block: the block's uniforms,
         # then k - 1 more rounds of them, each taken as 1 - u and multiplied
         # in; then -log, scaled.
-        piece = np.empty(size)
+        values = np.empty(size)
         for start in range(0, size, _SCRATCH_VALUES):
-            block = piece[start:start + _SCRATCH_VALUES]
+            block = values[start:start + _SCRATCH_VALUES]
             block[:] = 1.0 - rng.random(block.size)
             for _ in range(k - 1):
                 block *= 1.0 - rng.random(block.size)
             block[:] = -np.log(block) * scale
-        return piece
+        return values
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("size", [1, 10 * _SCRATCH_VALUES + 3])
     def test_pieces_are_sub_stream_exponential_sums(self, k, size):
         # -log of the product is the sum of k exponentials -log(1 - u), each
-        # drawn by inversion.  One value leaves three empty pieces and a
-        # piece of one; the large array gives pieces of 2.5 scratch blocks,
-        # the last one partial.
+        # drawn by inversion.  One value is a partial scratch block, and
+        # the long array ends in one.
         cfg = McConfig(samples=1000, master_seed=28)
-        got = _ChunkStreams(cfg, 2, map).gamma(float(k), 0.25, size)
-        bounds = [size * sub // _STREAMS for sub in range(_STREAMS + 1)]
-        for sub in range(_STREAMS):
-            want = self.erlang_piece(_stream(cfg, 2, sub), k, bounds[sub + 1] - bounds[sub], 0.25)
-            assert got[bounds[sub]:bounds[sub + 1]].tobytes() == want.tobytes()
+        got = _fill(_stream(cfg, 2, 1), FadingParams(k, 4.0), np.empty(size))
+        want = self.erlang_fill(_stream(cfg, 2, 1), k, size, 0.25)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_surface_blocks_fill_in_flat_order(self, k):
+        # A surface block of four element rows is one flat fill, so its
+        # scratch blocks run across the rows.
+        cfg = McConfig(samples=1000, master_seed=28)
+        shape = (4, _SCRATCH_VALUES // 2 + 1)
+        got = _fill(_stream(cfg, 0, 2), FadingParams(k, 4.0), np.empty(shape))
+        want = self.erlang_fill(_stream(cfg, 0, 2), k, math.prod(shape), 0.25)
+        assert got.shape == shape
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_erlang_draws_follow_gamma(self, k):
         scale = 0.4
         n = 10**6
-        draws = _ChunkStreams(McConfig(samples=n, master_seed=29), 0, map).gamma(float(k), scale, n)
+        rng = _stream(McConfig(samples=n, master_seed=29), 0, 0)
+        draws = _fill(rng, FadingParams(k, 1.0 / scale), np.empty(n))
         assert stats.kstest(draws, stats.gamma(k, scale=scale).cdf).pvalue > 1e-3
         mean, var = k * scale, k * scale**2
         assert abs(draws.mean() - mean) < 5 * math.sqrt(var / n)
@@ -235,7 +286,7 @@ class TestErlangFill:
         assert abs(draws.var(ddof=1) - var) < 5 * var * math.sqrt((2 + 6 / k) / n)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-    def test_uniform_edges_give_finite_draws(self, monkeypatch, k):
+    def test_uniform_edges_give_finite_draws(self, k):
         # Generator.random returns [0, 1): at u = 0 every factor 1 - u is 1
         # and the draw is 0; at the largest u, 1 - 2^-53, each factor is
         # 2^-53 and the product 2^(-53 k) is still a normal float.  Drawing
@@ -249,24 +300,19 @@ class TestErlangFill:
 
         scale = 0.25
         size = 2 * _SCRATCH_VALUES + 3
-        cfg = McConfig(samples=1000, master_seed=1)
         for u, want in ((0.0, 0.0), (1.0 - 2.0**-53, -np.log(2.0 ** (-53 * k)) * scale)):
-            monkeypatch.setattr(montecarlo, "_stream", lambda cfg, chunk, sub: Constant(u))
-            draws = _ChunkStreams(cfg, 0, map).gamma(float(k), scale, size)
+            draws = _fill(Constant(u), FadingParams(k, 1.0 / scale), np.empty(size))
             assert np.isfinite(draws).all()
             assert (draws == want).all()
 
     @pytest.mark.parametrize("shape", [2.5, 2.0000001, 6.0])
     def test_other_shapes_are_standard_gamma(self, shape):
-        # Non-integer shapes and integers above 5 call standard_gamma.
+        # Non-integer shapes and integers above 5 call standard_gamma,
+        # scaled: the bits of Generator.gamma.
         cfg = McConfig(samples=1000, master_seed=30)
         size = 4 * _SCRATCH_VALUES + 5
-        got = _ChunkStreams(cfg, 1, map).gamma(shape, 3.0, size)
-        bounds = [size * sub // _STREAMS for sub in range(_STREAMS + 1)]
-        want = np.concatenate([
-            _stream(cfg, 1, sub).standard_gamma(shape, bounds[sub + 1] - bounds[sub]) * 3.0
-            for sub in range(_STREAMS)
-        ])
+        got = _fill(_stream(cfg, 1, 3), FadingParams(shape, 0.5), np.empty(size))
+        want = _stream(cfg, 1, 3).gamma(shape, 2.0, size)
         assert got.tobytes() == want.tobytes()
 
 
@@ -284,38 +330,79 @@ class TestChunkBound:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    @staticmethod
+    def fill_shapes(monkeypatch, scn, cfg):
+        # The shape of every array the simulator fills, from any thread.
+        shapes = collections.Counter()
+        inner = montecarlo._fill
+
+        def recording(rng, hop, out):
+            shapes[out.shape] += 1
+            return inner(rng, hop, out)
+
+        monkeypatch.setattr(montecarlo, "_fill", recording)
+        mc_branch_estimates(scn, "irs", cfg)
+        return shapes
+
     def test_surface_chunk_rows_do_not_depend_on_n(self, monkeypatch):
-        # Every chunk holds chunk_size = 8,192 rows whatever N, and the
-        # surface draws x, y_L and y_E in whole blocks of 2^18 // 8192 = 32
-        # elements: a block is drawn whole for N = 1 and N = 33.
-        sizes = []
-        inner = channels.sample_gamma
-
-        def recording(p, rng, size=None):
-            sizes.append(size)
-            return inner(p, rng, size)
-
-        monkeypatch.setattr(channels, "sample_gamma", recording)
+        # Every chunk holds chunk_size = 8,192 rows whatever N, in
+        # sub-chunks of 2,048 (the last chunk one row, in sub-chunk 3), and
+        # the surface draws x, y_L and y_E in whole blocks of four elements:
+        # a block is drawn whole for N = 1 and N = 5.
         cfg = McConfig(samples=2 * 8192 + 1, master_seed=22, chunk_size=8192)
-        for n in (1, 32, 33, 256):
-            sizes.clear()
-            mc_branch_estimates(irs_scenario(n=n), "irs", cfg)
-            draws = 3 * -(-n // 32)
-            assert sizes == [(32, 8192)] * (2 * draws) + [(32, 1)] * draws
+        for n in (1, 4, 5, 256):
+            blocks = -(-n // 4)
+            assert self.fill_shapes(monkeypatch, irs_scenario(n=n), cfg) == {
+                (4, 2048): 3 * blocks * 2 * _STREAMS,
+                (4, 1): 3 * blocks,
+            }
+
+    def test_small_chunks_keep_four_element_blocks(self, monkeypatch):
+        # Below 65,536 rows a block stays at four elements, not 2^18 //
+        # rows, so an N = 4 surface draws 4 elements a row at chunk size
+        # 8,192 (not 32) and at chunk size 1 (not 2^18).
+        for chunk_size, rows in ((8192, 2048), (1, 1)):
+            cfg = McConfig(samples=8192, master_seed=22, chunk_size=chunk_size)
+            shapes = self.fill_shapes(monkeypatch, irs_scenario(n=4), cfg)
+            assert shapes == {(4, rows): 3 * 8192 // rows}
 
     def test_chunk_within_cap_is_one_draw(self):
         # N = 4 at 65,536 rows is exactly 2^18 values per hop: one chunk,
-        # drawn in one call from chunk 0's stream.
+        # each of its four sub-chunks one block drawn from its sub-stream,
+        # and the estimate the partial sums reduced in sub-chunk order.
         scn = irs_scenario(n=4)
         n = 65536
         cfg = McConfig(samples=n, master_seed=23, chunk_size=n)
-        snrs = {rx: snr.copy() for rx, _, snr, _ in ARCHITECTURES["irs"].snr(scn, cfg, [4], map)}
-        for est, snr in zip(mc_branch_estimates(scn, "irs", cfg), (snrs[0], snrs[1])):
-            bits = np.log1p(snr) / math.log(2.0)
-            mean = float(bits.sum()) / n
-            var = max(float((bits * bits).sum()) - n * mean * mean, 0.0) / (n - 1)
+        hops = (*surface_hops(scn, "legit"), surface_hops(scn, "eve")[1])
+        sums = np.zeros((2, 2))
+        for sub in range(_STREAMS):
+            draws = ARCHITECTURES["irs"].snr(hops, _stream(cfg, 0, sub), n // _STREAMS, 4, [4])
+            for receiver, _, snr, _ in draws:
+                bits = np.log1p(snr) / math.log(2.0)
+                sums[receiver] += (bits.sum(), (bits * bits).sum())
+        for est, (s1, s2) in zip(mc_branch_estimates(scn, "irs", cfg), sums.tolist()):
+            mean = s1 / n
+            var = max(s2 - n * mean * mean, 0.0) / (n - 1)
             assert est.bits_per_sec_hz == mean
             assert est.std_error == math.sqrt(var / n)
+
+    def test_memory_does_not_grow_with_samples(self, monkeypatch):
+        # At most two tasks a thread are in flight, so 10^6 samples (980
+        # sub-chunks of 4,096-row chunks) peak where 10^5 (100) do.  With
+        # every task submitted at once, 10^6 peaked about 1.6 MB higher.
+        monkeypatch.setattr(montecarlo, "_threads", lambda: 2)
+        scn = irs_scenario(n=4)
+        mc_branch_estimates(scn, "irs", McConfig(samples=1000, master_seed=34))  # imports
+        peaks = []
+        for samples in (10**5, 10**6):
+            cfg = McConfig(samples=samples, master_seed=34, chunk_size=4096)
+            tracemalloc.start()
+            try:
+                mc_branch_estimates(scn, "irs", cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2**19
 
     @pytest.mark.parametrize("architecture", ["df", "affg"])
     def test_relay_draws_ignore_element_count(self, architecture):
