@@ -26,7 +26,6 @@ from .channels import (
     Scenario,
     pathloss,
     sample_gamma,
-    snr_scaled_params,
 )
 from .config import ConfigError, ParsedConfig, parse_config, parse_config_text, reference_config
 from .montecarlo import McConfig, branches

@@ -30,7 +30,6 @@ __all__ = [
     "pathloss",
     "relay_hops",
     "sample_gamma",
-    "snr_scaled_params",
     "surface_hops",
 ]
 
@@ -65,13 +64,6 @@ class FadingParams:
     @property
     def mean(self) -> float:
         return self.alpha / self.beta
-
-
-def snr_scaled_params(fading: FadingParams, scale: float) -> FadingParams:
-    """Fold a deterministic SNR scale factor into the Gamma rate."""
-    if not _positive(scale):
-        raise ValueError("scale must be positive and finite")
-    return FadingParams(alpha=fading.alpha, beta=fading.beta / scale)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """The architecture table and the Monte Carlo simulator.
 
-``ARCHITECTURES`` describes each architecture once: its analytic capacity
-of one receiver, its link model, its simulator draw, and whether it reads
-the scenario's element count.  ``branches(scenario, name, mc=None)`` is the
-one way to evaluate an architecture: it returns the (legitimate,
+Each architecture is a two-hop link, and ``ARCHITECTURES`` describes it
+once, as plain data: its analytic capacity function, its link model, how
+an element's two hops x and y combine into its SNR (x * y for a surface
+element, min(x, y) for DF, x * y / (y + l) for AFFG), and whether it
+reads the scenario's element count.  ``branches(scenario, name, mc=None)``
+is the one way to evaluate an architecture: it returns the (legitimate,
 eavesdropper) capacity estimates, analytic without ``mc`` and simulated
 with it.
 
@@ -14,21 +16,22 @@ rows, whatever the architecture and N, and a chunk of n rows into four
 sub-chunks, sub-chunk s holding rows n*s//4 to n*(s+1)//4 and drawing
 every hop from its own SFC64 sub-stream, seeded from (master seed, chunk
 index, s) through ``SeedSequence``.  Up to four pool threads run whole
-sub-chunks: the draws, both receivers' SNRs, log1p and the partial sums
-of the bits and their squares.  The caller reduces those in (chunk,
-sub-chunk) order, with at most two tasks a thread in flight.  So no value
-depends on the number of threads, reruns are bit-identical, and memory
-does not grow with the sample count.
+sub-chunks through one kernel for every architecture: the draws, both
+receivers' SNRs, log1p and the partial sums of the bits and their
+squares.  The caller reduces those in (chunk, sub-chunk) order, with at
+most two tasks a thread in flight.  So no value depends on the number of
+threads, reruns are bit-identical, and memory does not grow with the
+sample count.
 
-A surface draws its elements in blocks of E = min(4, 2^18 // rows)
-elements, rows being the chunk's: a block is x, then y_L, then y_E, each
-of shape (E, sub-chunk rows), and the block holding the last element
-needed is drawn whole.  So element i's draws do not depend on how many
-elements follow, and memory does not depend on N.  Each receiver's SNR
-adds one element at a time, in element order, into its own accumulator,
-so the estimate at N elements is read after element N;
-``mc_element_estimates`` reads many counts off one pass.  A relay's draws
-do not read N.
+The kernel draws elements in blocks: a block is x, then y_L, then y_E,
+each of shape (E, sub-chunk rows), and the block holding the last element
+needed is drawn whole.  A surface's E is min(4, 2^18 // rows), rows being
+the chunk's, so element i's draws do not depend on how many elements
+follow, and memory does not depend on N.  Each receiver's SNR adds one
+element at a time, in element order, into its own accumulator, so the
+estimate at N elements is read after element N; ``mc_element_estimates``
+reads many counts off one pass.  A relay is a one-element block, E = 1,
+and its draws do not read N.
 
 A Gamma array at an integer shape k <= 5 is an exact Erlang draw, -log of
 a product of k uniforms (Knuth, *TAOCP* vol. 2, section 3.4.1; Devroye,
@@ -53,8 +56,7 @@ import operator
 import os
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -189,101 +191,93 @@ def _fill(rng: np.random.Generator, hop: FadingParams, out: np.ndarray) -> np.nd
     return out
 
 
-# ---------------------------------------------------------------------------
-# Per-architecture SNR draws of one sub-chunk (``Architecture.snr``)
-# ---------------------------------------------------------------------------
+def _sub_chunk_sums(arch: Architecture, hops, rng, rows: int, width: int, counts) -> np.ndarray:
+    """Σbits and Σbits² per (count, receiver) of one sub-chunk of ``rows`` rows.
 
-def _irs_snr(hops, rng, rows: int, width: int, counts):
-    # Two buffers serve every block of the sub-chunk: x, and y_L then y_E.
-    # The source-surface gains x are shared by both receivers.  An
-    # element's row of y, once added, is spare.
-    first, legit, eve = hops
+    Given the folded (first, legitimate, eavesdropper) hops, draws from
+    ``rng`` in blocks of ``width`` elements: x, then y_L, then y_E, each of
+    shape (``width``, ``rows``).  ``arch.combine`` turns each receiver's
+    block into element SNRs, which add one element at a time, in element
+    order, into the receiver's accumulator; at each of the ascending element
+    ``counts`` the bits are written into the spent row of y.  A relay is one
+    element: ``width`` 1 and ``counts`` [1].
+    """
+    first = hops[0]
+    # Two buffers serve every block: x, shared by both receivers, and y_L
+    # then y_E.  A one-element pass reads its SNR off y and keeps no sum.
     x, y = np.empty((width, rows)), np.empty((width, rows))
-    sums = np.zeros((2, rows))
     last = counts[-1]
+    acc = np.zeros((2, rows)) if last > 1 else None
     snapshot = {count: k for k, count in enumerate(counts)}
+    sums = np.zeros((len(counts), 2, 2))
     for start in range(0, last, width):
         used = min(width, last - start)
         _fill(rng, first, x)
-        for receiver, hop in enumerate((legit, eve)):
+        for receiver, hop in enumerate(hops[1:]):
             _fill(rng, hop, y)
-            y[:used] *= x[:used]
+            arch.combine(first, x[:used], y[:used])
             for i in range(used):
-                sums[receiver] += y[i]
+                snr = y[i]
+                if acc is not None:
+                    snr = acc[receiver]
+                    snr += y[i]
                 k = snapshot.get(start + i + 1)
                 if k is not None:
-                    yield receiver, k, sums[receiver], y[i]
-
-
-def _relay_snr(combine, hops, rng, rows: int, width: int, counts):
-    # The sub-chunk draws the first, legitimate and eavesdropper hops, and
-    # combine(first hop, g1, g2, g3) forms the two receivers' SNRs.
-    g1, g2, g3 = (_fill(rng, hop, np.empty(rows)) for hop in hops)
-    for receiver, b in enumerate(combine(hops[0], g1, g2, g3)):
-        yield receiver, 0, b, b
-
-
-def _df_combine(first, g1, g2, g3):
-    return np.minimum(g1, g2, out=g2), np.minimum(g1, g3, out=g3)
-
-
-def _affg_combine(first, g1, g2, g3):
-    l = affg_snr_constant(first)
-    # g1 * g / (g + l) as g1 times a ratio below 1: the product g1 * g
-    # overflows at extreme power while the end-to-end SNR still fits.
-    for g in (g2, g3):
-        g /= g + l
-        g *= g1
-    return g2, g3
-
-
-# ---------------------------------------------------------------------------
-# Per-architecture analytic capacity of one receiver
-# ---------------------------------------------------------------------------
-# Each looks its capacity function up on ``capacity`` at call time, so a
-# wrapper set on that module attribute (to count or trace calls) is the one
-# called.
-
-def _irs_capacity(scenario: Scenario, receiver: str) -> CapacityEstimate:
-    hops = channels.surface_hops(scenario, receiver)
-    return capacity.ergodic_capacity_irs(*hops, scenario.n_elements)
-
-
-def _df_capacity(scenario: Scenario, receiver: str) -> CapacityEstimate:
-    return capacity.df_ergodic_capacity(*channels.relay_hops(scenario, receiver))
-
-
-def _affg_capacity(scenario: Scenario, receiver: str) -> CapacityEstimate:
-    return capacity.affg_ergodic_capacity(*channels.relay_hops(scenario, receiver))
+                    # The bits go into the spent row, with no temporary.
+                    bits = np.log1p(snr, out=y[i])
+                    bits /= _LN2
+                    sums[k, receiver, 0] = bits.sum()
+                    bits *= bits
+                    sums[k, receiver, 1] = bits.sum()
+    return sums
 
 
 @dataclass(frozen=True)
 class Architecture:
-    """One architecture: its two evaluation routes and whether it reads N.
+    """One architecture as plain data: the same two-hop link on both routes.
 
-    ``analytic(scenario, receiver)`` returns the analytic ergodic capacity
-    of the receiver ``"legit"`` or ``"eve"``, and ``hops(scenario,
-    receiver)`` its two hops from the link model.  ``snr(hops, rng, rows,
-    width, counts)`` draws one sub-chunk of ``rows`` rows from the
-    Generator ``rng``, given the folded (first, legitimate, eavesdropper)
-    hops, a surface in blocks of ``width`` elements, and yields (receiver,
-    k, snr, spare): ``snr`` holds the sub-chunk's instantaneous SNRs of
-    receiver 0 (legit) or 1 (eve) at the k-th of the ascending element
-    ``counts``, and ``spare`` is an array of its size that the caller may
-    overwrite.  ``per_element`` is True when both routes read the element
-    count; when it is False, ``snr`` yields k = 0 only.
+    ``hops(scenario, receiver)`` gives the receiver's two hops from the
+    link model, ``"legit"`` or ``"eve"``.  The analytic route passes them
+    to ``capacity``, with the element count after them when
+    ``per_element`` is True.  The simulator draws one element's first hop
+    x and second hop y, and ``combine(first, x, y)`` overwrites y with the
+    element's SNR, ``first`` being the folded first hop; a surface adds
+    its elements' SNRs, and a relay is one element.
     """
 
-    analytic: Callable[[Scenario, str], CapacityEstimate]
+    capacity: Callable[..., CapacityEstimate]
     hops: Callable[[Scenario, str], tuple[FadingParams, FadingParams]]
-    snr: Callable[..., Iterator[tuple[int, int, np.ndarray, np.ndarray]]]
+    combine: Callable[[FadingParams, np.ndarray, np.ndarray], None]
     per_element: bool = False
 
 
+def _affg_combine(first: FadingParams, x: np.ndarray, y: np.ndarray) -> None:
+    # x * y / (y + l) as x times a ratio below 1: the product x * y
+    # overflows at extreme power while the end-to-end SNR still fits.
+    y /= y + affg_snr_constant(first)
+    y *= x
+
+
+# Each row looks its capacity function up on ``capacity`` at call time, so
+# a wrapper set on that module attribute (to count or trace calls) is the
+# one called.
 ARCHITECTURES = {
-    "irs": Architecture(_irs_capacity, channels.surface_hops, _irs_snr, per_element=True),
-    "df": Architecture(_df_capacity, channels.relay_hops, partial(_relay_snr, _df_combine)),
-    "affg": Architecture(_affg_capacity, channels.relay_hops, partial(_relay_snr, _affg_combine)),
+    "irs": Architecture(
+        lambda *a: capacity.ergodic_capacity_irs(*a),
+        channels.surface_hops,
+        lambda first, x, y: np.multiply(y, x, out=y),
+        per_element=True,
+    ),
+    "df": Architecture(
+        lambda *a: capacity.df_ergodic_capacity(*a),
+        channels.relay_hops,
+        lambda first, x, y: np.minimum(y, x, out=y),
+    ),
+    "affg": Architecture(
+        lambda *a: capacity.affg_ergodic_capacity(*a),
+        channels.relay_hops,
+        _affg_combine,
+    ),
 }
 
 
@@ -322,11 +316,12 @@ def branches(
     threads too, and leave as OverflowError naming the power, as a hop out
     of the float range does in ``channels``.  The NumPy error state is kept.
     """
+    if mc is not None:
+        return mc_branch_estimates(scenario, architecture, mc)
+    arch = _architecture(architecture)
+    count = [scenario.n_elements] if arch.per_element else []
     with _float_range(scenario):
-        if mc is not None:
-            return mc_branch_estimates(scenario, architecture, mc)
-        analytic = _architecture(architecture).analytic
-        return tuple(analytic(scenario, receiver) for receiver in channels.RECEIVERS)
+        return tuple(arch.capacity(*arch.hops(scenario, rx), *count) for rx in channels.RECEIVERS)
 
 
 def mc_branch_estimates(scenario: Scenario, architecture: str, cfg: McConfig):
@@ -348,7 +343,8 @@ def mc_element_estimates(scenario: Scenario, architecture: str, cfg: McConfig, c
     given, each bit for bit the pair of ``scenario`` with that many
     elements: the pass draws to the largest count and reads each smaller
     one on the way.  So the pairs share their draws and are correlated
-    across counts.  A relay reads no element count and is simulated once.
+    across counts.  A relay reads no element count and is simulated once;
+    an empty ``counts`` returns [] and draws nothing.
     Runs under the float-range rule of ``branches``: the hops are folded
     on the calling thread before any draw, the pool threads take its NumPy
     error state, and a value out of the float range at any count raises
@@ -357,22 +353,13 @@ def mc_element_estimates(scenario: Scenario, architecture: str, cfg: McConfig, c
     arch = _architecture(architecture)
     for count in counts:  # a count that is no valid n_elements raises ValueError
         replace(scenario, n_elements=count)
-    # A relay reads no element count: one pass at any count serves them all.
-    targets = sorted(set(counts)) if arch.per_element else [1]
+    if not counts:
+        return []
     rows = _rows(cfg)
-    width = min(_BLOCK_ELEMENTS, _BLOCK_VALUES // rows)
-
-    def partial_sums(hops, chunk: int, sub: int, m: int) -> np.ndarray:
-        # Sums of the bits and of their squares, per (count, receiver).
-        sums = np.zeros((len(targets), 2, 2))
-        for receiver, k, snr, spare in arch.snr(hops, _stream(cfg, chunk, sub), m, width, targets):
-            # The bits go into the spare array, with no temporary.
-            np.log1p(snr, out=spare)
-            spare /= _LN2
-            sums[k, receiver, 0] = spare.sum()
-            spare *= spare
-            sums[k, receiver, 1] = spare.sum()
-        return sums
+    if arch.per_element:
+        targets, width = sorted(set(counts)), min(_BLOCK_ELEMENTS, _BLOCK_VALUES // rows)
+    else:  # a relay is one element: one pass serves every count
+        targets, width = [1], 1
 
     # Imported here, so the analytic route does not pay for it.
     from concurrent.futures import ThreadPoolExecutor
@@ -380,6 +367,7 @@ def mc_element_estimates(scenario: Scenario, architecture: str, cfg: McConfig, c
     totals = np.zeros((len(targets), 2, 2))
     with _float_range(scenario):
         (first, legit), (_, eve) = (arch.hops(scenario, rx) for rx in channels.RECEIVERS)
+        hops = (first, legit, eve)
         errors, threads = np.geterr(), _threads()
         with ThreadPoolExecutor(threads, initializer=lambda: np.seterr(**errors)) as pool:
             # At most two tasks a thread in flight, reduced oldest first:
@@ -392,7 +380,9 @@ def mc_element_estimates(scenario: Scenario, architecture: str, cfg: McConfig, c
                     if m:
                         if len(window) == 2 * threads:
                             totals += window.popleft().result()
-                        window.append(pool.submit(partial_sums, (first, legit, eve), chunk, sub, m))
+                        rng = _stream(cfg, chunk, sub)
+                        task = pool.submit(_sub_chunk_sums, arch, hops, rng, m, width, targets)
+                        window.append(task)
             for future in window:
                 totals += future.result()
     n = cfg.samples

@@ -288,6 +288,13 @@ def meijer_g_1_2_2_1(x: float, a1: float, a2: float, b1: float) -> tuple[float, 
     return MellinBarnesEvaluator((b1,), (a1, a2)).evaluate(x)
 
 
+def snr_scaled_params(fading: FadingParams, scale: float) -> FadingParams:
+    """Fold a deterministic SNR scale factor into the Gamma rate."""
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ValueError("scale must be positive and finite")
+    return FadingParams(alpha=fading.alpha, beta=fading.beta / scale)
+
+
 def gamma_pdf(g, p: FadingParams):
     """Gamma density with shape p.alpha and rate p.beta."""
     g = np.asarray(g, dtype=float)

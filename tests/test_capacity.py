@@ -25,7 +25,6 @@ from linksec.channels import (
     Geometry,
     Scenario,
     relay_hops,
-    snr_scaled_params,
     surface_hops,
 )
 from linksec.config import reference_config
@@ -38,6 +37,7 @@ from oracles import (
     ergodic_capacity_irs_contour,
     gamma_ccdf_series,
     gamma_gamma_pdf,
+    snr_scaled_params,
 )
 
 # Exponential-hop closed form: capacity of min of two unit-shape hops with

@@ -12,7 +12,6 @@ from linksec.channels import (
     pathloss,
     relay_hops,
     sample_gamma,
-    snr_scaled_params,
     surface_hops,
 )
 from oracles import (
@@ -22,6 +21,7 @@ from oracles import (
     gamma_gamma_pdf,
     gamma_pdf,
     sample_gamma_gamma,
+    snr_scaled_params,
 )
 
 

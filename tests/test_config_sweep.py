@@ -29,6 +29,9 @@ from linksec.sweep import (
 # The built-in reference configuration: its scenario and Monte Carlo settings.
 REFERENCE = reference_config()
 
+# The analytic capacity of one receiver, per architecture, on ``capacity``.
+CAPACITIES = ("ergodic_capacity_irs", "df_ergodic_capacity", "affg_ergodic_capacity")
+
 
 def csv_records(text: str) -> list[dict[str, str]]:
     """The data rows of a sweep CSV, keyed by column; checks the header."""
@@ -479,7 +482,7 @@ class TestFigurePresets:
         # must see every call: the architecture table may not bind the
         # functions at import.  Figure 3 is 26 powers x 2 receivers each.
         calls = {}
-        for attr in ("ergodic_capacity_irs", "df_ergodic_capacity", "affg_ergodic_capacity"):
+        for attr in CAPACITIES:
             def counting(*args, _attr=attr, _fn=getattr(capacity, attr)):
                 calls[_attr] = calls.get(_attr, 0) + 1
                 return _fn(*args)
@@ -505,13 +508,11 @@ class TestValidate:
         parsed = reference_config()
         cfg = McConfig(samples=50_000, master_seed=2024)
         # Shift every analytic value by 0.25 bits.
-        for name, arch in list(montecarlo.ARCHITECTURES.items()):
-            def shifted(scenario, receiver, analytic=arch.analytic):
-                e = analytic(scenario, receiver)
+        for attr in CAPACITIES:
+            def shifted(*args, _fn=getattr(capacity, attr)):
+                e = _fn(*args)
                 return dataclasses.replace(e, bits_per_sec_hz=e.bits_per_sec_hz + 0.25)
-            monkeypatch.setitem(
-                montecarlo.ARCHITECTURES, name, dataclasses.replace(arch, analytic=shifted)
-            )
+            monkeypatch.setattr(capacity, attr, shifted)
         report = validate(parsed.scenario, (10.0,), cfg)
         assert not report.passed
 
@@ -520,13 +521,11 @@ class TestValidate:
         # though inside a 1% relative allowance.
         parsed = reference_config()
         cfg = McConfig(samples=100_000, master_seed=2024)
-        for name, arch in list(montecarlo.ARCHITECTURES.items()):
-            def scaled(scenario, receiver, analytic=arch.analytic):
-                e = analytic(scenario, receiver)
+        for attr in CAPACITIES:
+            def scaled(*args, _fn=getattr(capacity, attr)):
+                e = _fn(*args)
                 return dataclasses.replace(e, bits_per_sec_hz=e.bits_per_sec_hz * 1.009)
-            monkeypatch.setitem(
-                montecarlo.ARCHITECTURES, name, dataclasses.replace(arch, analytic=scaled)
-            )
+            monkeypatch.setattr(capacity, attr, scaled)
         report = validate(parsed.scenario, (50.0,), cfg)
         assert not any(r.passed for r in report.rows)
 

@@ -24,6 +24,7 @@ from linksec.montecarlo import (
     McConfig,
     _fill,
     _stream,
+    _sub_chunk_sums,
     branches,
     mc_branch_estimates,
     mc_element_estimates,
@@ -197,14 +198,16 @@ class TestParallelFill:
                     sums[receiver] += (bits.sum(), (bits * bits).sum())
         return sums.tolist()
 
-    def test_sub_chunks_come_from_their_sub_streams(self):
+    @pytest.mark.parametrize("elements", [1, 6])
+    def test_sub_chunks_come_from_their_sub_streams(self, elements):
         # The layout read independently, at shape 2.5, where every draw is
         # Generator.gamma: chunks of 4,099 rows, the last one partial, each
         # split at rows n*s//4 into unequal sub-chunks; sub-chunk s draws
         # from sub-stream s, a surface in blocks of four elements (the
-        # second of N = 6 drawn whole); the partial sums of the bits and of
-        # their squares are reduced in (chunk, sub-chunk) order.
-        scn = irs_scenario(n=6, shape=2.5)
+        # first of N = 1, the second of N = 6, drawn whole); the partial
+        # sums of the bits and of their squares are reduced in (chunk,
+        # sub-chunk) order.  N = 1 is a one-element pass on every row.
+        scn = irs_scenario(n=elements, shape=2.5)
         cfg = McConfig(samples=20_000, master_seed=26, chunk_size=4099)
         n = cfg.samples
         for architecture in ARCHITECTURES:
@@ -374,13 +377,11 @@ class TestChunkBound:
         n = 65536
         cfg = McConfig(samples=n, master_seed=23, chunk_size=n)
         hops = (*surface_hops(scn, "legit"), surface_hops(scn, "eve")[1])
-        sums = np.zeros((2, 2))
+        sums = np.zeros((1, 2, 2))
         for sub in range(_STREAMS):
-            draws = ARCHITECTURES["irs"].snr(hops, _stream(cfg, 0, sub), n // _STREAMS, 4, [4])
-            for receiver, _, snr, _ in draws:
-                bits = np.log1p(snr) / math.log(2.0)
-                sums[receiver] += (bits.sum(), (bits * bits).sum())
-        for est, (s1, s2) in zip(mc_branch_estimates(scn, "irs", cfg), sums.tolist()):
+            rng = _stream(cfg, 0, sub)
+            sums += _sub_chunk_sums(ARCHITECTURES["irs"], hops, rng, n // _STREAMS, 4, [4])
+        for est, (s1, s2) in zip(mc_branch_estimates(scn, "irs", cfg), sums[0].tolist()):
             mean = s1 / n
             var = max(s2 - n * mean * mean, 0.0) / (n - 1)
             assert est.bits_per_sec_hz == mean
@@ -440,6 +441,13 @@ class TestElementCounts:
         assert mc_element_estimates(scn, "irs", cfg, [6, 200, 3, 6]) == [
             alone[1], mc_element_estimates(scn, "irs", cfg, [200])[0], alone[0], alone[1]
         ]
+
+    @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
+    def test_no_counts_draw_nothing(self, monkeypatch, architecture):
+        # A surface once raised IndexError from a pool thread here.
+        monkeypatch.setattr(montecarlo, "_stream", lambda *args: pytest.fail("drew a sub-chunk"))
+        cfg = McConfig(samples=1000, master_seed=1)
+        assert mc_element_estimates(irs_scenario(), architecture, cfg, []) == []
 
     @pytest.mark.parametrize("count", [0, 2.5])
     def test_counts_must_be_positive_integers(self, count):
@@ -572,13 +580,9 @@ class TestSecrecy:
             with pytest.raises(ValueError, match="architecture must be one of"):
                 branches(relay_scenario(), "laser", mc)
 
-    # Every function that takes a receiver name: the analytic capacities and
-    # the link model beneath both routes.
-    RECEIVER_READERS = {
-        **{name: arch.analytic for name, arch in ARCHITECTURES.items()},
-        "relay_hops": relay_hops,
-        "surface_hops": surface_hops,
-    }
+    # Every function that takes a receiver name: the link model beneath
+    # both routes.
+    RECEIVER_READERS = {"relay_hops": relay_hops, "surface_hops": surface_hops}
 
     @pytest.mark.parametrize("reader", sorted(RECEIVER_READERS))
     def test_analytic_receiver_validation(self, reader):
