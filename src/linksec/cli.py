@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from functools import partial
 
 from .config import parse_config, reference_config
 from .sweep import FIGURE_IDS, METHODS, figure_preset, rows_to_csv, run_sweep, validate
@@ -113,12 +114,14 @@ def main(argv: list[str] | None = None) -> int:
             spec = parsed.sweep
             if args.method is not None:
                 spec = dataclasses.replace(spec, methods=_METHODS[args.method])
-            rows = run_sweep(spec, parsed.scenario, parsed.mc)
+            evaluate = partial(run_sweep, spec, parsed.scenario, parsed.mc)
         else:  # figure
             parsed = parse_config(args.config) if args.config else reference_config()
             methods = _METHODS[args.method or "analytic"]
-            rows = figure_preset(args.id, parsed.scenario, parsed.mc, methods=methods)
+            evaluate = partial(figure_preset, args.id, parsed.scenario, parsed.mc, methods=methods)
+        # Opened before any point is evaluated, so an unwritable path fails fast.
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            rows = evaluate()
             fh.write(rows_to_csv(rows))
         print(f"wrote {len(rows)} rows to {args.out}")
         return 0

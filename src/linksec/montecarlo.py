@@ -11,7 +11,7 @@ with it.
 
 The simulator never calls the analytic route: it samples raw channel
 gains, forms the instantaneous end-to-end SNR of each receiver, and
-averages log2(1 + SNR).  Work is split into chunks of min(chunk_size, 2^18)
+averages log2(1 + SNR).  Work is split into chunks of min(chunk_size, 2^16)
 rows, whatever the architecture and N, and a chunk of n rows into four
 sub-chunks, sub-chunk s holding rows n*s//4 to n*(s+1)//4 and drawing
 every hop from its own SFC64 sub-stream, seeded from (master seed, chunk
@@ -25,27 +25,28 @@ sample count.
 
 The kernel draws elements in blocks: a block is x, then y_L, then y_E,
 each of shape (E, sub-chunk rows), and the block holding the last element
-needed is drawn whole.  A surface's E is min(4, 2^18 // rows), rows being
-the chunk's, so element i's draws do not depend on how many elements
-follow, and memory does not depend on N.  Each receiver's SNR adds one
-element at a time, in element order, into its own accumulator, so the
-estimate at N elements is read after element N; ``mc_element_estimates``
-reads many counts off one pass.  A relay is a one-element block, E = 1,
-and its draws do not read N.
+needed is drawn whole.  A surface's E is 4, so element i's draws do not
+depend on how many elements follow, memory does not depend on N, and no
+buffer holds more than 2^16 values.  Each receiver's SNR adds one element
+at a time, in element order, into its own accumulator, so the estimate at
+N elements is read after element N; ``mc_element_estimates`` reads many
+counts off one pass.  A relay is a one-element block, E = 1, and its
+draws do not read N.
 
-A Gamma array at an integer shape k <= 5 is an exact Erlang draw, -log of
+A Gamma array at an integer shape k <= 6 is an exact Erlang draw, -log of
 a product of k uniforms (Knuth, *TAOCP* vol. 2, section 3.4.1; Devroye,
-*Non-Uniform Random Variate Generation*, 1986, section IX.3), which costs
-k uniforms and one logarithm a value; any other shape is NumPy's
-``standard_gamma``.  Through ``_fill`` on one thread of a 2-vCPU host,
-2^16-value arrays (a default sub-chunk's surface block), in ns a value:
+*Non-Uniform Random Variate Generation*, 1986, section IX.3), drawn in k
+whole-array rounds, which costs k uniforms and one logarithm a value; any
+other shape is NumPy's ``standard_gamma``.  Through ``_fill`` on one
+thread of a 2-vCPU host, a default surface block of 4 x 16,384 values, in
+ns a value (the least of 31 interleaved runs of 50 fills):
 
-    k                  1     2     3     4     5     6
-    uniform product    3.9   6.5   9.7  12.2  15.0  17.7
-    standard_gamma     6.8  20.3  20.3  20.6  20.5  20.1
+    k                  1     2     3     4     5     6     7     8
+    uniform product    3.3   5.6   8.1  10.5  13.1  15.9  17.9  19.8
+    standard_gamma     5.9  17.9  18.4  18.5  18.5  18.7  18.3  17.4
 
-The rule stops at 5, set when two threads shared each array; at 6 a
-product is now about 12% cheaper, but moving the rule moves those draws.
+The rule stops at 6: at 7 the two tie within the run-to-run spread, and
+at 8 ``standard_gamma`` is cheaper.
 """
 
 from __future__ import annotations
@@ -75,14 +76,13 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# Most rows in a chunk, and most Gamma values a chunk's surface block
-# draws for one hop: 2 MiB of float64.
-_BLOCK_VALUES = 1 << 18
+# Most rows in a chunk.  A sub-chunk then holds at most 2^14 rows, so a
+# surface block of four elements, the largest buffer, holds 2^16 values
+# (512 KiB of float64).
+_CHUNK_ROWS = 1 << 16
 
-# Most elements in a surface block: at the default chunk_size of 65,536
-# rows a block fills 2^18 values, and the reference N = 4 surface draws
-# one.  A smaller chunk keeps four, so no surface draws more than three
-# elements it does not use.
+# Elements in a surface block: the reference N = 4 surface draws one block,
+# and no surface draws more than three elements it does not use.
 _BLOCK_ELEMENTS = 4
 
 # Sub-chunks, and so sub-streams, per chunk, and the most threads that run
@@ -93,25 +93,17 @@ _STREAMS = 4
 
 # Integer shapes up to this one are drawn as -log of a product of uniforms
 # (the break-even is in the module docstring).
-_ERLANG_MAX_SHAPE = 5
-
-# Values per block of an integer-shape fill, and of the scratch block that
-# its second to k-th uniforms are drawn into, 256 KiB of float64.  Each
-# NumPy call on a block releases and retakes the GIL; at 2^13 values those
-# hand-offs kept the second CPU from helping.  On the wide-surface sweep,
-# 2^15 took 16% less time than 2^13 for 0.6 MB more peak RSS; 2^16 saved
-# little more and cost 1.8 MB.
-_SCRATCH_VALUES = 1 << 15
+_ERLANG_MAX_SHAPE = 6
 
 
 @dataclass(frozen=True)
 class McConfig:
     """Sample count, master seed and the largest chunk, in rows.
 
-    A chunk holds min(chunk_size, 2^18) rows for every architecture and
-    every N, split into four sub-chunks; a surface draws blocks of
-    min(4, 2^18 // rows) elements a hop.  The chunk length decides which
-    draws of the seeded streams an estimate uses.
+    A chunk holds min(chunk_size, 2^16) rows for every architecture and
+    every N, split into four sub-chunks; a surface draws blocks of four
+    elements a hop.  The chunk length decides which draws of the seeded
+    streams an estimate uses.
     """
 
     samples: int
@@ -151,43 +143,36 @@ def _threads() -> int:
     return min(_STREAMS, cpus)
 
 
-def _rows(cfg: McConfig) -> int:
-    """Rows of every chunk but the last, whatever the architecture and N."""
-    return min(cfg.chunk_size, _BLOCK_VALUES)
+def _fill(
+    rng: np.random.Generator, hop: FadingParams, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Fill ``out`` with Gamma draws of ``hop`` from ``rng``; return it.
 
-
-def _fill(rng: np.random.Generator, hop: FadingParams, out: np.ndarray) -> np.ndarray:
-    """Fill the contiguous array ``out`` with Gamma draws of ``hop`` from ``rng``; return it.
-
-    Values are drawn in flat order.  At an integer shape k <=
-    ``_ERLANG_MAX_SHAPE`` a draw is -scale * log of a product of k factors
-    1 - u, drawn block by block of ``_SCRATCH_VALUES`` values in this order:
-    the block's uniforms, then k - 1 more rounds of them through a scratch
-    block, each multiplied in; then the log, scaled.  ``Generator.random``
-    returns u in [0, 1), so 1 - u lies in (0, 1] and is exact; for k <= 5
-    the product is at least 2^-265 and never underflows, and a draw is 0
-    only when every u is 0.  Rounding the product adds at most about
-    k * 2^-53 to a draw.  Any other shape is ``standard_gamma`` times the
-    scale, the same bits as ``Generator.gamma``.
+    ``out`` and ``scratch`` are C-contiguous arrays of one shape, values are
+    drawn in flat order, and nothing is allocated.  At an integer shape
+    k <= ``_ERLANG_MAX_SHAPE`` a draw is -scale * log of a product of k
+    factors 1 - u, drawn in k whole-array rounds: ``out``'s uniforms, then
+    k - 1 rounds into ``scratch``, each multiplied in; then one log and one
+    scale.  ``Generator.random`` returns u in [0, 1), so 1 - u lies in
+    (0, 1] and is exact; the product is at least 2^(-53 k), a normal float
+    for any k up to 19, and a draw is 0 only when every u is 0.  Rounding
+    the product adds at most about k * 2^-53 to a draw.  Any other shape is
+    ``standard_gamma`` times the scale, the same bits as
+    ``Generator.gamma``, and leaves ``scratch`` alone.
     """
     shape, scale = hop.alpha, 1.0 / hop.beta
-    flat = out.reshape(-1)
     if not (float(shape).is_integer() and 1 <= shape <= _ERLANG_MAX_SHAPE):
-        rng.standard_gamma(shape, out=flat)
-        flat *= scale
+        rng.standard_gamma(shape, out=out)
+        out *= scale
         return out
-    scratch = np.empty(min(_SCRATCH_VALUES, flat.size))
-    for start in range(0, flat.size, _SCRATCH_VALUES):
-        block = flat[start : start + _SCRATCH_VALUES]
-        rng.random(out=block)
-        np.subtract(1.0, block, out=block)
-        u = scratch[: block.size]
-        for _ in range(int(shape) - 1):
-            rng.random(out=u)
-            np.subtract(1.0, u, out=u)
-            block *= u
-        np.log(block, out=block)
-        block *= -scale
+    rng.random(out=out)
+    np.subtract(1.0, out, out=out)
+    for _ in range(int(shape) - 1):
+        rng.random(out=scratch)
+        np.subtract(1.0, scratch, out=scratch)
+        out *= scratch
+    np.log(out, out=out)
+    out *= -scale
     return out
 
 
@@ -203,18 +188,19 @@ def _sub_chunk_sums(arch: Architecture, hops, rng, rows: int, width: int, counts
     element: ``width`` 1 and ``counts`` [1].
     """
     first = hops[0]
-    # Two buffers serve every block: x, shared by both receivers, and y_L
-    # then y_E.  A one-element pass reads its SNR off y and keeps no sum.
-    x, y = np.empty((width, rows)), np.empty((width, rows))
+    # Three buffers serve every block: x, shared by both receivers, y_L
+    # then y_E, and the Erlang scratch.  A one-element pass reads its SNR
+    # off y and keeps no sum.
+    x, y, scratch = (np.empty((width, rows)) for _ in range(3))
     last = counts[-1]
     acc = np.zeros((2, rows)) if last > 1 else None
     snapshot = {count: k for k, count in enumerate(counts)}
     sums = np.zeros((len(counts), 2, 2))
     for start in range(0, last, width):
         used = min(width, last - start)
-        _fill(rng, first, x)
+        _fill(rng, first, x, scratch)
         for receiver, hop in enumerate(hops[1:]):
-            _fill(rng, hop, y)
+            _fill(rng, hop, y, scratch)
             arch.combine(first, x[:used], y[:used])
             for i in range(used):
                 snr = y[i]
@@ -355,9 +341,9 @@ def mc_element_estimates(scenario: Scenario, architecture: str, cfg: McConfig, c
         replace(scenario, n_elements=count)
     if not counts:
         return []
-    rows = _rows(cfg)
+    rows = min(cfg.chunk_size, _CHUNK_ROWS)
     if arch.per_element:
-        targets, width = sorted(set(counts)), min(_BLOCK_ELEMENTS, _BLOCK_VALUES // rows)
+        targets, width = sorted(set(counts)), _BLOCK_ELEMENTS
     else:  # a relay is one element: one pass serves every count
         targets, width = [1], 1
 

@@ -192,9 +192,8 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in rows:
-        writer.writerow(
-            v if isinstance(v, str) else repr(float(v)) for v in dataclasses.astuple(r)
-        )
+        values = (getattr(r, name) for name in CSV_COLUMNS)
+        writer.writerow(v if isinstance(v, str) else repr(float(v)) for v in values)
     return buf.getvalue()
 
 

@@ -637,6 +637,22 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error:")
         assert not out_path.parent.exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "figure"])
+    def test_unwritable_output_fails_before_evaluating(self, command, tmp_path, monkeypatch):
+        # The output is opened before any point is evaluated, so a bad
+        # path costs no evaluation.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("evaluated before the output was opened")
+
+        monkeypatch.setattr("linksec.cli.run_sweep", unreachable)
+        monkeypatch.setattr("linksec.cli.figure_preset", unreachable)
+        cfg_path = tmp_path / "scenario.cfg"
+        cfg_path.write_text(REFERENCE_CONFIG)
+        args = [command, "--config", str(cfg_path), "--out", str(tmp_path / "missing" / "o.csv")]
+        if command == "figure":
+            args += ["--id", "6", "--method", "mc"]
+        assert main(args) == 1
+
     @pytest.mark.parametrize("command, rows", [("sweep", 3), ("figure", 26 * 2)])
     def test_success_reports_rows_written(self, command, rows, tmp_path, capsys):
         cfg_path = tmp_path / "scenario.cfg"

@@ -18,7 +18,7 @@ from linksec import channels, montecarlo
 from linksec.channels import FadingParams, Geometry, Scenario, relay_hops, surface_hops
 from linksec.config import reference_config
 from linksec.montecarlo import (
-    _SCRATCH_VALUES,
+    _ERLANG_MAX_SHAPE,
     _STREAMS,
     ARCHITECTURES,
     McConfig,
@@ -236,51 +236,51 @@ class TestParallelFill:
 
 
 class TestErlangFill:
-    # Integer shapes 1 to 5 are -log of a product of uniforms; every other
+    # Integer shapes 1 to 6 are -log of a product of uniforms; every other
     # shape is Generator.gamma, bit for bit.
 
     @staticmethod
     def erlang_fill(rng, k, size, scale):
-        # The documented draw order, block by block: the block's uniforms,
-        # then k - 1 more rounds of them, each taken as 1 - u and multiplied
-        # in; then -log, scaled.
-        values = np.empty(size)
-        for start in range(0, size, _SCRATCH_VALUES):
-            block = values[start:start + _SCRATCH_VALUES]
-            block[:] = 1.0 - rng.random(block.size)
-            for _ in range(k - 1):
-                block *= 1.0 - rng.random(block.size)
-            block[:] = -np.log(block) * scale
-        return values
+        # The documented draw order, in whole-array rounds: the array's
+        # uniforms, then k - 1 more rounds of them, each taken as 1 - u and
+        # multiplied in; then -log, scaled.
+        values = 1.0 - rng.random(size)
+        for _ in range(k - 1):
+            values *= 1.0 - rng.random(size)
+        return -np.log(values) * scale
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("size", [1, 10 * _SCRATCH_VALUES + 3])
+    @staticmethod
+    def fill(rng, hop, shape):
+        return _fill(rng, hop, np.empty(shape), np.empty(shape))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("size", [1, 327_683])
     def test_pieces_are_sub_stream_exponential_sums(self, k, size):
         # -log of the product is the sum of k exponentials -log(1 - u), each
-        # drawn by inversion.  One value is a partial scratch block, and
-        # the long array ends in one.
+        # drawn by inversion.  One value, and an array of five times the
+        # largest surface block and three, each take k whole rounds.
         cfg = McConfig(samples=1000, master_seed=28)
-        got = _fill(_stream(cfg, 2, 1), FadingParams(k, 4.0), np.empty(size))
+        got = self.fill(_stream(cfg, 2, 1), FadingParams(k, 4.0), size)
         want = self.erlang_fill(_stream(cfg, 2, 1), k, size, 0.25)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k", [2, 5])
     def test_surface_blocks_fill_in_flat_order(self, k):
-        # A surface block of four element rows is one flat fill, so its
-        # scratch blocks run across the rows.
+        # A surface block of four element rows is one flat fill, so each
+        # round runs across the rows.
         cfg = McConfig(samples=1000, master_seed=28)
-        shape = (4, _SCRATCH_VALUES // 2 + 1)
-        got = _fill(_stream(cfg, 0, 2), FadingParams(k, 4.0), np.empty(shape))
+        shape = (4, 16_385)
+        got = self.fill(_stream(cfg, 0, 2), FadingParams(k, 4.0), shape)
         want = self.erlang_fill(_stream(cfg, 0, 2), k, math.prod(shape), 0.25)
         assert got.shape == shape
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_erlang_draws_follow_gamma(self, k):
         scale = 0.4
         n = 10**6
         rng = _stream(McConfig(samples=n, master_seed=29), 0, 0)
-        draws = _fill(rng, FadingParams(k, 1.0 / scale), np.empty(n))
+        draws = self.fill(rng, FadingParams(k, 1.0 / scale), n)
         assert stats.kstest(draws, stats.gamma(k, scale=scale).cdf).pvalue > 1e-3
         mean, var = k * scale, k * scale**2
         assert abs(draws.mean() - mean) < 5 * math.sqrt(var / n)
@@ -288,7 +288,7 @@ class TestErlangFill:
         # excess kurtosis 6/k.
         assert abs(draws.var(ddof=1) - var) < 5 * var * math.sqrt((2 + 6 / k) / n)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_uniform_edges_give_finite_draws(self, k):
         # Generator.random returns [0, 1): at u = 0 every factor 1 - u is 1
         # and the draw is 0; at the largest u, 1 - 2^-53, each factor is
@@ -302,27 +302,44 @@ class TestErlangFill:
                 out.fill(self.value)
 
         scale = 0.25
-        size = 2 * _SCRATCH_VALUES + 3
         for u, want in ((0.0, 0.0), (1.0 - 2.0**-53, -np.log(2.0 ** (-53 * k)) * scale)):
-            draws = _fill(Constant(u), FadingParams(k, 1.0 / scale), np.empty(size))
+            draws = self.fill(Constant(u), FadingParams(k, 1.0 / scale), 65_539)
             assert np.isfinite(draws).all()
             assert (draws == want).all()
 
-    @pytest.mark.parametrize("shape", [2.5, 2.0000001, 6.0])
+    @pytest.mark.parametrize("shape", [2.5, 2.0000001, 7.0])
     def test_other_shapes_are_standard_gamma(self, shape):
-        # Non-integer shapes and integers above 5 call standard_gamma,
+        # Non-integer shapes and integers above 6 call standard_gamma,
         # scaled: the bits of Generator.gamma.
+        assert shape > _ERLANG_MAX_SHAPE or not shape.is_integer()
         cfg = McConfig(samples=1000, master_seed=30)
-        size = 4 * _SCRATCH_VALUES + 5
-        got = _fill(_stream(cfg, 1, 3), FadingParams(shape, 0.5), np.empty(size))
+        size = 131_077
+        got = self.fill(_stream(cfg, 1, 3), FadingParams(shape, 0.5), size)
         want = _stream(cfg, 1, 3).gamma(shape, 2.0, size)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [2.0, 6.0, 2.5])
+    def test_fill_allocates_nothing(self, shape):
+        # Both paths work in the arrays they are given: tracing a fill of a
+        # 4 x 16,384 surface block peaks at a few hundred bytes, where one
+        # scratch block would take 512 KiB.
+        out, scratch = np.empty((4, 16_384)), np.empty((4, 16_384))
+        rng = _stream(McConfig(samples=1000, master_seed=35), 0, 0)
+        hop = FadingParams(shape, 2.0)
+        _fill(rng, hop, out, scratch)
+        tracemalloc.start()
+        try:
+            _fill(rng, hop, out, scratch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
 
 
 class TestChunkBound:
     def test_wide_surface_memory_bounded(self):
         # Unbounded, one 4,096-row chunk at N = 1024 draws three 32 MiB
-        # arrays; capped, no array exceeds 2^18 values (2 MiB).
+        # arrays; capped, no array exceeds 2^16 values (512 KiB).
         scn = irs_scenario(n=1024)
         cfg = McConfig(samples=4096, master_seed=21, chunk_size=65536)
         tracemalloc.start()
@@ -339,9 +356,9 @@ class TestChunkBound:
         shapes = collections.Counter()
         inner = montecarlo._fill
 
-        def recording(rng, hop, out):
+        def recording(rng, hop, out, scratch):
             shapes[out.shape] += 1
-            return inner(rng, hop, out)
+            return inner(rng, hop, out, scratch)
 
         monkeypatch.setattr(montecarlo, "_fill", recording)
         mc_branch_estimates(scn, "irs", cfg)
@@ -361,17 +378,18 @@ class TestChunkBound:
             }
 
     def test_small_chunks_keep_four_element_blocks(self, monkeypatch):
-        # Below 65,536 rows a block stays at four elements, not 2^18 //
-        # rows, so an N = 4 surface draws 4 elements a row at chunk size
-        # 8,192 (not 32) and at chunk size 1 (not 2^18).
+        # A block is four elements at every chunk size, so an N = 4
+        # surface draws 4 elements a row at chunk size 8,192 and at chunk
+        # size 1.
         for chunk_size, rows in ((8192, 2048), (1, 1)):
             cfg = McConfig(samples=8192, master_seed=22, chunk_size=chunk_size)
             shapes = self.fill_shapes(monkeypatch, irs_scenario(n=4), cfg)
             assert shapes == {(4, rows): 3 * 8192 // rows}
 
     def test_chunk_within_cap_is_one_draw(self):
-        # N = 4 at 65,536 rows is exactly 2^18 values per hop: one chunk,
-        # each of its four sub-chunks one block drawn from its sub-stream,
+        # N = 4 at 65,536 rows, the most a chunk holds, is 2^18 values per
+        # hop: one chunk, each of its four sub-chunks one block of 2^16
+        # values drawn from its sub-stream,
         # and the estimate the partial sums reduced in sub-chunk order.
         scn = irs_scenario(n=4)
         n = 65536
@@ -386,6 +404,17 @@ class TestChunkBound:
             var = max(s2 - n * mean * mean, 0.0) / (n - 1)
             assert est.bits_per_sec_hz == mean
             assert est.std_error == math.sqrt(var / n)
+
+    @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
+    def test_chunk_rows_capped_at_2_16(self, architecture):
+        # A chunk holds at most 65,536 rows, so a chunk size of 2^17 draws
+        # the same chunks, bit for bit, over three chunks (the last partial).
+        scn = irs_scenario(n=6)
+        estimates = [
+            mc_branch_estimates(scn, architecture, McConfig(2**17 + 5, 33, chunk_size))
+            for chunk_size in (2**16, 2**17)
+        ]
+        assert estimates[0] == estimates[1]
 
     def test_memory_does_not_grow_with_samples(self, monkeypatch):
         # At most two tasks a thread are in flight, so 10^6 samples (980
