@@ -17,7 +17,8 @@ sub-chunks, sub-chunk s holding rows n*s//4 to n*(s+1)//4 and drawing
 every hop from its own SFC64 sub-stream, seeded from (master seed, chunk
 index, s) through ``SeedSequence``.  Up to four pool threads run whole
 sub-chunks through one kernel for every architecture: the draws, both
-receivers' SNRs, log1p and the partial sums of the bits and their
+receivers' SNRs, log1p and one moment vector per (count, receiver): the
+sums of the bits, of their squares, of the pair sums (below) and of their
 squares.  The caller reduces those in (chunk, sub-chunk) order, with at
 most two tasks a thread in flight.  So no value depends on the number of
 threads, reruns are bit-identical, and memory does not grow with the
@@ -35,18 +36,34 @@ draws do not read N.
 
 A Gamma array at an integer shape k <= 6 is an exact Erlang draw, -log of
 a product of k uniforms (Knuth, *TAOCP* vol. 2, section 3.4.1; Devroye,
-*Non-Uniform Random Variate Generation*, 1986, section IX.3), drawn in k
-whole-array rounds, which costs k uniforms and one logarithm a value; any
-other shape is NumPy's ``standard_gamma``.  Through ``_fill`` on one
-thread of a 2-vCPU host, a default surface block of 4 x 16,384 values, in
-ns a value (the least of 31 interleaved runs of 50 fills):
+*Non-Uniform Random Variate Generation*, 1986, section IX.3), drawn in
+antithetic pairs (Hammersley and Morton, Proc. Camb. Phil. Soc. 52, 1956;
+Glasserman, *Monte Carlo Methods in Financial Engineering*, 2004, section
+4.2): row r of a block of m rows takes the factors 1 - u and row
+r + m // 2 the factors u + 2^-53 of the same k rounds of uniforms, so a
+pair costs k uniforms and two logarithms; an odd last row takes its own k
+rounds.  Any other shape is NumPy's ``standard_gamma``, and both rows of a
+pair are then independent.  Every hop and element block of a sub-chunk
+pairs the same rows, and x * y, min(x, y) and x * y / (y + l) are all
+nondecreasing in each hop, so the two rows' bits move in opposite
+directions and their covariance is <= 0.  The kernel therefore also
+sums the pair sums s = b_r + b_(r+m//2) and their squares, and an
+estimate over n rows, P pairs and U = n - 2P unpaired rows has
+s.e.² = (P V_s + U V_b) / n², V_s and V_b the sample variances of the
+pair sums and of the rows; with P < 2 it is √(V_b / n), as for
+independent rows.  At the reference shape 2 this is 0.46-0.75 times the
+s.e. of independent rows.  Through ``_fill`` on one thread of a 2-vCPU
+host, a default surface block of 4 x 16,384 values, in ns a value (the
+least of 31 interleaved runs of 50 fills; the uniform product at 7 and 8
+is the same code run above the bound):
 
     k                  1     2     3     4     5     6     7     8
-    uniform product    3.3   5.6   8.1  10.5  13.1  15.9  17.9  19.8
-    standard_gamma     5.9  17.9  18.4  18.5  18.5  18.7  18.3  17.4
+    paired product     2.7   4.2   6.0   7.7   9.1  11.6  13.0  15.1
+    standard_gamma     6.6  20.4  20.4  19.7  19.8  20.2  20.2  19.8
 
-The rule stops at 6: at 7 the two tie within the run-to-run spread, and
-at 8 ``standard_gamma`` is cheaper.
+The rule stops at 6, where it stood when each value took its own k
+uniforms (at 7 the two then tied, and at 8 ``standard_gamma`` was
+cheaper); the paired product now stays cheaper up to about k = 11.
 """
 
 from __future__ import annotations
@@ -94,6 +111,10 @@ _STREAMS = 4
 # Integer shapes up to this one are drawn as -log of a product of uniforms
 # (the break-even is in the module docstring).
 _ERLANG_MAX_SHAPE = 6
+
+# The spacing of Generator.random's grid: u + _ULP is exact and lies in
+# (0, 1], as 1 - u does.
+_ULP = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -148,16 +169,20 @@ def _fill(
 ) -> np.ndarray:
     """Fill ``out`` with Gamma draws of ``hop`` from ``rng``; return it.
 
-    ``out`` and ``scratch`` are C-contiguous arrays of one shape, values are
-    drawn in flat order, and nothing is allocated.  At an integer shape
-    k <= ``_ERLANG_MAX_SHAPE`` a draw is -scale * log of a product of k
-    factors 1 - u, drawn in k whole-array rounds: ``out``'s uniforms, then
-    k - 1 rounds into ``scratch``, each multiplied in; then one log and one
-    scale.  ``Generator.random`` returns u in [0, 1), so 1 - u lies in
-    (0, 1] and is exact; the product is at least 2^(-53 k), a normal float
-    for any k up to 19, and a draw is 0 only when every u is 0.  Rounding
-    the product adds at most about k * 2^-53 to a draw.  Any other shape is
-    ``standard_gamma`` times the scale, the same bits as
+    ``out`` and ``scratch`` are C-contiguous arrays of one shape, whose last
+    axis holds m rows, and nothing is allocated.  At an integer shape
+    k <= ``_ERLANG_MAX_SHAPE`` the rows are antithetic pairs: with
+    h = m // 2, each of k rounds draws one array of uniforms u of shape
+    (..., h) into ``scratch``, in flat order, and multiplies 1 - u into
+    rows [0, h) and u + 2^-53 into rows [h, 2h); an odd last row then takes
+    its own k rounds of 1 - u.  Then one log and one scale make each row
+    -scale * log of its product.  ``Generator.random`` returns u in [0, 1)
+    on a grid of 2^-53, so both factors are exact, lie in (0, 1] and are
+    uniform on the same grid: every row is an exact Erlang draw, and row r
+    and row r + h fall as the other rises.  A product is at least
+    2^(-53 k), a normal float for any k up to 19, so every draw is finite;
+    rounding the product adds at most about k * 2^-53 to a draw.  Any other
+    shape is ``standard_gamma`` times the scale, the same bits as
     ``Generator.gamma``, and leaves ``scratch`` alone.
     """
     shape, scale = hop.alpha, 1.0 / hop.beta
@@ -165,20 +190,42 @@ def _fill(
         rng.standard_gamma(shape, out=out)
         out *= scale
         return out
-    rng.random(out=out)
-    np.subtract(1.0, out, out=out)
-    for _ in range(int(shape) - 1):
-        rng.random(out=scratch)
-        np.subtract(1.0, scratch, out=scratch)
-        out *= scratch
+    rows = out.shape[-1]
+    half = rows // 2
+    first, partner = out[..., :half], out[..., half : 2 * half]
+    flat = scratch.reshape(-1)
+    u = flat[: first.size].reshape(first.shape)
+    factor = flat[first.size : 2 * first.size].reshape(first.shape)
+    for round_ in range(int(shape)):
+        rng.random(out=u)
+        if round_ == 0:
+            np.subtract(1.0, u, out=first)
+            np.add(u, _ULP, out=partner)
+        else:
+            np.subtract(1.0, u, out=factor)
+            first *= factor
+            u += _ULP
+            partner *= u
+    if rows % 2:
+        last = out[..., rows - 1 :]
+        u = flat[: last.size].reshape(last.shape)
+        for round_ in range(int(shape)):
+            rng.random(out=u)
+            if round_ == 0:
+                np.subtract(1.0, u, out=last)
+            else:
+                np.subtract(1.0, u, out=u)
+                last *= u
     np.log(out, out=out)
     out *= -scale
     return out
 
 
 def _sub_chunk_sums(arch: Architecture, hops, rng, rows: int, width: int, counts) -> np.ndarray:
-    """Σbits and Σbits² per (count, receiver) of one sub-chunk of ``rows`` rows.
+    """The moment vector per (count, receiver) of one sub-chunk of ``rows`` rows.
 
+    The vector is (Σb, Σb², Σs, Σs²): b runs over the rows' bits, and s over
+    the pair sums b_r + b_(r+h), h = rows // 2, of the rows ``_fill`` pairs.
     Given the folded (first, legitimate, eavesdropper) hops, draws from
     ``rng`` in blocks of ``width`` elements: x, then y_L, then y_E, each of
     shape (``width``, ``rows``).  ``arch.combine`` turns each receiver's
@@ -189,13 +236,15 @@ def _sub_chunk_sums(arch: Architecture, hops, rng, rows: int, width: int, counts
     """
     first = hops[0]
     # Three buffers serve every block: x, shared by both receivers, y_L
-    # then y_E, and the Erlang scratch.  A one-element pass reads its SNR
-    # off y and keeps no sum.
+    # then y_E, and the Erlang scratch, which also holds the pair sums.  A
+    # one-element pass reads its SNR off y and keeps no sum.
     x, y, scratch = (np.empty((width, rows)) for _ in range(3))
+    half = rows // 2
+    pair = scratch.reshape(-1)[:half]
     last = counts[-1]
     acc = np.zeros((2, rows)) if last > 1 else None
     snapshot = {count: k for k, count in enumerate(counts)}
-    sums = np.zeros((len(counts), 2, 2))
+    sums = np.zeros((len(counts), 2, 4))
     for start in range(0, last, width):
         used = min(width, last - start)
         _fill(rng, first, x, scratch)
@@ -212,10 +261,34 @@ def _sub_chunk_sums(arch: Architecture, hops, rng, rows: int, width: int, counts
                     # The bits go into the spent row, with no temporary.
                     bits = np.log1p(snr, out=y[i])
                     bits /= _LN2
+                    np.add(bits[:half], bits[half : 2 * half], out=pair)
                     sums[k, receiver, 0] = bits.sum()
+                    sums[k, receiver, 2] = pair.sum()
                     bits *= bits
+                    pair *= pair
                     sums[k, receiver, 1] = bits.sum()
+                    sums[k, receiver, 3] = pair.sum()
     return sums
+
+
+def _estimate(moments, n: int, pairs: int) -> CapacityEstimate:
+    """One receiver's estimate from its moment vector over ``n`` rows.
+
+    The mean is Σb / n.  The rows form ``pairs`` antithetic pairs, P, and
+    U = n - 2P unpaired rows; pairs are independent of each other and of
+    the unpaired rows, so s.e.² = (P V_s + U V_b) / n², V_s the sample
+    variance of the pair sums and V_b that of the rows.  With P < 2 there
+    is no V_s, and the s.e. is that of independent rows, √(V_b / n).
+    """
+    s1, s2, p1, p2 = moments
+    mean = s1 / n
+    var = max(s2 - n * mean * mean, 0.0) / (n - 1)
+    if pairs < 2:
+        return CapacityEstimate(mean, "monte-carlo", std_error=math.sqrt(var / n), samples=n)
+    pair_mean = p1 / pairs
+    pair_var = max(p2 - pairs * pair_mean * pair_mean, 0.0) / (pairs - 1)
+    std_error = math.sqrt(pairs * pair_var + (n - 2 * pairs) * var) / n
+    return CapacityEstimate(mean, "monte-carlo", std_error=std_error, samples=n)
 
 
 @dataclass(frozen=True)
@@ -315,8 +388,9 @@ def mc_branch_estimates(scenario: Scenario, architecture: str, cfg: McConfig):
 
     The source-side draws are reused by both receiver branches, matching
     the physical channel and reducing the variance of their difference.
-    Sums and sums of squares of log2(1 + SNR) accumulate in (chunk,
-    sub-chunk) order.
+    Each receiver's moment vector of log2(1 + SNR) accumulates in (chunk,
+    sub-chunk) order, and its s.e. is taken over antithetic pairs (see the
+    module docstring).
     Runs under the float-range rule of ``branches``.
     """
     return mc_element_estimates(scenario, architecture, cfg, (scenario.n_elements,))[0]
@@ -350,7 +424,7 @@ def mc_element_estimates(scenario: Scenario, architecture: str, cfg: McConfig, c
     # Imported here, so the analytic route does not pay for it.
     from concurrent.futures import ThreadPoolExecutor
 
-    totals = np.zeros((len(targets), 2, 2))
+    totals, pairs = np.zeros((len(targets), 2, 4)), 0
     with _float_range(scenario):
         (first, legit), (_, eve) = (arch.hops(scenario, rx) for rx in channels.RECEIVERS)
         hops = (first, legit, eve)
@@ -364,6 +438,7 @@ def mc_element_estimates(scenario: Scenario, architecture: str, cfg: McConfig, c
                 for sub in range(_STREAMS):
                     m = size * (sub + 1) // _STREAMS - size * sub // _STREAMS
                     if m:
+                        pairs += m // 2
                         if len(window) == 2 * threads:
                             totals += window.popleft().result()
                         rng = _stream(cfg, chunk, sub)
@@ -371,15 +446,8 @@ def mc_element_estimates(scenario: Scenario, architecture: str, cfg: McConfig, c
                         window.append(task)
             for future in window:
                 totals += future.result()
-    n = cfg.samples
-    pairs = {}
-    for count, per_receiver in zip(targets, totals.tolist()):
-        estimates = []
-        for s1, s2 in per_receiver:
-            mean = s1 / n
-            var = max(s2 - n * mean * mean, 0.0) / (n - 1)
-            estimates.append(
-                CapacityEstimate(mean, "monte-carlo", std_error=math.sqrt(var / n), samples=n)
-            )
-        pairs[count] = tuple(estimates)
-    return [pairs[count if arch.per_element else 1] for count in counts]
+    estimates = {
+        count: tuple(_estimate(moments, cfg.samples, pairs) for moments in per_receiver)
+        for count, per_receiver in zip(targets, totals.tolist())
+    }
+    return [estimates[count if arch.per_element else 1] for count in counts]

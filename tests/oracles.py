@@ -8,7 +8,8 @@ independent of the library's Gamma-hop rule (the
 decode-and-forward closed form and contour path, the surface's 1 - MGF on
 a Mellin-Barnes contour, the fixed-gain relay's Bessel-K survival
 function), the Gamma and product-of-Gammas densities and distribution
-functions, and the product-of-Gammas sampler and moments.
+functions, the product-of-Gammas sampler and moments, and the
+simulator's draws and paired estimates, read off its documented layout.
 """
 
 from __future__ import annotations
@@ -527,3 +528,103 @@ def affg_ergodic_capacity_bessel(f1: FadingParams, fb: FadingParams, l: float) -
 
     result = gk21_semi_infinite(lambda u: h(u) + h(-u), tol_rel=1e-10)
     return CapacityEstimate(bits_per_sec_hz=result.value / _LN2, method="analytic")
+
+
+# ---------------------------------------------------------------------------
+# The simulator's draws, read off its documented layout
+# ---------------------------------------------------------------------------
+
+# Integer shapes up to this one are drawn as antithetic uniform products.
+_PAIRED_MAX_SHAPE = 6
+
+
+def erlang_pairs(rng: np.random.Generator, k: int, shape, scale: float) -> np.ndarray:
+    """Gamma(k, ``scale``) draws in an array of ``shape``, whose last axis holds m rows.
+
+    The documented paired order, with h = m // 2: k rounds of uniforms u of
+    shape (..., h), each taken as 1 - u into rows [0, h) and as u + 2^-53
+    into rows [h, 2h); then k rounds of 1 - u for an odd last row; then
+    -log of each product, scaled.
+    """
+    *lead, m = np.atleast_1d(shape).tolist()
+    half = m // 2
+    first, partner = np.ones((*lead, half)), np.ones((*lead, half))
+    for _ in range(k):
+        u = rng.random((*lead, half))
+        first *= 1.0 - u
+        partner *= u + 2.0**-53
+    last = np.ones((*lead, m % 2))
+    for _ in range(k):
+        last *= 1.0 - rng.random(last.shape)
+    return -np.log(np.concatenate([first, partner, last], axis=-1)) * scale
+
+
+def _gamma_block(rng: np.random.Generator, hop: FadingParams, shape) -> np.ndarray:
+    if float(hop.alpha).is_integer() and 1 <= hop.alpha <= _PAIRED_MAX_SHAPE:
+        return erlang_pairs(rng, int(hop.alpha), shape, 1.0 / hop.beta)
+    return rng.gamma(hop.alpha, 1.0 / hop.beta, shape)
+
+
+def simulated_bits(scenario, architecture: str, cfg):
+    """Yield the (legitimate, eavesdropper) bits of each sub-chunk, in order.
+
+    The simulator's documented layout, read independently: chunks of
+    min(chunk_size, 2^16) rows, split at rows n*s//4 into four sub-chunks;
+    sub-chunk s of chunk c draws from its own SFC64 stream seeded by
+    (master seed, c, s); a surface draws x, y_L and y_E in blocks of four
+    elements, a relay each hop as one element.
+    """
+    surface = architecture == "irs"
+    hops = channels.surface_hops if surface else channels.relay_hops
+    (first, legit), (_, eve) = hops(scenario, "legit"), hops(scenario, "eve")
+    rows = min(cfg.chunk_size, 2**16)
+    for chunk, top in enumerate(range(0, cfg.samples, rows)):
+        size = min(rows, cfg.samples - top)
+        for sub in range(4):
+            m = size * (sub + 1) // 4 - size * sub // 4
+            if not m:
+                continue
+            seed = np.random.SeedSequence(cfg.master_seed, spawn_key=(chunk, sub))
+            rng = np.random.Generator(np.random.SFC64(seed))
+            if surface:
+                snrs = [np.zeros(m), np.zeros(m)]
+                for start in range(0, scenario.n_elements, 4):
+                    x = _gamma_block(rng, first, (4, m))
+                    for receiver, hop in enumerate((legit, eve)):
+                        y = _gamma_block(rng, hop, (4, m))
+                        for i in range(min(4, scenario.n_elements - start)):
+                            snrs[receiver] += x[i] * y[i]
+            else:
+                g1, g2, g3 = (_gamma_block(rng, p, m) for p in (first, legit, eve))
+                if architecture == "df":
+                    snrs = [np.minimum(g1, g2), np.minimum(g1, g3)]
+                else:
+                    l = first.mean + 1.0
+                    snrs = [g1 * (g / (g + l)) for g in (g2, g3)]
+            yield tuple(np.log1p(snr) / _LN2 for snr in snrs)
+
+
+def paired_mc_estimates(scenario, architecture: str, cfg) -> list[tuple[float, float]]:
+    """(mean, s.e.) of each receiver's bits, with the s.e. over antithetic pairs.
+
+    Row r of a sub-chunk of m rows and row r + m // 2 are a pair.  Pairs are
+    independent of each other and of the unpaired rows, so the variance of
+    the mean is (P var(pair sums) + U var(rows)) / n^2 over P pairs and U
+    unpaired rows; with fewer than two pairs it is var(rows) / n.
+    """
+    rows, pairs = ([], []), ([], [])
+    for bits in simulated_bits(scenario, architecture, cfg):
+        for receiver, b in enumerate(bits):
+            half = b.size // 2
+            rows[receiver].append(b)
+            pairs[receiver].append(b[:half] + b[half : 2 * half])
+    out = []
+    for receiver in range(2):
+        b, s = np.concatenate(rows[receiver]), np.concatenate(pairs[receiver])
+        n, p = b.size, s.size
+        if p < 2:
+            var = b.var(ddof=1) / n
+        else:
+            var = (p * s.var(ddof=1) + (n - 2 * p) * b.var(ddof=1)) / n**2
+        out.append((float(b.mean()), math.sqrt(var)))
+    return out

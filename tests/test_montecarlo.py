@@ -29,6 +29,7 @@ from linksec.montecarlo import (
     mc_branch_estimates,
     mc_element_estimates,
 )
+from oracles import erlang_pairs, paired_mc_estimates, simulated_bits
 
 EXP_CASE_BITS = float(np.e * special.exp1(1.0) / np.log(2.0))
 
@@ -104,23 +105,23 @@ class TestDeterminism:
     # branches on the reference scenarios at 4,096 samples and seed 23.
     PINNED = {
         "irs": [
-            (3.1995687363945913, 0.010680408790043392),
-            (1.6513403492615317, 0.008113064169258064),
+            (3.2127143218450835, 0.007236432818451064),
+            (1.6472899200719966, 0.005476301625092456),
         ],
         "df": [
-            (6.172871123734266, 0.017034662202768256),
-            (5.109236038458263, 0.01629663049015434),
+            (6.187593334865431, 0.012014787604740163),
+            (5.106762458496132, 0.010461448178304545),
         ],
         "affg": [
-            (5.5772501604896645, 0.019817176532390377),
-            (4.4886176788838466, 0.020716512027424867),
+            (5.596079435462679, 0.009727723328590418),
+            (4.483112098610343, 0.009753520761639026),
         ],
     }
 
     @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
     def test_pinned_stream(self, architecture):
         # Any change of generator, seeding or draw layout moves these values
-        # by about a standard error (0.3-0.5% of each value here).  The 1e-12 allowance only
+        # by about a standard error (0.2-0.35% of each value here).  The 1e-12 allowance only
         # absorbs last-bit differences of np.log1p, whose SIMD path on
         # AVX-512 and the libm fallback disagree by one ulp on a few
         # percent of inputs.
@@ -167,55 +168,78 @@ class TestParallelFill:
 
     @staticmethod
     def read_layout(scn, architecture, cfg):
-        # (legit, eve) pairs of (Σbits, Σbits²), read off the documented
-        # layout at a shape where every draw is Generator.gamma.
-        hops = surface_hops if architecture == "irs" else relay_hops
-        (first, legit), (_, eve) = hops(scn, "legit"), hops(scn, "eve")
-        rows = cfg.chunk_size
-        sums = np.zeros((2, 2))
-        for chunk, top in enumerate(range(0, cfg.samples, rows)):
-            size = min(rows, cfg.samples - top)
-            for sub in range(_STREAMS):
-                m = size * (sub + 1) // _STREAMS - size * sub // _STREAMS
-                rng = _stream(cfg, chunk, sub)
-                if architecture == "irs":
-                    snrs = [np.zeros(m), np.zeros(m)]
-                    for start in range(0, scn.n_elements, 4):
-                        x = rng.gamma(first.alpha, 1.0 / first.beta, (4, m))
-                        for receiver, hop in enumerate((legit, eve)):
-                            y = rng.gamma(hop.alpha, 1.0 / hop.beta, (4, m))
-                            for i in range(min(4, scn.n_elements - start)):
-                                snrs[receiver] += x[i] * y[i]
-                else:
-                    g1, g2, g3 = (rng.gamma(p.alpha, 1.0 / p.beta, m) for p in (first, legit, eve))
-                    if architecture == "df":
-                        snrs = [np.minimum(g1, g2), np.minimum(g1, g3)]
-                    else:
-                        l = first.mean + 1.0
-                        snrs = [g1 * (g / (g + l)) for g in (g2, g3)]
-                for receiver, snr in enumerate(snrs):
-                    bits = np.log1p(snr) / math.log(2.0)
-                    sums[receiver] += (bits.sum(), (bits * bits).sum())
-        return sums.tolist()
+        # (legit, eve) moment vectors (Σb, Σb², Σs, Σs²), s the pair sums,
+        # reduced in (chunk, sub-chunk) order off the documented layout, and
+        # the number of pairs.
+        sums, pairs = np.zeros((2, 4)), 0
+        for bits in simulated_bits(scn, architecture, cfg):
+            half = bits[0].size // 2
+            pairs += half
+            for receiver, b in enumerate(bits):
+                s = b[:half] + b[half : 2 * half]
+                sums[receiver] += (b.sum(), (b * b).sum(), s.sum(), (s * s).sum())
+        return sums.tolist(), pairs
 
     @pytest.mark.parametrize("elements", [1, 6])
     def test_sub_chunks_come_from_their_sub_streams(self, elements):
         # The layout read independently, at shape 2.5, where every draw is
         # Generator.gamma: chunks of 4,099 rows, the last one partial, each
-        # split at rows n*s//4 into unequal sub-chunks; sub-chunk s draws
-        # from sub-stream s, a surface in blocks of four elements (the
-        # first of N = 1, the second of N = 6, drawn whole); the partial
-        # sums of the bits and of their squares are reduced in (chunk,
-        # sub-chunk) order.  N = 1 is a one-element pass on every row.
+        # split at rows n*s//4 into unequal sub-chunks, odd ones too;
+        # sub-chunk s draws from sub-stream s, a surface in blocks of four
+        # elements (the first of N = 1, the second of N = 6, drawn whole);
+        # the partial moments of the bits and of the pair sums are reduced
+        # in (chunk, sub-chunk) order.  N = 1 is a one-element pass on every
+        # row.
         scn = irs_scenario(n=elements, shape=2.5)
         cfg = McConfig(samples=20_000, master_seed=26, chunk_size=4099)
         n = cfg.samples
         for architecture in ARCHITECTURES:
             got = mc_branch_estimates(scn, architecture, cfg)
-            for est, (s1, s2) in zip(got, self.read_layout(scn, architecture, cfg)):
+            moments, pairs = self.read_layout(scn, architecture, cfg)
+            assert n - 2 * pairs == 16  # one unpaired row per odd sub-chunk
+            for est, (s1, s2, p1, p2) in zip(got, moments):
                 mean = s1 / n
+                var = max(s2 - n * mean * mean, 0.0) / (n - 1)
+                pair_mean = p1 / pairs
+                pair_var = max(p2 - pairs * pair_mean * pair_mean, 0.0) / (pairs - 1)
                 assert est.bits_per_sec_hz == mean
-                assert est.std_error == math.sqrt(max(s2 - n * mean * mean, 0.0) / (n - 1) / n)
+                assert est.std_error == math.sqrt(pairs * pair_var + (n - 2 * pairs) * var) / n
+
+    @pytest.mark.parametrize("chunk_size", [65536, 4099, 1, 2, 3])
+    @pytest.mark.parametrize("shape", [2.0, 2.5])
+    @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
+    def test_standard_error_matches_pair_sum_oracle(self, architecture, shape, chunk_size):
+        # The oracle reads the same draws and takes the s.e. over pair sums
+        # with NumPy's two-pass variance: sub-chunks of 5,000 rows (all
+        # paired), of 1,024 and 1,025 (one unpaired row each when odd), and
+        # of one row at chunk sizes 1 to 3, where there are no pairs and the
+        # rows are independent.
+        samples = 20_000 if chunk_size > 3 else 1000
+        cfg = McConfig(samples=samples, master_seed=37, chunk_size=chunk_size)
+        scn = irs_scenario(n=6, shape=shape)
+        got = mc_branch_estimates(scn, architecture, cfg)
+        want = paired_mc_estimates(scn, architecture, cfg)
+        for est, (mean, std_error) in zip(got, want):
+            assert est.bits_per_sec_hz == pytest.approx(mean, rel=1e-12, abs=0)
+            assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
+    def test_pairs_are_negatively_correlated(self, architecture):
+        # Each architecture's bits rise with every hop, so row r and its
+        # partner r + h, drawn from 1 - u and u + 2^-53, move apart.  Over
+        # 8,192 pairs at 20 dB the correlation here is -0.50 (DF) to -0.78
+        # (AFFG); a partner drawn independently gives 0 +- 0.011.
+        scn = irs_scenario(n=4, power_dbm=20.0)
+        arch = ARCHITECTURES[architecture]
+        hops = (*arch.hops(scn, "legit"), arch.hops(scn, "eve")[1])
+        width, count = (4, 4) if arch.per_element else (1, 1)
+        rows, pairs = 2**14, 2**13
+        rng = _stream(McConfig(samples=1000, master_seed=36), 0, 0)
+        for s1, s2, p1, p2 in _sub_chunk_sums(arch, hops, rng, rows, width, [count])[0].tolist():
+            var = (s2 - s1 * s1 / rows) / (rows - 1)
+            pair_var = (p2 - p1 * p1 / pairs) / (pairs - 1)
+            # Var(b_r + b_(r+h)) = 2 Var(b) (1 + correlation).
+            assert pair_var / (2.0 * var) - 1.0 < -0.2
 
     @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
     def test_simulator_never_calls_sample_gamma(self, monkeypatch, architecture):
@@ -236,18 +260,13 @@ class TestParallelFill:
 
 
 class TestErlangFill:
-    # Integer shapes 1 to 6 are -log of a product of uniforms; every other
-    # shape is Generator.gamma, bit for bit.
+    # Integer shapes 1 to 6 are -log of a product of uniforms, in antithetic
+    # row pairs; every other shape is Generator.gamma, bit for bit.
 
-    @staticmethod
-    def erlang_fill(rng, k, size, scale):
-        # The documented draw order, in whole-array rounds: the array's
-        # uniforms, then k - 1 more rounds of them, each taken as 1 - u and
-        # multiplied in; then -log, scaled.
-        values = 1.0 - rng.random(size)
-        for _ in range(k - 1):
-            values *= 1.0 - rng.random(size)
-        return -np.log(values) * scale
+    # The documented draw order: k rounds of uniforms over the first half
+    # of the rows, each taken as 1 - u there and as u + 2^-53 in the second
+    # half; k rounds of 1 - u for an odd last row; then -log, scaled.
+    erlang_fill = staticmethod(erlang_pairs)
 
     @staticmethod
     def fill(rng, hop, shape):
@@ -256,9 +275,10 @@ class TestErlangFill:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("size", [1, 327_683])
     def test_pieces_are_sub_stream_exponential_sums(self, k, size):
-        # -log of the product is the sum of k exponentials -log(1 - u), each
-        # drawn by inversion.  One value, and an array of five times the
-        # largest surface block and three, each take k whole rounds.
+        # -log of the product is the sum of k exponentials, each drawn by
+        # inversion.  One value is an unpaired row alone; an array of five
+        # times the largest surface block and three is 163,841 pairs, drawn
+        # in k whole rounds, and an odd last row.
         cfg = McConfig(samples=1000, master_seed=28)
         got = self.fill(_stream(cfg, 2, 1), FadingParams(k, 4.0), size)
         want = self.erlang_fill(_stream(cfg, 2, 1), k, size, 0.25)
@@ -266,12 +286,13 @@ class TestErlangFill:
 
     @pytest.mark.parametrize("k", [2, 5])
     def test_surface_blocks_fill_in_flat_order(self, k):
-        # A surface block of four element rows is one flat fill, so each
-        # round runs across the rows.
+        # A surface block pairs the rows of each element, and each round
+        # draws one (4, 8,192) array, in flat order, across the elements;
+        # the odd last row of the four elements takes its own rounds.
         cfg = McConfig(samples=1000, master_seed=28)
         shape = (4, 16_385)
         got = self.fill(_stream(cfg, 0, 2), FadingParams(k, 4.0), shape)
-        want = self.erlang_fill(_stream(cfg, 0, 2), k, math.prod(shape), 0.25)
+        want = self.erlang_fill(_stream(cfg, 0, 2), k, shape, 0.25)
         assert got.shape == shape
         assert got.tobytes() == want.tobytes()
 
@@ -280,20 +301,27 @@ class TestErlangFill:
         scale = 0.4
         n = 10**6
         rng = _stream(McConfig(samples=n, master_seed=29), 0, 0)
-        draws = self.fill(rng, FadingParams(k, 1.0 / scale), n)
-        assert stats.kstest(draws, stats.gamma(k, scale=scale).cdf).pvalue > 1e-3
-        mean, var = k * scale, k * scale**2
-        assert abs(draws.mean() - mean) < 5 * math.sqrt(var / n)
-        # Var of the sample variance: var^2 (2 + 6/k) / n, from the Gamma
-        # excess kurtosis 6/k.
-        assert abs(draws.var(ddof=1) - var) < 5 * var * math.sqrt((2 + 6 / k) / n)
+        values = self.fill(rng, FadingParams(k, 1.0 / scale), n)
+        # Each half is i.i.d.; the whole array is not, since row r and row
+        # r + n/2 are a pair.
+        for draws in np.split(values, 2):
+            m = draws.size
+            assert stats.kstest(draws, stats.gamma(k, scale=scale).cdf).pvalue > 1e-3
+            mean, var = k * scale, k * scale**2
+            assert abs(draws.mean() - mean) < 5 * math.sqrt(var / m)
+            # Var of the sample variance: var^2 (2 + 6/k) / m, from the
+            # Gamma excess kurtosis 6/k.
+            assert abs(draws.var(ddof=1) - var) < 5 * var * math.sqrt((2 + 6 / k) / m)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_uniform_edges_give_finite_draws(self, k):
-        # Generator.random returns [0, 1): at u = 0 every factor 1 - u is 1
-        # and the draw is 0; at the largest u, 1 - 2^-53, each factor is
-        # 2^-53 and the product 2^(-53 k) is still a normal float.  Drawing
-        # log(u) instead would give inf at u = 0.
+        # Generator.random returns [0, 1).  At u = 0 every factor 1 - u is 1
+        # and the first row's draw is 0, while the partner's factor
+        # u + 2^-53 is 2^-53, so its product 2^(-53 k) is still a normal
+        # float and its draw 53 k ln 2 scale.  At the largest u, 1 - 2^-53,
+        # the roles swap and the partner's draw is 0.  Taking u itself as
+        # the partner's factor would give inf at u = 0.  65,539 rows are
+        # 32,769 pairs and an odd last row, which draws as a first row.
         class Constant:
             def __init__(self, value):
                 self.value = value
@@ -301,11 +329,15 @@ class TestErlangFill:
             def random(self, out):
                 out.fill(self.value)
 
-        scale = 0.25
-        for u, want in ((0.0, 0.0), (1.0 - 2.0**-53, -np.log(2.0 ** (-53 * k)) * scale)):
-            draws = self.fill(Constant(u), FadingParams(k, 1.0 / scale), 65_539)
+        scale, rows = 0.25, 65_539
+        top = -np.log(2.0 ** (-53 * k)) * scale
+        assert top == pytest.approx(53 * k * math.log(2.0) * scale, rel=1e-15)
+        for u, first, partner in ((0.0, 0.0, top), (1.0 - 2.0**-53, top, 0.0)):
+            draws = self.fill(Constant(u), FadingParams(k, 1.0 / scale), rows)
+            half = rows // 2
             assert np.isfinite(draws).all()
-            assert (draws == want).all()
+            assert (draws[:half] == first).all() and draws[-1] == first
+            assert (draws[half:-1] == partner).all()
 
     @pytest.mark.parametrize("shape", [2.5, 2.0000001, 7.0])
     def test_other_shapes_are_standard_gamma(self, shape):
@@ -391,19 +423,20 @@ class TestChunkBound:
         # hop: one chunk, each of its four sub-chunks one block of 2^16
         # values drawn from its sub-stream,
         # and the estimate the partial sums reduced in sub-chunk order.
+        # Every row is paired, so the s.e. is that of 32,768 pair sums.
         scn = irs_scenario(n=4)
-        n = 65536
+        n, pairs = 65536, 32768
         cfg = McConfig(samples=n, master_seed=23, chunk_size=n)
         hops = (*surface_hops(scn, "legit"), surface_hops(scn, "eve")[1])
-        sums = np.zeros((1, 2, 2))
+        sums = np.zeros((1, 2, 4))
         for sub in range(_STREAMS):
             rng = _stream(cfg, 0, sub)
             sums += _sub_chunk_sums(ARCHITECTURES["irs"], hops, rng, n // _STREAMS, 4, [4])
-        for est, (s1, s2) in zip(mc_branch_estimates(scn, "irs", cfg), sums[0].tolist()):
-            mean = s1 / n
-            var = max(s2 - n * mean * mean, 0.0) / (n - 1)
-            assert est.bits_per_sec_hz == mean
-            assert est.std_error == math.sqrt(var / n)
+        for est, (s1, _, p1, p2) in zip(mc_branch_estimates(scn, "irs", cfg), sums[0].tolist()):
+            pair_mean = p1 / pairs
+            pair_var = max(p2 - pairs * pair_mean * pair_mean, 0.0) / (pairs - 1)
+            assert est.bits_per_sec_hz == s1 / n
+            assert est.std_error == math.sqrt(pairs * pair_var) / n
 
     @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
     def test_chunk_rows_capped_at_2_16(self, architecture):
