@@ -39,19 +39,19 @@ a product of k uniforms (Knuth, *TAOCP* vol. 2, section 3.4.1; Devroye,
 *Non-Uniform Random Variate Generation*, 1986, section IX.3), drawn in
 antithetic pairs (Hammersley and Morton, Proc. Camb. Phil. Soc. 52, 1956;
 Glasserman, *Monte Carlo Methods in Financial Engineering*, 2004, section
-4.2): row r of a block of m rows takes the factors 1 - u and row
-r + m // 2 the factors u + 2^-53 of the same k rounds of uniforms, so a
-pair costs k uniforms and two logarithms; an odd last row takes its own k
-rounds.  Any other shape is NumPy's ``standard_gamma``, and both rows of a
-pair are then independent.  Every hop and element block of a sub-chunk
-pairs the same rows, and x * y, min(x, y) and x * y / (y + l) are all
-nondecreasing in each hop, so the two rows' bits move in opposite
-directions and their covariance is <= 0.  The kernel therefore also
-sums the pair sums s = b_r + b_(r+m//2) and their squares, and an
-estimate over n rows, P pairs and U = n - 2P unpaired rows has
-s.e.² = (P V_s + U V_b) / n², V_s and V_b the sample variances of the
-pair sums and of the rows; with P < 2 it is √(V_b / n), as for
-independent rows.  At the reference shape 2 this is 0.46-0.75 times the
+4.2): with t = m - m // 2, row r of a block of m rows takes the factors
+1 - u and row r + t the factors u + 2^-53 of the same k rounds of
+uniforms, so a pair costs k uniforms and two logarithms, and an odd
+block's middle row draws unpaired in the same rounds.  Any other shape is
+NumPy's ``standard_gamma``, and both rows of a pair are then independent.
+Every hop and element block of a sub-chunk pairs the same rows, and
+x * y, min(x, y) and x * y / (y + l) are all nondecreasing in each hop,
+so the two rows' bits move in opposite directions and their covariance is
+<= 0.  The kernel therefore also sums the pair sums s = b_r + b_(r+t) and
+their squares, and an estimate over n rows, P pairs and U = n - 2P
+unpaired rows has s.e.² = (P V_s + U V_b) / n², V_s and V_b the sample
+variances of the pair sums and of the rows; a chunk holds at least 8
+rows, so P >= 2.  At the reference shape 2 this is 0.46-0.75 times the
 s.e. of independent rows.  Through ``_fill`` on one thread of a 2-vCPU
 host, a default surface block of 4 x 16,384 values, in ns a value (the
 least of 31 interleaved runs of 50 fills; the uniform product at 7 and 8
@@ -124,7 +124,8 @@ class McConfig:
     A chunk holds min(chunk_size, 2^16) rows for every architecture and
     every N, split into four sub-chunks; a surface draws blocks of four
     elements a hop.  The chunk length decides which draws of the seeded
-    streams an estimate uses.
+    streams an estimate uses.  It is at least 8 rows, so every sub-chunk of
+    a full chunk holds an antithetic pair.
     """
 
     samples: int
@@ -142,8 +143,8 @@ class McConfig:
             raise ValueError("samples must be at least 1000 for a reported estimate")
         if not (0 <= self.master_seed < 2**64):
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
+        if self.chunk_size < 2 * _STREAMS:
+            raise ValueError(f"chunk_size must be at least {2 * _STREAMS} rows")
 
 
 def _stream(cfg: McConfig, chunk: int, sub: int) -> np.random.Generator:
@@ -172,18 +173,19 @@ def _fill(
     ``out`` and ``scratch`` are C-contiguous arrays of one shape, whose last
     axis holds m rows, and nothing is allocated.  At an integer shape
     k <= ``_ERLANG_MAX_SHAPE`` the rows are antithetic pairs: with
-    h = m // 2, each of k rounds draws one array of uniforms u of shape
-    (..., h) into ``scratch``, in flat order, and multiplies 1 - u into
-    rows [0, h) and u + 2^-53 into rows [h, 2h); an odd last row then takes
-    its own k rounds of 1 - u.  Then one log and one scale make each row
-    -scale * log of its product.  ``Generator.random`` returns u in [0, 1)
-    on a grid of 2^-53, so both factors are exact, lie in (0, 1] and are
-    uniform on the same grid: every row is an exact Erlang draw, and row r
-    and row r + h fall as the other rises.  A product is at least
-    2^(-53 k), a normal float for any k up to 19, so every draw is finite;
-    rounding the product adds at most about k * 2^-53 to a draw.  Any other
-    shape is ``standard_gamma`` times the scale, the same bits as
-    ``Generator.gamma``, and leaves ``scratch`` alone.
+    t = m - m // 2, each of k rounds draws one array of uniforms u of shape
+    (..., t) into ``scratch``, in flat order, and multiplies 1 - u into
+    rows [0, t) and u + 2^-53 of u's first m // 2 rows into rows [t, m), so
+    an odd block's middle row, t - 1, is its one unpaired row.  Then one
+    log and one scale make each row -scale * log of its product.
+    ``Generator.random`` returns u in [0, 1) on a grid of 2^-53, so both
+    factors are exact, lie in (0, 1] and are uniform on the same grid:
+    every row is an exact Erlang draw, and row r and row r + t fall as the
+    other rises.  A product is at least 2^(-53 k), a normal float for any k
+    up to 19, so every draw is finite; rounding the product adds at most
+    about k * 2^-53 to a draw.  Any other shape is ``standard_gamma`` times
+    the scale, the same bits as ``Generator.gamma``, and leaves ``scratch``
+    alone.
     """
     shape, scale = hop.alpha, 1.0 / hop.beta
     if not (float(shape).is_integer() and 1 <= shape <= _ERLANG_MAX_SHAPE):
@@ -191,31 +193,21 @@ def _fill(
         out *= scale
         return out
     rows = out.shape[-1]
-    half = rows // 2
-    first, partner = out[..., :half], out[..., half : 2 * half]
+    top, half = rows - rows // 2, rows // 2
+    first, partner = out[..., :top], out[..., top:]
     flat = scratch.reshape(-1)
     u = flat[: first.size].reshape(first.shape)
-    factor = flat[first.size : 2 * first.size].reshape(first.shape)
+    factor = flat[first.size : first.size + partner.size].reshape(partner.shape)
     for round_ in range(int(shape)):
         rng.random(out=u)
         if round_ == 0:
+            np.add(u[..., :half], _ULP, out=partner)
             np.subtract(1.0, u, out=first)
-            np.add(u, _ULP, out=partner)
         else:
-            np.subtract(1.0, u, out=factor)
-            first *= factor
-            u += _ULP
-            partner *= u
-    if rows % 2:
-        last = out[..., rows - 1 :]
-        u = flat[: last.size].reshape(last.shape)
-        for round_ in range(int(shape)):
-            rng.random(out=u)
-            if round_ == 0:
-                np.subtract(1.0, u, out=last)
-            else:
-                np.subtract(1.0, u, out=u)
-                last *= u
+            np.add(u[..., :half], _ULP, out=factor)
+            partner *= factor
+            np.subtract(1.0, u, out=u)
+            first *= u
     np.log(out, out=out)
     out *= -scale
     return out
@@ -225,7 +217,8 @@ def _sub_chunk_sums(arch: Architecture, hops, rng, rows: int, width: int, counts
     """The moment vector per (count, receiver) of one sub-chunk of ``rows`` rows.
 
     The vector is (Σb, Σb², Σs, Σs²): b runs over the rows' bits, and s over
-    the pair sums b_r + b_(r+h), h = rows // 2, of the rows ``_fill`` pairs.
+    the pair sums b_r + b_(r+t), t = rows - rows // 2, of the rows ``_fill``
+    pairs.
     Given the folded (first, legitimate, eavesdropper) hops, draws from
     ``rng`` in blocks of ``width`` elements: x, then y_L, then y_E, each of
     shape (``width``, ``rows``).  ``arch.combine`` turns each receiver's
@@ -237,7 +230,9 @@ def _sub_chunk_sums(arch: Architecture, hops, rng, rows: int, width: int, counts
     first = hops[0]
     # Three buffers serve every block: x, shared by both receivers, y_L
     # then y_E, and the Erlang scratch, which also holds the pair sums.  A
-    # one-element pass reads its SNR off y and keeps no sum.
+    # one-element pass reads its SNR off y and keeps no sum: adding y into
+    # a zeroed accumulator cost DF 3-6% and AFFG 4-9% more CPU time at 10^6
+    # samples on one CPU of a 2-vCPU host.
     x, y, scratch = (np.empty((width, rows)) for _ in range(3))
     half = rows // 2
     pair = scratch.reshape(-1)[:half]
@@ -261,7 +256,7 @@ def _sub_chunk_sums(arch: Architecture, hops, rng, rows: int, width: int, counts
                     # The bits go into the spent row, with no temporary.
                     bits = np.log1p(snr, out=y[i])
                     bits /= _LN2
-                    np.add(bits[:half], bits[half : 2 * half], out=pair)
+                    np.add(bits[:half], bits[rows - half :], out=pair)
                     sums[k, receiver, 0] = bits.sum()
                     sums[k, receiver, 2] = pair.sum()
                     bits *= bits
@@ -277,14 +272,12 @@ def _estimate(moments, n: int, pairs: int) -> CapacityEstimate:
     The mean is Σb / n.  The rows form ``pairs`` antithetic pairs, P, and
     U = n - 2P unpaired rows; pairs are independent of each other and of
     the unpaired rows, so s.e.² = (P V_s + U V_b) / n², V_s the sample
-    variance of the pair sums and V_b that of the rows.  With P < 2 there
-    is no V_s, and the s.e. is that of independent rows, √(V_b / n).
+    variance of the pair sums and V_b that of the rows.  ``McConfig``'s
+    smallest chunk gives every run P >= 2.
     """
     s1, s2, p1, p2 = moments
     mean = s1 / n
     var = max(s2 - n * mean * mean, 0.0) / (n - 1)
-    if pairs < 2:
-        return CapacityEstimate(mean, "monte-carlo", std_error=math.sqrt(var / n), samples=n)
     pair_mean = p1 / pairs
     pair_var = max(p2 - pairs * pair_mean * pair_mean, 0.0) / (pairs - 1)
     std_error = math.sqrt(pairs * pair_var + (n - 2 * pairs) * var) / n

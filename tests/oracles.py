@@ -541,22 +541,19 @@ _PAIRED_MAX_SHAPE = 6
 def erlang_pairs(rng: np.random.Generator, k: int, shape, scale: float) -> np.ndarray:
     """Gamma(k, ``scale``) draws in an array of ``shape``, whose last axis holds m rows.
 
-    The documented paired order, with h = m // 2: k rounds of uniforms u of
-    shape (..., h), each taken as 1 - u into rows [0, h) and as u + 2^-53
-    into rows [h, 2h); then k rounds of 1 - u for an odd last row; then
-    -log of each product, scaled.
+    The documented paired order, with t = m - m // 2: k rounds of uniforms
+    u of shape (..., t), each taken as 1 - u into rows [0, t) and, for u's
+    first m // 2 rows, as u + 2^-53 into rows [t, m); then -log of each
+    product, scaled.  An odd m leaves the middle row, t - 1, unpaired.
     """
     *lead, m = np.atleast_1d(shape).tolist()
     half = m // 2
-    first, partner = np.ones((*lead, half)), np.ones((*lead, half))
+    first, partner = np.ones((*lead, m - half)), np.ones((*lead, half))
     for _ in range(k):
-        u = rng.random((*lead, half))
+        u = rng.random((*lead, m - half))
         first *= 1.0 - u
-        partner *= u + 2.0**-53
-    last = np.ones((*lead, m % 2))
-    for _ in range(k):
-        last *= 1.0 - rng.random(last.shape)
-    return -np.log(np.concatenate([first, partner, last], axis=-1)) * scale
+        partner *= u[..., :half] + 2.0**-53
+    return -np.log(np.concatenate([first, partner], axis=-1)) * scale
 
 
 def _gamma_block(rng: np.random.Generator, hop: FadingParams, shape) -> np.ndarray:
@@ -607,24 +604,21 @@ def simulated_bits(scenario, architecture: str, cfg):
 def paired_mc_estimates(scenario, architecture: str, cfg) -> list[tuple[float, float]]:
     """(mean, s.e.) of each receiver's bits, with the s.e. over antithetic pairs.
 
-    Row r of a sub-chunk of m rows and row r + m // 2 are a pair.  Pairs are
-    independent of each other and of the unpaired rows, so the variance of
-    the mean is (P var(pair sums) + U var(rows)) / n^2 over P pairs and U
-    unpaired rows; with fewer than two pairs it is var(rows) / n.
+    Row r of a sub-chunk of m rows and row r + m - m // 2 are a pair.  Pairs
+    are independent of each other and of the unpaired rows, so the variance
+    of the mean is (P var(pair sums) + U var(rows)) / n^2 over P pairs and U
+    unpaired rows.
     """
     rows, pairs = ([], []), ([], [])
     for bits in simulated_bits(scenario, architecture, cfg):
         for receiver, b in enumerate(bits):
             half = b.size // 2
             rows[receiver].append(b)
-            pairs[receiver].append(b[:half] + b[half : 2 * half])
+            pairs[receiver].append(b[:half] + b[b.size - half :])
     out = []
     for receiver in range(2):
         b, s = np.concatenate(rows[receiver]), np.concatenate(pairs[receiver])
         n, p = b.size, s.size
-        if p < 2:
-            var = b.var(ddof=1) / n
-        else:
-            var = (p * s.var(ddof=1) + (n - 2 * p) * b.var(ddof=1)) / n**2
+        var = (p * s.var(ddof=1) + (n - 2 * p) * b.var(ddof=1)) / n**2
         out.append((float(b.mean()), math.sqrt(var)))
     return out

@@ -214,6 +214,10 @@ class TestMessages:
                 config_with(**{"mc.samples": "10"}),
                 "mc: samples must be at least 1000 for a reported estimate",
             ),
+            (
+                config_with(**{"mc.chunk_size": "7"}),
+                "mc: chunk_size must be at least 8 rows",
+            ),
         ],
         ids=[
             "malformed-line",
@@ -231,6 +235,7 @@ class TestMessages:
             "missing-sweep-key",
             "sweep-spec",
             "mc-config",
+            "mc-chunk-size",
         ],
     )
     def test_exact_message(self, text, message):

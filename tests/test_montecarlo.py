@@ -85,6 +85,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             McConfig(**fields)
 
+    @pytest.mark.parametrize("chunk_size", [7, True])
+    def test_chunk_below_eight_rows_rejected(self, chunk_size):
+        # Below 8 rows a sub-chunk of a full chunk could hold one row and no
+        # pair.  True is an integer, one row.
+        with pytest.raises(ValueError, match="chunk_size"):
+            McConfig(samples=1000, master_seed=1, chunk_size=chunk_size)
+
+    def test_chunk_of_eight_rows_accepted(self):
+        assert McConfig(samples=1000, master_seed=1, chunk_size=8).chunk_size == 8
+
 
 class TestDeterminism:
     def test_bit_identical_repeat(self):
@@ -170,13 +180,13 @@ class TestParallelFill:
     def read_layout(scn, architecture, cfg):
         # (legit, eve) moment vectors (Σb, Σb², Σs, Σs²), s the pair sums,
         # reduced in (chunk, sub-chunk) order off the documented layout, and
-        # the number of pairs.
+        # the number of pairs: row r of m rows pairs with row r + m - m // 2.
         sums, pairs = np.zeros((2, 4)), 0
         for bits in simulated_bits(scn, architecture, cfg):
             half = bits[0].size // 2
             pairs += half
             for receiver, b in enumerate(bits):
-                s = b[:half] + b[half : 2 * half]
+                s = b[:half] + b[b.size - half :]
                 sums[receiver] += (b.sum(), (b * b).sum(), s.sum(), (s * s).sum())
         return sums.tolist(), pairs
 
@@ -205,16 +215,16 @@ class TestParallelFill:
                 assert est.bits_per_sec_hz == mean
                 assert est.std_error == math.sqrt(pairs * pair_var + (n - 2 * pairs) * var) / n
 
-    @pytest.mark.parametrize("chunk_size", [65536, 4099, 1, 2, 3])
+    @pytest.mark.parametrize("chunk_size", [65536, 4099, 8, 9])
     @pytest.mark.parametrize("shape", [2.0, 2.5])
     @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
     def test_standard_error_matches_pair_sum_oracle(self, architecture, shape, chunk_size):
         # The oracle reads the same draws and takes the s.e. over pair sums
         # with NumPy's two-pass variance: sub-chunks of 5,000 rows (all
-        # paired), of 1,024 and 1,025 (one unpaired row each when odd), and
-        # of one row at chunk sizes 1 to 3, where there are no pairs and the
-        # rows are independent.
-        samples = 20_000 if chunk_size > 3 else 1000
+        # paired), of 1,024 and 1,025 (one unpaired middle row each when
+        # odd), of two rows at the smallest chunk, 8, and of two and three
+        # rows at chunk size 9.
+        samples = 20_000 if chunk_size > 9 else 1000
         cfg = McConfig(samples=samples, master_seed=37, chunk_size=chunk_size)
         scn = irs_scenario(n=6, shape=shape)
         got = mc_branch_estimates(scn, architecture, cfg)
@@ -263,9 +273,10 @@ class TestErlangFill:
     # Integer shapes 1 to 6 are -log of a product of uniforms, in antithetic
     # row pairs; every other shape is Generator.gamma, bit for bit.
 
-    # The documented draw order: k rounds of uniforms over the first half
-    # of the rows, each taken as 1 - u there and as u + 2^-53 in the second
-    # half; k rounds of 1 - u for an odd last row; then -log, scaled.
+    # The documented draw order: k rounds of uniforms over the first
+    # m - m // 2 rows, each taken as 1 - u there and, for the first m // 2,
+    # as u + 2^-53 in the last m // 2 rows; then -log, scaled.  An odd
+    # block's middle row is unpaired.
     erlang_fill = staticmethod(erlang_pairs)
 
     @staticmethod
@@ -277,8 +288,8 @@ class TestErlangFill:
     def test_pieces_are_sub_stream_exponential_sums(self, k, size):
         # -log of the product is the sum of k exponentials, each drawn by
         # inversion.  One value is an unpaired row alone; an array of five
-        # times the largest surface block and three is 163,841 pairs, drawn
-        # in k whole rounds, and an odd last row.
+        # times the largest surface block and three is 163,841 pairs and an
+        # unpaired middle row, drawn in k whole rounds.
         cfg = McConfig(samples=1000, master_seed=28)
         got = self.fill(_stream(cfg, 2, 1), FadingParams(k, 4.0), size)
         want = self.erlang_fill(_stream(cfg, 2, 1), k, size, 0.25)
@@ -287,8 +298,8 @@ class TestErlangFill:
     @pytest.mark.parametrize("k", [2, 5])
     def test_surface_blocks_fill_in_flat_order(self, k):
         # A surface block pairs the rows of each element, and each round
-        # draws one (4, 8,192) array, in flat order, across the elements;
-        # the odd last row of the four elements takes its own rounds.
+        # draws one (4, 8,193) array, in flat order, across the elements;
+        # each element's middle row draws in those rounds, unpaired.
         cfg = McConfig(samples=1000, master_seed=28)
         shape = (4, 16_385)
         got = self.fill(_stream(cfg, 0, 2), FadingParams(k, 4.0), shape)
@@ -321,7 +332,8 @@ class TestErlangFill:
         # float and its draw 53 k ln 2 scale.  At the largest u, 1 - 2^-53,
         # the roles swap and the partner's draw is 0.  Taking u itself as
         # the partner's factor would give inf at u = 0.  65,539 rows are
-        # 32,769 pairs and an odd last row, which draws as a first row.
+        # 32,769 pairs and an unpaired middle row, which draws as a first
+        # row.
         class Constant:
             def __init__(self, value):
                 self.value = value
@@ -334,10 +346,10 @@ class TestErlangFill:
         assert top == pytest.approx(53 * k * math.log(2.0) * scale, rel=1e-15)
         for u, first, partner in ((0.0, 0.0, top), (1.0 - 2.0**-53, top, 0.0)):
             draws = self.fill(Constant(u), FadingParams(k, 1.0 / scale), rows)
-            half = rows // 2
+            split = rows - rows // 2
             assert np.isfinite(draws).all()
-            assert (draws[:half] == first).all() and draws[-1] == first
-            assert (draws[half:-1] == partner).all()
+            assert (draws[:split] == first).all()
+            assert (draws[split:] == partner).all()
 
     @pytest.mark.parametrize("shape", [2.5, 2.0000001, 7.0])
     def test_other_shapes_are_standard_gamma(self, shape):
@@ -411,9 +423,9 @@ class TestChunkBound:
 
     def test_small_chunks_keep_four_element_blocks(self, monkeypatch):
         # A block is four elements at every chunk size, so an N = 4
-        # surface draws 4 elements a row at chunk size 8,192 and at chunk
-        # size 1.
-        for chunk_size, rows in ((8192, 2048), (1, 1)):
+        # surface draws 4 elements a row at chunk size 8,192 and at the
+        # smallest chunk size, 8.
+        for chunk_size, rows in ((8192, 2048), (8, 2)):
             cfg = McConfig(samples=8192, master_seed=22, chunk_size=chunk_size)
             shapes = self.fill_shapes(monkeypatch, irs_scenario(n=4), cfg)
             assert shapes == {(4, rows): 3 * 8192 // rows}
