@@ -13,7 +13,6 @@ import it by name.
 
 from .capacity import (
     CapacityEstimate,
-    affg_ccdf,
     affg_ergodic_capacity,
     affg_snr_constant,
     df_ergodic_capacity,
@@ -25,7 +24,6 @@ from .channels import (
     Geometry,
     Scenario,
     pathloss,
-    sample_gamma,
 )
 from .config import ConfigError, ParsedConfig, parse_config, parse_config_text, reference_config
 from .montecarlo import McConfig, branches

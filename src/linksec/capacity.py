@@ -23,9 +23,8 @@ by element: a Horner series below the split x = a + 1, a backward
 continued fraction above it), so the capacities need NumPy and ``math``
 only.
 
-Each capacity takes one receiver's hops, which the
-``montecarlo.ARCHITECTURES`` table builds with ``channels.surface_hops``
-or ``channels.relay_hops``.
+Each capacity takes the first hop and one receiver's second hop of the
+triple that ``channels.surface_hops`` or ``channels.relay_hops`` returns.
 Average secrecy (``secrecy_capacity``) is the clamped difference of the
 two receivers' ergodic capacities; ``montecarlo.branches`` forms that
 pair for any architecture from a ``Scenario``.
@@ -44,7 +43,6 @@ from .quadrature import AccuracyError, integrate_semi_infinite
 
 __all__ = [
     "CapacityEstimate",
-    "affg_ccdf",
     "affg_ergodic_capacity",
     "affg_snr_constant",
     "df_ergodic_capacity",
@@ -185,8 +183,8 @@ def _element_hop(x: FadingParams, y: FadingParams) -> tuple[np.ndarray, np.ndarr
 def ergodic_capacity_irs(x: FadingParams, y: FadingParams, n: int) -> CapacityEstimate:
     """E[log2(1 + sum of n element SNRs X_i Y_i)] via the damped MGF integral.
 
-    ``x`` and ``y`` are one element's two hops, as ``channels.surface_hops``
-    returns them; the n elements are independent and alike.
+    ``x`` and ``y`` are X and one receiver's Y of ``channels.surface_hops``;
+    the n elements are independent and alike.
     Out of the float range this may return nan or inf: call it through
     ``montecarlo.branches``, which raises OverflowError naming the power.
     """
@@ -350,7 +348,8 @@ def affg_ccdf(g: float | np.ndarray, f1: FadingParams, fb: FadingParams) -> floa
     on the receiving hop's rule.  Both shapes may be any positive real.
     ``g`` is a nonnegative scalar or array; the result has its shape, is a
     float for a scalar, and is exactly 1 at 0.  Raises ValueError when the
-    gain constant overflows.
+    gain constant overflows.  Only the tests call it; it is not exported,
+    but ``bench/tracer.py`` wraps it.
     """
     phi, w = _relay_hop(f1, fb)
     g_arr = np.asarray(g, dtype=float)

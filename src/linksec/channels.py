@@ -7,12 +7,12 @@ Gamma-Gamma family.  Deterministic scale factors (transmit power, pathloss,
 receiver noise) fold into the rate: if X ~ Gamma(alpha, beta) then
 c*X ~ Gamma(alpha, beta/c).
 
-The link model is stated once, here: ``surface_hops`` and ``relay_hops``
-return a receiver's two hops with those factors folded into the right one;
-a hop whose folded scale, rate or mean leaves the float range raises
+The link model is stated once, here: both receivers hear one source-side
+hop, so ``surface_hops`` and ``relay_hops`` return the hop triple (first,
+second_L, second_E) with those factors folded into the right hop; a hop
+whose folded scale, rate or mean leaves the float range raises
 ``OverflowError`` naming the power (``montecarlo.branches`` does the rest).
-The ``montecarlo.ARCHITECTURES`` table reads them for both routes, and the
-capacities take the hops they return.
+The ``montecarlo.ARCHITECTURES`` table reads them for both routes.
 """
 
 from __future__ import annotations
@@ -29,11 +29,8 @@ __all__ = [
     "Scenario",
     "pathloss",
     "relay_hops",
-    "sample_gamma",
     "surface_hops",
 ]
-
-RECEIVERS = ("legit", "eve")
 
 
 def _positive(value: float) -> bool:
@@ -123,7 +120,8 @@ def sample_gamma(p: FadingParams, rng, size=None):
 
     ``rng`` is a numpy ``Generator``, or anything with its ``gamma(shape,
     scale, size)``.  The simulator does not call it: its pool threads
-    draw through their own fill, described in ``montecarlo``.
+    draw through their own fill, described in ``montecarlo``.  Only the
+    tests call it; it is not exported, but ``bench/tracer.py`` wraps it.
     """
     return rng.gamma(shape=p.alpha, scale=1.0 / p.beta, size=size)
 
@@ -131,16 +129,6 @@ def sample_gamma(p: FadingParams, rng, size=None):
 # ---------------------------------------------------------------------------
 # The link model: power, pathloss and noise folded into each hop
 # ---------------------------------------------------------------------------
-
-def _receiver(scenario: Scenario, receiver: str) -> tuple[FadingParams, float, float]:
-    """The receiver's hop fading, its distance from the node and its noise power."""
-    geo = scenario.geometry
-    if receiver == "legit":
-        return scenario.fading_node_legit, geo.d_node_legit, scenario.noise_power_legit
-    if receiver == "eve":
-        return scenario.fading_node_eve, geo.d_node_eve, scenario.noise_power_eve
-    raise ValueError(f"receiver must be one of {RECEIVERS}")
-
 
 def _folded(
     fading: FadingParams, scenario: Scenario, noise: float, *distances: float
@@ -164,23 +152,30 @@ def _folded(
     return FadingParams(fading.alpha, beta)
 
 
-def surface_hops(scenario: Scenario, receiver: str) -> tuple[FadingParams, FadingParams]:
-    """(X, Y): one element's gains towards ``receiver``, whose SNR is X * Y.
+def _second_hops(scenario: Scenario, *first: float) -> tuple[FadingParams, FadingParams]:
+    """(legit, eve) hops, hop r with P * (d^-z of each ``first`` distance) * d_r^-z / w_r."""
+    s, geo = scenario, scenario.geometry
+    return (
+        _folded(s.fading_node_legit, s, s.noise_power_legit, *first, geo.d_node_legit),
+        _folded(s.fading_node_eve, s, s.noise_power_eve, *first, geo.d_node_eve),
+    )
 
-    X is the configured source-element fading.  Y, element to receiver, carries
-    P * d_1^-z * d_r^-z / w_r: the power, both pathlosses and the noise.
+
+def surface_hops(scenario: Scenario) -> tuple[FadingParams, FadingParams, FadingParams]:
+    """(X, Y_L, Y_E): one element's gains, whose SNR at receiver r is X * Y_r.
+
+    X is the configured source-element fading.  Y_r, element to receiver r,
+    carries P * d_1^-z * d_r^-z / w_r: the power, both pathlosses and the noise.
     """
-    fading, d_hop, noise = _receiver(scenario, receiver)
-    d_first = scenario.geometry.d_source_node
-    return scenario.fading_source_node, _folded(fading, scenario, noise, d_first, d_hop)
+    return scenario.fading_source_node, *_second_hops(scenario, scenario.geometry.d_source_node)
 
 
-def relay_hops(scenario: Scenario, receiver: str) -> tuple[FadingParams, FadingParams]:
-    """(first, second): the SNRs of the relay's two hops towards ``receiver``.
+def relay_hops(scenario: Scenario) -> tuple[FadingParams, FadingParams, FadingParams]:
+    """(first, second_L, second_E): the SNRs of the relay's hops.
 
-    The first is scaled by P * d_1^-z / w_relay, the second by P * d_r^-z / w_r.
+    Both receivers hear the one first hop, scaled by P * d_1^-z / w_relay;
+    second_r is scaled by P * d_r^-z / w_r.
     """
-    fading, d_hop, noise = _receiver(scenario, receiver)
     relay = scenario.noise_power_relay
     first = _folded(scenario.fading_source_node, scenario, relay, scenario.geometry.d_source_node)
-    return first, _folded(fading, scenario, noise, d_hop)
+    return first, *_second_hops(scenario)

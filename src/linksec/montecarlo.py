@@ -24,15 +24,15 @@ most two tasks a thread in flight.  So no value depends on the number of
 threads, reruns are bit-identical, and memory does not grow with the
 sample count.
 
-The kernel draws elements in blocks: a block is x, then y_L, then y_E,
-each of shape (E, sub-chunk rows), and the block holding the last element
-needed is drawn whole.  A surface's E is 4, so element i's draws do not
-depend on how many elements follow, memory does not depend on N, and no
-buffer holds more than 2^16 values.  Each receiver's SNR adds one element
-at a time, in element order, into its own accumulator, so the estimate at
-N elements is read after element N; ``mc_element_estimates`` reads many
-counts off one pass.  A relay is a one-element block, E = 1, and its
-draws do not read N.
+The kernel draws the hop triple in element blocks: x, then y_L and y_E
+into one (2, E, sub-chunk rows) array, whose first axis is the receiver,
+and the block holding the last element needed is drawn whole.  A
+surface's E is 4, so element i's draws do not depend on how many elements
+follow, memory does not depend on N, and no block holds more than 2^16
+values a hop.  Both receivers' SNRs add one element at a time, in element
+order, into one (2, rows) accumulator, so the estimate at N elements is
+read after element N; ``mc_element_estimates`` reads many counts off one
+pass.  A relay is a one-element block, E = 1, and its draws do not read N.
 
 A Gamma array at an integer shape k <= 6 is an exact Erlang draw, -log of
 a product of k uniforms (Knuth, *TAOCP* vol. 2, section 3.4.1; Devroye,
@@ -94,8 +94,8 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 # Most rows in a chunk.  A sub-chunk then holds at most 2^14 rows, so a
-# surface block of four elements, the largest buffer, holds 2^16 values
-# (512 KiB of float64).
+# surface block of four elements holds 2^16 values a hop (512 KiB of
+# float64), and the largest buffer, both receivers' blocks, twice that.
 _CHUNK_ROWS = 1 << 16
 
 # Elements in a surface block: the reference N = 4 surface draws one block,
@@ -219,23 +219,25 @@ def _sub_chunk_sums(arch: Architecture, hops, rng, rows: int, width: int, counts
     The vector is (Σb, Σb², Σs, Σs²): b runs over the rows' bits, and s over
     the pair sums b_r + b_(r+t), t = rows - rows // 2, of the rows ``_fill``
     pairs.
-    Given the folded (first, legitimate, eavesdropper) hops, draws from
-    ``rng`` in blocks of ``width`` elements: x, then y_L, then y_E, each of
-    shape (``width``, ``rows``).  ``arch.combine`` turns each receiver's
-    block into element SNRs, which add one element at a time, in element
-    order, into the receiver's accumulator; at each of the ascending element
-    ``counts`` the bits are written into the spent row of y.  A relay is one
-    element: ``width`` 1 and ``counts`` [1].
+    Given the folded hop triple (first, legitimate, eavesdropper), draws
+    from ``rng`` in blocks of ``width`` elements: x, of shape (``width``,
+    ``rows``), then y_L and y_E into y, of shape (2, ``width``, ``rows``).
+    One ``arch.combine`` call turns y into both receivers' element SNRs,
+    which add one element at a time, in element order, into a (2, ``rows``)
+    accumulator; at each of the ascending element ``counts`` both
+    receivers' bits are written into the spent element of y.  A relay is
+    one element: ``width`` 1 and ``counts`` [1].
     """
     first = hops[0]
-    # Three buffers serve every block: x, shared by both receivers, y_L
-    # then y_E, and the Erlang scratch, which also holds the pair sums.  A
-    # one-element pass reads its SNR off y and keeps no sum: adding y into
-    # a zeroed accumulator cost DF 3-6% and AFFG 4-9% more CPU time at 10^6
-    # samples on one CPU of a 2-vCPU host.
-    x, y, scratch = (np.empty((width, rows)) for _ in range(3))
+    # Three buffers serve every block: x, shared by both receivers, y, and
+    # the Erlang scratch, which also holds the pair sums.  A one-element
+    # pass reads its SNR off y and keeps no sum: adding y into a zeroed
+    # accumulator cost DF 3-6% and AFFG 4-9% more CPU time at 10^6 samples
+    # on one CPU of a 2-vCPU host.
+    x, scratch = np.empty((width, rows)), np.empty((width, rows))
+    y = np.empty((2, width, rows))
     half = rows // 2
-    pair = scratch.reshape(-1)[:half]
+    pair = scratch.reshape(-1)[: 2 * half].reshape(2, half)
     last = counts[-1]
     acc = np.zeros((2, rows)) if last > 1 else None
     snapshot = {count: k for k, count in enumerate(counts)}
@@ -244,25 +246,25 @@ def _sub_chunk_sums(arch: Architecture, hops, rng, rows: int, width: int, counts
         used = min(width, last - start)
         _fill(rng, first, x, scratch)
         for receiver, hop in enumerate(hops[1:]):
-            _fill(rng, hop, y, scratch)
-            arch.combine(first, x[:used], y[:used])
-            for i in range(used):
-                snr = y[i]
-                if acc is not None:
-                    snr = acc[receiver]
-                    snr += y[i]
-                k = snapshot.get(start + i + 1)
-                if k is not None:
-                    # The bits go into the spent row, with no temporary.
-                    bits = np.log1p(snr, out=y[i])
-                    bits /= _LN2
-                    np.add(bits[:half], bits[rows - half :], out=pair)
-                    sums[k, receiver, 0] = bits.sum()
-                    sums[k, receiver, 2] = pair.sum()
-                    bits *= bits
-                    pair *= pair
-                    sums[k, receiver, 1] = bits.sum()
-                    sums[k, receiver, 3] = pair.sum()
+            _fill(rng, hop, y[receiver], scratch)
+        arch.combine(first, x[:used], y[:, :used])
+        for i in range(used):
+            snr = y[:, i]
+            if acc is not None:
+                snr = acc
+                snr += y[:, i]
+            k = snapshot.get(start + i + 1)
+            if k is not None:
+                # The bits go into the spent element, with no temporary.
+                bits = np.log1p(snr, out=y[:, i])
+                bits /= _LN2
+                np.add(bits[:, :half], bits[:, rows - half :], out=pair)
+                sums[k, :, 0] = bits.sum(axis=1)
+                sums[k, :, 2] = pair.sum(axis=1)
+                bits *= bits
+                pair *= pair
+                sums[k, :, 1] = bits.sum(axis=1)
+                sums[k, :, 3] = pair.sum(axis=1)
     return sums
 
 
@@ -288,17 +290,18 @@ def _estimate(moments, n: int, pairs: int) -> CapacityEstimate:
 class Architecture:
     """One architecture as plain data: the same two-hop link on both routes.
 
-    ``hops(scenario, receiver)`` gives the receiver's two hops from the
-    link model, ``"legit"`` or ``"eve"``.  The analytic route passes them
-    to ``capacity``, with the element count after them when
-    ``per_element`` is True.  The simulator draws one element's first hop
-    x and second hop y, and ``combine(first, x, y)`` overwrites y with the
-    element's SNR, ``first`` being the folded first hop; a surface adds
-    its elements' SNRs, and a relay is one element.
+    ``hops(scenario)`` gives the hop triple (first, second_L, second_E) of
+    the link model.  The analytic route passes ``capacity`` the first hop
+    and one receiver's second, with the element count after them when
+    ``per_element`` is True.  The simulator draws one element's first hop x
+    and both second hops y, of shape (2, ...), and ``combine(first, x, y)``
+    overwrites y with both receivers' element SNRs, ``first`` being the
+    folded first hop; a surface adds its elements' SNRs, and a relay is one
+    element.
     """
 
     capacity: Callable[..., CapacityEstimate]
-    hops: Callable[[Scenario, str], tuple[FadingParams, FadingParams]]
+    hops: Callable[[Scenario], tuple[FadingParams, FadingParams, FadingParams]]
     combine: Callable[[FadingParams, np.ndarray, np.ndarray], None]
     per_element: bool = False
 
@@ -373,7 +376,8 @@ def branches(
     arch = _architecture(architecture)
     count = [scenario.n_elements] if arch.per_element else []
     with _float_range(scenario):
-        return tuple(arch.capacity(*arch.hops(scenario, rx), *count) for rx in channels.RECEIVERS)
+        first, *seconds = arch.hops(scenario)
+        return tuple(arch.capacity(first, second, *count) for second in seconds)
 
 
 def mc_branch_estimates(scenario: Scenario, architecture: str, cfg: McConfig):
@@ -419,8 +423,7 @@ def mc_element_estimates(scenario: Scenario, architecture: str, cfg: McConfig, c
 
     totals, pairs = np.zeros((len(targets), 2, 4)), 0
     with _float_range(scenario):
-        (first, legit), (_, eve) = (arch.hops(scenario, rx) for rx in channels.RECEIVERS)
-        hops = (first, legit, eve)
+        hops = arch.hops(scenario)
         errors, threads = np.geterr(), _threads()
         with ThreadPoolExecutor(threads, initializer=lambda: np.seterr(**errors)) as pool:
             # At most two tasks a thread in flight, reduced oldest first:

@@ -453,16 +453,18 @@ def mgf_complement_contour(
     return out
 
 
-def ergodic_capacity_irs_contour(scenario, receiver: str) -> CapacityEstimate:
-    """Surface capacity from the contour's 1 - MGF in the damped MGF integral."""
-    hops = channels.surface_hops(scenario, receiver)
-    n = scenario.n_elements
+def ergodic_capacity_irs_contour(x: FadingParams, y: FadingParams, n: int) -> CapacityEstimate:
+    """Surface capacity from the contour's 1 - MGF in the damped MGF integral.
+
+    Takes what ``ergodic_capacity_irs`` takes: one element's hops towards
+    one receiver and the element count.
+    """
 
     def integrand(z):
         out = np.zeros_like(z)
         near = z < 40.0
         zn = z[near]
-        delta = mgf_complement_contour(zn, *hops)
+        delta = mgf_complement_contour(zn, x, y)
         power = np.ones_like(delta)
         below = delta < 1.0
         power[below] = -np.expm1(n * np.log1p(-delta[below]))
@@ -573,7 +575,7 @@ def simulated_bits(scenario, architecture: str, cfg):
     """
     surface = architecture == "irs"
     hops = channels.surface_hops if surface else channels.relay_hops
-    (first, legit), (_, eve) = hops(scenario, "legit"), hops(scenario, "eve")
+    first, legit, eve = hops(scenario)
     rows = min(cfg.chunk_size, 2**16)
     for chunk, top in enumerate(range(0, cfg.samples, rows)):
         size = min(rows, cfg.samples - top)

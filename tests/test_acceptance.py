@@ -149,7 +149,7 @@ def _reference_power_curves():
     curves = {"df": [], "affg": [], "df_sec": [], "affg_sec": []}
     for p in powers:
         scn = dataclasses.replace(parsed.scenario, tx_power_dbm=p)
-        (first, legit), (_, eve) = relay_hops(scn, "legit"), relay_hops(scn, "eve")
+        first, legit, eve = relay_hops(scn)
         df_l = df_ergodic_capacity(first, legit)
         df_e = df_ergodic_capacity(first, eve)
         af_l = affg_ergodic_capacity(first, legit)

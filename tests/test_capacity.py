@@ -123,12 +123,13 @@ class TestMgfElement:
 class TestIrsCapacity:
     def test_zero_power_limit(self):
         scn = irs_scenario(power_dbm=-280.0)
-        est = ergodic_capacity_irs(*surface_hops(scn, "legit"), scn.n_elements)
+        x, y_legit, _ = surface_hops(scn)
+        est = ergodic_capacity_irs(x, y_legit, scn.n_elements)
         assert est.bits_per_sec_hz == pytest.approx(0.0, abs=1e-9)
 
     def test_more_elements_help(self):
-        c1 = ergodic_capacity_irs(*surface_hops(irs_scenario(n=1), "legit"), 1).bits_per_sec_hz
-        c2 = ergodic_capacity_irs(*surface_hops(irs_scenario(n=2), "legit"), 2).bits_per_sec_hz
+        c1 = ergodic_capacity_irs(*surface_hops(irs_scenario(n=1))[:2], 1).bits_per_sec_hz
+        c2 = ergodic_capacity_irs(*surface_hops(irs_scenario(n=2))[:2], 2).bits_per_sec_hz
         assert c2 > c1
 
     @pytest.mark.parametrize("n", [1, 2, 4])
@@ -137,7 +138,8 @@ class TestIrsCapacity:
         # transform raised to the n-th power must match simulation of the
         # actual n-term sum.
         scn = irs_scenario(n=n, power_dbm=10.0)
-        ana = ergodic_capacity_irs(*surface_hops(scn, "legit"), n)
+        x, y_legit, _ = surface_hops(scn)
+        ana = ergodic_capacity_irs(x, y_legit, n)
         mc = mc_branch_estimates(scn, "irs", McConfig(samples=400_000, master_seed=31))[0]
         assert abs(ana.bits_per_sec_hz - mc.bits_per_sec_hz) <= 3.0 * mc.std_error
 
@@ -383,7 +385,7 @@ class TestAffgRelay:
 
     def test_df_dominates_ergodic(self):
         for p in (0.0, 10.0, 20.0, 35.0, 50.0):
-            first, legit = relay_hops(relay_scenario(power_dbm=p), "legit")
+            first, legit, _ = relay_hops(relay_scenario(power_dbm=p))
             df = df_ergodic_capacity(first, legit).bits_per_sec_hz
             af = affg_ergodic_capacity(first, legit).bits_per_sec_hz
             assert df > af
@@ -437,14 +439,12 @@ class TestScenarioInvariances:
         # the analytic route and mc_branch_estimates on the simulated one;
         # secrecy is the deterministic combiner applied to either pair.
         scn = relay_scenario()
-        hops = [relay_hops(scn, rx) for rx in ("legit", "eve")]
+        x, *ys = surface_hops(scn)
+        first, *seconds = relay_hops(scn)
         per_receiver = {
-            "irs": [
-                ergodic_capacity_irs(*surface_hops(scn, rx), scn.n_elements)
-                for rx in ("legit", "eve")
-            ],
-            "df": [df_ergodic_capacity(*pair) for pair in hops],
-            "affg": [affg_ergodic_capacity(*pair) for pair in hops],
+            "irs": [ergodic_capacity_irs(x, y, scn.n_elements) for y in ys],
+            "df": [df_ergodic_capacity(first, second) for second in seconds],
+            "affg": [affg_ergodic_capacity(first, second) for second in seconds],
         }
         cfg = McConfig(samples=1000, master_seed=3)
         for name, expected in per_receiver.items():
@@ -455,14 +455,13 @@ class TestScenarioInvariances:
     def test_capacities_nondecreasing_in_power(self):
         powers = (0.0, 10.0, 20.0, 30.0)
         irs_caps = [
-            ergodic_capacity_irs(*surface_hops(irs_scenario(power_dbm=p), "legit"), 4)
-            .bits_per_sec_hz
+            ergodic_capacity_irs(*surface_hops(irs_scenario(power_dbm=p))[:2], 4).bits_per_sec_hz
             for p in powers
         ]
         df_caps = []
         af_caps = []
         for p in powers:
-            first, legit = relay_hops(relay_scenario(power_dbm=p), "legit")
+            first, legit, _ = relay_hops(relay_scenario(power_dbm=p))
             df_caps.append(df_ergodic_capacity(first, legit).bits_per_sec_hz)
             af_caps.append(affg_ergodic_capacity(first, legit).bits_per_sec_hz)
         for series in (irs_caps, df_caps, af_caps):
@@ -616,10 +615,11 @@ class TestParameterBox:
             scn = dataclasses.replace(
                 irs_scenario(n=n, power_dbm=power, shape=b), fading_source_node=FadingParams(a, 1.0)
             )
-            for receiver in ("legit", "eve"):
+            x, *ys = surface_hops(scn)
+            for receiver, y in zip(("legit", "eve"), ys):
                 evaluations.clear()
-                value = ergodic_capacity_irs(*surface_hops(scn, receiver), n).bits_per_sec_hz
-                ref = ergodic_capacity_irs_contour(scn, receiver).bits_per_sec_hz
+                value = ergodic_capacity_irs(x, y, n).bits_per_sec_hz
+                ref = ergodic_capacity_irs_contour(x, y, n).bits_per_sec_hz
                 point = (a, b, power, n, receiver)
                 assert _relative_gap(value, ref) <= 1e-9, point
                 assert len(evaluations) == 1 and evaluations[0] <= BOX_MAX_EVALUATIONS, point
@@ -636,8 +636,8 @@ class TestParameterBox:
             scn = dataclasses.replace(
                 relay_scenario(power_dbm=power, shape=ab), fading_source_node=FadingParams(a1, 1.0)
             )
-            for receiver in ("legit", "eve"):
-                f1, fb = relay_hops(scn, receiver)
+            f1, *seconds = relay_hops(scn)
+            for receiver, fb in zip(("legit", "eve"), seconds):
                 point = (a1, ab, power, receiver)
                 evaluations.clear()
                 value = affg_ergodic_capacity(f1, fb).bits_per_sec_hz

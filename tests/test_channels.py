@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from linksec import channels
 from linksec.channels import (
     FadingParams,
     Geometry,
@@ -159,17 +160,23 @@ class TestLinkModel:
     D_RX = {"legit": 11.0, "eve": 17.0}
     NOISE_RX = {"legit": 0.03, "eve": 0.05}
 
+    # A hop function returns (first, second_L, second_E).
+    INDEX = {"legit": 1, "eve": 2}
+
     @pytest.mark.parametrize("rx", ["legit", "eve"])
     def test_relay_hop_means(self, rx):
-        first, second = relay_hops(self.SCENARIO, rx)
+        hops = relay_hops(self.SCENARIO)
+        first, second = hops[0], hops[self.INDEX[rx]]
         mean_first = self.MEAN_FIRST * self.POWER * 7.0 ** -2.7 / 0.02
         mean_second = self.MEAN_RX[rx] * self.POWER * self.D_RX[rx] ** -2.7 / self.NOISE_RX[rx]
+        assert len(hops) == 3
         assert first.mean == pytest.approx(mean_first, rel=1e-13)
         assert second.mean == pytest.approx(mean_second, rel=1e-13)
 
     @pytest.mark.parametrize("rx", ["legit", "eve"])
     def test_surface_element_mean(self, rx):
-        x, y = surface_hops(self.SCENARIO, rx)
+        hops = surface_hops(self.SCENARIO)
+        x, y = hops[0], hops[self.INDEX[rx]]
         mean = (
             self.MEAN_FIRST
             * self.MEAN_RX[rx]
@@ -179,8 +186,38 @@ class TestLinkModel:
             / self.NOISE_RX[rx]
         )
         # X is the configured source-element gain; Y carries every factor.
+        assert len(hops) == 3
         assert x == self.SCENARIO.fading_source_node
         assert x.mean * y.mean == pytest.approx(mean, rel=1e-13)
+
+    @pytest.mark.parametrize("hops", [relay_hops, surface_hops])
+    def test_receivers_swap_their_second_hops(self, hops):
+        # The first hop reads no receiver's fading, distance or noise, and
+        # the second hops come legitimate first: swapping the receivers
+        # swaps the last two entries, bit for bit, and leaves the first.
+        s, geo = self.SCENARIO, self.SCENARIO.geometry
+        geometry = dataclasses.replace(geo, d_node_legit=geo.d_node_eve, d_node_eve=geo.d_node_legit)
+        swapped = dataclasses.replace(
+            s,
+            geometry=geometry,
+            fading_node_legit=s.fading_node_eve,
+            fading_node_eve=s.fading_node_legit,
+            noise_power_legit=s.noise_power_eve,
+            noise_power_eve=s.noise_power_legit,
+        )
+        first, legit, eve = hops(s)
+        assert legit != eve
+        assert hops(swapped) == (first, eve, legit)
+
+    @pytest.mark.parametrize("hops, folds", [(relay_hops, 3), (surface_hops, 2)])
+    def test_each_hop_folded_once(self, monkeypatch, hops, folds):
+        # Both relay receivers share one folded first hop, and the surface's
+        # X is the configured fading, folded not at all.
+        calls = []
+        folded = channels._folded
+        monkeypatch.setattr(channels, "_folded", lambda *a: calls.append(a) or folded(*a))
+        hops(self.SCENARIO)
+        assert len(calls) == folds
 
 
 class TestSamplers:
@@ -224,7 +261,7 @@ class TestScenarioParameterization:
         # Sampled per-element SNR agrees in the first moment with the
         # product-distribution parameterization.
         scn = self._scenario()
-        x, y = surface_hops(scn, "eve")
+        x, _, y = surface_hops(scn)
         rng = np.random.default_rng(99)
         power = 10.0 ** (scn.tx_power_dbm / 10.0)
         scale = power * 10.0 ** -2.0 * 20.0 ** -2.0 / scn.noise_power_eve

@@ -241,7 +241,7 @@ class TestParallelFill:
         # (AFFG); a partner drawn independently gives 0 +- 0.011.
         scn = irs_scenario(n=4, power_dbm=20.0)
         arch = ARCHITECTURES[architecture]
-        hops = (*arch.hops(scn, "legit"), arch.hops(scn, "eve")[1])
+        hops = arch.hops(scn)
         width, count = (4, 4) if arch.per_element else (1, 1)
         rows, pairs = 2**14, 2**13
         rng = _stream(McConfig(samples=1000, master_seed=36), 0, 0)
@@ -439,7 +439,7 @@ class TestChunkBound:
         scn = irs_scenario(n=4)
         n, pairs = 65536, 32768
         cfg = McConfig(samples=n, master_seed=23, chunk_size=n)
-        hops = (*surface_hops(scn, "legit"), surface_hops(scn, "eve")[1])
+        hops = surface_hops(scn)
         sums = np.zeros((1, 2, 4))
         for sub in range(_STREAMS):
             rng = _stream(cfg, 0, sub)
@@ -535,7 +535,8 @@ class TestAgainstClosedForms:
         scn = irs_scenario(n=1)
         cfg = McConfig(samples=400_000, master_seed=7)
         mc = mc_branch_estimates(scn, "irs", cfg)[0]
-        ana = ergodic_capacity_irs(*surface_hops(scn, "legit"), 1)
+        x, y_legit, _ = surface_hops(scn)
+        ana = ergodic_capacity_irs(x, y_legit, 1)
         assert abs(mc.bits_per_sec_hz - ana.bits_per_sec_hz) <= 3.0 * mc.std_error
 
     def test_df_exponential_case(self):
@@ -548,14 +549,16 @@ class TestAgainstClosedForms:
         scn = relay_scenario(shape=shape)
         cfg = McConfig(samples=400_000, master_seed=17)
         mc = mc_branch_estimates(scn, "df", cfg)[1]
-        ana = df_ergodic_capacity(*relay_hops(scn, "eve"))
+        first, _, eve = relay_hops(scn)
+        ana = df_ergodic_capacity(first, eve)
         assert abs(mc.bits_per_sec_hz - ana.bits_per_sec_hz) <= 3.0 * mc.std_error
 
     def test_affg_matches_analytic(self):
         scn = relay_scenario()
         cfg = McConfig(samples=400_000, master_seed=19)
         mc = mc_branch_estimates(scn, "affg", cfg)[0]
-        ana = affg_ergodic_capacity(*relay_hops(scn, "legit"))
+        first, legit, _ = relay_hops(scn)
+        ana = affg_ergodic_capacity(first, legit)
         assert abs(mc.bits_per_sec_hz - ana.bits_per_sec_hz) <= 3.0 * mc.std_error
 
     def test_affg_finite_at_extreme_power(self):
@@ -563,8 +566,9 @@ class TestAgainstClosedForms:
         # of them overflows; the simulator must still match the analytic value.
         scn = relay_scenario(power_dbm=2000.0)
         cfg = McConfig(samples=20_000, master_seed=1)
-        for mc, receiver in zip(mc_branch_estimates(scn, "affg", cfg), ("legit", "eve")):
-            ana = affg_ergodic_capacity(*relay_hops(scn, receiver))
+        first, *seconds = relay_hops(scn)
+        for mc, second in zip(mc_branch_estimates(scn, "affg", cfg), seconds):
+            ana = affg_ergodic_capacity(first, second)
             assert math.isfinite(mc.bits_per_sec_hz) and mc.std_error > 0
             assert abs(mc.bits_per_sec_hz - ana.bits_per_sec_hz) <= 5.0 * mc.std_error
 
@@ -653,17 +657,6 @@ class TestSecrecy:
         for mc in (None, cfg):
             with pytest.raises(ValueError, match="architecture must be one of"):
                 branches(relay_scenario(), "laser", mc)
-
-    # Every function that takes a receiver name: the link model beneath
-    # both routes.
-    RECEIVER_READERS = {"relay_hops": relay_hops, "surface_hops": surface_hops}
-
-    @pytest.mark.parametrize("reader", sorted(RECEIVER_READERS))
-    def test_analytic_receiver_validation(self, reader):
-        # "first" names the relays' first hop, which is no receiver.
-        for receiver in ("first", "laser"):
-            with pytest.raises(ValueError, match="receiver must be one of"):
-                self.RECEIVER_READERS[reader](relay_scenario(), receiver)
 
 
 class TestFloatPolicy:
