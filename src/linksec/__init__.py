@@ -19,12 +19,7 @@ from .capacity import (
     ergodic_capacity_irs,
     secrecy_capacity,
 )
-from .channels import (
-    FadingParams,
-    Geometry,
-    Scenario,
-    pathloss,
-)
+from .channels import FadingParams, Scenario
 from .config import ConfigError, ParsedConfig, parse_config, parse_config_text, reference_config
 from .montecarlo import McConfig, branches
 from .quadrature import AccuracyError

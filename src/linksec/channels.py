@@ -1,4 +1,4 @@
-"""Channel model: fading distributions, pathloss, and the link model.
+"""Channel model: fading distributions, the scenario, and the link model.
 
 Squared Nakagami-m envelopes are Gamma distributed, so every link gain is a
 Gamma variate with a shape ``alpha`` and a rate ``beta``.  The surface path
@@ -7,8 +7,10 @@ Gamma-Gamma family.  Deterministic scale factors (transmit power, pathloss,
 receiver noise) fold into the rate: if X ~ Gamma(alpha, beta) then
 c*X ~ Gamma(alpha, beta/c).
 
-The link model is stated once, here: both receivers hear one source-side
-hop, so ``surface_hops`` and ``relay_hops`` return the hop triple (first,
+A ``Scenario`` is one flat record: each distance, the pathloss exponent,
+each hop's fading, the power and each noise power is one field.  The link
+model is stated once, here: both receivers hear one source-side hop, so
+``surface_hops`` and ``relay_hops`` return the hop triple (first,
 second_L, second_E) with those factors folded into the right hop; a hop
 whose folded scale, rate or mean leaves the float range raises
 ``OverflowError`` naming the power (``montecarlo.branches`` does the rest).
@@ -25,9 +27,7 @@ import numpy as np
 
 __all__ = [
     "FadingParams",
-    "Geometry",
     "Scenario",
-    "pathloss",
     "relay_hops",
     "surface_hops",
 ]
@@ -36,15 +36,6 @@ __all__ = [
 def _positive(value: float) -> bool:
     """True for a finite value above zero; nan and inf are not."""
     return value > 0 and math.isfinite(value)
-
-
-def pathloss(d: float, zeta: float) -> float:
-    """Power pathloss d^-zeta for a propagation distance d in meters."""
-    if not _positive(d):
-        raise ValueError("distance must be positive and finite")
-    if not _positive(zeta):
-        raise ValueError("pathloss exponent must be positive and finite")
-    return d ** (-zeta)
 
 
 @dataclass(frozen=True)
@@ -64,30 +55,20 @@ class FadingParams:
 
 
 @dataclass(frozen=True)
-class Geometry:
-    """Distances of the two-segment topology plus the pathloss exponent."""
+class Scenario:
+    """One source, one node, a legitimate receiver and an eavesdropper.
+
+    One field per scenario config key.  Distances, in meters, and fading are
+    named after the hop they describe; every hop's pathloss is
+    d^-``pathloss_exponent``.  The node is a reflecting surface of
+    ``n_elements`` identical elements or a relay, which ignores
+    ``n_elements``; the relay alone uses ``noise_power_relay``.
+    """
 
     d_source_node: float
     d_node_legit: float
     d_node_eve: float
     pathloss_exponent: float
-
-    def __post_init__(self):
-        for name in ("d_source_node", "d_node_legit", "d_node_eve", "pathloss_exponent"):
-            if not _positive(getattr(self, name)):
-                raise ValueError(f"{name} must be positive and finite")
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One source, one node, a legitimate receiver and an eavesdropper.
-
-    The node is a reflecting surface of ``n_elements`` identical elements
-    or a relay, which ignores ``n_elements``; the relay alone uses
-    ``noise_power_relay``.  Fading is named after the hop it describes.
-    """
-
-    geometry: Geometry
     fading_source_node: FadingParams
     fading_node_legit: FadingParams
     fading_node_eve: FadingParams
@@ -98,6 +79,9 @@ class Scenario:
     n_elements: int = 1
 
     def __post_init__(self):
+        for name in ("d_source_node", "d_node_legit", "d_node_eve", "pathloss_exponent"):
+            if not _positive(getattr(self, name)):
+                raise ValueError(f"{name} must be positive and finite")
         try:
             operator.index(self.n_elements)
         except TypeError:
@@ -135,16 +119,17 @@ def _folded(
 ) -> FadingParams:
     """``fading`` with P * (d^-zeta for each of ``distances``) / ``noise`` in its rate.
 
-    The scale is formed left to right.  Unless it, the folded rate and the
-    folded mean are finite and positive, raises OverflowError naming the power.
+    The scale is formed left to right, zeta the scenario's pathloss exponent.
+    If a power in it overflows, or the scale, the folded rate or the folded
+    mean is not finite and positive, raises OverflowError naming the power.
     """
     message = f"SNR scale leaves the float range at {scenario.tx_power_dbm} dB"
     try:
         scale = 10.0 ** (scenario.tx_power_dbm / 10.0)
+        for d in distances:
+            scale *= d ** (-scenario.pathloss_exponent)
     except OverflowError:
         raise OverflowError(message) from None
-    for d in distances:
-        scale *= pathloss(d, scenario.geometry.pathloss_exponent)
     scale /= noise
     beta = fading.beta / scale if _positive(scale) else 0.0
     if not (_positive(beta) and _positive(fading.alpha / beta)):
@@ -154,10 +139,10 @@ def _folded(
 
 def _second_hops(scenario: Scenario, *first: float) -> tuple[FadingParams, FadingParams]:
     """(legit, eve) hops, hop r with P * (d^-z of each ``first`` distance) * d_r^-z / w_r."""
-    s, geo = scenario, scenario.geometry
+    s = scenario
     return (
-        _folded(s.fading_node_legit, s, s.noise_power_legit, *first, geo.d_node_legit),
-        _folded(s.fading_node_eve, s, s.noise_power_eve, *first, geo.d_node_eve),
+        _folded(s.fading_node_legit, s, s.noise_power_legit, *first, s.d_node_legit),
+        _folded(s.fading_node_eve, s, s.noise_power_eve, *first, s.d_node_eve),
     )
 
 
@@ -167,7 +152,7 @@ def surface_hops(scenario: Scenario) -> tuple[FadingParams, FadingParams, Fading
     X is the configured source-element fading.  Y_r, element to receiver r,
     carries P * d_1^-z * d_r^-z / w_r: the power, both pathlosses and the noise.
     """
-    return scenario.fading_source_node, *_second_hops(scenario, scenario.geometry.d_source_node)
+    return scenario.fading_source_node, *_second_hops(scenario, scenario.d_source_node)
 
 
 def relay_hops(scenario: Scenario) -> tuple[FadingParams, FadingParams, FadingParams]:
@@ -177,5 +162,5 @@ def relay_hops(scenario: Scenario) -> tuple[FadingParams, FadingParams, FadingPa
     second_r is scaled by P * d_r^-z / w_r.
     """
     relay = scenario.noise_power_relay
-    first = _folded(scenario.fading_source_node, scenario, relay, scenario.geometry.d_source_node)
+    first = _folded(scenario.fading_source_node, scenario, relay, scenario.d_source_node)
     return first, *_second_hops(scenario)

@@ -8,7 +8,8 @@ per line; blank lines and lines that start with ``#`` are skipped, but a
     fading.source_node.alpha = 2
 
 A single file describes the geometry, fading, power and noise that all
-three architectures share; it parses into one ``Scenario``.
+three architectures share; it parses into one flat ``Scenario``, in which
+each ``geometry.NAME`` key sets the field ``NAME``.
 Parsing validates everything and reports the complete list of violations,
 not just the first one found.
 """
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .channels import FadingParams, Geometry, Scenario
+from .channels import FadingParams, Scenario
 from .montecarlo import McConfig
 from .sweep import ARCHITECTURES, METHODS, VARIABLES, SweepSpec
 
@@ -57,15 +58,14 @@ _REQUIRED = "required key is missing"
 _SWEEP = "required for a sweep section"
 
 _HOPS = ("source_node", "node_legit", "node_eve")
+# Each geometry.NAME key sets the Scenario field NAME.
+_GEOMETRY = ("d_source_node", "d_node_legit", "d_node_eve", "pathloss_exponent")
 
 # Every key once, as (kind, default); a default that SweepSpec or McConfig
 # owns is read from its class.  A positive key is a float that must be
 # greater than zero.
 _KEYS = {
-    "geometry.d_source_node": ("positive", _REQUIRED),
-    "geometry.d_node_legit": ("positive", _REQUIRED),
-    "geometry.d_node_eve": ("positive", _REQUIRED),
-    "geometry.pathloss_exponent": ("positive", _REQUIRED),
+    **{f"geometry.{name}": ("positive", _REQUIRED) for name in _GEOMETRY},
     **{f"fading.{hop}.{p}": ("positive", _REQUIRED) for hop in _HOPS for p in ("alpha", "beta")},
     "power.tx_dbm": ("float", _REQUIRED),
     "noise.relay": ("positive", _REQUIRED),
@@ -202,12 +202,7 @@ def parse_config_text(text: str) -> ParsedConfig:
         raise ConfigError(violations)
 
     scenario = Scenario(
-        geometry=Geometry(
-            d_source_node=values["geometry.d_source_node"],
-            d_node_legit=values["geometry.d_node_legit"],
-            d_node_eve=values["geometry.d_node_eve"],
-            pathloss_exponent=values["geometry.pathloss_exponent"],
-        ),
+        **{name: values[f"geometry.{name}"] for name in _GEOMETRY},
         **{f"fading_{hop}": _fading(values, hop) for hop in _HOPS},
         tx_power_dbm=values["power.tx_dbm"],
         noise_power_relay=values["noise.relay"],

@@ -49,13 +49,9 @@ METHODS = ("analytic", "monte-carlo")
 # Each sweep variable and how it sets a value on a scenario.
 _VARIABLES = {
     "tx_power_dbm": lambda scn, v: dataclasses.replace(scn, tx_power_dbm=v),
-    "eve_distance_m": lambda scn, v: dataclasses.replace(
-        scn, geometry=dataclasses.replace(scn.geometry, d_node_eve=v)
-    ),
+    "eve_distance_m": lambda scn, v: dataclasses.replace(scn, d_node_eve=v),
     "n_elements": lambda scn, v: dataclasses.replace(scn, n_elements=int(v)),
-    "source_surface_distance_m": lambda scn, v: dataclasses.replace(
-        scn, geometry=dataclasses.replace(scn.geometry, d_source_node=v)
-    ),
+    "source_surface_distance_m": lambda scn, v: dataclasses.replace(scn, d_source_node=v),
 }
 VARIABLES = tuple(_VARIABLES)
 

@@ -19,7 +19,7 @@ from linksec.capacity import (
     ergodic_capacity_irs,
     secrecy_capacity,
 )
-from linksec.channels import FadingParams, Geometry, Scenario, relay_hops
+from linksec.channels import FadingParams, Scenario, relay_hops
 from linksec.config import reference_config
 from linksec.montecarlo import McConfig, branches, mc_branch_estimates
 from linksec.specfun import MellinBarnesEvaluator
@@ -88,7 +88,7 @@ def test_criterion_3_exponential_hop_closed_form():
     assert analytic.bits_per_sec_hz == pytest.approx(0.86034, abs=1e-4)
 
     scenario = Scenario(
-        geometry=Geometry(1.0, 1.0, 1.0, 2.0),
+        d_source_node=1.0, d_node_legit=1.0, d_node_eve=1.0, pathloss_exponent=2.0,
         fading_source_node=FadingParams(1, 0.5),
         fading_node_legit=FadingParams(1, 0.5),
         fading_node_eve=FadingParams(1, 0.5),
@@ -222,10 +222,7 @@ def test_criterion_6_monotonicity_suite():
     )
     assert all(r.secrecy_bps_hz >= 0.0 for r in rows34)
 
-    symmetric = dataclasses.replace(
-        parsed.scenario,
-        geometry=dataclasses.replace(parsed.scenario.geometry, d_node_eve=10.0),
-    )
+    symmetric = dataclasses.replace(parsed.scenario, d_node_eve=10.0)
     for name in ("irs", "df", "affg"):
         assert secrecy_capacity(*branches(symmetric, name)).bits_per_sec_hz == 0.0
 

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from linksec.channels import FadingParams, Geometry, Scenario
+from linksec.channels import FadingParams, Scenario
 from linksec.montecarlo import McConfig, branches
 
 SHAPES = (0.5, 2.0, 2.5, 10.0, 40.0)
@@ -42,7 +42,7 @@ KS_MIN_P = 1e-3
 
 def scenario(shape, power_dbm, n):
     return Scenario(
-        geometry=Geometry(13.0, 10.0, 20.0, 2.0),
+        d_source_node=13.0, d_node_legit=10.0, d_node_eve=20.0, pathloss_exponent=2.0,
         fading_source_node=FadingParams(shape, 1.0),
         fading_node_legit=FadingParams(shape, 1.0),
         fading_node_eve=FadingParams(shape, 1.0),

@@ -22,7 +22,6 @@ from linksec.capacity import (
 )
 from linksec.channels import (
     FadingParams,
-    Geometry,
     Scenario,
     relay_hops,
     surface_hops,
@@ -47,7 +46,7 @@ EXP_CASE_BITS = float(np.e * special.exp1(1.0) / np.log(2.0))  # 0.8603473822708
 
 def irs_scenario(n=4, d_eve=20.0, power_dbm=20.0, noise=0.01, shape=2.0):
     return Scenario(
-        geometry=Geometry(13.0, 10.0, d_eve, 2.0),
+        d_source_node=13.0, d_node_legit=10.0, d_node_eve=d_eve, pathloss_exponent=2.0,
         fading_source_node=FadingParams(shape, 1.0),
         fading_node_legit=FadingParams(shape, 1.0),
         fading_node_eve=FadingParams(shape, 1.0),

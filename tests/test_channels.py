@@ -8,9 +8,7 @@ from scipy import integrate
 from linksec import channels
 from linksec.channels import (
     FadingParams,
-    Geometry,
     Scenario,
-    pathloss,
     relay_hops,
     sample_gamma,
     surface_hops,
@@ -24,21 +22,6 @@ from oracles import (
     sample_gamma_gamma,
     snr_scaled_params,
 )
-
-
-class TestPathloss:
-    @pytest.mark.parametrize(
-        "d,zeta,expected",
-        [(1.0, 3.0, 1.0), (10.0, 2.0, 0.01), (4.0, 2.5, 4.0 ** -2.5)],
-    )
-    def test_power_law(self, d, zeta, expected):
-        assert pathloss(d, zeta) == pytest.approx(expected, rel=1e-15)
-
-    def test_domain_error(self):
-        bad = [(0.0, 2.0), (-3.0, 2.0), (math.nan, 2.0), (math.inf, 2.0), (10.0, math.nan)]
-        for d, zeta in bad:
-            with pytest.raises(ValueError):
-                pathloss(d, zeta)
 
 
 class TestSnrScaling:
@@ -143,7 +126,7 @@ class TestLinkModel:
     # Every distance, noise power, rate and shape differs, so a hop that
     # read another hop's distance or noise power would move its mean.
     SCENARIO = Scenario(
-        geometry=Geometry(7.0, 11.0, 17.0, 2.7),
+        d_source_node=7.0, d_node_legit=11.0, d_node_eve=17.0, pathloss_exponent=2.7,
         fading_source_node=FadingParams(2.3, 1.7),
         fading_node_legit=FadingParams(3.1, 0.9),
         fading_node_eve=FadingParams(1.6, 2.2),
@@ -195,11 +178,11 @@ class TestLinkModel:
         # The first hop reads no receiver's fading, distance or noise, and
         # the second hops come legitimate first: swapping the receivers
         # swaps the last two entries, bit for bit, and leaves the first.
-        s, geo = self.SCENARIO, self.SCENARIO.geometry
-        geometry = dataclasses.replace(geo, d_node_legit=geo.d_node_eve, d_node_eve=geo.d_node_legit)
+        s = self.SCENARIO
         swapped = dataclasses.replace(
             s,
-            geometry=geometry,
+            d_node_legit=s.d_node_eve,
+            d_node_eve=s.d_node_legit,
             fading_node_legit=s.fading_node_eve,
             fading_node_eve=s.fading_node_legit,
             noise_power_legit=s.noise_power_eve,
@@ -243,10 +226,14 @@ class TestSamplers:
         assert abs(draws.mean() - 6.0) <= 3.0 * se
 
 
+# The scenario's distances and pathloss exponent, each checked by name.
+GEOMETRY_FIELDS = ("d_source_node", "d_node_legit", "d_node_eve", "pathloss_exponent")
+
+
 class TestScenarioParameterization:
     def _scenario(self):
         return Scenario(
-            geometry=Geometry(10.0, 10.0, 20.0, 2.0),
+            d_source_node=10.0, d_node_legit=10.0, d_node_eve=20.0, pathloss_exponent=2.0,
             fading_source_node=FadingParams(2.0, 1.0),
             fading_node_legit=FadingParams(2.0, 1.0),
             fading_node_eve=FadingParams(2.0, 1.0),
@@ -270,8 +257,10 @@ class TestScenarioParameterization:
         assert abs(draws.mean() - x.mean * y.mean) <= 3.0 * se
 
     def test_invalid_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            Geometry(10.0, 0.0, 20.0, 2.0)
+        scn = self._scenario()
+        for field in GEOMETRY_FIELDS:
+            with pytest.raises(ValueError, match=f"^{field} must be positive and finite$"):
+                dataclasses.replace(scn, **{field: -3.0})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
     def test_non_finite_or_nonpositive_values_rejected(self, bad):
@@ -280,9 +269,9 @@ class TestScenarioParameterization:
             FadingParams(bad, 1.0)
         with pytest.raises(ValueError):
             FadingParams(2.0, bad)
-        for i in range(4):
-            with pytest.raises(ValueError):
-                Geometry(*[bad if j == i else 10.0 for j in range(4)])
+        for field in GEOMETRY_FIELDS:
+            with pytest.raises(ValueError, match=f"^{field} must be positive and finite$"):
+                dataclasses.replace(scn, **{field: bad})
         for field in ("noise_power_relay", "noise_power_legit", "noise_power_eve"):
             with pytest.raises(ValueError):
                 dataclasses.replace(scn, **{field: bad})
@@ -297,7 +286,7 @@ class TestScenarioParameterization:
         scn = self._scenario()
         with pytest.raises(ValueError):
             Scenario(
-                geometry=scn.geometry,
+                **{field: getattr(scn, field) for field in GEOMETRY_FIELDS},
                 fading_source_node=scn.fading_source_node,
                 fading_node_legit=scn.fading_node_legit,
                 fading_node_eve=scn.fading_node_eve,

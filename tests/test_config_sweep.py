@@ -66,8 +66,8 @@ class TestParsing:
     def test_reference_roundtrip(self):
         parsed = reference_config()
         assert parsed.scenario.n_elements == 4
-        assert parsed.scenario.geometry.pathloss_exponent == 2.0
-        assert parsed.scenario.geometry.d_node_eve == 20.0
+        assert parsed.scenario.pathloss_exponent == 2.0
+        assert parsed.scenario.d_node_eve == 20.0
         assert parsed.scenario.noise_power_relay == 0.01
         assert parsed.sweep is not None
         assert parsed.sweep.variable == "tx_power_dbm"
@@ -340,6 +340,32 @@ class TestRunSweep:
         values = [r.secrecy_bps_hz for r in sorted(rows, key=lambda r: r.value)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize(
+        "variable, key, text",
+        [
+            ("tx_power_dbm", "power.tx_dbm", "7.0"),
+            ("eve_distance_m", "geometry.d_node_eve", "15.0"),
+            ("source_surface_distance_m", "geometry.d_source_node", "9.0"),
+            ("n_elements", "irs.n_elements", "6"),
+        ],
+    )
+    def test_each_variable_sets_its_config_key(self, variable, key, text):
+        # A sweep row equals, bit for bit, its point parsed from a config
+        # with that key set; the value differs from every reference
+        # distance, power and element count, so a setter that wrote
+        # another field would move the row.
+        spec = SweepSpec(variable, float(text), float(text), 1.0)
+        rows = run_sweep(spec, REFERENCE.scenario, REFERENCE.mc)
+        point = parse_config_text(config_with(**{key: text})).scenario
+        assert len(rows) == 3
+        for r in rows:
+            est_l, est_e = montecarlo.branches(point, r.architecture)
+            sec = capacity.secrecy_capacity(est_l, est_e)
+            assert r.status == "ok"
+            assert (r.secrecy_bps_hz, r.ergodic_L, r.ergodic_E, r.std_error) == (
+                sec.bits_per_sec_hz, est_l.bits_per_sec_hz, est_e.bits_per_sec_hz, sec.std_error
+            )
+
     def test_relay_rows_do_not_change_with_element_count(self):
         # A relay reads no n_elements: on both routes, its rows at every N
         # are byte-identical.
@@ -401,6 +427,17 @@ class TestRunSweep:
         assert len(rows) == 5 * 2
         for r in rows:
             assert r.status.startswith("error:") == (r.value >= 3075.0)
+
+    @pytest.mark.parametrize("key", ["geometry.d_source_node", "geometry.d_node_eve"])
+    def test_overflowing_pathloss_fails_its_rows(self, key):
+        # 1e-160 ** -2 passes the largest float inside Python's float power;
+        # each row's error names its power, on both routes.
+        parsed = parse_config_text(config_with(**{key: "1e-160"}))
+        spec = SweepSpec("tx_power_dbm", 0.0, 10.0, 10.0, ("irs", "affg"), METHODS)
+        rows = run_sweep(spec, parsed.scenario, McConfig(samples=2000, master_seed=1))
+        assert len(rows) == 2 * 2 * 2
+        for r in rows:
+            assert r.status == f"error: SNR scale leaves the float range at {r.value} dB", r
 
     @pytest.mark.parametrize("noise_legit", ["0.01", "0.001"])
     def test_edge_sweep_rows_are_finite_or_fail(self, noise_legit):

@@ -15,7 +15,7 @@ from linksec.capacity import (
     secrecy_capacity,
 )
 from linksec import channels, montecarlo
-from linksec.channels import FadingParams, Geometry, Scenario, relay_hops, surface_hops
+from linksec.channels import FadingParams, Scenario, relay_hops, surface_hops
 from linksec.config import reference_config
 from linksec.montecarlo import (
     _ERLANG_MAX_SHAPE,
@@ -36,7 +36,7 @@ EXP_CASE_BITS = float(np.e * special.exp1(1.0) / np.log(2.0))
 
 def irs_scenario(n=2, power_dbm=10.0, d_eve=20.0, shape=2.0):
     return Scenario(
-        geometry=Geometry(13.0, 10.0, d_eve, 2.0),
+        d_source_node=13.0, d_node_legit=10.0, d_node_eve=d_eve, pathloss_exponent=2.0,
         fading_source_node=FadingParams(shape, 1.0),
         fading_node_legit=FadingParams(shape, 1.0),
         fading_node_eve=FadingParams(shape, 1.0),
@@ -56,7 +56,7 @@ def unit_rate_relay():
     # Unit scale factors: 1 m distances, 0 dB power, unit noise, so the hop
     # rates stay exactly as configured.
     return Scenario(
-        geometry=Geometry(1.0, 1.0, 1.0, 2.0),
+        d_source_node=1.0, d_node_legit=1.0, d_node_eve=1.0, pathloss_exponent=2.0,
         fading_source_node=FadingParams(1, 0.5),
         fading_node_legit=FadingParams(1, 0.5),
         fading_node_eve=FadingParams(1, 0.5),
@@ -687,6 +687,16 @@ class TestFloatPolicy:
             with pytest.raises(OverflowError, match=r"float range at 3065\.0 dB"):
                 mc_element_estimates(self.EDGE, architecture, self.CFG, [1, 2])
             assert np.geterr() == before
+
+    @pytest.mark.parametrize("mc", [None, CFG], ids=["analytic", "mc"])
+    @pytest.mark.parametrize("architecture", ["irs", "affg"])
+    @pytest.mark.parametrize("distance", ["d_source_node", "d_node_eve"])
+    def test_overflowing_pathloss_names_the_power(self, distance, architecture, mc):
+        # 1e-160 ** -2 passes the largest float inside Python's float power,
+        # whose own OverflowError names nothing.
+        scn = dataclasses.replace(irs_scenario(power_dbm=10.0), **{distance: 1e-160})
+        with pytest.raises(OverflowError, match=r"^SNR scale leaves the float range at 10\.0 dB$"):
+            branches(scn, architecture, mc)
 
     @pytest.mark.parametrize("mc", [None, CFG], ids=["analytic", "mc"])
     def test_error_state_restored_after_a_point(self, mc):
