@@ -68,7 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="check the analytic capacities against the simulator")
     p_val.add_argument("--config", required=True)
-    p_val.add_argument("--samples", type=int, required=True)
+    p_val.add_argument(
+        "--samples",
+        type=int,
+        required=True,
+        help="Monte Carlo samples per point, even and at least 1000",
+    )
     p_val.add_argument("--seed", type=int, required=True)
     p_val.add_argument(
         "--powers",

@@ -11,18 +11,17 @@ with it.
 
 The simulator never calls the analytic route: it samples raw channel
 gains, forms the instantaneous end-to-end SNR of each receiver, and
-averages log2(1 + SNR).  Work is split into chunks of min(chunk_size, 2^16)
-rows, whatever the architecture and N, and a chunk of n rows into four
-sub-chunks, sub-chunk s holding rows n*s//4 to n*(s+1)//4 and drawing
-every hop from its own SFC64 sub-stream, seeded from (master seed, chunk
-index, s) through ``SeedSequence``.  Up to four pool threads run whole
-sub-chunks through one kernel for every architecture: the draws, both
-receivers' SNRs, log1p and one moment vector per (count, receiver): the
-sums of the bits, of their squares, of the pair sums (below) and of their
-squares.  The caller reduces those in (chunk, sub-chunk) order, with at
-most two tasks a thread in flight.  So no value depends on the number of
-threads, reruns are bit-identical, and memory does not grow with the
-sample count.
+averages log2(1 + SNR).  Work is split into chunks of min(chunk_size,
+2^16) rows, whatever the architecture and N, and a chunk of h row pairs
+(below) into four sub-chunks, sub-chunk s holding pairs h*s//4 to
+h*(s+1)//4 and drawing every hop from its own SFC64 sub-stream, seeded
+from (master seed, chunk index, s) through ``SeedSequence``.  Up to four
+pool threads run whole sub-chunks through one kernel for every
+architecture: the draws, both receivers' SNRs, log1p and two sums per
+(count, receiver), of the pair sums and of their squares.  The caller
+reduces those in (chunk, sub-chunk) order, with at most two tasks a
+thread in flight.  So no value depends on the number of threads, reruns
+are bit-identical, and memory does not grow with the sample count.
 
 The kernel draws the hop triple in element blocks: x, then y_L and y_E
 into one (2, E, sub-chunk rows) array, whose first axis is the receiver,
@@ -39,19 +38,17 @@ a product of k uniforms (Knuth, *TAOCP* vol. 2, section 3.4.1; Devroye,
 *Non-Uniform Random Variate Generation*, 1986, section IX.3), drawn in
 antithetic pairs (Hammersley and Morton, Proc. Camb. Phil. Soc. 52, 1956;
 Glasserman, *Monte Carlo Methods in Financial Engineering*, 2004, section
-4.2): with t = m - m // 2, row r of a block of m rows takes the factors
-1 - u and row r + t the factors u + 2^-53 of the same k rounds of
-uniforms, so a pair costs k uniforms and two logarithms, and an odd
-block's middle row draws unpaired in the same rounds.  Any other shape is
-NumPy's ``standard_gamma``, and both rows of a pair are then independent.
-Every hop and element block of a sub-chunk pairs the same rows, and
-x * y, min(x, y) and x * y / (y + l) are all nondecreasing in each hop,
-so the two rows' bits move in opposite directions and their covariance is
-<= 0.  The kernel therefore also sums the pair sums s = b_r + b_(r+t) and
-their squares, and an estimate over n rows, P pairs and U = n - 2P
-unpaired rows has s.e.² = (P V_s + U V_b) / n², V_s and V_b the sample
-variances of the pair sums and of the rows; a chunk holds at least 8
-rows, so P >= 2.  At the reference shape 2 this is 0.46-0.75 times the
+4.2): row r of a block of m rows takes the factors 1 - u and row r + m/2
+the factors u + 2^-53 of the same k rounds of uniforms, so a pair costs k
+uniforms and two logarithms.  Any other shape is NumPy's
+``standard_gamma``, and both rows of a pair are then independent.  Every
+hop and element block of a sub-chunk pairs the same rows, and x * y,
+min(x, y) and x * y / (y + l) are all nondecreasing in each hop, so the
+two rows' bits move in opposite directions and their covariance is <= 0.
+So the pair is the sampling unit, and sample counts and chunks are even:
+over n rows, an estimate is Σs / n and its s.e. √(P V_s) / n, that of a
+mean of P = n/2 independent pair sums s = b_r + b_(r+m/2), V_s their
+sample variance.  At the reference shape 2 this is 0.46-0.75 times the
 s.e. of independent rows.  Through ``_fill`` on one thread of a 2-vCPU
 host, a default surface block of 4 x 16,384 values, in ns a value (the
 least of 31 interleaved runs of 50 fills; the uniform product at 7 and 8
@@ -124,8 +121,9 @@ class McConfig:
     A chunk holds min(chunk_size, 2^16) rows for every architecture and
     every N, split into four sub-chunks; a surface draws blocks of four
     elements a hop.  The chunk length decides which draws of the seeded
-    streams an estimate uses.  It is at least 8 rows, so every sub-chunk of
-    a full chunk holds an antithetic pair.
+    streams an estimate uses.  Rows come in antithetic pairs, so both
+    counts are even, and a chunk is at least 8 rows, so every sub-chunk of
+    a full chunk holds a pair.
     """
 
     samples: int
@@ -141,10 +139,14 @@ class McConfig:
                 raise ValueError(f"{name} must be an integer, not {value!r}") from None
         if self.samples < 1000:
             raise ValueError("samples must be at least 1000 for a reported estimate")
+        if self.samples % 2:
+            raise ValueError("samples must be even, since rows are drawn in antithetic pairs")
         if not (0 <= self.master_seed < 2**64):
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
         if self.chunk_size < 2 * _STREAMS:
             raise ValueError(f"chunk_size must be at least {2 * _STREAMS} rows")
+        if self.chunk_size % 2:
+            raise ValueError("chunk_size must be even, since rows are drawn in antithetic pairs")
 
 
 def _stream(cfg: McConfig, chunk: int, sub: int) -> np.random.Generator:
@@ -171,40 +173,35 @@ def _fill(
     """Fill ``out`` with Gamma draws of ``hop`` from ``rng``; return it.
 
     ``out`` and ``scratch`` are C-contiguous arrays of one shape, whose last
-    axis holds m rows, and nothing is allocated.  At an integer shape
-    k <= ``_ERLANG_MAX_SHAPE`` the rows are antithetic pairs: with
-    t = m - m // 2, each of k rounds draws one array of uniforms u of shape
-    (..., t) into ``scratch``, in flat order, and multiplies 1 - u into
-    rows [0, t) and u + 2^-53 of u's first m // 2 rows into rows [t, m), so
-    an odd block's middle row, t - 1, is its one unpaired row.  Then one
-    log and one scale make each row -scale * log of its product.
-    ``Generator.random`` returns u in [0, 1) on a grid of 2^-53, so both
-    factors are exact, lie in (0, 1] and are uniform on the same grid:
-    every row is an exact Erlang draw, and row r and row r + t fall as the
-    other rises.  A product is at least 2^(-53 k), a normal float for any k
-    up to 19, so every draw is finite; rounding the product adds at most
-    about k * 2^-53 to a draw.  Any other shape is ``standard_gamma`` times
-    the scale, the same bits as ``Generator.gamma``, and leaves ``scratch``
-    alone.
+    axis holds an even number m of rows, and nothing is allocated.  At an
+    integer shape k <= ``_ERLANG_MAX_SHAPE`` row r pairs with row r + m/2:
+    each of k rounds draws one array of uniforms u of shape (..., m/2) into
+    ``scratch``, in flat order, and multiplies 1 - u into rows [0, m/2) and
+    u + 2^-53 into rows [m/2, m).  Then one log and one scale make each row
+    -scale * log of its product.  ``Generator.random`` returns u in [0, 1)
+    on a grid of 2^-53, so both factors are exact, lie in (0, 1] and are
+    uniform on the same grid: every row is an exact Erlang draw, and row r
+    and row r + m/2 fall as the other rises.  A product is at least
+    2^(-53 k), a normal float for any k up to 19, so every draw is finite;
+    rounding the product adds at most about k * 2^-53 to a draw.  Any other
+    shape is ``standard_gamma`` times the scale, the same bits as
+    ``Generator.gamma``, and leaves ``scratch`` alone.
     """
     shape, scale = hop.alpha, 1.0 / hop.beta
     if not (float(shape).is_integer() and 1 <= shape <= _ERLANG_MAX_SHAPE):
         rng.standard_gamma(shape, out=out)
         out *= scale
         return out
-    rows = out.shape[-1]
-    top, half = rows - rows // 2, rows // 2
-    first, partner = out[..., :top], out[..., top:]
-    flat = scratch.reshape(-1)
-    u = flat[: first.size].reshape(first.shape)
-    factor = flat[first.size : first.size + partner.size].reshape(partner.shape)
+    half = out.shape[-1] // 2
+    first, partner = out[..., :half], out[..., half:]
+    u, factor = scratch.reshape(2, *first.shape)
     for round_ in range(int(shape)):
         rng.random(out=u)
         if round_ == 0:
-            np.add(u[..., :half], _ULP, out=partner)
+            np.add(u, _ULP, out=partner)
             np.subtract(1.0, u, out=first)
         else:
-            np.add(u[..., :half], _ULP, out=factor)
+            np.add(u, _ULP, out=factor)
             partner *= factor
             np.subtract(1.0, u, out=u)
             first *= u
@@ -214,14 +211,13 @@ def _fill(
 
 
 def _sub_chunk_sums(arch: Architecture, hops, rng, rows: int, width: int, counts) -> np.ndarray:
-    """The moment vector per (count, receiver) of one sub-chunk of ``rows`` rows.
+    """(Σs, Σs²) per (count, receiver) of one sub-chunk of ``rows`` rows, an even number.
 
-    The vector is (Σb, Σb², Σs, Σs²): b runs over the rows' bits, and s over
-    the pair sums b_r + b_(r+t), t = rows - rows // 2, of the rows ``_fill``
-    pairs.
-    Given the folded hop triple (first, legitimate, eavesdropper), draws
-    from ``rng`` in blocks of ``width`` elements: x, of shape (``width``,
-    ``rows``), then y_L and y_E into y, of shape (2, ``width``, ``rows``).
+    s runs over the pair sums b_r + b_(r+rows/2) of the bits of the rows
+    ``_fill`` pairs.  Given the folded hop triple (first, legitimate,
+    eavesdropper), draws from ``rng`` in blocks of ``width`` elements: x,
+    of shape (``width``, ``rows``), then y_L and y_E into y, of shape (2,
+    ``width``, ``rows``).
     One ``arch.combine`` call turns y into both receivers' element SNRs,
     which add one element at a time, in element order, into a (2, ``rows``)
     accumulator; at each of the ascending element ``counts`` both
@@ -237,11 +233,11 @@ def _sub_chunk_sums(arch: Architecture, hops, rng, rows: int, width: int, counts
     x, scratch = np.empty((width, rows)), np.empty((width, rows))
     y = np.empty((2, width, rows))
     half = rows // 2
-    pair = scratch.reshape(-1)[: 2 * half].reshape(2, half)
+    pair = scratch.reshape(-1)[:rows].reshape(2, half)
     last = counts[-1]
     acc = np.zeros((2, rows)) if last > 1 else None
     snapshot = {count: k for k, count in enumerate(counts)}
-    sums = np.zeros((len(counts), 2, 4))
+    sums = np.zeros((len(counts), 2, 2))
     for start in range(0, last, width):
         used = min(width, last - start)
         _fill(rng, first, x, scratch)
@@ -258,32 +254,25 @@ def _sub_chunk_sums(arch: Architecture, hops, rng, rows: int, width: int, counts
                 # The bits go into the spent element, with no temporary.
                 bits = np.log1p(snr, out=y[:, i])
                 bits /= _LN2
-                np.add(bits[:, :half], bits[:, rows - half :], out=pair)
-                sums[k, :, 0] = bits.sum(axis=1)
-                sums[k, :, 2] = pair.sum(axis=1)
-                bits *= bits
+                np.add(bits[:, :half], bits[:, half:], out=pair)
+                sums[k, :, 0] = pair.sum(axis=1)
                 pair *= pair
-                sums[k, :, 1] = bits.sum(axis=1)
-                sums[k, :, 3] = pair.sum(axis=1)
+                sums[k, :, 1] = pair.sum(axis=1)
     return sums
 
 
-def _estimate(moments, n: int, pairs: int) -> CapacityEstimate:
-    """One receiver's estimate from its moment vector over ``n`` rows.
+def _estimate(moments, n: int) -> CapacityEstimate:
+    """One receiver's estimate from its (Σs, Σs²) over ``n`` rows.
 
-    The mean is Σb / n.  The rows form ``pairs`` antithetic pairs, P, and
-    U = n - 2P unpaired rows; pairs are independent of each other and of
-    the unpaired rows, so s.e.² = (P V_s + U V_b) / n², V_s the sample
-    variance of the pair sums and V_b that of the rows.  ``McConfig``'s
-    smallest chunk gives every run P >= 2.
+    The mean is Σs / n, and the s.e. √(P V_s) / n, that of a mean of the
+    P = n/2 independent pair sums, V_s their sample variance.
     """
-    s1, s2, p1, p2 = moments
-    mean = s1 / n
-    var = max(s2 - n * mean * mean, 0.0) / (n - 1)
-    pair_mean = p1 / pairs
-    pair_var = max(p2 - pairs * pair_mean * pair_mean, 0.0) / (pairs - 1)
-    std_error = math.sqrt(pairs * pair_var + (n - 2 * pairs) * var) / n
-    return CapacityEstimate(mean, "monte-carlo", std_error=std_error, samples=n)
+    s1, s2 = moments
+    pairs = n // 2
+    pair_mean = s1 / pairs
+    pair_var = max(s2 - pairs * pair_mean * pair_mean, 0.0) / (pairs - 1)
+    std_error = math.sqrt(pairs * pair_var) / n
+    return CapacityEstimate(s1 / n, "monte-carlo", std_error=std_error, samples=n)
 
 
 @dataclass(frozen=True)
@@ -385,9 +374,9 @@ def mc_branch_estimates(scenario: Scenario, architecture: str, cfg: McConfig):
 
     The source-side draws are reused by both receiver branches, matching
     the physical channel and reducing the variance of their difference.
-    Each receiver's moment vector of log2(1 + SNR) accumulates in (chunk,
-    sub-chunk) order, and its s.e. is taken over antithetic pairs (see the
-    module docstring).
+    Each receiver's sums of the pair sums of log2(1 + SNR) accumulate in
+    (chunk, sub-chunk) order, and its s.e. is that of the pair sums (see
+    the module docstring).
     Runs under the float-range rule of ``branches``.
     """
     return mc_element_estimates(scenario, architecture, cfg, (scenario.n_elements,))[0]
@@ -421,7 +410,7 @@ def mc_element_estimates(scenario: Scenario, architecture: str, cfg: McConfig, c
     # Imported here, so the analytic route does not pay for it.
     from concurrent.futures import ThreadPoolExecutor
 
-    totals, pairs = np.zeros((len(targets), 2, 4)), 0
+    totals = np.zeros((len(targets), 2, 2))
     with _float_range(scenario):
         hops = arch.hops(scenario)
         errors, threads = np.geterr(), _threads()
@@ -430,11 +419,10 @@ def mc_element_estimates(scenario: Scenario, architecture: str, cfg: McConfig, c
             # memory does not grow with samples, and sums add in task order.
             window = deque()
             for chunk in range(-(-cfg.samples // rows)):
-                size = min(rows, cfg.samples - chunk * rows)
+                h = min(rows, cfg.samples - chunk * rows) // 2  # pairs in the chunk
                 for sub in range(_STREAMS):
-                    m = size * (sub + 1) // _STREAMS - size * sub // _STREAMS
+                    m = 2 * (h * (sub + 1) // _STREAMS - h * sub // _STREAMS)
                     if m:
-                        pairs += m // 2
                         if len(window) == 2 * threads:
                             totals += window.popleft().result()
                         rng = _stream(cfg, chunk, sub)
@@ -443,7 +431,7 @@ def mc_element_estimates(scenario: Scenario, architecture: str, cfg: McConfig, c
             for future in window:
                 totals += future.result()
     estimates = {
-        count: tuple(_estimate(moments, cfg.samples, pairs) for moments in per_receiver)
+        count: tuple(_estimate(moments, cfg.samples) for moments in per_receiver)
         for count, per_receiver in zip(targets, totals.tolist())
     }
     return [estimates[count if arch.per_element else 1] for count in counts]

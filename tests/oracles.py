@@ -541,20 +541,18 @@ _PAIRED_MAX_SHAPE = 6
 
 
 def erlang_pairs(rng: np.random.Generator, k: int, shape, scale: float) -> np.ndarray:
-    """Gamma(k, ``scale``) draws in an array of ``shape``, whose last axis holds m rows.
+    """Gamma(k, ``scale``) draws in an array of ``shape``, whose last axis holds an even m rows.
 
-    The documented paired order, with t = m - m // 2: k rounds of uniforms
-    u of shape (..., t), each taken as 1 - u into rows [0, t) and, for u's
-    first m // 2 rows, as u + 2^-53 into rows [t, m); then -log of each
-    product, scaled.  An odd m leaves the middle row, t - 1, unpaired.
+    The documented paired order: k rounds of uniforms u of shape
+    (..., m/2), each taken as 1 - u into rows [0, m/2) and as u + 2^-53
+    into rows [m/2, m); then -log of each product, scaled.
     """
     *lead, m = np.atleast_1d(shape).tolist()
-    half = m // 2
-    first, partner = np.ones((*lead, m - half)), np.ones((*lead, half))
+    first, partner = np.ones((*lead, m // 2)), np.ones((*lead, m // 2))
     for _ in range(k):
-        u = rng.random((*lead, m - half))
+        u = rng.random((*lead, m // 2))
         first *= 1.0 - u
-        partner *= u[..., :half] + 2.0**-53
+        partner *= u + 2.0**-53
     return -np.log(np.concatenate([first, partner], axis=-1)) * scale
 
 
@@ -568,19 +566,19 @@ def simulated_bits(scenario, architecture: str, cfg):
     """Yield the (legitimate, eavesdropper) bits of each sub-chunk, in order.
 
     The simulator's documented layout, read independently: chunks of
-    min(chunk_size, 2^16) rows, split at rows n*s//4 into four sub-chunks;
-    sub-chunk s of chunk c draws from its own SFC64 stream seeded by
-    (master seed, c, s); a surface draws x, y_L and y_E in blocks of four
-    elements, a relay each hop as one element.
+    min(chunk_size, 2^16) rows, whose h row pairs split at pairs h*s//4
+    into four sub-chunks; sub-chunk s of chunk c draws from its own SFC64
+    stream seeded by (master seed, c, s); a surface draws x, y_L and y_E in
+    blocks of four elements, a relay each hop as one element.
     """
     surface = architecture == "irs"
     hops = channels.surface_hops if surface else channels.relay_hops
     first, legit, eve = hops(scenario)
     rows = min(cfg.chunk_size, 2**16)
     for chunk, top in enumerate(range(0, cfg.samples, rows)):
-        size = min(rows, cfg.samples - top)
+        pairs = min(rows, cfg.samples - top) // 2
         for sub in range(4):
-            m = size * (sub + 1) // 4 - size * sub // 4
+            m = 2 * (pairs * (sub + 1) // 4 - pairs * sub // 4)
             if not m:
                 continue
             seed = np.random.SeedSequence(cfg.master_seed, spawn_key=(chunk, sub))
@@ -606,21 +604,17 @@ def simulated_bits(scenario, architecture: str, cfg):
 def paired_mc_estimates(scenario, architecture: str, cfg) -> list[tuple[float, float]]:
     """(mean, s.e.) of each receiver's bits, with the s.e. over antithetic pairs.
 
-    Row r of a sub-chunk of m rows and row r + m - m // 2 are a pair.  Pairs
-    are independent of each other and of the unpaired rows, so the variance
-    of the mean is (P var(pair sums) + U var(rows)) / n^2 over P pairs and U
-    unpaired rows.
+    Row r of a sub-chunk of m rows and row r + m/2 are a pair, and pairs are
+    independent, so a row's mean is half the mean of the P pair sums, and
+    its s.e. half theirs, √(var(pair sums) / P).
     """
-    rows, pairs = ([], []), ([], [])
+    pairs = ([], [])
     for bits in simulated_bits(scenario, architecture, cfg):
         for receiver, b in enumerate(bits):
             half = b.size // 2
-            rows[receiver].append(b)
-            pairs[receiver].append(b[:half] + b[b.size - half :])
+            pairs[receiver].append(b[:half] + b[half:])
     out = []
     for receiver in range(2):
-        b, s = np.concatenate(rows[receiver]), np.concatenate(pairs[receiver])
-        n, p = b.size, s.size
-        var = (p * s.var(ddof=1) + (n - 2 * p) * b.var(ddof=1)) / n**2
-        out.append((float(b.mean()), math.sqrt(var)))
+        s = np.concatenate(pairs[receiver])
+        out.append((float(s.mean() / 2), math.sqrt(s.var(ddof=1) / s.size) / 2))
     return out

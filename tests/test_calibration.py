@@ -10,9 +10,10 @@ The grid: every hop at shape 0.5, 2, 2.5, 10 or 40 (2 is drawn by the
 paired uniform-product rule, the others by ``standard_gamma``), powers
 -30, 0, 50 and 120 dB, and the surface at N = 1, 64 and 1024 beside both
 relays.  N = 1024 draws about 3,000 values a sample, so it takes one seed
-of 1,001 samples; the rest take five seeds of 4,001.  Both counts leave
-one sub-chunk odd, so its last row is unpaired.  Each (point, seed) draws
-from its own master seed, so no two runs share draws.
+of 1,002 samples; the rest take five seeds of 4,002.  Neither count is a
+multiple of 8, so the last sub-chunk holds one pair more than the others.
+Each (point, seed) draws from its own master seed, so no two runs share
+draws.
 """
 
 import itertools
@@ -28,11 +29,11 @@ SHAPES = (0.5, 2.0, 2.5, 10.0, 40.0)
 POWERS_DB = (-30.0, 0.0, 50.0, 120.0)
 # (architecture, elements, samples, seeds)
 RUNS = (
-    ("irs", 1, 4001, 5),
-    ("irs", 64, 4001, 5),
-    ("irs", 1024, 1001, 1),
-    ("df", 1, 4001, 5),
-    ("affg", 1, 4001, 5),
+    ("irs", 1, 4002, 5),
+    ("irs", 64, 4002, 5),
+    ("irs", 1024, 1002, 1),
+    ("df", 1, 4002, 5),
+    ("affg", 1, 4002, 5),
 )
 MAX_ABS_Z = 5.0
 MEAN_TOL = 0.15

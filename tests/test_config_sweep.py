@@ -218,6 +218,14 @@ class TestMessages:
                 config_with(**{"mc.chunk_size": "7"}),
                 "mc: chunk_size must be at least 8 rows",
             ),
+            (
+                config_with(**{"mc.samples": "20001"}),
+                "mc: samples must be even, since rows are drawn in antithetic pairs",
+            ),
+            (
+                config_with(**{"mc.chunk_size": "4099"}),
+                "mc: chunk_size must be even, since rows are drawn in antithetic pairs",
+            ),
         ],
         ids=[
             "malformed-line",
@@ -236,6 +244,8 @@ class TestMessages:
             "sweep-spec",
             "mc-config",
             "mc-chunk-size",
+            "mc-odd-samples",
+            "mc-odd-chunk-size",
         ],
     )
     def test_exact_message(self, text, message):

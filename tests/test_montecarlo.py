@@ -162,10 +162,10 @@ class TestParallelFill:
     # give the same bytes.
 
     @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
-    @pytest.mark.parametrize("samples", [20_000, 65_537])
+    @pytest.mark.parametrize("samples", [20_000, 65_538])
     def test_thread_count_does_not_change_draws(self, monkeypatch, architecture, samples):
-        # 65,537 samples leave a final 1-row chunk, so three of its four
-        # sub-chunks are empty.
+        # 65,538 samples leave a final chunk of one pair, so three of its
+        # four sub-chunks are empty.
         scn = irs_scenario(n=2)
         cfg = McConfig(samples=samples, master_seed=25)
         results = []
@@ -178,53 +178,74 @@ class TestParallelFill:
 
     @staticmethod
     def read_layout(scn, architecture, cfg):
-        # (legit, eve) moment vectors (Σb, Σb², Σs, Σs²), s the pair sums,
-        # reduced in (chunk, sub-chunk) order off the documented layout, and
-        # the number of pairs: row r of m rows pairs with row r + m - m // 2.
-        sums, pairs = np.zeros((2, 4)), 0
+        # (legit, eve) sums (Σs, Σs²) of the pair sums s, reduced in (chunk,
+        # sub-chunk) order off the documented layout: row r of m rows pairs
+        # with row r + m/2.
+        sums = np.zeros((2, 2))
         for bits in simulated_bits(scn, architecture, cfg):
-            half = bits[0].size // 2
-            pairs += half
             for receiver, b in enumerate(bits):
-                s = b[:half] + b[b.size - half :]
-                sums[receiver] += (b.sum(), (b * b).sum(), s.sum(), (s * s).sum())
-        return sums.tolist(), pairs
+                s = b[: b.size // 2] + b[b.size // 2 :]
+                sums[receiver] += (s.sum(), (s * s).sum())
+        return sums.tolist()
 
     @pytest.mark.parametrize("elements", [1, 6])
     def test_sub_chunks_come_from_their_sub_streams(self, elements):
         # The layout read independently, at shape 2.5, where every draw is
-        # Generator.gamma: chunks of 4,099 rows, the last one partial, each
-        # split at rows n*s//4 into unequal sub-chunks, odd ones too;
-        # sub-chunk s draws from sub-stream s, a surface in blocks of four
-        # elements (the first of N = 1, the second of N = 6, drawn whole);
-        # the partial moments of the bits and of the pair sums are reduced
-        # in (chunk, sub-chunk) order.  N = 1 is a one-element pass on every
-        # row.
+        # Generator.gamma: chunks of 4,098 rows, the last one partial, each
+        # split at pairs h*s//4 into unequal sub-chunks; sub-chunk s draws
+        # from sub-stream s, a surface in blocks of four elements (the first
+        # of N = 1, the second of N = 6, drawn whole); the sums of the pair
+        # sums are reduced in (chunk, sub-chunk) order.  N = 1 is a
+        # one-element pass on every row.
         scn = irs_scenario(n=elements, shape=2.5)
-        cfg = McConfig(samples=20_000, master_seed=26, chunk_size=4099)
-        n = cfg.samples
+        cfg = McConfig(samples=20_000, master_seed=26, chunk_size=4098)
+        n, pairs = cfg.samples, cfg.samples // 2
         for architecture in ARCHITECTURES:
             got = mc_branch_estimates(scn, architecture, cfg)
-            moments, pairs = self.read_layout(scn, architecture, cfg)
-            assert n - 2 * pairs == 16  # one unpaired row per odd sub-chunk
-            for est, (s1, s2, p1, p2) in zip(got, moments):
-                mean = s1 / n
-                var = max(s2 - n * mean * mean, 0.0) / (n - 1)
+            for est, (p1, p2) in zip(got, self.read_layout(scn, architecture, cfg)):
                 pair_mean = p1 / pairs
                 pair_var = max(p2 - pairs * pair_mean * pair_mean, 0.0) / (pairs - 1)
-                assert est.bits_per_sec_hz == mean
-                assert est.std_error == math.sqrt(pairs * pair_var + (n - 2 * pairs) * var) / n
+                assert est.bits_per_sec_hz == p1 / n
+                assert est.std_error == math.sqrt(pairs * pair_var) / n
 
-    @pytest.mark.parametrize("chunk_size", [65536, 4099, 8, 9])
+    @pytest.mark.parametrize(
+        "samples, chunk_size",
+        [(20_000, 65_536), (20_000, 4098), (20_000, 8192), (65_538, 65_536),
+         (1000, 8), (1000, 10), (4002, 65_536), (2**17 + 6, 2**17)],
+    )
+    def test_every_task_holds_whole_pairs(self, monkeypatch, samples, chunk_size):
+        # Each chunk's h pairs split at pairs h*s//4: every task's rows are
+        # even, the sub-chunks of a chunk differ by at most one pair, and a
+        # chunk whose rows are a multiple of 8 splits at rows n*s//4.
+        tasks = {}
+
+        def recording(arch, hops, rng, rows, width, counts):
+            tasks[rng] = rows
+            return np.zeros((len(counts), 2, 2))
+
+        monkeypatch.setattr(montecarlo, "_stream", lambda cfg, chunk, sub: (chunk, sub))
+        monkeypatch.setattr(montecarlo, "_sub_chunk_sums", recording)
+        cfg = McConfig(samples=samples, master_seed=1, chunk_size=chunk_size)
+        mc_branch_estimates(irs_scenario(), "irs", cfg)
+        rows = min(chunk_size, 2**16)
+        assert sum(tasks.values()) == samples
+        assert all(m > 0 and m % 2 == 0 for m in tasks.values())
+        for chunk in range(-(-samples // rows)):
+            n = min(rows, samples - chunk * rows)
+            sizes = [tasks.get((chunk, sub), 0) for sub in range(_STREAMS)]
+            assert sum(sizes) == n and max(sizes) - min(sizes) <= 2
+            if n % 8 == 0:
+                assert sizes == [n * (s + 1) // 4 - n * s // 4 for s in range(_STREAMS)]
+
+    @pytest.mark.parametrize("chunk_size", [65536, 4098, 8, 10])
     @pytest.mark.parametrize("shape", [2.0, 2.5])
     @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
     def test_standard_error_matches_pair_sum_oracle(self, architecture, shape, chunk_size):
         # The oracle reads the same draws and takes the s.e. over pair sums
-        # with NumPy's two-pass variance: sub-chunks of 5,000 rows (all
-        # paired), of 1,024 and 1,025 (one unpaired middle row each when
-        # odd), of two rows at the smallest chunk, 8, and of two and three
-        # rows at chunk size 9.
-        samples = 20_000 if chunk_size > 9 else 1000
+        # with NumPy's two-pass variance: sub-chunks of 5,000 rows, of 1,024
+        # and 1,026, of two rows at the smallest chunk, 8, and of two and
+        # four rows at chunk size 10.
+        samples = 20_000 if chunk_size > 10 else 1000
         cfg = McConfig(samples=samples, master_seed=37, chunk_size=chunk_size)
         scn = irs_scenario(n=6, shape=shape)
         got = mc_branch_estimates(scn, architecture, cfg)
@@ -238,15 +259,22 @@ class TestParallelFill:
         # Each architecture's bits rise with every hop, so row r and its
         # partner r + h, drawn from 1 - u and u + 2^-53, move apart.  Over
         # 8,192 pairs at 20 dB the correlation here is -0.50 (DF) to -0.78
-        # (AFFG); a partner drawn independently gives 0 +- 0.011.
+        # (AFFG); a partner drawn independently gives 0 +- 0.011.  The row
+        # variance comes from the same draws, made through _fill in the
+        # kernel's order, and the pair-sum variance from the kernel.
         scn = irs_scenario(n=4, power_dbm=20.0)
         arch = ARCHITECTURES[architecture]
         hops = arch.hops(scn)
-        width, count = (4, 4) if arch.per_element else (1, 1)
+        width = 4 if arch.per_element else 1
         rows, pairs = 2**14, 2**13
-        rng = _stream(McConfig(samples=1000, master_seed=36), 0, 0)
-        for s1, s2, p1, p2 in _sub_chunk_sums(arch, hops, rng, rows, width, [count])[0].tolist():
-            var = (s2 - s1 * s1 / rows) / (rows - 1)
+        cfg = McConfig(samples=1000, master_seed=36)
+        rng = _stream(cfg, 0, 0)
+        x, *y = (_fill(rng, hop, np.empty((width, rows)), np.empty((width, rows))) for hop in hops)
+        y = np.array(y)
+        arch.combine(hops[0], x, y)
+        row_vars = np.log2(1.0 + y.sum(axis=1)).var(axis=1, ddof=1)
+        moments = _sub_chunk_sums(arch, hops, _stream(cfg, 0, 0), rows, width, [width])[0].tolist()
+        for (p1, p2), var in zip(moments, row_vars):
             pair_var = (p2 - p1 * p1 / pairs) / (pairs - 1)
             # Var(b_r + b_(r+h)) = 2 Var(b) (1 + correlation).
             assert pair_var / (2.0 * var) - 1.0 < -0.2
@@ -263,7 +291,7 @@ class TestParallelFill:
             raise AssertionError("the simulator called channels.sample_gamma")
 
         monkeypatch.setattr(channels, "sample_gamma", recording)
-        cfg = McConfig(samples=3 * 8192 + 1, master_seed=27, chunk_size=8192)
+        cfg = McConfig(samples=3 * 8192 + 2, master_seed=27, chunk_size=8192)
         mc_branch_estimates(irs_scenario(n=2), architecture, cfg)
         mc_element_estimates(irs_scenario(), architecture, cfg, [1, 5])
         assert calls == []
@@ -273,10 +301,9 @@ class TestErlangFill:
     # Integer shapes 1 to 6 are -log of a product of uniforms, in antithetic
     # row pairs; every other shape is Generator.gamma, bit for bit.
 
-    # The documented draw order: k rounds of uniforms over the first
-    # m - m // 2 rows, each taken as 1 - u there and, for the first m // 2,
-    # as u + 2^-53 in the last m // 2 rows; then -log, scaled.  An odd
-    # block's middle row is unpaired.
+    # The documented draw order: k rounds of uniforms over the first m/2
+    # rows, each taken as 1 - u there and as u + 2^-53 in the last m/2
+    # rows; then -log, scaled.
     erlang_fill = staticmethod(erlang_pairs)
 
     @staticmethod
@@ -284,24 +311,22 @@ class TestErlangFill:
         return _fill(rng, hop, np.empty(shape), np.empty(shape))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("size", [1, 327_683])
-    def test_pieces_are_sub_stream_exponential_sums(self, k, size):
+    @pytest.mark.parametrize("pairs", [1, 327_683])
+    def test_pieces_are_sub_stream_exponential_sums(self, k, pairs):
         # -log of the product is the sum of k exponentials, each drawn by
-        # inversion.  One value is an unpaired row alone; an array of five
-        # times the largest surface block and three is 163,841 pairs and an
-        # unpaired middle row, drawn in k whole rounds.
+        # inversion.  One pair alone, and an odd number of pairs over ten
+        # times the largest surface block, drawn in k whole rounds.
         cfg = McConfig(samples=1000, master_seed=28)
-        got = self.fill(_stream(cfg, 2, 1), FadingParams(k, 4.0), size)
-        want = self.erlang_fill(_stream(cfg, 2, 1), k, size, 0.25)
+        got = self.fill(_stream(cfg, 2, 1), FadingParams(k, 4.0), 2 * pairs)
+        want = self.erlang_fill(_stream(cfg, 2, 1), k, 2 * pairs, 0.25)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k", [2, 5])
     def test_surface_blocks_fill_in_flat_order(self, k):
         # A surface block pairs the rows of each element, and each round
-        # draws one (4, 8,193) array, in flat order, across the elements;
-        # each element's middle row draws in those rounds, unpaired.
+        # draws one (4, 8,193) array, in flat order, across the elements.
         cfg = McConfig(samples=1000, master_seed=28)
-        shape = (4, 16_385)
+        shape = (4, 16_386)
         got = self.fill(_stream(cfg, 0, 2), FadingParams(k, 4.0), shape)
         want = self.erlang_fill(_stream(cfg, 0, 2), k, shape, 0.25)
         assert got.shape == shape
@@ -331,9 +356,7 @@ class TestErlangFill:
         # u + 2^-53 is 2^-53, so its product 2^(-53 k) is still a normal
         # float and its draw 53 k ln 2 scale.  At the largest u, 1 - 2^-53,
         # the roles swap and the partner's draw is 0.  Taking u itself as
-        # the partner's factor would give inf at u = 0.  65,539 rows are
-        # 32,769 pairs and an unpaired middle row, which draws as a first
-        # row.
+        # the partner's factor would give inf at u = 0.
         class Constant:
             def __init__(self, value):
                 self.value = value
@@ -341,15 +364,14 @@ class TestErlangFill:
             def random(self, out):
                 out.fill(self.value)
 
-        scale, rows = 0.25, 65_539
+        scale, rows = 0.25, 65_538
         top = -np.log(2.0 ** (-53 * k)) * scale
         assert top == pytest.approx(53 * k * math.log(2.0) * scale, rel=1e-15)
         for u, first, partner in ((0.0, 0.0, top), (1.0 - 2.0**-53, top, 0.0)):
             draws = self.fill(Constant(u), FadingParams(k, 1.0 / scale), rows)
-            split = rows - rows // 2
             assert np.isfinite(draws).all()
-            assert (draws[:split] == first).all()
-            assert (draws[split:] == partner).all()
+            assert (draws[: rows // 2] == first).all()
+            assert (draws[rows // 2 :] == partner).all()
 
     @pytest.mark.parametrize("shape", [2.5, 2.0000001, 7.0])
     def test_other_shapes_are_standard_gamma(self, shape):
@@ -410,15 +432,15 @@ class TestChunkBound:
 
     def test_surface_chunk_rows_do_not_depend_on_n(self, monkeypatch):
         # Every chunk holds chunk_size = 8,192 rows whatever N, in
-        # sub-chunks of 2,048 (the last chunk one row, in sub-chunk 3), and
+        # sub-chunks of 2,048 (the last chunk one pair, in sub-chunk 3), and
         # the surface draws x, y_L and y_E in whole blocks of four elements:
         # a block is drawn whole for N = 1 and N = 5.
-        cfg = McConfig(samples=2 * 8192 + 1, master_seed=22, chunk_size=8192)
+        cfg = McConfig(samples=2 * 8192 + 2, master_seed=22, chunk_size=8192)
         for n in (1, 4, 5, 256):
             blocks = -(-n // 4)
             assert self.fill_shapes(monkeypatch, irs_scenario(n=n), cfg) == {
                 (4, 2048): 3 * blocks * 2 * _STREAMS,
-                (4, 1): 3 * blocks,
+                (4, 2): 3 * blocks,
             }
 
     def test_small_chunks_keep_four_element_blocks(self, monkeypatch):
@@ -435,19 +457,19 @@ class TestChunkBound:
         # hop: one chunk, each of its four sub-chunks one block of 2^16
         # values drawn from its sub-stream,
         # and the estimate the partial sums reduced in sub-chunk order.
-        # Every row is paired, so the s.e. is that of 32,768 pair sums.
+        # The s.e. is that of 32,768 pair sums.
         scn = irs_scenario(n=4)
         n, pairs = 65536, 32768
         cfg = McConfig(samples=n, master_seed=23, chunk_size=n)
         hops = surface_hops(scn)
-        sums = np.zeros((1, 2, 4))
+        sums = np.zeros((1, 2, 2))
         for sub in range(_STREAMS):
             rng = _stream(cfg, 0, sub)
             sums += _sub_chunk_sums(ARCHITECTURES["irs"], hops, rng, n // _STREAMS, 4, [4])
-        for est, (s1, _, p1, p2) in zip(mc_branch_estimates(scn, "irs", cfg), sums[0].tolist()):
+        for est, (p1, p2) in zip(mc_branch_estimates(scn, "irs", cfg), sums[0].tolist()):
             pair_mean = p1 / pairs
             pair_var = max(p2 - pairs * pair_mean * pair_mean, 0.0) / (pairs - 1)
-            assert est.bits_per_sec_hz == s1 / n
+            assert est.bits_per_sec_hz == p1 / n
             assert est.std_error == math.sqrt(pairs * pair_var) / n
 
     @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
@@ -456,7 +478,7 @@ class TestChunkBound:
         # the same chunks, bit for bit, over three chunks (the last partial).
         scn = irs_scenario(n=6)
         estimates = [
-            mc_branch_estimates(scn, architecture, McConfig(2**17 + 5, 33, chunk_size))
+            mc_branch_estimates(scn, architecture, McConfig(2**17 + 6, 33, chunk_size))
             for chunk_size in (2**16, 2**17)
         ]
         assert estimates[0] == estimates[1]
