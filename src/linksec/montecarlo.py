@@ -11,27 +11,36 @@ with it.
 
 The simulator never calls the analytic route: it samples raw channel
 gains, forms the instantaneous end-to-end SNR of each receiver, and
-averages log2(1 + SNR).  Work is split into chunks of min(chunk_size,
-2^16) rows, whatever the architecture and N, and a chunk of h row pairs
-(below) into four sub-chunks, sub-chunk s holding pairs h*s//4 to
+averages log2(1 + SNR).  Work is split into chunks, and a chunk of h row
+pairs (below) into four sub-chunks, sub-chunk s holding pairs h*s//4 to
 h*(s+1)//4 and drawing every hop from its own SFC64 sub-stream, seeded
-from (master seed, chunk index, s) through ``SeedSequence``.  Up to four
-pool threads run whole sub-chunks through one kernel for every
-architecture: the draws, both receivers' SNRs, log1p and two sums per
-(count, receiver), of the pair sums and of their squares.  The caller
-reduces those in (chunk, sub-chunk) order, with at most two tasks a
-thread in flight.  So no value depends on the number of threads, reruns
-are bit-identical, and memory does not grow with the sample count.
+from (master seed, chunk index, s) through ``SeedSequence``.  One block
+rule sizes every chunk: a full sub-chunk draws each hop as one block of
+2^16 values.  A surface draws E = 4 elements a block, so its chunk holds
+min(chunk_size, 2^16) rows, whatever N; a relay is one element, E = 1,
+and its chunk holds four times as many.  Up to four pool threads run
+whole sub-chunks through one kernel for every architecture: the draws,
+both receivers' SNRs, log1p and two sums per (count, receiver), of the
+pair sums and of their squares.  The caller reduces those in (chunk,
+sub-chunk) order, with at most two tasks a thread in flight.  So no value
+depends on the number of threads, reruns are bit-identical, and memory
+does not grow with the sample count.
 
 The kernel draws the hop triple in element blocks: x, then y_L and y_E
 into one (2, E, sub-chunk rows) array, whose first axis is the receiver,
-and the block holding the last element needed is drawn whole.  A
-surface's E is 4, so element i's draws do not depend on how many elements
-follow, memory does not depend on N, and no block holds more than 2^16
-values a hop.  Both receivers' SNRs add one element at a time, in element
-order, into one (2, rows) accumulator, so the estimate at N elements is
-read after element N; ``mc_element_estimates`` reads many counts off one
-pass.  A relay is a one-element block, E = 1, and its draws do not read N.
+and the block holding the last element needed is drawn whole.  So a
+surface element i's draws do not depend on how many elements follow,
+memory does not depend on N, and no block holds more than 2^16 values a
+hop.  Both receivers' SNRs add one element at a time, in element order,
+into one (2, rows) accumulator, so the estimate at N elements is read
+after element N; ``mc_element_estimates`` reads many counts off one pass.
+A relay's draws do not read N.  The kernel allocates nothing per task:
+x, the Erlang scratch, y and the accumulator are views on one buffer set
+per running task, made on first need and kept for every later task and
+call, about 2.25 MiB a set, so about 4.5 MiB at two threads.  A relay
+block of 2^16 values is what lets the second thread pay: at 2^14 values
+each NumPy call was too short to hide the handoff of the interpreter
+lock, and two threads ran DF and AFFG no faster than one.
 
 A Gamma array at an integer shape k <= 6 is an exact Erlang draw, -log of
 a product of k uniforms (Knuth, *TAOCP* vol. 2, section 3.4.1; Devroye,
@@ -90,9 +99,11 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# Most rows in a chunk.  A sub-chunk then holds at most 2^14 rows, so a
-# surface block of four elements holds 2^16 values a hop (512 KiB of
-# float64), and the largest buffer, both receivers' blocks, twice that.
+# Most rows in a surface chunk.  A sub-chunk then holds at most 2^14 rows,
+# so a surface block of four elements holds 2^16 values a hop (512 KiB of
+# float64), and the largest buffer, both receivers' blocks, twice that.  A
+# relay chunk, one element wide, holds four times as many rows, so its
+# blocks hold 2^16 values too.
 _CHUNK_ROWS = 1 << 16
 
 # Elements in a surface block: the reference N = 4 surface draws one block,
@@ -116,14 +127,15 @@ _ULP = 2.0**-53
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sample count, master seed and the largest chunk, in rows.
+    """Sample count, master seed and the largest surface chunk, in rows.
 
-    A chunk holds min(chunk_size, 2^16) rows for every architecture and
-    every N, split into four sub-chunks; a surface draws blocks of four
-    elements a hop.  The chunk length decides which draws of the seeded
-    streams an estimate uses.  Rows come in antithetic pairs, so both
-    counts are even, and a chunk is at least 8 rows, so every sub-chunk of
-    a full chunk holds a pair.
+    A surface chunk holds min(chunk_size, 2^16) rows for every N and draws
+    blocks of four elements a hop; a relay chunk, one element wide, holds
+    four times as many rows, so every block holds at most 2^16 values.
+    Each chunk splits into four sub-chunks.  The chunk length decides
+    which draws of the seeded streams an estimate uses.  Rows come in
+    antithetic pairs, so both counts are even, and a chunk is at least 8
+    rows, so every sub-chunk of a full chunk holds a pair.
     """
 
     samples: int
@@ -210,7 +222,37 @@ def _fill(
     return out
 
 
-def _sub_chunk_sums(arch: Architecture, hops, rng, rows: int, width: int, counts) -> np.ndarray:
+# Buffer sets that no running task holds, each a dict of flat float64
+# arrays by name.  There are as many sets as tasks ever ran at once: two on
+# a 2-vCPU host, or twice that while two callers simulate at once.
+_FREE_BUFFERS: list[dict[str, np.ndarray]] = []
+
+
+@contextlib.contextmanager
+def _buffer_set():
+    """A buffer set that no other running task holds, returned to the free list after use."""
+    try:
+        buffers = _FREE_BUFFERS.pop()
+    except IndexError:  # its arrays are made on first need, by ``_view``
+        buffers = {}
+    try:
+        yield buffers
+    finally:
+        _FREE_BUFFERS.append(buffers)
+
+
+def _view(buffers: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous array of ``shape`` on ``buffers[name]``, made or grown on need."""
+    size = math.prod(shape)
+    flat = buffers.get(name)
+    if flat is None or flat.size < size:
+        flat = buffers[name] = np.empty(size)
+    return flat[:size].reshape(shape)
+
+
+def _sub_chunk_sums(
+    arch: Architecture, hops, rng, rows: int, width: int, counts, buffers: dict
+) -> np.ndarray:
     """(Σs, Σs²) per (count, receiver) of one sub-chunk of ``rows`` rows, an even number.
 
     s runs over the pair sums b_r + b_(r+rows/2) of the bits of the rows
@@ -222,7 +264,9 @@ def _sub_chunk_sums(arch: Architecture, hops, rng, rows: int, width: int, counts
     which add one element at a time, in element order, into a (2, ``rows``)
     accumulator; at each of the ascending element ``counts`` both
     receivers' bits are written into the spent element of y.  A relay is
-    one element: ``width`` 1 and ``counts`` [1].
+    one element: ``width`` 1 and ``counts`` [1].  Every array is a view on
+    ``buffers``, a set that no other running task holds (``_buffer_set``),
+    so a task allocates nothing but its small sums.
     """
     first = hops[0]
     # Three buffers serve every block: x, shared by both receivers, y, and
@@ -230,12 +274,15 @@ def _sub_chunk_sums(arch: Architecture, hops, rng, rows: int, width: int, counts
     # pass reads its SNR off y and keeps no sum: adding y into a zeroed
     # accumulator cost DF 3-6% and AFFG 4-9% more CPU time at 10^6 samples
     # on one CPU of a 2-vCPU host.
-    x, scratch = np.empty((width, rows)), np.empty((width, rows))
-    y = np.empty((2, width, rows))
+    x, scratch = _view(buffers, "x", (width, rows)), _view(buffers, "scratch", (width, rows))
+    y = _view(buffers, "y", (2, width, rows))
     half = rows // 2
     pair = scratch.reshape(-1)[:rows].reshape(2, half)
     last = counts[-1]
-    acc = np.zeros((2, rows)) if last > 1 else None
+    acc = None
+    if last > 1:
+        acc = _view(buffers, "acc", (2, rows))
+        acc.fill(0.0)
     snapshot = {count: k for k, count in enumerate(counts)}
     sums = np.zeros((len(counts), 2, 2))
     for start in range(0, last, width):
@@ -243,7 +290,7 @@ def _sub_chunk_sums(arch: Architecture, hops, rng, rows: int, width: int, counts
         _fill(rng, first, x, scratch)
         for receiver, hop in enumerate(hops[1:]):
             _fill(rng, hop, y[receiver], scratch)
-        arch.combine(first, x[:used], y[:, :used])
+        arch.combine(first, x[:used], y[:, :used], scratch[:used])
         for i in range(used):
             snr = y[:, i]
             if acc is not None:
@@ -283,22 +330,26 @@ class Architecture:
     the link model.  The analytic route passes ``capacity`` the first hop
     and one receiver's second, with the element count after them when
     ``per_element`` is True.  The simulator draws one element's first hop x
-    and both second hops y, of shape (2, ...), and ``combine(first, x, y)``
-    overwrites y with both receivers' element SNRs, ``first`` being the
-    folded first hop; a surface adds its elements' SNRs, and a relay is one
-    element.
+    and both second hops y, of shape (2, ...), and ``combine(first, x, y,
+    scratch)`` overwrites y with both receivers' element SNRs, ``first``
+    being the folded first hop and ``scratch`` a free array shaped as x; a
+    surface adds its elements' SNRs, and a relay is one element.
     """
 
     capacity: Callable[..., CapacityEstimate]
     hops: Callable[[Scenario], tuple[FadingParams, FadingParams, FadingParams]]
-    combine: Callable[[FadingParams, np.ndarray, np.ndarray], None]
+    combine: Callable[[FadingParams, np.ndarray, np.ndarray, np.ndarray], None]
     per_element: bool = False
 
 
-def _affg_combine(first: FadingParams, x: np.ndarray, y: np.ndarray) -> None:
+def _affg_combine(first: FadingParams, x: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> None:
     # x * y / (y + l) as x times a ratio below 1: the product x * y
-    # overflows at extreme power while the end-to-end SNR still fits.
-    y /= y + affg_snr_constant(first)
+    # overflows at extreme power while the end-to-end SNR still fits.  Each
+    # receiver's y + l goes into the scratch, so nothing is allocated.
+    l = affg_snr_constant(first)
+    for receiver in y:
+        np.add(receiver, l, out=scratch)
+        receiver /= scratch
     y *= x
 
 
@@ -309,13 +360,13 @@ ARCHITECTURES = {
     "irs": Architecture(
         lambda *a: capacity.ergodic_capacity_irs(*a),
         channels.surface_hops,
-        lambda first, x, y: np.multiply(y, x, out=y),
+        lambda first, x, y, scratch: np.multiply(y, x, out=y),
         per_element=True,
     ),
     "df": Architecture(
         lambda *a: capacity.df_ergodic_capacity(*a),
         channels.relay_hops,
-        lambda first, x, y: np.minimum(y, x, out=y),
+        lambda first, x, y, scratch: np.minimum(y, x, out=y),
     ),
     "affg": Architecture(
         lambda *a: capacity.affg_ergodic_capacity(*a),
@@ -401,11 +452,12 @@ def mc_element_estimates(scenario: Scenario, architecture: str, cfg: McConfig, c
         replace(scenario, n_elements=count)
     if not counts:
         return []
-    rows = min(cfg.chunk_size, _CHUNK_ROWS)
     if arch.per_element:
         targets, width = sorted(set(counts)), _BLOCK_ELEMENTS
     else:  # a relay is one element: one pass serves every count
         targets, width = [1], 1
+    # The block rule: a full sub-chunk draws 2^16 values a hop.
+    rows = min(cfg.chunk_size, _CHUNK_ROWS) * _BLOCK_ELEMENTS // width
 
     # Imported here, so the analytic route does not pay for it.
     from concurrent.futures import ThreadPoolExecutor
@@ -414,6 +466,11 @@ def mc_element_estimates(scenario: Scenario, architecture: str, cfg: McConfig, c
     with _float_range(scenario):
         hops = arch.hops(scenario)
         errors, threads = np.geterr(), _threads()
+
+        def task(rng, m):
+            with _buffer_set() as buffers:
+                return _sub_chunk_sums(arch, hops, rng, m, width, targets, buffers)
+
         with ThreadPoolExecutor(threads, initializer=lambda: np.seterr(**errors)) as pool:
             # At most two tasks a thread in flight, reduced oldest first:
             # memory does not grow with samples, and sums add in task order.
@@ -425,9 +482,7 @@ def mc_element_estimates(scenario: Scenario, architecture: str, cfg: McConfig, c
                     if m:
                         if len(window) == 2 * threads:
                             totals += window.popleft().result()
-                        rng = _stream(cfg, chunk, sub)
-                        task = pool.submit(_sub_chunk_sums, arch, hops, rng, m, width, targets)
-                        window.append(task)
+                        window.append(pool.submit(task, _stream(cfg, chunk, sub), m))
             for future in window:
                 totals += future.result()
     estimates = {

@@ -565,16 +565,18 @@ def _gamma_block(rng: np.random.Generator, hop: FadingParams, shape) -> np.ndarr
 def simulated_bits(scenario, architecture: str, cfg):
     """Yield the (legitimate, eavesdropper) bits of each sub-chunk, in order.
 
-    The simulator's documented layout, read independently: chunks of
-    min(chunk_size, 2^16) rows, whose h row pairs split at pairs h*s//4
-    into four sub-chunks; sub-chunk s of chunk c draws from its own SFC64
-    stream seeded by (master seed, c, s); a surface draws x, y_L and y_E in
-    blocks of four elements, a relay each hop as one element.
+    The simulator's documented layout, read independently: a full
+    sub-chunk draws 2^16 values a hop, so a surface chunk holds
+    min(chunk_size, 2^16) rows and a relay chunk, one element wide, four
+    times as many; a chunk's h row pairs split at pairs h*s//4 into four
+    sub-chunks; sub-chunk s of chunk c draws from its own SFC64 stream
+    seeded by (master seed, c, s); a surface draws x, y_L and y_E in blocks
+    of four elements, a relay each hop as one element.
     """
     surface = architecture == "irs"
     hops = channels.surface_hops if surface else channels.relay_hops
     first, legit, eve = hops(scenario)
-    rows = min(cfg.chunk_size, 2**16)
+    rows = min(cfg.chunk_size, 2**16) * (1 if surface else 4)
     for chunk, top in enumerate(range(0, cfg.samples, rows)):
         pairs = min(rows, cfg.samples - top) // 2
         for sub in range(4):

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -65,6 +66,21 @@ def unit_rate_relay():
         noise_power_legit=1.0,
         noise_power_eve=1.0,
     )
+
+
+def record_tasks(monkeypatch, architecture, cfg):
+    # (rows, width) of every sub-chunk task, keyed by (chunk, sub-chunk).
+    tasks = {}
+
+    def recording(arch, hops, rng, rows, width, counts, buffers):
+        tasks[rng] = (rows, width)
+        return np.zeros((len(counts), 2, 2))
+
+    monkeypatch.setattr(montecarlo, "_stream", lambda cfg, chunk, sub: (chunk, sub))
+    monkeypatch.setattr(montecarlo, "_sub_chunk_sums", recording)
+    mc_branch_estimates(irs_scenario(n=4), architecture, cfg)
+    monkeypatch.undo()
+    return tasks
 
 
 class TestConfig:
@@ -162,10 +178,11 @@ class TestParallelFill:
     # give the same bytes.
 
     @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
-    @pytest.mark.parametrize("samples", [20_000, 65_538])
+    @pytest.mark.parametrize("samples", [20_000, 65_538, 262_146])
     def test_thread_count_does_not_change_draws(self, monkeypatch, architecture, samples):
-        # 65,538 samples leave a final chunk of one pair, so three of its
-        # four sub-chunks are empty.
+        # 65,538 samples leave a surface a final chunk of one pair, so three
+        # of its four sub-chunks are empty; 262,146 do the same to a relay,
+        # after one full chunk of 2^18 rows.
         scn = irs_scenario(n=2)
         cfg = McConfig(samples=samples, master_seed=25)
         results = []
@@ -175,6 +192,25 @@ class TestParallelFill:
             results.append(np.array([(e.bits_per_sec_hz, e.std_error) for e in estimates]).tobytes())
         assert results[0] == results[1] == results[2]
         assert all(math.isfinite(est.std_error) and est.std_error > 0 for est in estimates)
+
+    def test_concurrent_calls_match_serial(self):
+        # Each running task takes its own buffer set, so callers on their
+        # own threads get the values each gets alone: a set shared by two
+        # tasks would mix their draws.  Three callers run up to six pool
+        # threads, and a short switch interval interleaves them often.
+        from concurrent.futures import ThreadPoolExecutor
+
+        cfg = McConfig(samples=300_000, master_seed=39)
+        jobs = [(irs_scenario(n=6), "irs"), (relay_scenario(), "affg"), (relay_scenario(), "df")]
+        serial = [mc_branch_estimates(scn, architecture, cfg) for scn, architecture in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(jobs)) as callers:
+                futures = [callers.submit(mc_branch_estimates, scn, a, cfg) for scn, a in jobs]
+                assert [future.result(timeout=120) for future in futures] == serial
+        finally:
+            sys.setswitchinterval(interval)
 
     @staticmethod
     def read_layout(scn, architecture, cfg):
@@ -191,8 +227,9 @@ class TestParallelFill:
     @pytest.mark.parametrize("elements", [1, 6])
     def test_sub_chunks_come_from_their_sub_streams(self, elements):
         # The layout read independently, at shape 2.5, where every draw is
-        # Generator.gamma: chunks of 4,098 rows, the last one partial, each
-        # split at pairs h*s//4 into unequal sub-chunks; sub-chunk s draws
+        # Generator.gamma: chunks of 4,098 rows on a surface and 16,392 on a
+        # relay, the last one partial, each split at pairs h*s//4 into
+        # unequal sub-chunks; sub-chunk s draws
         # from sub-stream s, a surface in blocks of four elements (the first
         # of N = 1, the second of N = 6, drawn whole); the sums of the pair
         # sums are reduced in (chunk, sub-chunk) order.  N = 1 is a
@@ -216,35 +253,32 @@ class TestParallelFill:
     def test_every_task_holds_whole_pairs(self, monkeypatch, samples, chunk_size):
         # Each chunk's h pairs split at pairs h*s//4: every task's rows are
         # even, the sub-chunks of a chunk differ by at most one pair, and a
-        # chunk whose rows are a multiple of 8 splits at rows n*s//4.
-        tasks = {}
-
-        def recording(arch, hops, rng, rows, width, counts):
-            tasks[rng] = rows
-            return np.zeros((len(counts), 2, 2))
-
-        monkeypatch.setattr(montecarlo, "_stream", lambda cfg, chunk, sub: (chunk, sub))
-        monkeypatch.setattr(montecarlo, "_sub_chunk_sums", recording)
+        # chunk whose rows are a multiple of 8 splits at rows n*s//4.  A
+        # surface chunk holds min(chunk_size, 2^16) rows, a relay chunk four
+        # times as many.
         cfg = McConfig(samples=samples, master_seed=1, chunk_size=chunk_size)
-        mc_branch_estimates(irs_scenario(), "irs", cfg)
-        rows = min(chunk_size, 2**16)
-        assert sum(tasks.values()) == samples
-        assert all(m > 0 and m % 2 == 0 for m in tasks.values())
-        for chunk in range(-(-samples // rows)):
-            n = min(rows, samples - chunk * rows)
-            sizes = [tasks.get((chunk, sub), 0) for sub in range(_STREAMS)]
-            assert sum(sizes) == n and max(sizes) - min(sizes) <= 2
-            if n % 8 == 0:
-                assert sizes == [n * (s + 1) // 4 - n * s // 4 for s in range(_STREAMS)]
+        surface_rows = min(chunk_size, 2**16)
+        for architecture, rows in (("irs", surface_rows), ("df", 4 * surface_rows)):
+            tasks = {key: m for key, (m, _) in record_tasks(monkeypatch, architecture, cfg).items()}
+            assert sum(tasks.values()) == samples
+            assert all(m > 0 and m % 2 == 0 for m in tasks.values())
+            for chunk in range(-(-samples // rows)):
+                n = min(rows, samples - chunk * rows)
+                sizes = [tasks.get((chunk, sub), 0) for sub in range(_STREAMS)]
+                assert sum(sizes) == n and max(sizes) - min(sizes) <= 2
+                if n % 8 == 0:
+                    assert sizes == [n * (s + 1) // 4 - n * s // 4 for s in range(_STREAMS)]
 
     @pytest.mark.parametrize("chunk_size", [65536, 4098, 8, 10])
     @pytest.mark.parametrize("shape", [2.0, 2.5])
     @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
     def test_standard_error_matches_pair_sum_oracle(self, architecture, shape, chunk_size):
         # The oracle reads the same draws and takes the s.e. over pair sums
-        # with NumPy's two-pass variance: sub-chunks of 5,000 rows, of 1,024
-        # and 1,026, of two rows at the smallest chunk, 8, and of two and
-        # four rows at chunk size 10.
+        # with NumPy's two-pass variance.  A surface draws sub-chunks of
+        # 5,000 rows, of 1,024 and 1,026, of two rows at the smallest chunk,
+        # 8, and of two and four rows at chunk size 10; a relay, whose chunk
+        # holds four times the rows, of 5,000, of 4,098 and 902 (the partial
+        # second chunk), of eight and of ten rows.
         samples = 20_000 if chunk_size > 10 else 1000
         cfg = McConfig(samples=samples, master_seed=37, chunk_size=chunk_size)
         scn = irs_scenario(n=6, shape=shape)
@@ -271,9 +305,10 @@ class TestParallelFill:
         rng = _stream(cfg, 0, 0)
         x, *y = (_fill(rng, hop, np.empty((width, rows)), np.empty((width, rows))) for hop in hops)
         y = np.array(y)
-        arch.combine(hops[0], x, y)
+        arch.combine(hops[0], x, y, np.empty_like(x))
         row_vars = np.log2(1.0 + y.sum(axis=1)).var(axis=1, ddof=1)
-        moments = _sub_chunk_sums(arch, hops, _stream(cfg, 0, 0), rows, width, [width])[0].tolist()
+        moments = _sub_chunk_sums(arch, hops, _stream(cfg, 0, 0), rows, width, [width], {})
+        moments = moments[0].tolist()
         for (p1, p2), var in zip(moments, row_vars):
             pair_var = (p2 - p1 * p1 / pairs) / (pairs - 1)
             # Var(b_r + b_(r+h)) = 2 Var(b) (1 + correlation).
@@ -465,7 +500,7 @@ class TestChunkBound:
         sums = np.zeros((1, 2, 2))
         for sub in range(_STREAMS):
             rng = _stream(cfg, 0, sub)
-            sums += _sub_chunk_sums(ARCHITECTURES["irs"], hops, rng, n // _STREAMS, 4, [4])
+            sums += _sub_chunk_sums(ARCHITECTURES["irs"], hops, rng, n // _STREAMS, 4, [4], {})
         for est, (p1, p2) in zip(mc_branch_estimates(scn, "irs", cfg), sums[0].tolist()):
             pair_mean = p1 / pairs
             pair_var = max(p2 - pairs * pair_mean * pair_mean, 0.0) / (pairs - 1)
@@ -473,15 +508,48 @@ class TestChunkBound:
             assert est.std_error == math.sqrt(pairs * pair_var) / n
 
     @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
-    def test_chunk_rows_capped_at_2_16(self, architecture):
-        # A chunk holds at most 65,536 rows, so a chunk size of 2^17 draws
-        # the same chunks, bit for bit, over three chunks (the last partial).
+    def test_chunk_rows_capped_at_2_16_surface_2_18_relay(self, architecture):
+        # A surface chunk holds at most 2^16 rows and a relay chunk 2^18, so
+        # a chunk size of 2^17 draws the same chunks, bit for bit, over
+        # three chunks (the last partial).
         scn = irs_scenario(n=6)
+        chunk_rows = 2**16 if architecture == "irs" else 2**18
         estimates = [
-            mc_branch_estimates(scn, architecture, McConfig(2**17 + 6, 33, chunk_size))
+            mc_branch_estimates(scn, architecture, McConfig(2 * chunk_rows + 6, 33, chunk_size))
             for chunk_size in (2**16, 2**17)
         ]
         assert estimates[0] == estimates[1]
+
+    @pytest.mark.parametrize("chunk_size", [65536, 4098])
+    def test_every_block_holds_at_most_2_16_values(self, monkeypatch, chunk_size):
+        # The block rule: a full sub-chunk draws 2^16 values a hop, 16,384
+        # rows x 4 elements on a surface and 65,536 x 1 on a relay at the
+        # default chunk size, and no block is larger at any chunk size.
+        cfg = McConfig(samples=2**19 + 2, master_seed=1, chunk_size=chunk_size)
+        for architecture in ("irs", "df", "affg"):
+            tasks = record_tasks(monkeypatch, architecture, cfg)
+            assert all(rows * width <= 2**16 for rows, width in tasks.values())
+            full = max(tasks.values())
+            assert full[1] == (4 if architecture == "irs" else 1)
+            if chunk_size == 65536:
+                assert full == ((16_384, 4) if architecture == "irs" else (65_536, 1))
+                # Every sub-chunk but those of the one-pair last chunk is full.
+                assert sum(shape == full for shape in tasks.values()) == len(tasks) - 1
+
+    def test_second_call_allocates_no_buffers(self):
+        # x, the Erlang scratch, y and the accumulator are kept from the
+        # first call, so a second 10^6-sample AFFG call peaks far below one
+        # block's y + l, (2, 1, 65,536) float64 values, 1 MiB.
+        scn = relay_scenario()
+        cfg = McConfig(samples=10**6, master_seed=38)
+        mc_branch_estimates(scn, "affg", cfg)
+        tracemalloc.start()
+        try:
+            mc_branch_estimates(scn, "affg", cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_memory_does_not_grow_with_samples(self, monkeypatch):
         # At most two tasks a thread are in flight, so 10^6 samples (980
@@ -513,8 +581,9 @@ class TestChunkBound:
 
 class TestElementCounts:
     # One pass to the largest count reads every smaller count on the way.
-    # 3,000 samples are one partial chunk of 65,536 rows (blocks of 4
-    # elements), or one full and one partial chunk of 2,048 (blocks of 128).
+    # 3,000 samples are one partial surface chunk of 65,536 rows, or one
+    # full and one partial chunk of 2,048; a surface block is 4 elements at
+    # both.  A relay's 3,000 samples are one partial chunk at both.
 
     @pytest.mark.parametrize("chunk_size", [65536, 2048])
     @pytest.mark.parametrize("counts", [range(1, 9), range(64, 257, 64)], ids=["1-8", "64-256"])
