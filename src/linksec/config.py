@@ -214,8 +214,8 @@ def parse_config_text(text: str) -> ParsedConfig:
 
 
 def parse_config(path: str) -> ParsedConfig:
-    """Parse and validate the configuration file at ``path``."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Parse and validate the configuration file at ``path``, UTF-8 with or without a BOM."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_config_text(fh.read())
 
 

@@ -11,32 +11,32 @@ with it.
 
 The simulator never calls the analytic route: it samples raw channel
 gains, forms the instantaneous end-to-end SNR of each receiver, and
-averages log2(1 + SNR).  Work is split into chunks, and a chunk of h row
-pairs (below) into four sub-chunks, sub-chunk s holding pairs h*s//4 to
-h*(s+1)//4 and drawing every hop from its own SFC64 sub-stream, seeded
-from (master seed, chunk index, s) through ``SeedSequence``.  One block
-rule sizes every chunk: a full sub-chunk draws each hop as one block of
-2^16 values.  A surface draws E = 4 elements a block, so its chunk holds
-min(chunk_size, 2^16) rows, whatever N; a relay is one element, E = 1,
-and its chunk holds four times as many.  Up to four pool threads run
-whole sub-chunks through one kernel for every architecture: the draws,
-both receivers' SNRs, log1p and two sums per (count, receiver), of the
-pair sums and of their squares.  The caller reduces those in (chunk,
-sub-chunk) order, with at most two tasks a thread in flight.  So no value
-depends on the number of threads, reruns are bit-identical, and memory
-does not grow with the sample count.
+averages log2(1 + SNR).  One rule splits the work into tasks.  A task
+draws each hop in blocks of E elements, E = 4 for a surface and 1 for a
+relay, and R = min(chunk_size, 2^16) * 4 / E rows make four tasks, so a
+full task draws 2^16 values a hop whatever N.  The h = n/2 row pairs of n
+samples split evenly into T = 4 * ceil(n / R) tasks: task t holds pairs
+h*t//T to h*(t+1)//T and draws every hop from its own SFC64 sub-stream,
+seeded from (master seed, t // 4, t % 4) through ``SeedSequence``, and a
+task with no pair draws nothing.  Up to four pool threads run whole tasks
+through one kernel for every architecture: the draws, both receivers'
+SNRs, log1p and two sums per (count, receiver), of the pair sums and of
+their squares.  The caller reduces those in task order, with at most two
+tasks a thread in flight.  So no value depends on the number of threads,
+reruns are bit-identical, and memory does not grow with the sample count.
 
 The kernel draws the hop triple in element blocks: x, then y_L and y_E
-into one (2, E, sub-chunk rows) array, whose first axis is the receiver,
-and the block holding the last element needed is drawn whole.  So a
-surface element i's draws do not depend on how many elements follow,
-memory does not depend on N, and no block holds more than 2^16 values a
-hop.  Both receivers' SNRs add one element at a time, in element order,
-into one (2, rows) accumulator, so the estimate at N elements is read
-after element N; ``mc_element_estimates`` reads many counts off one pass.
-A relay's draws do not read N.  The kernel allocates nothing per task:
-x, the Erlang scratch, y and the accumulator are views on one buffer set
-per running task, made on first need and kept for every later task and
+into one (2, E, task rows) array, whose first axis is the receiver, and
+the block holding the last element needed is drawn whole.  So a surface
+element i's draws do not depend on how many elements follow, memory does
+not depend on N, and no block holds more than 2^16 values a hop.  Both
+receivers' SNRs add one element at a time, in element order, into one
+(2, rows) accumulator, so the estimate at N elements is read after
+element N; ``mc_element_estimates`` reads many counts off one pass.  A
+relay's draws do not read N.  The kernel allocates nothing per task: x,
+the Erlang scratch, y and the accumulator are contiguous prefixes of the
+four flat arrays of one buffer set per running task, 2^16, 2^16, 2 * 2^16
+and 2^15 values, made when first needed and kept for every later task and
 call, about 2.25 MiB a set, so about 4.5 MiB at two threads.  A relay
 block of 2^16 values is what lets the second thread pay: at 2^14 values
 each NumPy call was too short to hide the handoff of the interpreter
@@ -51,12 +51,12 @@ Glasserman, *Monte Carlo Methods in Financial Engineering*, 2004, section
 the factors u + 2^-53 of the same k rounds of uniforms, so a pair costs k
 uniforms and two logarithms.  Any other shape is NumPy's
 ``standard_gamma``, and both rows of a pair are then independent.  Every
-hop and element block of a sub-chunk pairs the same rows, and x * y,
+hop and element block of a task pairs the same rows, and x * y,
 min(x, y) and x * y / (y + l) are all nondecreasing in each hop, so the
 two rows' bits move in opposite directions and their covariance is <= 0.
-So the pair is the sampling unit, and sample counts and chunks are even:
-over n rows, an estimate is Σs / n and its s.e. √(P V_s) / n, that of a
-mean of P = n/2 independent pair sums s = b_r + b_(r+m/2), V_s their
+So the pair is the sampling unit, and sample counts and chunk sizes are
+even: over n rows, an estimate is Σs / n and its s.e. √(P V_s) / n, that
+of a mean of P = n/2 independent pair sums s = b_r + b_(r+m/2), V_s their
 sample variance.  At the reference shape 2 this is 0.46-0.75 times the
 s.e. of independent rows.  Through ``_fill`` on one thread of a 2-vCPU
 host, a default surface block of 4 x 16,384 values, in ns a value (the
@@ -99,21 +99,20 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# Most rows in a surface chunk.  A sub-chunk then holds at most 2^14 rows,
-# so a surface block of four elements holds 2^16 values a hop (512 KiB of
-# float64), and the largest buffer, both receivers' blocks, twice that.  A
-# relay chunk, one element wide, holds four times as many rows, so its
-# blocks hold 2^16 values too.
-_CHUNK_ROWS = 1 << 16
+# The most values a task draws a hop (512 KiB of float64): a full surface
+# task is 2^14 rows x 4 elements, and a full relay task 2^16 rows x 1.
+# The x and Erlang scratch buffers hold that many, y, both receivers'
+# blocks, twice that, and the accumulator 2 x 2^14.
+_BLOCK_VALUES = 1 << 16
 
 # Elements in a surface block: the reference N = 4 surface draws one block,
 # and no surface draws more than three elements it does not use.
 _BLOCK_ELEMENTS = 4
 
-# Sub-chunks, and so sub-streams, per chunk, and the most threads that run
-# them.  Fixed, so the draws are the same on any number of CPUs.  Eight
-# balanced better under host CPU steal, but raised the wide-surface
-# sweep's peak RSS by 7% where four raise it by 2-3%.
+# Tasks per R rows, so task t's sub-stream key is divmod(t, 4), and the
+# most threads that run them.  Fixed, so the draws are the same on any
+# number of CPUs.  Eight balanced better under host CPU steal, but raised
+# the wide-surface sweep's peak RSS by 7% where four raise it by 2-3%.
 _STREAMS = 4
 
 # Integer shapes up to this one are drawn as -log of a product of uniforms
@@ -127,15 +126,16 @@ _ULP = 2.0**-53
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sample count, master seed and the largest surface chunk, in rows.
+    """Sample count, master seed and the chunk size, the cap on a task's block.
 
-    A surface chunk holds min(chunk_size, 2^16) rows for every N and draws
-    blocks of four elements a hop; a relay chunk, one element wide, holds
-    four times as many rows, so every block holds at most 2^16 values.
-    Each chunk splits into four sub-chunks.  The chunk length decides
-    which draws of the seeded streams an estimate uses.  Rows come in
-    antithetic pairs, so both counts are even, and a chunk is at least 8
-    rows, so every sub-chunk of a full chunk holds a pair.
+    For every architecture, ``chunk_size`` caps the values a task draws a
+    hop at min(chunk_size, 2^16), rounded up to a multiple of 8: a surface
+    task draws blocks of four elements, a relay task one, and
+    R = min(chunk_size, 2^16) * 4 / elements rows make four tasks (see the
+    module docstring).  So it decides which draws of the seeded streams an
+    estimate uses.  Rows come in antithetic pairs, so both counts are even,
+    and the chunk size is at least 8, so R rows make four tasks of at least
+    one pair.
     """
 
     samples: int
@@ -161,17 +161,17 @@ class McConfig:
             raise ValueError("chunk_size must be even, since rows are drawn in antithetic pairs")
 
 
-def _stream(cfg: McConfig, chunk: int, sub: int) -> np.random.Generator:
-    # Sub-stream ``sub`` of chunk ``chunk`` seeds its own SFC64 stream from
-    # (master seed, chunk, sub), so its draws do not depend on which chunks
-    # ran before it or on which thread draws from it.
+def _stream(cfg: McConfig, *key: int) -> np.random.Generator:
+    # The sub-stream of ``key``, divmod(t, 4) for task t, seeds its own
+    # SFC64 stream from (master seed, *key), so its draws do not depend on
+    # which tasks ran before it or on which thread draws from it.
     return np.random.Generator(
-        np.random.SFC64(np.random.SeedSequence(cfg.master_seed, spawn_key=(chunk, sub)))
+        np.random.SFC64(np.random.SeedSequence(cfg.master_seed, spawn_key=key))
     )
 
 
 def _threads() -> int:
-    """Threads that run sub-chunks: one per CPU, at most ``_STREAMS``."""
+    """Threads that run tasks: one per CPU, at most ``_STREAMS``."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on macOS and Windows
@@ -222,38 +222,28 @@ def _fill(
     return out
 
 
-# Buffer sets that no running task holds, each a dict of flat float64
-# arrays by name.  There are as many sets as tasks ever ran at once: two on
-# a 2-vCPU host, or twice that while two callers simulate at once.
-_FREE_BUFFERS: list[dict[str, np.ndarray]] = []
+# Buffer sets that no running task holds, each (x, scratch, y, acc) of flat
+# float64 arrays.  There are as many sets as tasks ever ran at once: two on
+# a 2-vCPU host, or twice that while two callers simulate at once.  Every
+# view is a contiguous prefix: viewing y as [:, :n] of a (2, 2^16) array,
+# or the whole set as one (5, 2^16) array, cost the wide-surface sweep
+# about 1 MB more peak RSS.
+_FREE_BUFFERS: list[tuple[np.ndarray, ...]] = []
 
 
-@contextlib.contextmanager
-def _buffer_set():
-    """A buffer set that no other running task holds, returned to the free list after use."""
+def _buffer_set() -> tuple[np.ndarray, ...]:
+    """A buffer set that no running task holds: a free one, or a new one."""
     try:
-        buffers = _FREE_BUFFERS.pop()
-    except IndexError:  # its arrays are made on first need, by ``_view``
-        buffers = {}
-    try:
-        yield buffers
-    finally:
-        _FREE_BUFFERS.append(buffers)
+        return _FREE_BUFFERS.pop()
+    except IndexError:
+        block = _BLOCK_VALUES
+        return np.empty(block), np.empty(block), np.empty(2 * block), np.empty(block // 2)
 
 
-def _view(buffers: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A C-contiguous array of ``shape`` on ``buffers[name]``, made or grown on need."""
-    size = math.prod(shape)
-    flat = buffers.get(name)
-    if flat is None or flat.size < size:
-        flat = buffers[name] = np.empty(size)
-    return flat[:size].reshape(shape)
-
-
-def _sub_chunk_sums(
-    arch: Architecture, hops, rng, rows: int, width: int, counts, buffers: dict
+def _task_sums(
+    arch: Architecture, hops, rng, rows: int, width: int, counts, buffers: tuple
 ) -> np.ndarray:
-    """(Σs, Σs²) per (count, receiver) of one sub-chunk of ``rows`` rows, an even number.
+    """(Σs, Σs²) per (count, receiver) of one task of ``rows`` rows, an even number.
 
     s runs over the pair sums b_r + b_(r+rows/2) of the bits of the rows
     ``_fill`` pairs.  Given the folded hop triple (first, legitimate,
@@ -264,9 +254,9 @@ def _sub_chunk_sums(
     which add one element at a time, in element order, into a (2, ``rows``)
     accumulator; at each of the ascending element ``counts`` both
     receivers' bits are written into the spent element of y.  A relay is
-    one element: ``width`` 1 and ``counts`` [1].  Every array is a view on
-    ``buffers``, a set that no other running task holds (``_buffer_set``),
-    so a task allocates nothing but its small sums.
+    one element: ``width`` 1 and ``counts`` [1].  Every array is a prefix
+    of ``buffers``, a set that no other running task holds
+    (``_buffer_set``), so a task allocates nothing but its small sums.
     """
     first = hops[0]
     # Three buffers serve every block: x, shared by both receivers, y, and
@@ -274,14 +264,15 @@ def _sub_chunk_sums(
     # pass reads its SNR off y and keeps no sum: adding y into a zeroed
     # accumulator cost DF 3-6% and AFFG 4-9% more CPU time at 10^6 samples
     # on one CPU of a 2-vCPU host.
-    x, scratch = _view(buffers, "x", (width, rows)), _view(buffers, "scratch", (width, rows))
-    y = _view(buffers, "y", (2, width, rows))
-    half = rows // 2
-    pair = scratch.reshape(-1)[:rows].reshape(2, half)
+    size, half = width * rows, rows // 2
+    x_buf, scratch_buf, y_buf, acc_buf = buffers
+    x, scratch = x_buf[:size].reshape(width, rows), scratch_buf[:size].reshape(width, rows)
+    y = y_buf[: 2 * size].reshape(2, width, rows)
+    pair = scratch_buf[:rows].reshape(2, half)
     last = counts[-1]
     acc = None
     if last > 1:
-        acc = _view(buffers, "acc", (2, rows))
+        acc = acc_buf[: 2 * rows].reshape(2, rows)
         acc.fill(0.0)
     snapshot = {count: k for k, count in enumerate(counts)}
     sums = np.zeros((len(counts), 2, 2))
@@ -426,8 +417,8 @@ def mc_branch_estimates(scenario: Scenario, architecture: str, cfg: McConfig):
     The source-side draws are reused by both receiver branches, matching
     the physical channel and reducing the variance of their difference.
     Each receiver's sums of the pair sums of log2(1 + SNR) accumulate in
-    (chunk, sub-chunk) order, and its s.e. is that of the pair sums (see
-    the module docstring).
+    task order, and its s.e. is that of the pair sums (see the module
+    docstring).
     Runs under the float-range rule of ``branches``.
     """
     return mc_element_estimates(scenario, architecture, cfg, (scenario.n_elements,))[0]
@@ -456,8 +447,10 @@ def mc_element_estimates(scenario: Scenario, architecture: str, cfg: McConfig, c
         targets, width = sorted(set(counts)), _BLOCK_ELEMENTS
     else:  # a relay is one element: one pass serves every count
         targets, width = [1], 1
-    # The block rule: a full sub-chunk draws 2^16 values a hop.
-    rows = min(cfg.chunk_size, _CHUNK_ROWS) * _BLOCK_ELEMENTS // width
+    # The task rule: R rows make four tasks, so a full task draws 2^16
+    # values a hop, and the pairs split evenly into T = 4 ceil(n / R) tasks.
+    rows = min(cfg.chunk_size, _BLOCK_VALUES) * _BLOCK_ELEMENTS // width
+    pairs, tasks = cfg.samples // 2, _STREAMS * -(-cfg.samples // rows)
 
     # Imported here, so the analytic route does not pay for it.
     from concurrent.futures import ThreadPoolExecutor
@@ -468,21 +461,22 @@ def mc_element_estimates(scenario: Scenario, architecture: str, cfg: McConfig, c
         errors, threads = np.geterr(), _threads()
 
         def task(rng, m):
-            with _buffer_set() as buffers:
-                return _sub_chunk_sums(arch, hops, rng, m, width, targets, buffers)
+            buffers = _buffer_set()
+            try:
+                return _task_sums(arch, hops, rng, m, width, targets, buffers)
+            finally:
+                _FREE_BUFFERS.append(buffers)
 
         with ThreadPoolExecutor(threads, initializer=lambda: np.seterr(**errors)) as pool:
             # At most two tasks a thread in flight, reduced oldest first:
             # memory does not grow with samples, and sums add in task order.
             window = deque()
-            for chunk in range(-(-cfg.samples // rows)):
-                h = min(rows, cfg.samples - chunk * rows) // 2  # pairs in the chunk
-                for sub in range(_STREAMS):
-                    m = 2 * (h * (sub + 1) // _STREAMS - h * sub // _STREAMS)
-                    if m:
-                        if len(window) == 2 * threads:
-                            totals += window.popleft().result()
-                        window.append(pool.submit(task, _stream(cfg, chunk, sub), m))
+            for t in range(tasks):
+                m = 2 * (pairs * (t + 1) // tasks - pairs * t // tasks)
+                if m:  # a task with no pair, at a tiny chunk size, draws nothing
+                    if len(window) == 2 * threads:
+                        totals += window.popleft().result()
+                    window.append(pool.submit(task, _stream(cfg, *divmod(t, _STREAMS)), m))
             for future in window:
                 totals += future.result()
     estimates = {

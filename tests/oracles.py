@@ -563,27 +563,26 @@ def _gamma_block(rng: np.random.Generator, hop: FadingParams, shape) -> np.ndarr
 
 
 def simulated_bits(scenario, architecture: str, cfg):
-    """Yield the (legitimate, eavesdropper) bits of each sub-chunk, in order.
+    """Yield the (legitimate, eavesdropper) bits of each task, in order.
 
-    The simulator's documented layout, read independently: a full
-    sub-chunk draws 2^16 values a hop, so a surface chunk holds
-    min(chunk_size, 2^16) rows and a relay chunk, one element wide, four
-    times as many; a chunk's h row pairs split at pairs h*s//4 into four
-    sub-chunks; sub-chunk s of chunk c draws from its own SFC64 stream
-    seeded by (master seed, c, s); a surface draws x, y_L and y_E in blocks
-    of four elements, a relay each hop as one element.
+    The simulator's documented layout, read independently: a surface
+    draws x, y_L and y_E in blocks of four elements, a relay each hop as
+    one element, and R rows make four tasks, R = min(chunk_size, 2^16) on
+    a surface and four times that on a relay; the n/2 row pairs split
+    evenly into T = 4 * ceil(n / R) tasks, task t holding pairs
+    (n/2)*t//T to (n/2)*(t+1)//T; task t draws from its own SFC64 stream
+    seeded by (master seed, t // 4, t % 4), and a task with no pair draws
+    nothing.
     """
     surface = architecture == "irs"
     hops = channels.surface_hops if surface else channels.relay_hops
     first, legit, eve = hops(scenario)
     rows = min(cfg.chunk_size, 2**16) * (1 if surface else 4)
-    for chunk, top in enumerate(range(0, cfg.samples, rows)):
-        pairs = min(rows, cfg.samples - top) // 2
-        for sub in range(4):
-            m = 2 * (pairs * (sub + 1) // 4 - pairs * sub // 4)
-            if not m:
-                continue
-            seed = np.random.SeedSequence(cfg.master_seed, spawn_key=(chunk, sub))
+    pairs, tasks = cfg.samples // 2, 4 * math.ceil(cfg.samples / rows)
+    for t in range(tasks):
+        m = 2 * (pairs * (t + 1) // tasks - pairs * t // tasks)
+        if m:
+            seed = np.random.SeedSequence(cfg.master_seed, spawn_key=(t // 4, t % 4))
             rng = np.random.Generator(np.random.SFC64(seed))
             if surface:
                 snrs = [np.zeros(m), np.zeros(m)]
@@ -606,7 +605,7 @@ def simulated_bits(scenario, architecture: str, cfg):
 def paired_mc_estimates(scenario, architecture: str, cfg) -> list[tuple[float, float]]:
     """(mean, s.e.) of each receiver's bits, with the s.e. over antithetic pairs.
 
-    Row r of a sub-chunk of m rows and row r + m/2 are a pair, and pairs are
+    Row r of a task of m rows and row r + m/2 are a pair, and pairs are
     independent, so a row's mean is half the mean of the P pair sums, and
     its s.e. half theirs, √(var(pair sums) / P).
     """

@@ -11,6 +11,7 @@ from linksec.cli import main
 from linksec.config import (
     REFERENCE_CONFIG,
     ConfigError,
+    parse_config,
     parse_config_text,
     reference_config,
 )
@@ -72,6 +73,13 @@ class TestParsing:
         assert parsed.sweep is not None
         assert parsed.sweep.variable == "tx_power_dbm"
         assert parsed.mc.samples == 200_000
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Editors on Windows may save UTF-8 with a byte-order mark, which
+        # must not reach line 1 as a character of its text.
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + REFERENCE_CONFIG.encode("utf-8"))
+        assert parse_config(str(path)) == reference_config()
 
     def test_zero_distance_names_key(self):
         with pytest.raises(ConfigError) as exc_info:

@@ -23,9 +23,10 @@ from linksec.montecarlo import (
     _STREAMS,
     ARCHITECTURES,
     McConfig,
+    _buffer_set,
     _fill,
     _stream,
-    _sub_chunk_sums,
+    _task_sums,
     branches,
     mc_branch_estimates,
     mc_element_estimates,
@@ -69,15 +70,15 @@ def unit_rate_relay():
 
 
 def record_tasks(monkeypatch, architecture, cfg):
-    # (rows, width) of every sub-chunk task, keyed by (chunk, sub-chunk).
+    # (rows, width) of every task, keyed by its sub-stream key divmod(t, 4).
     tasks = {}
 
     def recording(arch, hops, rng, rows, width, counts, buffers):
         tasks[rng] = (rows, width)
         return np.zeros((len(counts), 2, 2))
 
-    monkeypatch.setattr(montecarlo, "_stream", lambda cfg, chunk, sub: (chunk, sub))
-    monkeypatch.setattr(montecarlo, "_sub_chunk_sums", recording)
+    monkeypatch.setattr(montecarlo, "_stream", lambda cfg, *key: key)
+    monkeypatch.setattr(montecarlo, "_task_sums", recording)
     mc_branch_estimates(irs_scenario(n=4), architecture, cfg)
     monkeypatch.undo()
     return tasks
@@ -103,8 +104,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("chunk_size", [7, True])
     def test_chunk_below_eight_rows_rejected(self, chunk_size):
-        # Below 8 rows a sub-chunk of a full chunk could hold one row and no
-        # pair.  True is an integer, one row.
+        # Below 8 rows, R rows could not make four tasks of a pair each.
+        # True is an integer, one row.
         with pytest.raises(ValueError, match="chunk_size"):
             McConfig(samples=1000, master_seed=1, chunk_size=chunk_size)
 
@@ -159,30 +160,29 @@ class TestDeterminism:
         assert got == [pytest.approx(pair, rel=1e-12, abs=0) for pair in self.PINNED[architecture]]
 
     def test_chunks_draw_distinct_streams(self):
-        # A seeding that dropped the chunk or sub-stream index would repeat
-        # draws across chunks or pieces and understate the s.e.
+        # A seeding that dropped either index of a task's key would repeat
+        # draws across tasks and understate the s.e.
         cfg = McConfig(samples=1000, master_seed=31)
         next_seed = McConfig(samples=1000, master_seed=32)
         draws = [
-            tuple(_stream(c, chunk, sub).random(4))
+            tuple(_stream(c, *divmod(t, _STREAMS)).random(4))
             for c in (cfg, next_seed)
-            for chunk in (0, 1)
-            for sub in range(_STREAMS)
+            for t in range(2 * _STREAMS)
         ]
         assert len(set(draws)) == len(draws)
 
 
 class TestParallelFill:
     # The sub-streams, not the threads, decide every draw, and partial sums
-    # are reduced in (chunk, sub-chunk) order: one thread and several must
-    # give the same bytes.
+    # are reduced in task order: one thread and several must give the same
+    # bytes.
 
     @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
     @pytest.mark.parametrize("samples", [20_000, 65_538, 262_146])
     def test_thread_count_does_not_change_draws(self, monkeypatch, architecture, samples):
-        # 65,538 samples leave a surface a final chunk of one pair, so three
-        # of its four sub-chunks are empty; 262,146 do the same to a relay,
-        # after one full chunk of 2^18 rows.
+        # 65,538 samples split a surface's 32,769 pairs over eight tasks,
+        # one a pair longer than the rest; 262,146 do the same to a relay,
+        # whose R is 2^18 rows.
         scn = irs_scenario(n=2)
         cfg = McConfig(samples=samples, master_seed=25)
         results = []
@@ -214,9 +214,9 @@ class TestParallelFill:
 
     @staticmethod
     def read_layout(scn, architecture, cfg):
-        # (legit, eve) sums (Σs, Σs²) of the pair sums s, reduced in (chunk,
-        # sub-chunk) order off the documented layout: row r of m rows pairs
-        # with row r + m/2.
+        # (legit, eve) sums (Σs, Σs²) of the pair sums s, reduced in task
+        # order off the documented layout: row r of m rows pairs with row
+        # r + m/2.
         sums = np.zeros((2, 2))
         for bits in simulated_bits(scn, architecture, cfg):
             for receiver, b in enumerate(bits):
@@ -225,17 +225,17 @@ class TestParallelFill:
         return sums.tolist()
 
     @pytest.mark.parametrize("elements", [1, 6])
-    def test_sub_chunks_come_from_their_sub_streams(self, elements):
+    def test_tasks_come_from_their_sub_streams(self, elements):
         # The layout read independently, at shape 2.5, where every draw is
-        # Generator.gamma: chunks of 4,098 rows on a surface and 16,392 on a
-        # relay, the last one partial, each split at pairs h*s//4 into
-        # unequal sub-chunks; sub-chunk s draws
-        # from sub-stream s, a surface in blocks of four elements (the first
-        # of N = 1, the second of N = 6, drawn whole); the sums of the pair
-        # sums are reduced in (chunk, sub-chunk) order.  N = 1 is a
-        # one-element pass on every row.
+        # Generator.gamma: R = 4,098 rows on a surface and 16,392 on a
+        # relay, so the 10,001 pairs split at pairs h*t//T into T = 20
+        # surface tasks or 8 relay tasks of unequal size; task t draws from
+        # sub-stream divmod(t, 4), a surface in blocks of four elements (the
+        # first of N = 1, the second of N = 6, drawn whole); the sums of the
+        # pair sums are reduced in task order.  N = 1 is a one-element pass
+        # on every row.
         scn = irs_scenario(n=elements, shape=2.5)
-        cfg = McConfig(samples=20_000, master_seed=26, chunk_size=4098)
+        cfg = McConfig(samples=20_002, master_seed=26, chunk_size=4098)
         n, pairs = cfg.samples, cfg.samples // 2
         for architecture in ARCHITECTURES:
             got = mc_branch_estimates(scn, architecture, cfg)
@@ -248,37 +248,47 @@ class TestParallelFill:
     @pytest.mark.parametrize(
         "samples, chunk_size",
         [(20_000, 65_536), (20_000, 4098), (20_000, 8192), (65_538, 65_536),
-         (1000, 8), (1000, 10), (4002, 65_536), (2**17 + 6, 2**17)],
+         (1000, 8), (1000, 10), (4002, 65_536), (2**17 + 6, 2**17), (1002, 8),
+         (100_000, 65_536), (10**6, 65_536), (10**6, 2**20)],
     )
     def test_every_task_holds_whole_pairs(self, monkeypatch, samples, chunk_size):
-        # Each chunk's h pairs split at pairs h*s//4: every task's rows are
-        # even, the sub-chunks of a chunk differ by at most one pair, and a
-        # chunk whose rows are a multiple of 8 splits at rows n*s//4.  A
-        # surface chunk holds min(chunk_size, 2^16) rows, a relay chunk four
-        # times as many.
+        # The task rule: R = min(chunk_size, 2^16) rows on a surface and four
+        # times that on a relay make four tasks, and the h = n/2 pairs split
+        # evenly into T = 4 ceil(n / R) tasks, task t holding pairs h*t//T to
+        # h*(t+1)//T and drawing from sub-stream divmod(t, 4).  So the tasks
+        # differ by at most one pair, and a task's hop block holds at most
+        # min(chunk_size, 2^16) values, rounded up to a multiple of 8.  At
+        # the smallest chunk size, 8, 1,002 samples make 504 tasks for 501
+        # pairs: the three empty tasks draw nothing.
         cfg = McConfig(samples=samples, master_seed=1, chunk_size=chunk_size)
-        surface_rows = min(chunk_size, 2**16)
-        for architecture, rows in (("irs", surface_rows), ("df", 4 * surface_rows)):
-            tasks = {key: m for key, (m, _) in record_tasks(monkeypatch, architecture, cfg).items()}
-            assert sum(tasks.values()) == samples
-            assert all(m > 0 and m % 2 == 0 for m in tasks.values())
-            for chunk in range(-(-samples // rows)):
-                n = min(rows, samples - chunk * rows)
-                sizes = [tasks.get((chunk, sub), 0) for sub in range(_STREAMS)]
-                assert sum(sizes) == n and max(sizes) - min(sizes) <= 2
-                if n % 8 == 0:
-                    assert sizes == [n * (s + 1) // 4 - n * s // 4 for s in range(_STREAMS)]
+        cap = min(chunk_size, 2**16)
+        pairs, empty = samples // 2, []
+        for architecture in ("irs", "df", "affg"):
+            width = 4 if architecture == "irs" else 1
+            rows = cap * 4 // width
+            count = 4 * -(-samples // rows)
+            tasks = record_tasks(monkeypatch, architecture, cfg)
+            assert set(tasks) <= {divmod(t, 4) for t in range(count)}
+            assert len(tasks) == min(count, pairs)
+            assert all(m > 0 and m % 2 == 0 and w == width for m, w in tasks.values())
+            sizes = [tasks.get(divmod(t, 4), (0, width))[0] for t in range(count)]
+            assert sizes == [2 * (pairs * (t + 1) // count - pairs * t // count) for t in range(count)]
+            assert sum(sizes) == samples and max(sizes) - min(sizes) <= 2
+            assert max(sizes) * width <= -(-cap // 8) * 8
+            if cap % 8 == 0:
+                assert max(sizes) * width <= cap
+            empty.append(count - len(tasks))
+        assert empty == ([3, 0, 0] if (samples, chunk_size) == (1002, 8) else [0, 0, 0])
 
     @pytest.mark.parametrize("chunk_size", [65536, 4098, 8, 10])
     @pytest.mark.parametrize("shape", [2.0, 2.5])
     @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
     def test_standard_error_matches_pair_sum_oracle(self, architecture, shape, chunk_size):
         # The oracle reads the same draws and takes the s.e. over pair sums
-        # with NumPy's two-pass variance.  A surface draws sub-chunks of
-        # 5,000 rows, of 1,024 and 1,026, of two rows at the smallest chunk,
-        # 8, and of two and four rows at chunk size 10; a relay, whose chunk
-        # holds four times the rows, of 5,000, of 4,098 and 902 (the partial
-        # second chunk), of eight and of ten rows.
+        # with NumPy's two-pass variance.  A surface draws tasks of 5,000
+        # rows, of 1,000, of two rows at the smallest chunk size, 8, and of
+        # two and four rows at chunk size 10; a relay, whose R is four times
+        # the rows, of 5,000, of 2,500, of six and eight, and of ten rows.
         samples = 20_000 if chunk_size > 10 else 1000
         cfg = McConfig(samples=samples, master_seed=37, chunk_size=chunk_size)
         scn = irs_scenario(n=6, shape=shape)
@@ -307,7 +317,7 @@ class TestParallelFill:
         y = np.array(y)
         arch.combine(hops[0], x, y, np.empty_like(x))
         row_vars = np.log2(1.0 + y.sum(axis=1)).var(axis=1, ddof=1)
-        moments = _sub_chunk_sums(arch, hops, _stream(cfg, 0, 0), rows, width, [width], {})
+        moments = _task_sums(arch, hops, _stream(cfg, 0, 0), rows, width, [width], _buffer_set())
         moments = moments[0].tolist()
         for (p1, p2), var in zip(moments, row_vars):
             pair_var = (p2 - p1 * p1 / pairs) / (pairs - 1)
@@ -439,7 +449,7 @@ class TestErlangFill:
 
 class TestChunkBound:
     def test_wide_surface_memory_bounded(self):
-        # Unbounded, one 4,096-row chunk at N = 1024 draws three 32 MiB
+        # Unbounded, 4,096 samples at N = 1024 draw three 32 MiB
         # arrays; capped, no array exceeds 2^16 values (512 KiB).
         scn = irs_scenario(n=1024)
         cfg = McConfig(samples=4096, master_seed=21, chunk_size=65536)
@@ -466,16 +476,16 @@ class TestChunkBound:
         return shapes
 
     def test_surface_chunk_rows_do_not_depend_on_n(self, monkeypatch):
-        # Every chunk holds chunk_size = 8,192 rows whatever N, in
-        # sub-chunks of 2,048 (the last chunk one pair, in sub-chunk 3), and
-        # the surface draws x, y_L and y_E in whole blocks of four elements:
-        # a block is drawn whole for N = 1 and N = 5.
+        # R = chunk_size = 8,192 rows whatever N, so 16,386 samples make 12
+        # tasks for 8,193 pairs: nine of 683 pairs (1,366 rows) and three of
+        # 682 (1,364 rows).  The surface draws x, y_L and y_E in whole
+        # blocks of four elements: a block is drawn whole for N = 1 and 5.
         cfg = McConfig(samples=2 * 8192 + 2, master_seed=22, chunk_size=8192)
         for n in (1, 4, 5, 256):
             blocks = -(-n // 4)
             assert self.fill_shapes(monkeypatch, irs_scenario(n=n), cfg) == {
-                (4, 2048): 3 * blocks * 2 * _STREAMS,
-                (4, 2): 3 * blocks,
+                (4, 1366): 3 * blocks * 9,
+                (4, 1364): 3 * blocks * 3,
             }
 
     def test_small_chunks_keep_four_element_blocks(self, monkeypatch):
@@ -488,11 +498,10 @@ class TestChunkBound:
             assert shapes == {(4, rows): 3 * 8192 // rows}
 
     def test_chunk_within_cap_is_one_draw(self):
-        # N = 4 at 65,536 rows, the most a chunk holds, is 2^18 values per
-        # hop: one chunk, each of its four sub-chunks one block of 2^16
-        # values drawn from its sub-stream,
-        # and the estimate the partial sums reduced in sub-chunk order.
-        # The s.e. is that of 32,768 pair sums.
+        # N = 4 at 65,536 rows, a surface's largest R, is 2^18 values per
+        # hop: four tasks, each one block of 2^16 values drawn from its
+        # sub-stream, and the estimate the partial sums reduced in task
+        # order.  The s.e. is that of 32,768 pair sums.
         scn = irs_scenario(n=4)
         n, pairs = 65536, 32768
         cfg = McConfig(samples=n, master_seed=23, chunk_size=n)
@@ -500,7 +509,7 @@ class TestChunkBound:
         sums = np.zeros((1, 2, 2))
         for sub in range(_STREAMS):
             rng = _stream(cfg, 0, sub)
-            sums += _sub_chunk_sums(ARCHITECTURES["irs"], hops, rng, n // _STREAMS, 4, [4], {})
+            sums += _task_sums(ARCHITECTURES["irs"], hops, rng, n // _STREAMS, 4, [4], _buffer_set())
         for est, (p1, p2) in zip(mc_branch_estimates(scn, "irs", cfg), sums[0].tolist()):
             pair_mean = p1 / pairs
             pair_var = max(p2 - pairs * pair_mean * pair_mean, 0.0) / (pairs - 1)
@@ -509,9 +518,9 @@ class TestChunkBound:
 
     @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
     def test_chunk_rows_capped_at_2_16_surface_2_18_relay(self, architecture):
-        # A surface chunk holds at most 2^16 rows and a relay chunk 2^18, so
-        # a chunk size of 2^17 draws the same chunks, bit for bit, over
-        # three chunks (the last partial).
+        # R is at most 2^16 rows on a surface and 2^18 on a relay, so a
+        # chunk size of 2^17 draws the same tasks, bit for bit, over 12
+        # tasks of unequal size.
         scn = irs_scenario(n=6)
         chunk_rows = 2**16 if architecture == "irs" else 2**18
         estimates = [
@@ -522,30 +531,36 @@ class TestChunkBound:
 
     @pytest.mark.parametrize("chunk_size", [65536, 4098])
     def test_every_block_holds_at_most_2_16_values(self, monkeypatch, chunk_size):
-        # The block rule: a full sub-chunk draws 2^16 values a hop, 16,384
+        # The task rule: at a whole number of R rows every task is full,
+        # and a full task draws min(chunk_size, 2^16) values a hop, 16,384
         # rows x 4 elements on a surface and 65,536 x 1 on a relay at the
-        # default chunk size, and no block is larger at any chunk size.
-        cfg = McConfig(samples=2**19 + 2, master_seed=1, chunk_size=chunk_size)
-        for architecture in ("irs", "df", "affg"):
-            tasks = record_tasks(monkeypatch, architecture, cfg)
-            assert all(rows * width <= 2**16 for rows, width in tasks.values())
-            full = max(tasks.values())
-            assert full[1] == (4 if architecture == "irs" else 1)
-            if chunk_size == 65536:
-                assert full == ((16_384, 4) if architecture == "irs" else (65_536, 1))
-                # Every sub-chunk but those of the one-pair last chunk is full.
-                assert sum(shape == full for shape in tasks.values()) == len(tasks) - 1
+        # default chunk size; two more pairs spread over the tasks, and no
+        # block is then larger than 2^16 values.
+        for samples in (2**19, 2**19 + 4):
+            cfg = McConfig(samples=samples, master_seed=1, chunk_size=chunk_size)
+            for architecture in ("irs", "df", "affg"):
+                tasks = record_tasks(monkeypatch, architecture, cfg)
+                assert all(rows * width <= 2**16 for rows, width in tasks.values())
+                full = max(tasks.values())
+                assert full[1] == (4 if architecture == "irs" else 1)
+                if chunk_size == 65536 and samples == 2**19:
+                    assert set(tasks.values()) == {(16_384, 4) if architecture == "irs" else (65_536, 1)}
 
-    def test_second_call_allocates_no_buffers(self):
+    @pytest.mark.parametrize(
+        "architecture, elements", [("irs", 64), ("affg", 1)], ids=["irs", "affg"]
+    )
+    def test_second_call_allocates_no_buffers(self, architecture, elements):
         # x, the Erlang scratch, y and the accumulator are kept from the
-        # first call, so a second 10^6-sample AFFG call peaks far below one
-        # block's y + l, (2, 1, 65,536) float64 values, 1 MiB.
-        scn = relay_scenario()
+        # first call, so a second 10^6-sample call peaks far below one
+        # block's y, (2, 4, 16,384) or (2, 1, 65,536) float64 values, 1 MiB.
+        # The N = 64 surface adds its elements in the accumulator, and AFFG
+        # forms y + l in the scratch.
+        scn = irs_scenario(n=elements)
         cfg = McConfig(samples=10**6, master_seed=38)
-        mc_branch_estimates(scn, "affg", cfg)
+        mc_branch_estimates(scn, architecture, cfg)
         tracemalloc.start()
         try:
-            mc_branch_estimates(scn, "affg", cfg)
+            mc_branch_estimates(scn, architecture, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -553,7 +568,7 @@ class TestChunkBound:
 
     def test_memory_does_not_grow_with_samples(self, monkeypatch):
         # At most two tasks a thread are in flight, so 10^6 samples (980
-        # sub-chunks of 4,096-row chunks) peak where 10^5 (100) do.  With
+        # tasks at R = 4,096 rows) peak where 10^5 (100) do.  With
         # every task submitted at once, 10^6 peaked about 1.6 MB higher.
         monkeypatch.setattr(montecarlo, "_threads", lambda: 2)
         scn = irs_scenario(n=4)
@@ -571,7 +586,7 @@ class TestChunkBound:
 
     @pytest.mark.parametrize("architecture", ["df", "affg"])
     def test_relay_draws_ignore_element_count(self, architecture):
-        # A relay reads no n_elements, so its chunks keep their width, and
+        # A relay reads no n_elements, so its tasks keep their width, and
         # its draws their stream, however many elements the scenario names.
         cfg = McConfig(samples=10_000, master_seed=24)
         one = mc_branch_estimates(irs_scenario(n=1), architecture, cfg)
@@ -581,9 +596,9 @@ class TestChunkBound:
 
 class TestElementCounts:
     # One pass to the largest count reads every smaller count on the way.
-    # 3,000 samples are one partial surface chunk of 65,536 rows, or one
-    # full and one partial chunk of 2,048; a surface block is 4 elements at
-    # both.  A relay's 3,000 samples are one partial chunk at both.
+    # 3,000 samples are four surface tasks at chunk size 65,536, or eight
+    # tasks of unequal size at 2,048; a surface block is 4 elements at
+    # both.  A relay's 3,000 samples are four tasks at both.
 
     @pytest.mark.parametrize("chunk_size", [65536, 2048])
     @pytest.mark.parametrize("counts", [range(1, 9), range(64, 257, 64)], ids=["1-8", "64-256"])
@@ -610,7 +625,7 @@ class TestElementCounts:
     @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
     def test_no_counts_draw_nothing(self, monkeypatch, architecture):
         # A surface once raised IndexError from a pool thread here.
-        monkeypatch.setattr(montecarlo, "_stream", lambda *args: pytest.fail("drew a sub-chunk"))
+        monkeypatch.setattr(montecarlo, "_stream", lambda *args: pytest.fail("drew a task"))
         cfg = McConfig(samples=1000, master_seed=1)
         assert mc_element_estimates(irs_scenario(), architecture, cfg, []) == []
 
@@ -753,7 +768,7 @@ class TestSecrecy:
 class TestFloatPolicy:
     # With noise.legit = 0.001, DF's legitimate hop still has a finite mean
     # at 3065 dB, but its draws times the folded scale pass the largest
-    # float, on the pool threads that fill the chunk.
+    # float, on the pool threads that fill the tasks.
     EDGE = dataclasses.replace(relay_scenario(power_dbm=3065.0), noise_power_legit=0.001)
     CFG = McConfig(samples=20_000, master_seed=1)
 

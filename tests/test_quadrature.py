@@ -46,7 +46,7 @@ class TestFixedRule:
         assert calls == [runs[0].evaluations] * 3
         assert runs[0].evaluations == math.floor((40.0 + math.log(40.0)) / 0.2) + 1
 
-    def test_halves_the_step_once_then_raises(self):
+    def test_raises_after_one_pass(self):
         # A bump of width 0.05 in log x, centered on a node: the step 0.2
         # misses it, and the rule raises after its one pass, with no
         # halving.
