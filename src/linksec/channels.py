@@ -23,8 +23,6 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "FadingParams",
     "Scenario",

@@ -571,8 +571,7 @@ def simulated_bits(scenario, architecture: str, cfg):
     a surface and four times that on a relay; the n/2 row pairs split
     evenly into T = 4 * ceil(n / R) tasks, task t holding pairs
     (n/2)*t//T to (n/2)*(t+1)//T; task t draws from its own SFC64 stream
-    seeded by (master seed, t // 4, t % 4), and a task with no pair draws
-    nothing.
+    seeded by (master seed, t // 4, t % 4).
     """
     surface = architecture == "irs"
     hops = channels.surface_hops if surface else channels.relay_hops
@@ -581,25 +580,24 @@ def simulated_bits(scenario, architecture: str, cfg):
     pairs, tasks = cfg.samples // 2, 4 * math.ceil(cfg.samples / rows)
     for t in range(tasks):
         m = 2 * (pairs * (t + 1) // tasks - pairs * t // tasks)
-        if m:
-            seed = np.random.SeedSequence(cfg.master_seed, spawn_key=(t // 4, t % 4))
-            rng = np.random.Generator(np.random.SFC64(seed))
-            if surface:
-                snrs = [np.zeros(m), np.zeros(m)]
-                for start in range(0, scenario.n_elements, 4):
-                    x = _gamma_block(rng, first, (4, m))
-                    for receiver, hop in enumerate((legit, eve)):
-                        y = _gamma_block(rng, hop, (4, m))
-                        for i in range(min(4, scenario.n_elements - start)):
-                            snrs[receiver] += x[i] * y[i]
+        seed = np.random.SeedSequence(cfg.master_seed, spawn_key=(t // 4, t % 4))
+        rng = np.random.Generator(np.random.SFC64(seed))
+        if surface:
+            snrs = [np.zeros(m), np.zeros(m)]
+            for start in range(0, scenario.n_elements, 4):
+                x = _gamma_block(rng, first, (4, m))
+                for receiver, hop in enumerate((legit, eve)):
+                    y = _gamma_block(rng, hop, (4, m))
+                    for i in range(min(4, scenario.n_elements - start)):
+                        snrs[receiver] += x[i] * y[i]
+        else:
+            g1, g2, g3 = (_gamma_block(rng, p, m) for p in (first, legit, eve))
+            if architecture == "df":
+                snrs = [np.minimum(g1, g2), np.minimum(g1, g3)]
             else:
-                g1, g2, g3 = (_gamma_block(rng, p, m) for p in (first, legit, eve))
-                if architecture == "df":
-                    snrs = [np.minimum(g1, g2), np.minimum(g1, g3)]
-                else:
-                    l = first.mean + 1.0
-                    snrs = [g1 * (g / (g + l)) for g in (g2, g3)]
-            yield tuple(np.log1p(snr) / _LN2 for snr in snrs)
+                l = first.mean + 1.0
+                snrs = [g1 * (g / (g + l)) for g in (g2, g3)]
+        yield tuple(np.log1p(snr) / _LN2 for snr in snrs)
 
 
 def paired_mc_estimates(scenario, architecture: str, cfg) -> list[tuple[float, float]]:

@@ -11,7 +11,7 @@ paired uniform-product rule, the others by ``standard_gamma``), powers
 -30, 0, 50 and 120 dB, and the surface at N = 1, 64 and 1024 beside both
 relays.  N = 1024 draws about 3,000 values a sample, so it takes one seed
 of 1,002 samples; the rest take five seeds of 4,002.  Neither count is a
-multiple of 8, so the last sub-chunk holds one pair more than the others.
+multiple of 8, so the last task holds one pair more than the others.
 Each (point, seed) draws from its own master seed, so no two runs share
 draws.
 """

@@ -224,7 +224,7 @@ class TestMessages:
             ),
             (
                 config_with(**{"mc.chunk_size": "7"}),
-                "mc: chunk_size must be at least 8 rows",
+                "mc: chunk_size must be at least 4096 values, so no task is tiny",
             ),
             (
                 config_with(**{"mc.samples": "20001"}),

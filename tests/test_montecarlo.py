@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import math
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -102,15 +103,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             McConfig(**fields)
 
-    @pytest.mark.parametrize("chunk_size", [7, True])
-    def test_chunk_below_eight_rows_rejected(self, chunk_size):
-        # Below 8 rows, R rows could not make four tasks of a pair each.
-        # True is an integer, one row.
+    @pytest.mark.parametrize("chunk_size", [7, 8, 64, 4094, True])
+    def test_chunk_below_4096_values_rejected(self, chunk_size):
+        # Below 2^12 values, a task's seeding and handoff outweigh its
+        # draws.  True is an integer, one value.
         with pytest.raises(ValueError, match="chunk_size"):
             McConfig(samples=1000, master_seed=1, chunk_size=chunk_size)
 
-    def test_chunk_of_eight_rows_accepted(self):
-        assert McConfig(samples=1000, master_seed=1, chunk_size=8).chunk_size == 8
+    @pytest.mark.parametrize("chunk_size", [4096, 4098])
+    def test_chunk_of_4096_values_accepted(self, chunk_size):
+        assert McConfig(samples=1000, master_seed=1, chunk_size=chunk_size).chunk_size == chunk_size
 
 
 class TestDeterminism:
@@ -245,11 +247,31 @@ class TestParallelFill:
                 assert est.bits_per_sec_hz == p1 / n
                 assert est.std_error == math.sqrt(pairs * pair_var) / n
 
+    @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
+    def test_each_task_seeds_its_stream_on_a_pool_thread(self, monkeypatch, architecture):
+        # The caller submits only (t, rows): the pool thread that runs task
+        # t builds sub-stream divmod(t, 4), once.  65,538 samples are eight
+        # surface tasks and four relay tasks.
+        calls = []
+        inner = montecarlo._stream
+
+        def recording(cfg, *key):
+            calls.append((key, threading.get_ident()))
+            return inner(cfg, *key)
+
+        scn, cfg = irs_scenario(n=2), McConfig(samples=65_538, master_seed=40)
+        want = mc_branch_estimates(scn, architecture, cfg)
+        monkeypatch.setattr(montecarlo, "_stream", recording)
+        assert mc_branch_estimates(scn, architecture, cfg) == want
+        tasks = 8 if architecture == "irs" else 4
+        assert sorted(key for key, _ in calls) == [divmod(t, 4) for t in range(tasks)]
+        assert threading.get_ident() not in {thread for _, thread in calls}
+
     @pytest.mark.parametrize(
         "samples, chunk_size",
         [(20_000, 65_536), (20_000, 4098), (20_000, 8192), (65_538, 65_536),
-         (1000, 8), (1000, 10), (4002, 65_536), (2**17 + 6, 2**17), (1002, 8),
-         (100_000, 65_536), (10**6, 65_536), (10**6, 2**20)],
+         (1002, 4096), (1006, 4100), (4002, 65_536), (2**17 + 6, 2**17),
+         (12_294, 4096), (100_000, 65_536), (10**6, 65_536), (10**6, 2**20)],
     )
     def test_every_task_holds_whole_pairs(self, monkeypatch, samples, chunk_size):
         # The task rule: R = min(chunk_size, 2^16) rows on a surface and four
@@ -258,38 +280,39 @@ class TestParallelFill:
         # h*(t+1)//T and drawing from sub-stream divmod(t, 4).  So the tasks
         # differ by at most one pair, and a task's hop block holds at most
         # min(chunk_size, 2^16) values, rounded up to a multiple of 8.  At
-        # the smallest chunk size, 8, 1,002 samples make 504 tasks for 501
-        # pairs: the three empty tasks draw nothing.
+        # the smallest chunk size, 4,096, 1,002 samples make four tasks of
+        # 125 or 126 pairs, and 12,294 samples 16 surface tasks of 384 or
+        # 385 pairs; no task is empty.
         cfg = McConfig(samples=samples, master_seed=1, chunk_size=chunk_size)
         cap = min(chunk_size, 2**16)
-        pairs, empty = samples // 2, []
+        pairs = samples // 2
         for architecture in ("irs", "df", "affg"):
             width = 4 if architecture == "irs" else 1
             rows = cap * 4 // width
             count = 4 * -(-samples // rows)
             tasks = record_tasks(monkeypatch, architecture, cfg)
-            assert set(tasks) <= {divmod(t, 4) for t in range(count)}
-            assert len(tasks) == min(count, pairs)
+            assert set(tasks) == {divmod(t, 4) for t in range(count)}
             assert all(m > 0 and m % 2 == 0 and w == width for m, w in tasks.values())
-            sizes = [tasks.get(divmod(t, 4), (0, width))[0] for t in range(count)]
+            sizes = [tasks[divmod(t, 4)][0] for t in range(count)]
             assert sizes == [2 * (pairs * (t + 1) // count - pairs * t // count) for t in range(count)]
             assert sum(sizes) == samples and max(sizes) - min(sizes) <= 2
             assert max(sizes) * width <= -(-cap // 8) * 8
             if cap % 8 == 0:
                 assert max(sizes) * width <= cap
-            empty.append(count - len(tasks))
-        assert empty == ([3, 0, 0] if (samples, chunk_size) == (1002, 8) else [0, 0, 0])
 
-    @pytest.mark.parametrize("chunk_size", [65536, 4098, 8, 10])
+    @pytest.mark.parametrize(
+        "chunk_size, samples",
+        [(65536, 20_000), (4098, 20_000), (4096, 20_002), (4100, 20_002)],
+        ids=["65536", "4098", "4096", "4100"],
+    )
     @pytest.mark.parametrize("shape", [2.0, 2.5])
     @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
-    def test_standard_error_matches_pair_sum_oracle(self, architecture, shape, chunk_size):
+    def test_standard_error_matches_pair_sum_oracle(self, architecture, shape, chunk_size, samples):
         # The oracle reads the same draws and takes the s.e. over pair sums
         # with NumPy's two-pass variance.  A surface draws tasks of 5,000
-        # rows, of 1,000, of two rows at the smallest chunk size, 8, and of
-        # two and four rows at chunk size 10; a relay, whose R is four times
-        # the rows, of 5,000, of 2,500, of six and eight, and of ten rows.
-        samples = 20_000 if chunk_size > 10 else 1000
+        # rows, of 1,000, and of 1,000 and 1,002 rows at chunk sizes 4,096
+        # (the smallest) and 4,100; a relay, whose R is four times the
+        # rows, of 5,000, of 2,500, and of 2,500 and 2,502.
         cfg = McConfig(samples=samples, master_seed=37, chunk_size=chunk_size)
         scn = irs_scenario(n=6, shape=shape)
         got = mc_branch_estimates(scn, architecture, cfg)
@@ -491,8 +514,8 @@ class TestChunkBound:
     def test_small_chunks_keep_four_element_blocks(self, monkeypatch):
         # A block is four elements at every chunk size, so an N = 4
         # surface draws 4 elements a row at chunk size 8,192 and at the
-        # smallest chunk size, 8.
-        for chunk_size, rows in ((8192, 2048), (8, 2)):
+        # smallest chunk size, 4,096.
+        for chunk_size, rows in ((8192, 2048), (4096, 1024)):
             cfg = McConfig(samples=8192, master_seed=22, chunk_size=chunk_size)
             shapes = self.fill_shapes(monkeypatch, irs_scenario(n=4), cfg)
             assert shapes == {(4, rows): 3 * 8192 // rows}
@@ -596,15 +619,18 @@ class TestChunkBound:
 
 class TestElementCounts:
     # One pass to the largest count reads every smaller count on the way.
-    # 3,000 samples are four surface tasks at chunk size 65,536, or eight
-    # tasks of unequal size at 2,048; a surface block is 4 elements at
-    # both.  A relay's 3,000 samples are four tasks at both.
+    # 3,000 samples are four surface tasks at chunk size 65,536, and 8,194
+    # are twelve tasks of unequal size at 4,096; a surface block is 4
+    # elements at both.  A relay's samples are four tasks at both, of
+    # unequal size at 4,096.
 
-    @pytest.mark.parametrize("chunk_size", [65536, 2048])
+    @pytest.mark.parametrize(
+        "chunk_size, samples", [(65536, 3000), (4096, 8194)], ids=["65536", "4096"]
+    )
     @pytest.mark.parametrize("counts", [range(1, 9), range(64, 257, 64)], ids=["1-8", "64-256"])
     @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
-    def test_pairs_equal_each_count_alone(self, architecture, counts, chunk_size):
-        cfg = McConfig(samples=3000, master_seed=31, chunk_size=chunk_size)
+    def test_pairs_equal_each_count_alone(self, architecture, counts, chunk_size, samples):
+        cfg = McConfig(samples=samples, master_seed=31, chunk_size=chunk_size)
         scn = irs_scenario()
         got = mc_element_estimates(scn, architecture, cfg, counts)
         want = [
