@@ -17,7 +17,6 @@ from .capacity import (
     affg_snr_constant,
     df_ergodic_capacity,
     ergodic_capacity_irs,
-    secrecy_capacity,
 )
 from .channels import FadingParams, Scenario
 from .config import ConfigError, ParsedConfig, parse_config, parse_config_text, reference_config

@@ -25,9 +25,9 @@ only.
 
 Each capacity takes the first hop and one receiver's second hop of the
 triple that ``channels.surface_hops`` or ``channels.relay_hops`` returns.
-Average secrecy (``secrecy_capacity``) is the clamped difference of the
-two receivers' ergodic capacities; ``montecarlo.branches`` forms that
-pair for any architecture from a ``Scenario``.
+Average secrecy is the clamped difference of the two receivers' ergodic
+capacities: ``montecarlo.branches`` returns both and their difference for
+any architecture from a ``Scenario``, and a sweep clamps it at 0.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "affg_snr_constant",
     "df_ergodic_capacity",
     "ergodic_capacity_irs",
-    "secrecy_capacity",
 ]
 
 _LN2 = math.log(2.0)
@@ -55,33 +54,14 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class CapacityEstimate:
-    """A capacity value with its provenance.
-
-    ``std_error`` and ``samples`` are zero for analytic results.
-    """
+    """A capacity value and its standard error, zero for analytic results."""
 
     bits_per_sec_hz: float
-    method: str
     std_error: float = 0.0
-    samples: int = 0
 
     def __post_init__(self):
-        if self.method not in ("analytic", "monte-carlo"):
-            raise ValueError("method must be 'analytic' or 'monte-carlo'")
         if self.std_error < 0:
             raise ValueError("std_error must be nonnegative")
-
-
-def secrecy_capacity(cl: CapacityEstimate, ce: CapacityEstimate) -> CapacityEstimate:
-    """Clamped difference of the legitimate and eavesdropper capacities."""
-    value = max(cl.bits_per_sec_hz - ce.bits_per_sec_hz, 0.0)
-    method = "analytic" if cl.method == ce.method == "analytic" else "monte-carlo"
-    return CapacityEstimate(
-        bits_per_sec_hz=value,
-        method=method,
-        std_error=math.hypot(cl.std_error, ce.std_error),
-        samples=max(cl.samples, ce.samples),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +140,7 @@ def _damped_capacity(phi: np.ndarray, w: np.ndarray, power: float, n: int) -> Ca
     slope = power * float(phi @ w)
     s_lo = -math.log(max(1.0, n * slope)) - _Z_LEFT
     result = integrate_semi_infinite(integrand, s_lo, math.log(_Z_TAIL))
-    return CapacityEstimate(bits_per_sec_hz=max(result.value, 0.0) / _LN2, method="analytic")
+    return CapacityEstimate(bits_per_sec_hz=max(result.value, 0.0) / _LN2)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +292,7 @@ def df_ergodic_capacity(f1: FadingParams, fb: FadingParams) -> CapacityEstimate:
             estimate=capacity / _LN2,
             error_estimate=abs(1.0 - unity) * capacity / _LN2,
         )
-    return CapacityEstimate(bits_per_sec_hz=capacity / _LN2, method="analytic")
+    return CapacityEstimate(bits_per_sec_hz=capacity / _LN2)
 
 
 # ---------------------------------------------------------------------------

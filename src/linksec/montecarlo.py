@@ -5,9 +5,9 @@ once, as plain data: its analytic capacity function, its link model, how
 an element's two hops x and y combine into its SNR (x * y for a surface
 element, min(x, y) for DF, x * y / (y + l) for AFFG), and whether it
 reads the scenario's element count.  ``branches(scenario, name, mc=None)``
-is the one way to evaluate an architecture: it returns the (legitimate,
-eavesdropper) capacity estimates, analytic without ``mc`` and simulated
-with it.
+is the one way to evaluate an architecture: it returns the legitimate and
+eavesdropper capacity estimates and their difference, analytic without
+``mc`` and simulated with it.
 
 The simulator never calls the analytic route: it samples raw channel
 gains, forms the instantaneous end-to-end SNR of each receiver, and
@@ -20,8 +20,9 @@ h*t//T to h*(t+1)//T and draws every hop from its own SFC64 sub-stream,
 which the pool thread running it seeds from (master seed, t // 4, t % 4)
 through ``SeedSequence``.  Up to four pool threads run whole tasks
 through one kernel for every architecture: the draws, both receivers'
-SNRs, log1p and two sums per (count, receiver), of the pair sums and of
-their squares.  The caller reduces those in task order, with at most two
+SNRs, log1p and five sums per count, of each receiver's pair sums, of
+their squares and of the squared differences of the two receivers' pair
+sums.  The caller reduces those in task order, with at most two
 tasks a thread in flight.  So no value depends on the number of threads,
 reruns are bit-identical, and memory does not grow with the sample count.
 The chunk size is at least 2^12, so a task of n >= 1,000 samples holds at
@@ -65,10 +66,13 @@ So the pair is the sampling unit, and sample counts and chunk sizes are
 even: over n rows, an estimate is Σs / n and its s.e. √(P V_s) / n, that
 of a mean of P = n/2 independent pair sums s = b_r + b_(r+m/2), V_s their
 sample variance.  At the reference shape 2 this is 0.46-0.75 times the
-s.e. of independent rows.  Through ``_fill`` on one thread of a 2-vCPU
-host, a default surface block of 4 x 16,384 values, in ns a value (the
-least of 31 interleaved runs of 50 fills; the uniform product at 7 and 8
-is the same code run above the bound):
+s.e. of independent rows.  The receivers' difference, the secrecy, is
+paired too: its s.e. is √(P V_d) / n over the differences d = s_L - s_E,
+0.64-0.94 times hypot(s.e._L, s.e._E) on figure 3's rows.  Through
+``_fill`` on one thread of a 2-vCPU host, a default surface block of 4 x
+16,384 values, in ns a value (the least of 31 interleaved runs of 50
+fills; the uniform product at 7 and 8 is the same code run above the
+bound):
 
     k                  1     2     3     4     5     6     7     8
     paired product     2.7   4.2   6.0   7.7   9.1  11.6  13.0  15.1
@@ -246,13 +250,13 @@ def _buffer_set() -> tuple[np.ndarray, ...]:
 def _task_sums(
     arch: Architecture, hops, rng, rows: int, width: int, counts, buffers: tuple
 ) -> np.ndarray:
-    """(Σs, Σs²) per (count, receiver) of one task of ``rows`` rows, an even number.
+    """(Σs_L, Σs_E, Σs_L², Σs_E², Σd²) per count of a task of ``rows`` rows, an even number.
 
     s runs over the pair sums b_r + b_(r+rows/2) of the bits of the rows
-    ``_fill`` pairs.  Given the folded hop triple (first, legitimate,
-    eavesdropper), draws from ``rng`` in blocks of ``width`` elements: x,
-    of shape (``width``, ``rows``), then y_L and y_E into y, of shape (2,
-    ``width``, ``rows``).
+    ``_fill`` pairs, and d = s_L - s_E.  Given the folded hop triple (first,
+    legitimate, eavesdropper), draws from ``rng`` in blocks of ``width``
+    elements: x, of shape (``width``, ``rows``), then y_L and y_E into y, of
+    shape (2, ``width``, ``rows``).
     One ``arch.combine`` call turns y into both receivers' element SNRs,
     which add one element at a time, in element order, into a (2, ``rows``)
     accumulator; at each of the ascending element ``counts`` both
@@ -278,7 +282,7 @@ def _task_sums(
         acc = acc_buf[: 2 * rows].reshape(2, rows)
         acc.fill(0.0)
     snapshot = {count: k for k, count in enumerate(counts)}
-    sums = np.zeros((len(counts), 2, 2))
+    sums = np.zeros((len(counts), 5))
     for start in range(0, last, width):
         used = min(width, last - start)
         _fill(rng, first, x, scratch)
@@ -296,24 +300,37 @@ def _task_sums(
                 bits = np.log1p(snr, out=y[:, i])
                 bits /= _LN2
                 np.add(bits[:, :half], bits[:, half:], out=pair)
-                sums[k, :, 0] = pair.sum(axis=1)
+                sums[k, :2] = pair.sum(axis=1)
+                # d into the spent legitimate bits.  A BLAS dot product here,
+                # pair[0] @ pair[1], ran DF and AFFG at 10^6 samples 1.6-2.4x
+                # slower on a 2-vCPU host, its threads fighting the pool.
+                d = np.subtract(pair[0], pair[1], out=bits[0, :half])
+                d *= d
+                sums[k, 4] = d.sum()
                 pair *= pair
-                sums[k, :, 1] = pair.sum(axis=1)
+                sums[k, 2:4] = pair.sum(axis=1)
     return sums
 
 
-def _estimate(moments, n: int) -> CapacityEstimate:
-    """One receiver's estimate from its (Σs, Σs²) over ``n`` rows.
+def _estimates(sums, n: int) -> tuple[CapacityEstimate, ...]:
+    """(Legitimate, eavesdropper, difference) from one count's ``_task_sums`` over ``n`` rows.
 
-    The mean is Σs / n, and the s.e. √(P V_s) / n, that of a mean of the
-    P = n/2 independent pair sums, V_s their sample variance.
+    A mean is Σs / n and its s.e. √(P V_s) / n, that of a mean of the P =
+    n/2 pair sums s, V_s their sample variance; the difference is exactly
+    legitimate minus eavesdropper, and its s.e. that of d, Σd = Σs_L - Σs_E.
     """
-    s1, s2 = moments
     pairs = n // 2
-    pair_mean = s1 / pairs
-    pair_var = max(s2 - pairs * pair_mean * pair_mean, 0.0) / (pairs - 1)
-    std_error = math.sqrt(pairs * pair_var) / n
-    return CapacityEstimate(s1 / n, "monte-carlo", std_error=std_error, samples=n)
+
+    def std_error(total, squares):
+        pair_mean = total / pairs
+        pair_var = max(squares - pairs * pair_mean * pair_mean, 0.0) / (pairs - 1)
+        return math.sqrt(pairs * pair_var) / n
+
+    s_l, s_e, q_l, q_e, q_d = sums
+    legit = CapacityEstimate(s_l / n, std_error(s_l, q_l))
+    eve = CapacityEstimate(s_e / n, std_error(s_e, q_e))
+    gap = legit.bits_per_sec_hz - eve.bits_per_sec_hz
+    return legit, eve, CapacityEstimate(gap, std_error(s_l - s_e, q_d))
 
 
 @dataclass(frozen=True)
@@ -394,13 +411,14 @@ def _float_range(scenario: Scenario):
 
 def branches(
     scenario: Scenario, architecture: str, mc: McConfig | None = None
-) -> tuple[CapacityEstimate, CapacityEstimate]:
-    """(Legitimate, eavesdropper) ergodic capacity estimates of one architecture.
+) -> tuple[CapacityEstimate, CapacityEstimate, CapacityEstimate]:
+    """(Legitimate, eavesdropper, difference) ergodic capacity estimates of one architecture.
 
-    Without ``mc`` both are analytic; given an ``McConfig`` they are the
-    paired simulator estimates of ``mc_branch_estimates``.  Their secrecy
-    is ``secrecy_capacity(*branches(...))``.  An unknown architecture
-    raises ValueError on both routes.  Both run under one float-range rule:
+    Without ``mc`` all are analytic, with s.e. 0; given an ``McConfig``
+    they are the paired estimates of ``mc_branch_estimates``.  The
+    difference is legitimate minus eavesdropper, unclamped: the secrecy
+    capacity is its max with 0.  An unknown architecture raises
+    ValueError on both routes.  Both run under one float-range rule:
     NumPy's overflow, divide and invalid operations raise, on the pool
     threads too, and leave as OverflowError naming the power, as a hop out
     of the float range does in ``channels``.  The NumPy error state is kept.
@@ -411,17 +429,18 @@ def branches(
     count = [scenario.n_elements] if arch.per_element else []
     with _float_range(scenario):
         first, *seconds = arch.hops(scenario)
-        return tuple(arch.capacity(first, second, *count) for second in seconds)
+        legit, eve = (arch.capacity(first, second, *count) for second in seconds)
+    return legit, eve, CapacityEstimate(legit.bits_per_sec_hz - eve.bits_per_sec_hz)
 
 
 def mc_branch_estimates(scenario: Scenario, architecture: str, cfg: McConfig):
-    """Paired (legitimate, eavesdropper) estimates sharing the common hop.
+    """Paired (legitimate, eavesdropper, difference) estimates sharing the common hop.
 
     The source-side draws are reused by both receiver branches, matching
     the physical channel and reducing the variance of their difference.
-    Each receiver's sums of the pair sums of log2(1 + SNR) accumulate in
-    task order, and its s.e. is that of the pair sums (see the module
-    docstring).  Runs under the float-range rule of ``branches``.
+    The sums of the pair sums of log2(1 + SNR) accumulate in task order,
+    and each s.e. is that of the pair sums, or of their differences (see
+    the module docstring).  Runs under the float-range rule of ``branches``.
     """
     return mc_element_estimates(scenario, architecture, cfg, (scenario.n_elements,))[0]
 
@@ -429,12 +448,12 @@ def mc_branch_estimates(scenario: Scenario, architecture: str, cfg: McConfig):
 def mc_element_estimates(scenario: Scenario, architecture: str, cfg: McConfig, counts):
     """``mc_branch_estimates`` at each element count of ``counts``, from one pass.
 
-    Returns one (legitimate, eavesdropper) pair per count, in the order
-    given, each bit for bit the pair of ``scenario`` with that many
-    elements: the pass draws to the largest count and reads each smaller
-    one on the way.  So the pairs share their draws and are correlated
-    across counts.  A relay reads no element count and is simulated once;
-    an empty ``counts`` returns [] and draws nothing.
+    Returns one (legitimate, eavesdropper, difference) triple per count, in
+    the order given, each bit for bit the triple of ``scenario`` with that
+    many elements: the pass draws to the largest count and reads each
+    smaller one on the way.  So the triples share their draws and are
+    correlated across counts.  A relay reads no element count and is
+    simulated once; an empty ``counts`` returns [] and draws nothing.
     Runs under the float-range rule of ``branches``: the hops are folded
     on the calling thread before any draw, the pool threads take its NumPy
     error state, and a value out of the float range at any count raises
@@ -457,7 +476,7 @@ def mc_element_estimates(scenario: Scenario, architecture: str, cfg: McConfig, c
     # Imported here, so the analytic route does not pay for it.
     from concurrent.futures import ThreadPoolExecutor
 
-    totals = np.zeros((len(targets), 2, 2))
+    totals = np.zeros((len(targets), 5))
     with _float_range(scenario):
         hops = arch.hops(scenario)
         errors, threads = np.geterr(), _threads()
@@ -482,7 +501,6 @@ def mc_element_estimates(scenario: Scenario, architecture: str, cfg: McConfig, c
             for future in window:
                 totals += future.result()
     estimates = {
-        count: tuple(_estimate(moments, cfg.samples) for moments in per_receiver)
-        for count, per_receiver in zip(targets, totals.tolist())
+        count: _estimates(sums, cfg.samples) for count, sums in zip(targets, totals.tolist())
     }
     return [estimates[count if arch.per_element else 1] for count in counts]

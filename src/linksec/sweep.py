@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import capacity, montecarlo
+from . import montecarlo
 from .channels import Scenario
 from .montecarlo import McConfig
 
@@ -121,10 +121,10 @@ class SweepRow:
 CSV_COLUMNS = tuple(field.name for field in dataclasses.fields(SweepRow))
 
 
-def _result(est_l, est_e) -> tuple[float, float, float, float, str]:
-    """(secrecy, ergodic_L, ergodic_E, std_error, status) of one point's estimates."""
-    sec = capacity.secrecy_capacity(est_l, est_e)
-    return sec.bits_per_sec_hz, est_l.bits_per_sec_hz, est_e.bits_per_sec_hz, sec.std_error, "ok"
+def _result(legit, eve, difference) -> tuple[float, float, float, float, str]:
+    """A row's values from one point's ``branches``: the secrecy is the difference clamped at 0."""
+    secrecy = max(difference.bits_per_sec_hz, 0.0)
+    return secrecy, legit.bits_per_sec_hz, eve.bits_per_sec_hz, difference.std_error, "ok"
 
 
 def _evaluate(
@@ -133,10 +133,10 @@ def _evaluate(
     """(secrecy, ergodic_L, ergodic_E, std_error, status) of one point."""
     mc = None if method == "analytic" else mc_cfg
     try:
-        est_l, est_e = montecarlo.branches(scenario, architecture, mc)
+        estimates = montecarlo.branches(scenario, architecture, mc)
     except ArithmeticError as exc:
         return math.nan, math.nan, math.nan, math.nan, f"error: {exc}"
-    return _result(est_l, est_e)
+    return _result(*estimates)
 
 
 def _evaluate_grid(
@@ -151,8 +151,8 @@ def _evaluate_grid(
     if method == "monte-carlo" and spec.variable == "n_elements":
         counts = [point.n_elements for point in points]
         try:
-            pairs = montecarlo.mc_element_estimates(scenario, architecture, mc, counts)
-            return [_result(*pair) for pair in pairs]
+            triples = montecarlo.mc_element_estimates(scenario, architecture, mc, counts)
+            return [_result(*triple) for triple in triples]
         except ArithmeticError:
             pass
     return [_evaluate(point, architecture, method, mc) for point in points]
@@ -263,12 +263,12 @@ class ValidationReport:
 
     def to_text(self) -> str:
         lines = [
-            f"{'arch':6} {'P(dB)':>6} {'rx':6} {'analytic':>12} {'monte-carlo':>12} "
+            f"{'arch':6} {'P(dB)':>6} {'rx':7} {'analytic':>12} {'monte-carlo':>12} "
             f"{'s.e.':>10} {'z':>8}  result"
         ]
         for r in self.rows:
             lines.append(
-                f"{r.architecture:6} {r.tx_power_dbm:6.1f} {r.receiver:6} "
+                f"{r.architecture:6} {r.tx_power_dbm:6.1f} {r.receiver:7} "
                 f"{r.analytic:12.6f} {r.monte_carlo:12.6f} {r.std_error:10.2e} "
                 f"{r.z_score:8.2f}  {'ok' if r.passed else 'FAIL'}"
                 + (f": {r.error}" if r.error else "")
@@ -286,15 +286,16 @@ def validate(
     """Compare the analytic capacities against the simulator on a power grid.
 
     ``scenario`` is evaluated at each of ``powers_dbm``; the simulator draws
-    with ``mc``.
+    with ``mc``.  A point has three rows: the two receivers and their
+    unclamped difference, ``secrecy``, on its paired s.e.
 
-    A receiver passes when |analytic - MC| <= 5 s.e., or when the gap is
+    A row passes when |analytic - MC| <= 5 s.e., or when the gap is
     at most 1e-9 bits, which makes points where both methods are
     numerically zero trivially consistent.  Each (power, architecture)
     point draws from its own master seed, derived from the configured
     seed and the point's index, so the points are independent evidence.
-    A point that fails on either route is one failing row for both
-    receivers.  Raises ValueError when no point could be compared.
+    A point that fails on either route is one failing row, ``both``.
+    Raises ValueError when no point could be compared.
     """
     rows: list[ValidationRow] = []
     points = itertools.product(powers_dbm, architectures)
@@ -303,13 +304,13 @@ def validate(
         seed = np.random.SeedSequence([mc.master_seed, index]).generate_state(1, np.uint64)
         point_cfg = dataclasses.replace(mc, master_seed=int(seed[0]))
         try:
-            ana_l, ana_e = montecarlo.branches(point, arch)
-            mc_l, mc_e = montecarlo.branches(point, arch, point_cfg)
+            analytic = montecarlo.branches(point, arch)
+            simulated = montecarlo.branches(point, arch, point_cfg)
         except ArithmeticError as exc:
             nan = math.nan
             rows.append(ValidationRow(arch, power, "both", nan, nan, nan, nan, False, str(exc)))
             continue
-        for receiver, ana, sim in (("legit", ana_l, mc_l), ("eve", ana_e, mc_e)):
+        for receiver, ana, sim in zip(("legit", "eve", "secrecy"), analytic, simulated):
             a = ana.bits_per_sec_hz
             m = sim.bits_per_sec_hz
             se = sim.std_error

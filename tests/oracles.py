@@ -392,7 +392,7 @@ def df_ergodic_capacity_contour(f1: FadingParams, fb: FadingParams) -> CapacityE
                 * s ** (-(m + 1))
                 * g_by_order[m]
             )
-    return CapacityEstimate(bits_per_sec_hz=total / _LN2, method="analytic")
+    return CapacityEstimate(bits_per_sec_hz=total / _LN2)
 
 
 def df_ergodic_capacity_closed_form(f1: FadingParams, fb: FadingParams) -> CapacityEstimate:
@@ -412,7 +412,7 @@ def df_ergodic_capacity_closed_form(f1: FadingParams, fb: FadingParams) -> Capac
         for p in range(ab):
             m = j + p
             total += math.comb(m, j) * (f1.beta / s) ** j * (fb.beta / s) ** p * scaled[m]
-    return CapacityEstimate(bits_per_sec_hz=total / _LN2, method="analytic")
+    return CapacityEstimate(bits_per_sec_hz=total / _LN2)
 
 
 # The library's two Gamma-hop sums and their two independent cross-checks.
@@ -472,7 +472,7 @@ def ergodic_capacity_irs_contour(x: FadingParams, y: FadingParams, n: int) -> Ca
         return out
 
     result = gk21_semi_infinite(integrand, tol_rel=1e-10)
-    return CapacityEstimate(bits_per_sec_hz=max(result.value, 0.0) / _LN2, method="analytic")
+    return CapacityEstimate(bits_per_sec_hz=max(result.value, 0.0) / _LN2)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +529,7 @@ def affg_ergodic_capacity_bessel(f1: FadingParams, fb: FadingParams, l: float) -
         return affg_ccdf_bessel(np.exp(np.minimum(u, u_max)), f1, fb, l) * sp.expit(u)
 
     result = gk21_semi_infinite(lambda u: h(u) + h(-u), tol_rel=1e-10)
-    return CapacityEstimate(bits_per_sec_hz=result.value / _LN2, method="analytic")
+    return CapacityEstimate(bits_per_sec_hz=result.value / _LN2)
 
 
 # ---------------------------------------------------------------------------
@@ -601,19 +601,21 @@ def simulated_bits(scenario, architecture: str, cfg):
 
 
 def paired_mc_estimates(scenario, architecture: str, cfg) -> list[tuple[float, float]]:
-    """(mean, s.e.) of each receiver's bits, with the s.e. over antithetic pairs.
+    """(mean, s.e.) of the legitimate bits, the eavesdropper bits and their difference.
 
     Row r of a task of m rows and row r + m/2 are a pair, and pairs are
     independent, so a row's mean is half the mean of the P pair sums, and
-    its s.e. half theirs, √(var(pair sums) / P).
+    its s.e. half theirs, √(var(pair sums) / P).  Both receivers' bits of
+    a row come from the same draws, so the difference is taken pair by
+    pair: its pair sums are s_L - s_E.
     """
     pairs = ([], [])
     for bits in simulated_bits(scenario, architecture, cfg):
         for receiver, b in enumerate(bits):
             half = b.size // 2
             pairs[receiver].append(b[:half] + b[half:])
-    out = []
-    for receiver in range(2):
-        s = np.concatenate(pairs[receiver])
-        out.append((float(s.mean() / 2), math.sqrt(s.var(ddof=1) / s.size) / 2))
-    return out
+    legit, eve = (np.concatenate(p) for p in pairs)
+    return [
+        (float(s.mean() / 2), math.sqrt(s.var(ddof=1) / s.size) / 2)
+        for s in (legit, eve, legit - eve)
+    ]

@@ -17,7 +17,6 @@ from linksec.capacity import (
     affg_ergodic_capacity,
     df_ergodic_capacity,
     ergodic_capacity_irs,
-    secrecy_capacity,
 )
 from linksec.channels import FadingParams, Scenario, relay_hops
 from linksec.config import reference_config
@@ -156,8 +155,8 @@ def _reference_power_curves():
         af_e = affg_ergodic_capacity(first, eve)
         curves["df"].append((df_l.bits_per_sec_hz, df_e.bits_per_sec_hz))
         curves["affg"].append((af_l.bits_per_sec_hz, af_e.bits_per_sec_hz))
-        curves["df_sec"].append(secrecy_capacity(df_l, df_e).bits_per_sec_hz)
-        curves["affg_sec"].append(secrecy_capacity(af_l, af_e).bits_per_sec_hz)
+        curves["df_sec"].append(max(df_l.bits_per_sec_hz - df_e.bits_per_sec_hz, 0.0))
+        curves["affg_sec"].append(max(af_l.bits_per_sec_hz - af_e.bits_per_sec_hz, 0.0))
     return powers, curves
 
 
@@ -183,9 +182,9 @@ def test_criterion_5_ordinal_claims():
 
     parsed = reference_config()
     scn20 = dataclasses.replace(parsed.scenario, tx_power_dbm=20.0)
-    irs20 = secrecy_capacity(*branches(scn20, "irs")).bits_per_sec_hz
-    df20 = secrecy_capacity(*branches(scn20, "df")).bits_per_sec_hz
-    af20 = secrecy_capacity(*branches(scn20, "affg")).bits_per_sec_hz
+    irs20, df20, af20 = (
+        max(branches(scn20, name)[2].bits_per_sec_hz, 0.0) for name in ("irs", "df", "affg")
+    )
     assert irs20 > df20 and irs20 > af20
 
     _report(
@@ -224,7 +223,7 @@ def test_criterion_6_monotonicity_suite():
 
     symmetric = dataclasses.replace(parsed.scenario, d_node_eve=10.0)
     for name in ("irs", "df", "affg"):
-        assert secrecy_capacity(*branches(symmetric, name)).bits_per_sec_hz == 0.0
+        assert branches(symmetric, name)[2].bits_per_sec_hz == 0.0
 
     _report(6, "nonnegativity, distance/element monotonicity, and symmetric-zero hold")
 

@@ -3,8 +3,9 @@
 A single-seed check at 4-5 s.e. cannot see a standard error that is too
 large, since every estimate then passes.  Here every point of a fixed
 grid, written down before any run, is simulated with its own seeds, and
-each z = (Monte Carlo - analytic) / s.e. is pooled per receiver: the two
-receivers of one run share the first hop, so they are not independent.
+each z = (Monte Carlo - analytic) / s.e. is pooled per receiver and for
+their difference, the secrecy, on its paired s.e.: the two receivers of
+one run share the first hop, so the three are not independent.
 
 The grid: every hop at shape 0.5, 2, 2.5, 10 or 40 (2 is drawn by the
 paired uniform-product rule, the others by ``standard_gamma``), powers
@@ -57,8 +58,8 @@ def scenario(shape, power_dbm, n):
 
 @pytest.fixture(scope="module")
 def z_scores():
-    """{receiver index: [(point, z), ...]} over the whole grid."""
-    pooled = {0: [], 1: []}
+    """{index in branches(): [(point, z), ...]} over the whole grid."""
+    pooled = {0: [], 1: [], 2: []}
     seed = 0
     for shape, power in itertools.product(SHAPES, POWERS_DB):
         for arch, n, samples, seeds in RUNS:
@@ -78,7 +79,7 @@ def test_no_z_beyond_five(z_scores):
     assert far == []
 
 
-@pytest.mark.parametrize("receiver", [0, 1], ids=["legit", "eve"])
+@pytest.mark.parametrize("receiver", [0, 1, 2], ids=["legit", "eve", "secrecy"])
 def test_pooled_z_is_standard_normal(z_scores, receiver):
     z = np.array([value for _, value in z_scores[receiver]])
     assert z.size == len(SHAPES) * len(POWERS_DB) * sum(run[3] for run in RUNS)

@@ -18,7 +18,6 @@ from linksec.capacity import (
     df_ergodic_capacity,
     _element_hop,
     ergodic_capacity_irs,
-    secrecy_capacity,
 )
 from linksec.channels import (
     FadingParams,
@@ -29,6 +28,7 @@ from linksec.channels import (
 from linksec.config import reference_config
 from linksec.montecarlo import McConfig, branches, mc_branch_estimates
 from linksec.quadrature import AccuracyError
+from linksec.sweep import _result
 from oracles import (
     DF_PATHS,
     affg_ergodic_capacity_bessel,
@@ -144,34 +144,33 @@ class TestIrsCapacity:
 
 
 class TestSecrecyCombiner:
+    # branches() returns the unclamped difference; a sweep row clamps it at
+    # 0 and reports the difference's own s.e.
     def test_positive_difference(self):
-        c = secrecy_capacity(
-            CapacityEstimate(2.0, "analytic"), CapacityEstimate(0.5, "analytic")
-        )
-        assert c.bits_per_sec_hz == 1.5
-        assert c.method == "analytic"
-        assert c.std_error == 0.0
+        legit, eve = CapacityEstimate(2.0), CapacityEstimate(0.5)
+        assert _result(legit, eve, CapacityEstimate(1.5)) == (1.5, 2.0, 0.5, 0.0, "ok")
 
     def test_clamped_to_zero(self):
-        c = secrecy_capacity(
-            CapacityEstimate(0.5, "analytic"), CapacityEstimate(2.0, "analytic")
-        )
-        assert c.bits_per_sec_hz == 0.0
+        difference = CapacityEstimate(-1.5, std_error=0.2)
+        row = _result(CapacityEstimate(0.5), CapacityEstimate(2.0), difference)
+        assert row == (0.0, 0.5, 2.0, 0.2, "ok")
 
     def test_symmetric_scenarios_zero(self):
         scn = irs_scenario(d_eve=10.0)
-        assert secrecy_capacity(*branches(scn, "irs")).bits_per_sec_hz == 0.0
+        assert branches(scn, "irs")[2].bits_per_sec_hz == 0.0
         rel = relay_scenario(d_eve=10.0)
-        assert secrecy_capacity(*branches(rel, "df")).bits_per_sec_hz == 0.0
-        assert secrecy_capacity(*branches(rel, "affg")).bits_per_sec_hz == 0.0
+        assert branches(rel, "df")[2].bits_per_sec_hz == 0.0
+        assert branches(rel, "affg")[2].bits_per_sec_hz == 0.0
 
-    def test_errors_combined_in_quadrature(self):
-        c = secrecy_capacity(
-            CapacityEstimate(2.0, "monte-carlo", std_error=0.3, samples=1000),
-            CapacityEstimate(0.5, "monte-carlo", std_error=0.4, samples=1000),
-        )
-        assert c.std_error == pytest.approx(0.5)
-        assert c.method == "monte-carlo"
+    def test_sweep_reports_the_paired_error(self):
+        # The receivers share the first hop, so their estimates are
+        # positively correlated and the difference's s.e. is below
+        # hypot(se_L, se_E), which would treat them as independent.
+        cfg = McConfig(samples=20_000, master_seed=3)
+        for name in ("irs", "df", "affg"):
+            legit, eve, difference = branches(irs_scenario(), name, cfg)
+            assert _result(legit, eve, difference)[3] == difference.std_error
+            assert 0.0 < difference.std_error < math.hypot(legit.std_error, eve.std_error)
 
 
 class TestDfRelay:
@@ -237,7 +236,7 @@ class TestDfRelay:
         # Both branches grow at the same rate once every hop is strong, so
         # the secrecy difference stabilizes.
         vals = [
-            secrecy_capacity(*branches(relay_scenario(power_dbm=p), "df")).bits_per_sec_hz
+            branches(relay_scenario(power_dbm=p), "df")[2].bits_per_sec_hz
             for p in (40.0, 46.0, 52.0)
         ]
         assert abs(vals[-1] - vals[-2]) < 0.01
@@ -429,14 +428,14 @@ class TestScenarioInvariances:
             ("df", base_rel, scaled_rel),
             ("affg", base_rel, scaled_rel),
         ):
-            assert secrecy_capacity(*branches(scaled, name)).bits_per_sec_hz == pytest.approx(
-                secrecy_capacity(*branches(base, name)).bits_per_sec_hz, abs=1e-9
+            assert branches(scaled, name)[2].bits_per_sec_hz == pytest.approx(
+                branches(base, name)[2].bits_per_sec_hz, abs=1e-9
             )
 
     def test_secrecy_is_combiner_of_branch_capacities(self):
         # branches() is nothing but the per-receiver capacity functions on
-        # the analytic route and mc_branch_estimates on the simulated one;
-        # secrecy is the deterministic combiner applied to either pair.
+        # the analytic route, with their difference, and
+        # mc_branch_estimates on the simulated one.
         scn = relay_scenario()
         x, *ys = surface_hops(scn)
         first, *seconds = relay_hops(scn)
@@ -447,8 +446,8 @@ class TestScenarioInvariances:
         }
         cfg = McConfig(samples=1000, master_seed=3)
         for name, expected in per_receiver.items():
-            assert branches(scn, name) == tuple(expected)
-            assert secrecy_capacity(*branches(scn, name)) == secrecy_capacity(*expected)
+            legit, eve = (est.bits_per_sec_hz for est in expected)
+            assert branches(scn, name) == (*expected, CapacityEstimate(legit - eve))
             assert branches(scn, name, cfg) == mc_branch_estimates(scn, name, cfg)
 
     def test_capacities_nondecreasing_in_power(self):
@@ -490,7 +489,7 @@ class TestAnalyticPins:
     @pytest.mark.parametrize("power, name, n", sorted(PINNED))
     def test_pinned_branches(self, power, name, n):
         scn = dataclasses.replace(reference_config().scenario, tx_power_dbm=power, n_elements=n)
-        got = tuple(est.bits_per_sec_hz for est in branches(scn, name))
+        got = tuple(est.bits_per_sec_hz for est in branches(scn, name)[:2])
         assert got == pytest.approx(self.PINNED[power, name, n], rel=1e-12, abs=0)
 
 
@@ -700,9 +699,8 @@ class TestParameterCorners:
                 counts.clear()
                 analytic = branches(scn, arch)
                 assert all(c <= CORNER_MAX_EVALUATIONS for c in counts), (point, counts)
-                for ana in analytic:
-                    assert math.isfinite(ana.bits_per_sec_hz), point
-                    assert ana.bits_per_sec_hz >= 0.0, point
+                assert all(math.isfinite(ana.bits_per_sec_hz) for ana in analytic), point
+                assert all(ana.bits_per_sec_hz >= 0.0 for ana in analytic[:2]), point
                 if n > 1:
                     continue
                 for ana, mc in zip(analytic, branches(scn, arch, cfg)):

@@ -377,11 +377,11 @@ class TestRunSweep:
         point = parse_config_text(config_with(**{key: text})).scenario
         assert len(rows) == 3
         for r in rows:
-            est_l, est_e = montecarlo.branches(point, r.architecture)
-            sec = capacity.secrecy_capacity(est_l, est_e)
+            est_l, est_e, diff = montecarlo.branches(point, r.architecture)
             assert r.status == "ok"
             assert (r.secrecy_bps_hz, r.ergodic_L, r.ergodic_E, r.std_error) == (
-                sec.bits_per_sec_hz, est_l.bits_per_sec_hz, est_e.bits_per_sec_hz, sec.std_error
+                max(diff.bits_per_sec_hz, 0.0), est_l.bits_per_sec_hz, est_e.bits_per_sec_hz,
+                diff.std_error,
             )
 
     def test_relay_rows_do_not_change_with_element_count(self):
@@ -409,11 +409,11 @@ class TestRunSweep:
         assert len(rows) == len(spec.grid()) * 3
         for r in rows:
             point = dataclasses.replace(REFERENCE.scenario, n_elements=int(r.value))
-            est_l, est_e = montecarlo.branches(point, r.architecture, mc)
-            sec = capacity.secrecy_capacity(est_l, est_e)
+            est_l, est_e, diff = montecarlo.branches(point, r.architecture, mc)
             assert r.status == "ok"
             assert (r.secrecy_bps_hz, r.ergodic_L, r.ergodic_E, r.std_error) == (
-                sec.bits_per_sec_hz, est_l.bits_per_sec_hz, est_e.bits_per_sec_hz, sec.std_error
+                max(diff.bits_per_sec_hz, 0.0), est_l.bits_per_sec_hz, est_e.bits_per_sec_hz,
+                diff.std_error,
             )
 
     def test_element_sweep_point_fails_alone(self):
@@ -562,7 +562,7 @@ class TestValidate:
         cfg = McConfig(samples=50_000, master_seed=2024)
         report = validate(parsed.scenario, (0.0, 10.0), cfg)
         assert report.passed
-        assert len(report.rows) == 2 * 3 * 2
+        assert len(report.rows) == 2 * 3 * 3
 
     def test_corrupted_analytic_flagged(self, monkeypatch):
         parsed = reference_config()
@@ -578,7 +578,9 @@ class TestValidate:
 
     def test_small_relative_bias_flagged(self, monkeypatch):
         # A 0.9% bias at 50 dB is tens of standard errors at 10^5 samples,
-        # though inside a 1% relative allowance.
+        # though inside a 1% relative allowance.  On a secrecy row it is
+        # 0.9% of a 1.1-2 bit difference, only 2-8 s.e., so the receivers'
+        # rows carry the claim.
         parsed = reference_config()
         cfg = McConfig(samples=100_000, master_seed=2024)
         for attr in CAPACITIES:
@@ -587,16 +589,19 @@ class TestValidate:
                 return dataclasses.replace(e, bits_per_sec_hz=e.bits_per_sec_hz * 1.009)
             monkeypatch.setattr(capacity, attr, scaled)
         report = validate(parsed.scenario, (50.0,), cfg)
-        assert not any(r.passed for r in report.rows)
+        receivers = [r for r in report.rows if r.receiver != "secrecy"]
+        assert len(receivers) == 6 and not any(r.passed for r in receivers)
+        assert not report.passed
 
     def test_points_draw_from_their_own_seeds(self):
         parsed = reference_config()
         cfg = McConfig(samples=10_000, master_seed=7)
         report = validate(parsed.scenario, (20.0, 20.0), cfg, ("irs",))
-        first_l, first_e, second_l, second_e = report.rows
-        assert first_l.analytic == second_l.analytic
-        assert first_l.monte_carlo != second_l.monte_carlo
-        assert first_e.monte_carlo != second_e.monte_carlo
+        first, second = report.rows[:3], report.rows[3:]
+        assert [r.receiver for r in report.rows] == ["legit", "eve", "secrecy"] * 2
+        for a, b in zip(first, second):
+            assert a.analytic == b.analytic
+            assert a.monte_carlo != b.monte_carlo
 
     def test_zero_power_trivially_consistent(self):
         parsed = reference_config()
@@ -611,7 +616,7 @@ class TestValidate:
         high = [r for r in report.rows if r.tx_power_dbm == 0.0]
         assert [(r.receiver, r.passed) for r in low] == [("both", False)] * 3
         assert all("float range" in r.error for r in low)
-        assert len(high) == 3 * 2 and all(r.passed for r in high)
+        assert len(high) == 3 * 3 and all(r.passed for r in high)
         assert not report.passed
 
     def test_unknown_architecture_rejected(self):
@@ -739,7 +744,7 @@ class TestCli:
         for arch in ("df", "affg"):
             assert any(line.startswith(arch) and "FAIL: " in line for line in edge)
         assert all("float range at 3082.2 dB" in line for line in edge)
-        assert sum(" 0.0 " in line and line.endswith(" ok") for line in lines) == 6
+        assert sum(" 0.0 " in line and line.endswith(" ok") for line in lines) == 9
         assert lines[-1] == "overall: FAIL"
 
     def test_validate_command_exit_codes(self, tmp_path):
@@ -786,20 +791,21 @@ class TestCli:
     def test_validate_text_format(self, tmp_path, capsys):
         # bench/workloads.py parses this text: each ok row is 8 fields
         # (arch, power, rx, analytic, monte-carlo, s.e., z, result) and the
-        # last line is the verdict.  A new column, such as an analytic error
-        # bar, needs the benchmark's parser changed first, in a change of
-        # its own.
+        # last line is the verdict; it keys the legit and eve rows and
+        # passes over the secrecy rows.  A new column, such as an analytic
+        # error bar, needs the benchmark's parser changed first, in a change
+        # of its own.
         cfg_path = tmp_path / "scenario.cfg"
         cfg_path.write_text(REFERENCE_CONFIG)
         args = ["validate", "--config", str(cfg_path), "--samples", "20000", "--seed", "11"]
         assert main(args + ["--powers", "0,10"]) == 0
         lines = capsys.readouterr().out.splitlines()
         rows = [line.split() for line in lines[1:-1]]
-        assert len(rows) == 2 * 3 * 2
+        assert len(rows) == 2 * 3 * 3
         for fields in rows:
             assert len(fields) == 8
             arch, power, rx, *numbers, result = fields
-            assert arch in montecarlo.ARCHITECTURES and rx in ("legit", "eve")
+            assert arch in montecarlo.ARCHITECTURES and rx in ("legit", "eve", "secrecy")
             assert result == "ok"
             assert all(math.isfinite(float(v)) for v in (power, *numbers))
         assert lines[-1] == "overall: PASS"

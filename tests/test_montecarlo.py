@@ -14,7 +14,6 @@ from linksec.capacity import (
     affg_ergodic_capacity,
     df_ergodic_capacity,
     ergodic_capacity_irs,
-    secrecy_capacity,
 )
 from linksec import channels, montecarlo
 from linksec.channels import FadingParams, Scenario, relay_hops, surface_hops
@@ -76,7 +75,7 @@ def record_tasks(monkeypatch, architecture, cfg):
 
     def recording(arch, hops, rng, rows, width, counts, buffers):
         tasks[rng] = (rows, width)
-        return np.zeros((len(counts), 2, 2))
+        return np.zeros((len(counts), 5))
 
     monkeypatch.setattr(montecarlo, "_stream", lambda cfg, *key: key)
     monkeypatch.setattr(montecarlo, "_task_sums", recording)
@@ -131,19 +130,23 @@ class TestDeterminism:
         assert a.bits_per_sec_hz != b.bits_per_sec_hz
 
     # (bits_per_sec_hz, std_error) of the legitimate and eavesdropper
-    # branches on the reference scenarios at 4,096 samples and seed 23.
+    # branches and of their difference on the reference scenarios at 4,096
+    # samples and seed 23.
     PINNED = {
         "irs": [
             (3.2127143218450835, 0.007236432818451064),
             (1.6472899200719966, 0.005476301625092456),
+            (1.565424401773087, 0.007704782245680636),
         ],
         "df": [
             (6.187593334865431, 0.012014787604740163),
             (5.106762458496132, 0.010461448178304545),
+            (1.0808308763692969, 0.013146799870761887),
         ],
         "affg": [
             (5.596079435462679, 0.009727723328590418),
             (4.483112098610343, 0.009753520761639026),
+            (1.1129673368523347, 0.00851957678139482),
         ],
     }
 
@@ -317,6 +320,7 @@ class TestParallelFill:
         scn = irs_scenario(n=6, shape=shape)
         got = mc_branch_estimates(scn, architecture, cfg)
         want = paired_mc_estimates(scn, architecture, cfg)
+        assert len(got) == len(want) == 3
         for est, (mean, std_error) in zip(got, want):
             assert est.bits_per_sec_hz == pytest.approx(mean, rel=1e-12, abs=0)
             assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0)
@@ -340,9 +344,9 @@ class TestParallelFill:
         y = np.array(y)
         arch.combine(hops[0], x, y, np.empty_like(x))
         row_vars = np.log2(1.0 + y.sum(axis=1)).var(axis=1, ddof=1)
-        moments = _task_sums(arch, hops, _stream(cfg, 0, 0), rows, width, [width], _buffer_set())
-        moments = moments[0].tolist()
-        for (p1, p2), var in zip(moments, row_vars):
+        sums = _task_sums(arch, hops, _stream(cfg, 0, 0), rows, width, [width], _buffer_set())
+        s_l, s_e, q_l, q_e, _ = sums[0].tolist()
+        for (p1, p2), var in zip([(s_l, q_l), (s_e, q_e)], row_vars):
             pair_var = (p2 - p1 * p1 / pairs) / (pairs - 1)
             # Var(b_r + b_(r+h)) = 2 Var(b) (1 + correlation).
             assert pair_var / (2.0 * var) - 1.0 < -0.2
@@ -529,14 +533,16 @@ class TestChunkBound:
         n, pairs = 65536, 32768
         cfg = McConfig(samples=n, master_seed=23, chunk_size=n)
         hops = surface_hops(scn)
-        sums = np.zeros((1, 2, 2))
+        sums = np.zeros((1, 5))
         for sub in range(_STREAMS):
             rng = _stream(cfg, 0, sub)
             sums += _task_sums(ARCHITECTURES["irs"], hops, rng, n // _STREAMS, 4, [4], _buffer_set())
-        for est, (p1, p2) in zip(mc_branch_estimates(scn, "irs", cfg), sums[0].tolist()):
+        s_l, s_e, q_l, q_e, q_d = sums[0].tolist()
+        estimates = mc_branch_estimates(scn, "irs", cfg)
+        assert [est.bits_per_sec_hz for est in estimates[:2]] == [s_l / n, s_e / n]
+        for est, (p1, p2) in zip(estimates, [(s_l, q_l), (s_e, q_e), (s_l - s_e, q_d)]):
             pair_mean = p1 / pairs
             pair_var = max(p2 - pairs * pair_mean * pair_mean, 0.0) / (pairs - 1)
-            assert est.bits_per_sec_hz == p1 / n
             assert est.std_error == math.sqrt(pairs * pair_var) / n
 
     @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
@@ -752,24 +758,24 @@ class TestSecrecy:
     def test_symmetric_scenario_near_zero(self):
         scn = irs_scenario(n=2, d_eve=10.0)
         cfg = McConfig(samples=200_000, master_seed=8)
-        est = secrecy_capacity(*branches(scn, "irs", cfg))
-        assert est.bits_per_sec_hz <= 3.0 * est.std_error
+        est = branches(scn, "irs", cfg)[2]
+        assert abs(est.bits_per_sec_hz) <= 3.0 * est.std_error
 
     def test_increases_with_eavesdropper_distance(self):
         cfg = McConfig(samples=200_000, master_seed=9)
         values = []
         for d_eve in (12.0, 20.0, 32.0):
             scn = relay_scenario(power_dbm=20.0, d_eve=d_eve)
-            values.append(secrecy_capacity(*branches(scn, "df", cfg)).bits_per_sec_hz)
+            values.append(branches(scn, "df", cfg)[2].bits_per_sec_hz)
         assert values[0] < values[1] < values[2]
 
     def test_shared_hop_estimator_unbiased(self):
         scn = relay_scenario(power_dbm=20.0)
         cfg = McConfig(samples=400_000, master_seed=10)
-        paired = secrecy_capacity(*branches(scn, "df", cfg))
+        paired = branches(scn, "df", cfg)[2]
         le = mc_branch_estimates(scn, "df", McConfig(samples=400_000, master_seed=11))[0]
         ev = mc_branch_estimates(scn, "df", McConfig(samples=400_000, master_seed=12))[1]
-        independent = max(le.bits_per_sec_hz - ev.bits_per_sec_hz, 0.0)
+        independent = le.bits_per_sec_hz - ev.bits_per_sec_hz
         combined_se = math.hypot(paired.std_error, math.hypot(le.std_error, ev.std_error))
         assert abs(paired.bits_per_sec_hz - independent) <= 3.0 * combined_se
 
@@ -778,9 +784,35 @@ class TestSecrecy:
         scn_i = irs_scenario(n=4, power_dbm=20.0)
         scn_r = relay_scenario(power_dbm=20.0)
         for name, scn in (("irs", scn_i), ("df", scn_r), ("affg", scn_r)):
-            mc = secrecy_capacity(*branches(scn, name, cfg))
-            ana = secrecy_capacity(*branches(scn, name))
+            mc = branches(scn, name, cfg)[2]
+            ana = branches(scn, name)[2]
             assert abs(mc.bits_per_sec_hz - ana.bits_per_sec_hz) <= 3.0 * mc.std_error
+
+    @pytest.mark.parametrize("mc", [None, McConfig(samples=20_002, master_seed=41)],
+                             ids=["analytic", "mc"])
+    @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
+    def test_difference_is_legit_minus_eve(self, architecture, mc):
+        # Bit for bit, so a sweep's secrecy column keeps the bytes it had
+        # when it was formed from the two receivers' values.
+        for power in (0.0, 20.0, 50.0):
+            legit, eve, difference = branches(irs_scenario(n=6, power_dbm=power), architecture, mc)
+            assert difference.bits_per_sec_hz == legit.bits_per_sec_hz - eve.bits_per_sec_hz
+            assert (difference.std_error == 0.0) == (mc is None)
+
+    @pytest.mark.parametrize("power", [0.0, 20.0, 50.0])
+    @pytest.mark.parametrize("architecture", ["irs", "df", "affg"])
+    def test_difference_matches_paired_oracle(self, architecture, power):
+        # The oracle takes the difference of each pair's two pair sums,
+        # s_L - s_E, from the same draws and its s.e. with NumPy's
+        # two-pass variance; the kernel keeps only Σd² and reads Σd as
+        # Σs_L - Σs_E.  A surface draws 20 tasks of 1,000 or 1,002 rows, a
+        # relay 8 of 2,500 or 2,502.
+        cfg = McConfig(samples=20_002, master_seed=42, chunk_size=4098)
+        scn = irs_scenario(n=6, power_dbm=power)
+        got = branches(scn, architecture, cfg)[2]
+        mean, std_error = paired_mc_estimates(scn, architecture, cfg)[2]
+        assert got.bits_per_sec_hz == pytest.approx(mean, rel=1e-12, abs=0)
+        assert got.std_error == pytest.approx(std_error, rel=1e-12, abs=0)
 
     def test_architecture_validation(self):
         cfg = McConfig(samples=1000, master_seed=1)
